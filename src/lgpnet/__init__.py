@@ -8,7 +8,7 @@ from .gmm import EmConfig, Gmm, llr_score, train_em
 from .lgp import LgpNormStats, extract_lgp, fit_norm_stats
 from .model import ClassifierConfig, SpoofModel, UfmConfig, segment_ufm
 from .training import LabeledDataset, LabeledUtterance, TrainConfig, train_one_path, train_two_step
-from .evaluation import TdcfCostModel, TrialRecord, compute_eer, compute_min_tdcf, fuse_scores
+from .evaluation import TdcfCostModel, fuse_scores
 
 __all__ = [
     "__version__",
@@ -17,5 +17,5 @@ __all__ = [
     "LgpNormStats", "extract_lgp", "fit_norm_stats",
     "ClassifierConfig", "SpoofModel", "UfmConfig", "segment_ufm",
     "LabeledDataset", "LabeledUtterance", "TrainConfig", "train_one_path", "train_two_step",
-    "TdcfCostModel", "TrialRecord", "compute_eer", "compute_min_tdcf", "fuse_scores",
+    "TdcfCostModel", "fuse_scores",
 ]

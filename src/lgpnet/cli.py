@@ -25,13 +25,14 @@ from .evaluation import (
     min_tdcf_from_scores,
     read_protocol,
     read_scores,
+    read_trials,
     write_scores,
 )
 from .frontend import LfccConfig, extract_lfcc, load_features, read_wav, store_features
 from .gmm import EmConfig, Gmm, llr_score, train_em
 from .lgp import LgpNormStats, extract_lgp, fit_norm_stats
 from .model import ClassifierConfig, SpoofModel
-from .runconfig import RunConfig
+from .runconfig import RunConfig, read_flat_config
 from .synthcorpus import CorpusSpec, generate
 from .training import TrainConfig, load_dataset, train_one_path, train_two_step
 
@@ -203,9 +204,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_score(args) -> int:
     tensors = tensorio.load_tensors(args.model)
-    paths = int(tensors["cfg.paths"][0])
-    gmms, stats = _load_models(args, paths)
-    model = SpoofModel.load(args.model, gmms, stats)
+    gmms, stats = _load_models(args, ClassifierConfig.from_tensors(tensors).paths)
+    model = SpoofModel.from_tensors(tensors, gmms, stats)
+    del tensors                        # the model holds its own float64 copies
     labels = read_protocol(args.protocol)
     feat_dir = Path(args.features)
 
@@ -239,39 +240,12 @@ def _cmd_score_gmm(args) -> int:
     return 0
 
 
-def _read_tdcf_config(path) -> TdcfCostModel:
-    values = {}
-    fields = set(TdcfCostModel.__dataclass_fields__)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ProtocolError(f"{path}: expected 'key = value'", line=lineno)
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            if key not in fields:
-                raise ProtocolError(f"{path}: unknown key {key!r}", line=lineno)
-            try:
-                values[key] = float(raw.strip())
-            except ValueError:
-                raise ProtocolError(f"{path}: bad value for {key!r}", line=lineno) from None
-    return TdcfCostModel(**values)
-
-
 def _cmd_evaluate(args) -> int:
-    scores = read_scores(args.scores)
-    labels = read_protocol(args.protocol)
-    missing = [u for u in scores if u not in labels]
-    if missing:
-        raise ProtocolError(f"{args.protocol}: no label for scored trial {missing[0]!r}")
-    bona = np.array([s for u, s in scores.items() if labels[u] == "bonafide"])
-    spoof = np.array([s for u, s in scores.items() if labels[u] == "spoof"])
+    bona, spoof = read_trials(args.scores, args.protocol)
     eer, threshold = eer_from_scores(bona, spoof)
     lines = [f"EER {eer:.4f}", f"threshold {threshold:.6f}"]
     if args.tdcf_config:
-        cost = _read_tdcf_config(args.tdcf_config)
+        cost = read_flat_config(TdcfCostModel, args.tdcf_config)
         lines.append(f"min-tDCF {min_tdcf_from_scores(bona, spoof, cost):.4f}")
     for line in lines:
         print(line)

@@ -9,38 +9,13 @@ threshold and are therefore invariant to strictly increasing score maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ProtocolError
 
 LABELS = ("bonafide", "spoof")
-
-
-@dataclass
-class TrialRecord:
-    utt_id: str
-    label: str                    # bonafide | spoof | unknown
-    score: float
-
-    def __post_init__(self):
-        if self.label not in ("bonafide", "spoof", "unknown"):
-            raise ValueError(f"bad label {self.label!r}")
-        if not np.isfinite(self.score):
-            raise ValueError(f"non-finite score for {self.utt_id!r}")
-
-
-def split_scores(trials: Iterable[TrialRecord]) -> tuple[np.ndarray, np.ndarray]:
-    bona, spoof = [], []
-    for t in trials:
-        if t.label == "bonafide":
-            bona.append(t.score)
-        elif t.label == "spoof":
-            spoof.append(t.score)
-        else:
-            raise ValueError(f"trial {t.utt_id!r} is unlabeled")
-    return np.asarray(bona, dtype=np.float64), np.asarray(spoof, dtype=np.float64)
 
 
 def detection_tradeoff(bona: np.ndarray, spoof: np.ndarray):
@@ -90,10 +65,6 @@ def _finite(thresholds, i, j) -> float:
         if np.isfinite(thresholds[idx]):
             return float(thresholds[idx])
     return 0.0
-
-
-def compute_eer(trials: Iterable[TrialRecord]) -> tuple[float, float]:
-    return eer_from_scores(*split_scores(trials))
 
 
 @dataclass
@@ -146,10 +117,6 @@ def min_tdcf_from_scores(bona: np.ndarray, spoof: np.ndarray,
     _, p_miss, p_fa = detection_tradeoff(bona, spoof)
     tdcf = (c1 * p_miss + c2 * p_fa) / min(c1, c2)
     return float(tdcf.min())
-
-
-def compute_min_tdcf(trials: Iterable[TrialRecord], cost: TdcfCostModel) -> float:
-    return min_tdcf_from_scores(*split_scores(trials), cost)
 
 
 # -- score fusion -------------------------------------------------------------
@@ -353,11 +320,17 @@ def write_scores(path, scores: Mapping[str, float]) -> None:
             fh.write(f"{utt_id} {float(score)!r}\n")
 
 
-def trials_from_files(score_path, protocol_path) -> list[TrialRecord]:
-    """Join a score file with a protocol by utterance id."""
+def read_trials(score_path, protocol_path) -> tuple[np.ndarray, np.ndarray]:
+    """Join a score file with a protocol by utterance id.
+
+    Returns the (bona fide, spoof) score arrays in score-file order; a
+    scored utterance the protocol does not label is an error.
+    """
     scores = read_scores(score_path)
     labels = read_protocol(protocol_path)
     missing = [u for u in scores if u not in labels]
     if missing:
         raise ProtocolError(f"{protocol_path}: no label for scored trial {missing[0]!r}")
-    return [TrialRecord(u, labels[u], s) for u, s in scores.items()]
+    bona = np.array([s for u, s in scores.items() if labels[u] == "bonafide"])
+    spoof = np.array([s for u, s in scores.items() if labels[u] == "spoof"])
+    return bona, spoof

@@ -15,7 +15,7 @@ bona fide throughout).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from .nn import BatchNorm1d, Conv1d, Linear, MaxOverTime, ReLU, SEBlock
 
 BONA_FIDE, SPOOF = 0, 1
 LABEL_NAMES = {"bonafide": BONA_FIDE, "spoof": SPOOF}
+
+# Checkpoints store these config fields as an index into their choices.
+_CFG_CHOICES = {"se_enabled": (False, True), "lgp_form": ("full", "fast")}
 
 
 @dataclass
@@ -47,8 +50,37 @@ class ClassifierConfig:
             raise ValueError("input length must be >= 1")
         if self.paths not in (1, 2):
             raise ValueError("paths must be 1 or 2")
-        if self.se_enabled and self.channels % self.se_reduction != 0:
-            raise ValueError("se_reduction must divide channels")
+        if self.se_enabled and (self.se_reduction < 1 or self.channels % self.se_reduction != 0):
+            raise ValueError("se_reduction must be >= 1 and divide channels")
+
+    def to_tensors(self) -> dict[str, np.ndarray]:
+        """One ``cfg.<field>`` entry per field, in field order."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _CFG_CHOICES:
+                value = _CFG_CHOICES[f.name].index(value)
+            out[f"cfg.{f.name}"] = np.array([float(value)])
+        return out
+
+    @classmethod
+    def from_tensors(cls, tensors) -> "ClassifierConfig":
+        """Inverse of :meth:`to_tensors`; a missing or invalid entry raises FormatError."""
+        values = {}
+        for f in fields(cls):
+            key = f"cfg.{f.name}"
+            arr = tensors.get(key)
+            if arr is None or arr.shape != (1,):
+                raise FormatError(f"checkpoint entry {key!r} is missing or not a scalar")
+            value = float(arr[0])
+            choices = _CFG_CHOICES.get(f.name)
+            if not value.is_integer() or (choices and not 0 <= value < len(choices)):
+                raise FormatError(f"checkpoint entry {key!r} has invalid value {value!r}")
+            values[f.name] = choices[int(value)] if choices else int(value)
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise FormatError(f"checkpoint config: {exc}") from None
 
 
 @dataclass
@@ -77,13 +109,6 @@ class ResBlock:
         self.bn2 = BatchNorm1d(channels)
         self.relu2 = ReLU()
         self.se = SEBlock(channels, se_reduction, rng=rng) if se_enabled else None
-
-    def parameters(self):
-        params = (self.conv1.parameters() + self.bn1.parameters()
-                  + self.conv2.parameters() + self.bn2.parameters())
-        if self.se is not None:
-            params += self.se.parameters()
-        return params
 
     def forward(self, x, training):
         h = self.relu1.forward(self.bn1.forward(self.conv1.forward(x), training))
@@ -116,16 +141,15 @@ class PathNetwork:
         self.pool = MaxOverTime()
 
     def parameters(self):
-        params = self.conv.parameters() + self.bn.parameters()
-        for block in self.blocks:
-            params += block.parameters()
-        return params
+        return [p for _, layer in self._named_layers() for p in layer.parameters()]
 
     def batchnorms(self):
-        bns = [self.bn]
-        for block in self.blocks:
-            bns += [block.bn1, block.bn2]
-        return bns
+        return [layer for _, layer in self._named_layers() if isinstance(layer, BatchNorm1d)]
+
+    def named_tensors(self) -> dict[str, np.ndarray]:
+        """Every live array of the path under its checkpoint name, in a fixed order."""
+        return {f"{name}.{key}": arr for name, layer in self._named_layers()
+                for key, arr in layer.named_tensors().items()}
 
     def forward(self, lgp, training):
         """(order, N) or (B, order, N) -> (channels,) or (B, channels)."""
@@ -140,37 +164,6 @@ class PathNetwork:
             g = block.backward(g)
         return self.conv.backward(self.bn.backward(self.relu.backward(g)))
 
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._named_layers():
-            if isinstance(layer, Conv1d):
-                out[f"{name}.weight"] = layer.weight.data
-                out[f"{name}.bias"] = layer.bias.data
-            elif isinstance(layer, BatchNorm1d):
-                out[f"{name}.gamma"] = layer.gamma.data
-                out[f"{name}.beta"] = layer.beta.data
-                out[f"{name}.running_mean"] = layer.running_mean
-                out[f"{name}.running_var"] = layer.running_var
-            elif isinstance(layer, SEBlock):
-                for pname in ("w1", "b1", "w2", "b2"):
-                    out[f"{name}.{pname}"] = getattr(layer, pname).data
-        return out
-
-    def load_state_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        for name, layer in self._named_layers():
-            if isinstance(layer, Conv1d):
-                layer.weight.data = _take(tensors, f"{name}.weight", layer.weight.shape)
-                layer.bias.data = _take(tensors, f"{name}.bias", layer.bias.shape)
-            elif isinstance(layer, BatchNorm1d):
-                layer.gamma.data = _take(tensors, f"{name}.gamma", layer.gamma.shape)
-                layer.beta.data = _take(tensors, f"{name}.beta", layer.beta.shape)
-                layer.running_mean = _take(tensors, f"{name}.running_mean", layer.running_mean.shape)
-                layer.running_var = _take(tensors, f"{name}.running_var", layer.running_var.shape)
-            elif isinstance(layer, SEBlock):
-                for pname in ("w1", "b1", "w2", "b2"):
-                    param = getattr(layer, pname)
-                    param.data = _take(tensors, f"{name}.{pname}", param.shape)
-
     def _named_layers(self):
         yield "stem.conv", self.conv
         yield "stem.bn", self.bn
@@ -181,16 +174,6 @@ class PathNetwork:
             yield f"block{b}.bn2", block.bn2
             if block.se is not None:
                 yield f"block{b}.se", block.se
-
-
-def _take(tensors, name, shape):
-    try:
-        arr = np.asarray(tensors[name], dtype=np.float64)
-    except KeyError as exc:
-        raise FormatError(f"checkpoint is missing tensor {exc}") from None
-    if arr.shape != tuple(shape):
-        raise FormatError(f"tensor {name!r} has shape {arr.shape}, expected {tuple(shape)}")
-    return arr
 
 
 class SpoofModel:
@@ -216,12 +199,6 @@ class SpoofModel:
                       for k in range(cfg.paths)]
         # Zero-init head: uniform softmax (loss ln 2) before the first update.
         self.fc = Linear(cfg.paths * cfg.channels, 2, init="zero")
-
-    def parameters(self):
-        params = []
-        for path in self.paths:
-            params += path.parameters()
-        return params + self.fc.parameters()
 
     # -- feature plumbing ----------------------------------------------------
 
@@ -264,69 +241,49 @@ class SpoofModel:
     # -- persistence -----------------------------------------------------------
 
     def to_tensors(self) -> dict[str, np.ndarray]:
-        cfg = self.cfg
-        out = {
-            "cfg.gmm_order": np.array([cfg.gmm_order]),
-            "cfg.channels": np.array([cfg.channels]),
-            "cfg.blocks": np.array([cfg.blocks]),
-            "cfg.se_enabled": np.array([1.0 if cfg.se_enabled else 0.0]),
-            "cfg.se_reduction": np.array([cfg.se_reduction]),
-            "cfg.input_length": np.array([cfg.input_length]),
-            "cfg.paths": np.array([cfg.paths]),
-            "cfg.lgp_form": np.array([1.0 if cfg.lgp_form == "fast" else 0.0]),
-        }
+        out = self.cfg.to_tensors()
         for k, path in enumerate(self.paths):
-            for name, arr in path.state_tensors().items():
-                out[f"path{k}.{name}"] = arr
+            out.update({f"path{k}.{name}": arr for name, arr in path.named_tensors().items()})
             out[f"path{k}.gmm_sha256"] = _digest_tensor(self.gmms[k].fingerprint())
             out[f"path{k}.stats_sha256"] = _digest_tensor(self.stats[k].fingerprint())
-        out["fc.weight"] = self.fc.weight.data
-        out["fc.bias"] = self.fc.bias.data
+        out.update({f"fc.{name}": arr for name, arr in self.fc.named_tensors().items()})
         return out
 
     def save(self, path) -> None:
         tensorio.save_tensors(path, self.to_tensors())
 
     @classmethod
-    def load(cls, path, gmms: list[Gmm], stats: list[LgpNormStats]) -> "SpoofModel":
-        """Rebuild a model from a checkpoint plus the exact GMM/stats it was
-        trained with; mismatched fingerprints are refused."""
-        tensors = tensorio.load_tensors(path)
-        cfg = ClassifierConfig(
-            gmm_order=int(tensors["cfg.gmm_order"][0]),
-            channels=int(tensors["cfg.channels"][0]),
-            blocks=int(tensors["cfg.blocks"][0]),
-            se_enabled=bool(tensors["cfg.se_enabled"][0]),
-            se_reduction=int(tensors["cfg.se_reduction"][0]),
-            input_length=int(tensors["cfg.input_length"][0]),
-            paths=int(tensors["cfg.paths"][0]),
-            lgp_form="fast" if tensors["cfg.lgp_form"][0] else "full",
-        )
-        model = cls(cfg, gmms, stats, seed=0)
-        for k in range(cfg.paths):
-            stored_gmm = _tensor_digest(tensors[f"path{k}.gmm_sha256"])
-            stored_stats = _tensor_digest(tensors[f"path{k}.stats_sha256"])
-            if stored_gmm != gmms[k].fingerprint():
-                raise FormatError(f"path {k}: GMM fingerprint does not match the checkpoint")
-            if stored_stats != stats[k].fingerprint():
-                raise FormatError(f"path {k}: stats fingerprint does not match the checkpoint")
-            prefix = f"path{k}."
-            path_tensors = {
-                name[len(prefix):]: arr for name, arr in tensors.items()
-                if name.startswith(prefix) and not name.endswith("sha256")
-            }
-            model.paths[k].load_state_tensors(path_tensors)
-        model.fc.weight.data = _take(tensors, "fc.weight", model.fc.weight.shape)
-        model.fc.bias.data = _take(tensors, "fc.bias", model.fc.bias.shape)
+    def from_tensors(cls, tensors, gmms: list[Gmm], stats: list[LgpNormStats]) -> "SpoofModel":
+        """Rebuild a model from checkpoint tensors plus the exact GMM/stats it
+        was trained with.  A missing, misshapen or unexpected tensor, or a
+        fingerprint mismatch, raises FormatError."""
+        model = cls(ClassifierConfig.from_tensors(tensors), gmms, stats, seed=0)
+        expected = model.to_tensors()
+        unexpected = [name for name in tensors if name not in expected]
+        if unexpected:
+            raise FormatError(f"checkpoint has unexpected tensor {unexpected[0]!r}")
+        for name, live in expected.items():
+            stored = tensors.get(name)
+            if stored is None:
+                raise FormatError(f"checkpoint is missing tensor {name!r}")
+            if stored.shape != live.shape:
+                raise FormatError(f"tensor {name!r} has shape {stored.shape}, expected {live.shape}")
+            if name.startswith("cfg."):
+                continue                  # already decoded into model.cfg
+            if name.endswith("_sha256"):
+                if not np.array_equal(stored, live):
+                    raise FormatError(f"{name!r} does not match the given GMM/stats file")
+            else:
+                live[...] = stored
         return model
+
+    @classmethod
+    def load(cls, path, gmms: list[Gmm], stats: list[LgpNormStats]) -> "SpoofModel":
+        return cls.from_tensors(tensorio.load_tensors(path), gmms, stats)
 
 
 def _digest_tensor(digest: bytes) -> np.ndarray:
     return np.frombuffer(digest, dtype=np.uint8).astype(np.float64)
-
-
-def _tensor_digest(arr: np.ndarray) -> bytes:
-    return bytes(np.asarray(arr).astype(np.uint8).tobytes())
 
 
 def segment_ufm(feats: np.ndarray, cfg: UfmConfig) -> list[np.ndarray]:

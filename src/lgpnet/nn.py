@@ -6,6 +6,9 @@ autodiff graph: ``backward`` consumes the gradient of the loss with respect
 to the layer output and returns the gradient with respect to the layer
 input, accumulating parameter gradients on the way.
 
+Stateful layers also list their current arrays by name in
+``named_tensors``; checkpoints and training snapshots are built from it.
+
 Sequence inputs are channels-first: ``(channels, time)`` for a single
 example or ``(batch, channels, time)`` for a minibatch.  Computation is
 float64 unless the caller supplies float32 data.
@@ -79,6 +82,9 @@ class Conv1d:
     def parameters(self):
         return [self.weight, self.bias]
 
+    def named_tensors(self) -> dict[str, np.ndarray]:
+        return {"weight": self.weight.data, "bias": self.bias.data}
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         xb, squeezed = _as_batched(x)
         out_ch, in_ch, k = self.weight.shape
@@ -136,6 +142,11 @@ class BatchNorm1d:
     def parameters(self):
         return [self.gamma, self.beta]
 
+    def named_tensors(self) -> dict[str, np.ndarray]:
+        # forward rebinds the running statistics, so read them here, not earlier
+        return {"gamma": self.gamma.data, "beta": self.beta.data,
+                "running_mean": self.running_mean, "running_var": self.running_var}
+
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         xb, squeezed = _as_batched(x)
         if xb.shape[1] != self.gamma.shape[0]:
@@ -180,9 +191,6 @@ class ReLU:
     def __init__(self):
         self._mask = None
 
-    def parameters(self):
-        return []
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         self._mask = x > 0
@@ -214,6 +222,9 @@ class SEBlock:
 
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2]
+
+    def named_tensors(self) -> dict[str, np.ndarray]:
+        return {"w1": self.w1.data, "b1": self.b1.data, "w2": self.w2.data, "b2": self.b2.data}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         xb, squeezed = _as_batched(x)
@@ -256,9 +267,6 @@ class MaxOverTime:
     def __init__(self):
         self._cache = None
 
-    def parameters(self):
-        return []
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         xb, squeezed = _as_batched(x)
         if xb.shape[2] < 1:
@@ -300,6 +308,9 @@ class Linear:
 
     def parameters(self):
         return [self.weight, self.bias]
+
+    def named_tensors(self) -> dict[str, np.ndarray]:
+        return {"weight": self.weight.data, "bias": self.bias.data}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

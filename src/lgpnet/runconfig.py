@@ -1,8 +1,8 @@
-"""Flat key=value run configuration with a fixed, validated schema.
+"""Flat key=value configuration files and the run configuration schema.
 
-Files contain ``key = value`` lines; ``#`` starts a comment.  Unknown keys
-are rejected so typos fail loudly.  Every training run writes the resolved
-configuration back next to its outputs.
+Files contain ``key = value`` lines; ``#`` starts a comment.  Unknown and
+duplicate keys are rejected so typos fail loudly.  Every training run
+writes the resolved configuration back next to its outputs.
 """
 
 from __future__ import annotations
@@ -21,13 +21,45 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+_CASTS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+
+
+def read_flat_config(cls, path):
+    """Build the flat dataclass ``cls`` from a ``key = value`` file.
+
+    Values are cast by field type.  Unknown keys, duplicate keys and bad
+    values raise ProtocolError with the line number.
+    """
+    values = {}
+    types = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ProtocolError(f"{path}: expected 'key = value'", line=lineno)
+            key, _, raw = text.partition("=")
+            key = key.strip()
+            if key not in types:
+                raise ProtocolError(f"{path}: unknown key {key!r}", line=lineno)
+            if key in values:
+                raise ProtocolError(f"{path}: duplicate key {key!r}", line=lineno)
+            try:
+                values[key] = _CASTS[types[key]](raw.strip())
+            except ValueError as exc:
+                raise ProtocolError(f"{path}: bad value for {key!r}: {exc}", line=lineno) from None
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ProtocolError(f"{path}: {exc}") from None
+
+
 @dataclass
 class RunConfig:
     """Everything one experiment needs, in one flat document."""
 
     gmm_order: int = 512
-    em_iterations: int = 30
-    variance_floor_factor: float = 1e-3
     lgp_form: str = "fast"
     channels: int = 512
     blocks: int = 6
@@ -53,31 +85,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        values = {}
-        types = {f.name: f.type for f in fields(cls)}
-        casts = {"int": int, "float": float, "str": str, "bool": _parse_bool}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                if "=" not in text:
-                    raise ProtocolError(f"{path}: expected 'key = value'", line=lineno)
-                key, _, raw = text.partition("=")
-                key = key.strip()
-                raw = raw.strip()
-                if key not in types:
-                    raise ProtocolError(f"{path}: unknown key {key!r}", line=lineno)
-                if key in values:
-                    raise ProtocolError(f"{path}: duplicate key {key!r}", line=lineno)
-                try:
-                    values[key] = casts[types[key]](raw)
-                except ValueError as exc:
-                    raise ProtocolError(f"{path}: bad value for {key!r}: {exc}", line=lineno) from None
-        try:
-            return cls(**values)
-        except ValueError as exc:
-            raise ProtocolError(f"{path}: {exc}") from None
+        return read_flat_config(cls, path)
 
     def to_text(self) -> str:
         lines = ["# resolved run configuration"]

@@ -97,13 +97,9 @@ class TwoStepResult:
 
 
 def paths_state(paths) -> list[np.ndarray]:
-    """Copies of all path parameters and batch statistics, in a fixed order."""
-    state = []
-    for path in paths:
-        state += [p.data.copy() for p in path.parameters()]
-        for bn in path.batchnorms():
-            state += [bn.running_mean.copy(), bn.running_var.copy()]
-    return state
+    """Copies of every named tensor (parameters and batch statistics) of each
+    path, or of any layer with ``named_tensors``, in a fixed order."""
+    return [arr.copy() for path in paths for arr in path.named_tensors().values()]
 
 
 # -- internals ----------------------------------------------------------------
@@ -143,11 +139,18 @@ def _precompute_dev_lgp(model: SpoofModel, dev: LabeledDataset, path_ids):
     return cached
 
 
-def _dev_eer(paths, head, dev_lgp, dev_labels) -> float:
-    scores = np.empty(len(dev_lgp))
-    for i, per_path in enumerate(dev_lgp):
-        embs = [path.forward(lgp, training=False) for path, lgp in zip(paths, per_path)]
-        logits = head.forward(np.concatenate(embs, axis=1))
+def _embed(paths, inputs, training: bool) -> np.ndarray:
+    """Head input: the concatenated path embeddings of ``inputs``; with no
+    paths the inputs are embeddings already."""
+    if paths:
+        inputs = [path.forward(x, training) for path, x in zip(paths, inputs)]
+    return np.concatenate(inputs, axis=1)
+
+
+def _dev_eer(paths, head, dev_inputs, dev_labels) -> float:
+    scores = np.empty(len(dev_inputs))
+    for i, per_path in enumerate(dev_inputs):
+        logits = head.forward(_embed(paths, per_path, training=False))
         seg_scores = logits[:, 0] - logits[:, 1]
         scores[i] = seg_scores.mean()
     bona = scores[dev_labels == BONA_FIDE]
@@ -155,50 +158,19 @@ def _dev_eer(paths, head, dev_lgp, dev_labels) -> float:
     return eer_from_scores(bona, spoof)[0]
 
 
-def _snapshot(paths, head):
-    state = [p.data.copy() for p in head.parameters()]
-    for path in paths:
-        state += [p.data.copy() for p in path.parameters()]
-        for bn in path.batchnorms():
-            state += [bn.running_mean.copy(), bn.running_var.copy()]
-    return state
+def _fit(paths, head, train_inputs, labels, cfg: TrainConfig, epochs: int,
+         dev_inputs=None, dev_labels=None, seed_tag: int = 0, on_epoch=None) -> TrainResult:
+    """Shared minibatch loop; the head and ``paths`` are the trainable state.
 
-
-def _restore(paths, head, state):
-    cursor = 0
-
-    def put(target):
-        nonlocal cursor
-        target[...] = state[cursor]
-        cursor += 1
-
-    for p in head.parameters():
-        put(p.data)
-    for path in paths:
-        for p in path.parameters():
-            put(p.data)
-        for bn in path.batchnorms():
-            put(bn.running_mean)
-            put(bn.running_var)
-
-
-def _fit(paths, head, train_lgp, labels, cfg: TrainConfig, epochs: int,
-         dev_lgp=None, dev_labels=None, train_paths: bool = True,
-         seed_tag: int = 0, on_epoch=None) -> TrainResult:
-    """Shared minibatch loop over precomputed LGP maps.
-
-    ``train_lgp`` holds one (n, M, N) stack per trained path.  With
-    ``train_paths`` False only the head receives gradients (step 2 of the
-    two-step scheme); callers then pass precomputed embeddings through a
-    single identity "path".
+    ``train_inputs`` holds one (n, ...) stack per input: the LGP maps each
+    path embeds or, with no paths, fixed embeddings the head is fitted on
+    (step 2 of the two-step scheme).  With a dev set, the state of the best
+    dev-EER epoch is copied back in place at the end.
     """
-    params = list(head.parameters())
-    if train_paths:
-        for path in paths:
-            params += path.parameters()
+    modules = [head, *paths]
+    params = [p for module in modules for p in module.parameters()]
     opt = Adam(params, lr=cfg.lr)
     n = labels.shape[0]
-    width = head.weight.shape[1] // len(paths) if paths else head.weight.shape[1]
 
     result = TrainResult(loss_trace=[])
     best = None
@@ -208,10 +180,7 @@ def _fit(paths, head, train_lgp, labels, cfg: TrainConfig, epochs: int,
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            embs = [path.forward(stack[idx], training=True)
-                    for path, stack in zip(paths, train_lgp)]
-            concat = np.concatenate(embs, axis=1)
-            logits = head.forward(concat)
+            logits = head.forward(_embed(paths, [x[idx] for x in train_inputs], training=True))
             loss, grad_logits = softmax_cross_entropy(logits, labels[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
@@ -219,9 +188,9 @@ def _fit(paths, head, train_lgp, labels, cfg: TrainConfig, epochs: int,
                 )
             opt.zero_grad()
             grad_concat = head.backward(grad_logits)
-            if train_paths:
-                for k, path in enumerate(paths):
-                    path.backward(grad_concat[:, k * width : (k + 1) * width])
+            for k, path in enumerate(paths):
+                width = path.cfg.channels
+                path.backward(grad_concat[:, k * width : (k + 1) * width])
             opt.step()
             epoch_loss += loss * idx.shape[0]
         result.loss_trace.append(epoch_loss / n)
@@ -230,17 +199,19 @@ def _fit(paths, head, train_lgp, labels, cfg: TrainConfig, epochs: int,
             if not np.isfinite(p.data).all():
                 raise TrainingDivergedError(f"non-finite parameters after epoch {epoch}")
 
-        if dev_lgp is not None:
-            eer = _dev_eer(paths, head, dev_lgp, dev_labels)
+        if dev_inputs is not None:
+            eer = _dev_eer(paths, head, dev_inputs, dev_labels)
             result.dev_eer_trace.append(eer)
             if best is None or eer < best[0]:
-                best = (eer, epoch, _snapshot(paths, head))
+                best = (eer, epoch, paths_state(modules))
         if on_epoch is not None:
             on_epoch(epoch, result)
 
     if best is not None:
         result.best_epoch = best[1]
-        _restore(paths, head, best[2])
+        live = [arr for module in modules for arr in module.named_tensors().values()]
+        for arr, saved in zip(live, best[2]):
+            arr[...] = saved
     return result
 
 
@@ -265,19 +236,6 @@ def train_one_path(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
         dev_labels = dev.labels()
     return _fit(model.paths, model.fc, train_lgp, data.labels(), cfg, cfg.epochs,
                 dev_lgp, dev_labels, seed_tag=0, on_epoch=on_epoch)
-
-
-class _FrozenEmbeddingPath:
-    """Presents precomputed embeddings as a path for the step-2 head fit."""
-
-    def forward(self, x, training):
-        return x
-
-    def parameters(self):
-        return []
-
-    def batchnorms(self):
-        return []
 
 
 def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
@@ -319,26 +277,15 @@ def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
 
     frozen_state = paths_state(model.paths)
 
-    # Step 2: frozen paths -> embeddings are fixed; fit only the head.
-    train_embs = np.concatenate(
-        [path.forward(stack, training=False) for path, stack in zip(model.paths, train_lgp)],
-        axis=1,
-    )
-    dev_embs = dev2_labels = None
+    # Step 2: the frozen paths give fixed embeddings; fit only the head on them.
+    train_embs = _embed(model.paths, train_lgp, training=False)
+    dev_embs = None
     if dev_lgp is not None:
-        dev_embs = []
-        for per_path in dev_lgp:
-            segs = np.concatenate(
-                [path.forward(lgp, training=False) for path, lgp in zip(model.paths, per_path)],
-                axis=1,
-            )
-            dev_embs.append([segs])
-        dev2_labels = dev_labels
-    frozen = _FrozenEmbeddingPath()
-    step2 = _fit([frozen], model.fc, [train_embs], labels, cfg, step2_epochs,
-                 dev_embs, dev2_labels, train_paths=False, seed_tag=100, on_epoch=on_epoch)
+        dev_embs = [[_embed(model.paths, per_path, training=False)] for per_path in dev_lgp]
+    step2 = _fit([], model.fc, [train_embs], labels, cfg, step2_epochs,
+                 dev_embs, dev_labels, seed_tag=100, on_epoch=on_epoch)
 
-    dev_eer = (_dev_eer([frozen], model.fc, dev_embs, dev2_labels)
+    dev_eer = (_dev_eer([], model.fc, dev_embs, dev_labels)
                if dev_embs is not None else float("nan"))
     return TwoStepResult(step1=step1_results, step2=step2,
                          path_dev_eers=path_dev_eers, dev_eer=dev_eer,

@@ -77,6 +77,55 @@ class TestDispatch:
         assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.fixture
+def score_fixture(tmp_path):
+    """A tiny one-path checkpoint with its GMM, stats, features and protocol."""
+    from lgpnet.frontend import store_features
+    from lgpnet.gmm import Gmm
+    from lgpnet.lgp import fit_norm_stats
+    from lgpnet.model import ClassifierConfig, SpoofModel
+
+    rng = np.random.default_rng(3)
+    gmm = Gmm(np.full(4, 0.25), rng.normal(size=(4, 2)), rng.uniform(0.5, 1.5, size=(4, 2)))
+    stats = fit_norm_stats(gmm, rng.normal(size=(200, 2)), "fast")
+    cfg = ClassifierConfig(gmm_order=4, channels=8, blocks=1, input_length=16)
+    gmm.save(tmp_path / "m.gmm")
+    stats.save(tmp_path / "m.stats")
+    SpoofModel(cfg, [gmm], [stats]).save(tmp_path / "model.lgpn")
+    (tmp_path / "feats").mkdir()
+    store_features(tmp_path / "feats" / "u1.lgpf", rng.normal(size=(20, 2)))
+    write_protocol(tmp_path / "eval.txt", {"u1": "bonafide"})
+    return tmp_path
+
+
+def score_with(root, model):
+    return run("score", "--model", model, "--features", root / "feats",
+               "--protocol", root / "eval.txt", "--gmm", root / "m.gmm",
+               "--stats", root / "m.stats", "--out", root / "scores.eval")
+
+
+class TestScoreCheckpoint:
+    def test_valid_checkpoint_scores(self, score_fixture):
+        assert score_with(score_fixture, score_fixture / "model.lgpn") == 0
+        assert list(read_scores(score_fixture / "scores.eval")) == ["u1"]
+
+    def test_gmm_file_as_model_exits_3(self, score_fixture, capsys):
+        assert score_with(score_fixture, score_fixture / "m.gmm") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cfg." in err and "Traceback" not in err
+
+    def test_checkpoint_missing_a_tensor_exits_3(self, score_fixture, capsys):
+        from lgpnet import tensorio
+
+        tensors = tensorio.load_tensors(score_fixture / "model.lgpn")
+        del tensors["path0.block0.conv2.bias"]
+        tensorio.save_tensors(score_fixture / "cut.lgpn", tensors)
+        assert score_with(score_fixture, score_fixture / "cut.lgpn") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "path0.block0.conv2.bias" in err
+        assert "Traceback" not in err
+
+
 class TestRunConfig:
     def test_defaults_round_trip(self, tmp_path):
         cfg = RunConfig()
@@ -101,6 +150,23 @@ class TestRunConfig:
         path.write_text("channels = many\n")
         with pytest.raises(ProtocolError):
             RunConfig.from_file(path)
+
+
+    def test_removed_gmm_keys_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("em_iterations = 30\n")
+        with pytest.raises(ProtocolError, match="unknown key"):
+            RunConfig.from_file(path)
+
+
+class TestTdcfConfig:
+    def test_duplicate_key_exits_3(self, perfect_fixture, tmp_path, capsys):
+        scores, proto = perfect_fixture
+        cfg = tmp_path / "tdcf.cfg"
+        cfg.write_text("p_fa_asv = 0.01\np_fa_asv = 0.02\n")
+        code = run("evaluate", "--scores", scores, "--protocol", proto, "--tdcf-config", cfg)
+        assert code == 3
+        assert "duplicate key 'p_fa_asv' (line 2)" in capsys.readouterr().err
 
 
 def tree_hashes(root: Path) -> dict[str, str]:

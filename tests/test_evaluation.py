@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from lgpnet.errors import ProtocolError
 from lgpnet.evaluation import (
     TdcfCostModel,
-    TrialRecord,
-    compute_eer,
-    compute_min_tdcf,
     eer_from_scores,
     fuse_scores,
     min_tdcf_from_scores,
     read_protocol,
     read_scores,
+    read_trials,
     write_protocol,
     write_scores,
 )
@@ -106,18 +104,11 @@ class TestEer:
         mapped, _ = eer_from_scores(np.tanh(bona), np.tanh(spoof))
         assert mapped == pytest.approx(base, abs=1e-12)
 
-    def test_trial_record_interface(self):
-        trials = [
-            TrialRecord("a", "bonafide", 1.0),
-            TrialRecord("b", "bonafide", 2.0),
-            TrialRecord("c", "spoof", -1.0),
-        ]
-        eer, _ = compute_eer(trials)
-        assert eer == 0.0
-
-    def test_unlabeled_trial_rejected(self):
-        with pytest.raises(ValueError):
-            compute_eer([TrialRecord("a", "unknown", 1.0), TrialRecord("b", "spoof", 0.0)])
+    def test_unlabeled_trial_rejected(self, tmp_path):
+        write_scores(tmp_path / "s.txt", {"a": 1.0, "b": 0.0})
+        (tmp_path / "p.txt").write_text("a unknown\nb spoof\n")
+        with pytest.raises(ProtocolError, match="unknown label"):
+            read_trials(tmp_path / "s.txt", tmp_path / "p.txt")
 
 
 class TestMinTdcf:
@@ -158,10 +149,6 @@ class TestMinTdcf:
     def test_invalid_priors_rejected(self):
         with pytest.raises(ValueError):
             TdcfCostModel(p_target=0.5, p_nontarget=0.1, p_spoof=0.1)
-
-    def test_trial_record_interface(self):
-        trials = [TrialRecord("a", "bonafide", 1.0), TrialRecord("b", "spoof", -1.0)]
-        assert compute_min_tdcf(trials, TdcfCostModel()) == 0.0
 
 
 class TestFusion:
@@ -285,20 +272,15 @@ class TestTextFormats:
         with pytest.raises(ProtocolError):
             read_protocol(path)
 
-    def test_trials_from_files_joins_by_id(self, tmp_path):
-        from lgpnet.evaluation import trials_from_files
+    def test_read_trials_joins_by_id(self, tmp_path):
+        write_scores(tmp_path / "s.txt", {"a": 1.5, "b": -0.5, "d": 2.5})
+        write_protocol(tmp_path / "p.txt", {"a": "bonafide", "b": "spoof", "c": "spoof",
+                                            "d": "bonafide"})
+        bona, spoof = read_trials(tmp_path / "s.txt", tmp_path / "p.txt")
+        assert bona.tolist() == [1.5, 2.5] and spoof.tolist() == [-0.5]
 
-        write_scores(tmp_path / "s.txt", {"a": 1.5, "b": -0.5})
-        write_protocol(tmp_path / "p.txt", {"a": "bonafide", "b": "spoof", "c": "spoof"})
-        trials = trials_from_files(tmp_path / "s.txt", tmp_path / "p.txt")
-        assert [(t.utt_id, t.label, t.score) for t in trials] == [
-            ("a", "bonafide", 1.5), ("b", "spoof", -0.5),
-        ]
-
-    def test_trials_from_files_rejects_unlabeled_score(self, tmp_path):
-        from lgpnet.evaluation import trials_from_files
-
+    def test_read_trials_rejects_unlabeled_score(self, tmp_path):
         write_scores(tmp_path / "s.txt", {"a": 1.5, "zz": 0.0})
         write_protocol(tmp_path / "p.txt", {"a": "bonafide", "b": "spoof"})
-        with pytest.raises(ProtocolError):
-            trials_from_files(tmp_path / "s.txt", tmp_path / "p.txt")
+        with pytest.raises(ProtocolError, match="'zz'"):
+            read_trials(tmp_path / "s.txt", tmp_path / "p.txt")

@@ -235,3 +235,105 @@ class TestCheckpoint:
         two_path_model.save(path)
         loaded = SpoofModel.load(path, two_path_model.gmms, two_path_model.stats)
         assert loaded.cfg == two_path_model.cfg
+
+    def test_one_path_se_tensor_names_in_order(self, rng):
+        gmm = make_gmm(8, 4, 5)
+        stats = fit_norm_stats(gmm, rng.normal(size=(300, 4)), "fast")
+        cfg = ClassifierConfig(gmm_order=8, channels=16, blocks=1, se_enabled=True,
+                               se_reduction=4, input_length=32, paths=1)
+        names = list(SpoofModel(cfg, [gmm], [stats]).to_tensors())
+        assert names == [
+            "cfg.gmm_order", "cfg.channels", "cfg.blocks", "cfg.se_enabled",
+            "cfg.se_reduction", "cfg.input_length", "cfg.paths", "cfg.lgp_form",
+            "path0.stem.conv.weight", "path0.stem.conv.bias",
+            "path0.stem.bn.gamma", "path0.stem.bn.beta",
+            "path0.stem.bn.running_mean", "path0.stem.bn.running_var",
+            "path0.block0.conv1.weight", "path0.block0.conv1.bias",
+            "path0.block0.bn1.gamma", "path0.block0.bn1.beta",
+            "path0.block0.bn1.running_mean", "path0.block0.bn1.running_var",
+            "path0.block0.conv2.weight", "path0.block0.conv2.bias",
+            "path0.block0.bn2.gamma", "path0.block0.bn2.beta",
+            "path0.block0.bn2.running_mean", "path0.block0.bn2.running_var",
+            "path0.block0.se.w1", "path0.block0.se.b1",
+            "path0.block0.se.w2", "path0.block0.se.b2",
+            "path0.gmm_sha256", "path0.stats_sha256",
+            "fc.weight", "fc.bias",
+        ]
+
+    def test_two_path_tensor_names_in_order(self, two_path_model):
+        def path_names(k):
+            names = [f"path{k}.stem.conv.weight", f"path{k}.stem.conv.bias"]
+            names += [f"path{k}.stem.bn.{t}" for t in ("gamma", "beta", "running_mean", "running_var")]
+            for b in range(2):
+                for layer in ("1", "2"):
+                    names += [f"path{k}.block{b}.conv{layer}.weight", f"path{k}.block{b}.conv{layer}.bias"]
+                    names += [f"path{k}.block{b}.bn{layer}.{t}"
+                              for t in ("gamma", "beta", "running_mean", "running_var")]
+            return names + [f"path{k}.gmm_sha256", f"path{k}.stats_sha256"]
+
+        cfg_names = [f"cfg.{name}" for name in (
+            "gmm_order", "channels", "blocks", "se_enabled", "se_reduction",
+            "input_length", "paths", "lgp_form")]
+        assert list(two_path_model.to_tensors()) == (
+            cfg_names + path_names(0) + path_names(1) + ["fc.weight", "fc.bias"])
+
+    def test_load_restores_batch_statistics(self, desk_model, rng, tmp_path):
+        for bn in desk_model.paths[0].batchnorms():
+            bn.running_mean = rng.normal(size=bn.running_mean.shape)
+        path = tmp_path / "model.lgpn"
+        desk_model.save(path)
+        loaded = SpoofModel.load(path, desk_model.gmms, desk_model.stats)
+        for want, got in zip(desk_model.paths[0].batchnorms(), loaded.paths[0].batchnorms()):
+            assert np.array_equal(got.running_mean, want.running_mean.astype(np.float32))
+
+
+class TestCheckpointSchema:
+    """Every malformed checkpoint is a FormatError, never a KeyError."""
+
+    def load(self, model, tensors):
+        return SpoofModel.from_tensors(tensors, model.gmms, model.stats)
+
+    def test_gmm_container_is_not_a_checkpoint(self, desk_model):
+        with pytest.raises(FormatError, match="cfg.gmm_order"):
+            self.load(desk_model, desk_model.gmms[0].to_tensors())
+
+    @pytest.mark.parametrize("key,value", [
+        ("cfg.channels", 16.5), ("cfg.paths", 3.0), ("cfg.lgp_form", 2.0),
+        ("cfg.se_enabled", -1.0), ("cfg.blocks", 0.0), ("cfg.input_length", np.nan),
+    ])
+    def test_bad_config_entry_refused(self, desk_model, key, value):
+        tensors = desk_model.to_tensors()
+        tensors[key] = np.array([value])
+        with pytest.raises(FormatError, match="checkpoint"):
+            self.load(desk_model, tensors)
+
+    def test_se_reduction_zero_refused(self, desk_model):
+        tensors = desk_model.to_tensors()
+        tensors["cfg.se_enabled"] = np.array([1.0])
+        tensors["cfg.se_reduction"] = np.array([0.0])
+        with pytest.raises(FormatError, match="se_reduction"):
+            self.load(desk_model, tensors)
+
+    def test_missing_config_entry_refused(self, desk_model):
+        tensors = desk_model.to_tensors()
+        del tensors["cfg.blocks"]
+        with pytest.raises(FormatError, match="cfg.blocks"):
+            self.load(desk_model, tensors)
+
+    def test_missing_tensor_refused(self, desk_model):
+        tensors = desk_model.to_tensors()
+        del tensors["path0.block1.bn2.running_var"]
+        with pytest.raises(FormatError, match="missing tensor 'path0.block1.bn2.running_var'"):
+            self.load(desk_model, tensors)
+
+    def test_misshapen_tensor_refused(self, desk_model):
+        tensors = desk_model.to_tensors()
+        tensors["fc.bias"] = np.zeros(3)
+        with pytest.raises(FormatError, match="'fc.bias' has shape"):
+            self.load(desk_model, tensors)
+
+    def test_unexpected_tensor_refused(self, desk_model):
+        tensors = desk_model.to_tensors()
+        tensors["path0.block2.conv1.weight"] = np.zeros((16, 16, 3))
+        with pytest.raises(FormatError, match="unexpected tensor 'path0.block2.conv1.weight'"):
+            self.load(desk_model, tensors)

@@ -102,6 +102,32 @@ class TestOnePath:
         assert len(result.dev_eer_trace) == 4
         assert result.best_epoch == int(np.argmin(result.dev_eer_trace))
 
+    def test_best_epoch_restore_is_bit_exact(self, rng, monkeypatch):
+        from lgpnet import training as training_mod
+
+        # Fix the dev EER per epoch so the best epoch (1) is neither first nor last.
+        eers = iter([0.4, 0.1, 0.3, 0.2])
+        monkeypatch.setattr(training_mod, "_dev_eer", lambda *args: next(eers))
+        model = build_one_path(rng)
+        data = separable_dataset(rng, n_per_class=6)
+        dev = separable_dataset(rng, n_per_class=2, partition="dev")
+        cfg = TrainConfig(batch_size=4, epochs=4, lr=1e-2, seed=1, target_length=8)
+        bns = model.paths[0].batchnorms()
+        bn_stats, states = [], []
+
+        def record(epoch, result):
+            bn_stats.append([(bn.running_mean.copy(), bn.running_var.copy()) for bn in bns])
+            states.append(paths_state([model.fc, *model.paths]))
+
+        result = train_one_path(model, data, cfg, dev, on_epoch=record)
+        assert result.best_epoch == 1
+        assert not np.array_equal(bn_stats[1][0][0], bn_stats[3][0][0])
+        for bn, (mean, var) in zip(bns, bn_stats[1]):
+            assert np.array_equal(bn.running_mean, mean)
+            assert np.array_equal(bn.running_var, var)
+        for live, best in zip(paths_state([model.fc, *model.paths]), states[1]):
+            assert np.array_equal(live, best)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_input_aborts_with_diagnostics(self, rng):
         model = build_one_path(rng)
@@ -177,6 +203,27 @@ class TestTwoStep:
         data = separable_dataset(rng, n_per_class=2)
         with pytest.raises(ValueError):
             train_two_step(model, data, TrainConfig(target_length=8))
+
+    def test_step_two_optimizes_only_the_head(self, rng, monkeypatch):
+        from lgpnet import training as training_mod
+
+        optimizers = []
+
+        class RecordingAdam(training_mod.Adam):
+            def __init__(self, params, **kwargs):
+                super().__init__(params, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(training_mod, "Adam", RecordingAdam)
+        model = build_two_path(rng, seed=3)
+        data = separable_dataset(rng, n_per_class=4)
+        cfg = TrainConfig(batch_size=4, epochs=2, lr=1e-3, seed=3, target_length=8)
+        train_two_step(model, data, cfg)
+        assert len(optimizers) == 3          # one per path in step 1, then the head
+        for k, opt in enumerate(optimizers[:2]):
+            path_params = model.paths[k].parameters()
+            assert [id(p) for p in opt.params[-len(path_params):]] == [id(p) for p in path_params]
+        assert [id(p) for p in optimizers[2].params] == [id(p) for p in model.fc.parameters()]
 
     def test_step_budget_split_configurable(self, rng):
         model = build_two_path(rng, seed=3)
