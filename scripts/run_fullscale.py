@@ -55,9 +55,9 @@ def run(args) -> None:
     sh("train-gmm", "--features", lists["spoof"], "--components", args.mixtures,
        "--iters", 30, "--seed", 2, "--out", out / "spoof.gmm")
     sh("fit-lgp-stats", "--gmm", out / "bona.gmm", "--features", feats,
-       "--form", "fast", "--out", out / "bona.stats")
+       "--out", out / "bona.stats")
     sh("fit-lgp-stats", "--gmm", out / "spoof.gmm", "--features", feats,
-       "--form", "fast", "--out", out / "spoof.stats")
+       "--out", out / "spoof.stats")
 
     run_cfg = out / "run.cfg"
     run_cfg.write_text(

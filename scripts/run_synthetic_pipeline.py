@@ -53,7 +53,7 @@ def run(args) -> None:
     sh("train-gmm", "--features", spoof_list, "--components", args.gmm_order,
        "--iters", 30, "--seed", 3, "--out", out / "spoof.gmm")
     sh("fit-lgp-stats", "--gmm", out / "pooled.gmm", "--features", corpus / "feats",
-       "--form", "fast", "--out", out / "pooled.stats")
+       "--out", out / "pooled.stats")
 
     run_cfg = out / "run.cfg"
     run_cfg.write_text(

@@ -124,11 +124,11 @@ def _cmd_fit_lgp_stats(args) -> int:
     gmm = Gmm.load(args.gmm)
     files = _feature_paths(args.features)
     frames = np.concatenate([load_features(p) for p in files], axis=0)
-    stats = fit_norm_stats(gmm, frames, args.form)
+    stats = fit_norm_stats(gmm, frames, "fast")
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     stats.save(out)
-    print(f"fitted {args.form}-form stats over {frames.shape[0]} frames -> {out}")
+    print(f"fitted {stats.form}-form stats over {frames.shape[0]} frames -> {out}")
     return 0
 
 
@@ -144,7 +144,7 @@ def _cmd_extract_lgp(args) -> int:
 
     def one(path: Path):
         feats = load_features(path)
-        lgp_map = extract_lgp(gmm, stats, feats, args.form)
+        lgp_map = extract_lgp(gmm, stats, feats)
         store_features(out_dir / path.name, lgp_map)
 
     _map_workers(args.workers, one, files)
@@ -168,7 +168,7 @@ def _cmd_train(args) -> int:
     cfg = ClassifierConfig(
         gmm_order=run.gmm_order, channels=run.channels, blocks=run.blocks,
         se_enabled=run.se_enabled, se_reduction=run.se_reduction,
-        input_length=run.segment_length, paths=run.paths, lgp_form=run.lgp_form,
+        input_length=run.segment_length, paths=run.paths, lgp_form=stats[0].form,
     )
     model = SpoofModel(cfg, gmms, stats, seed=run.seed)
     train_cfg = TrainConfig(
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-lgp-stats", help="fit LGP normalization statistics")
     p.add_argument("--gmm", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--form", choices=("fast", "full"), default="fast")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_fit_lgp_stats)
 
@@ -325,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", required=True)
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--form", choices=("fast", "full"), default="fast")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_extract_lgp)
 

@@ -130,14 +130,19 @@ class FusionResult:
     fused_eval: dict[str, float]
 
 
+_GRID_STEP = 0.01        # simplex grid spacing of the fusion weight search
+_REFINE_SWEEPS = 2       # passes over all coordinate pairs
+_GOLDEN_ITERS = 24       # golden-section steps per line search
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
 def fuse_scores(dev_systems: Sequence[Mapping[str, float]],
                 dev_labels: Mapping[str, str],
-                eval_systems: Sequence[Mapping[str, float]] | None = None,
-                grid_step: float = 0.01) -> FusionResult:
+                eval_systems: Sequence[Mapping[str, float]] | None = None) -> FusionResult:
     """Pick convex weights minimizing dev EER; apply them to eval scores.
 
     All subsystems must cover identical trial ids on each partition.  The
-    search walks the weight simplex at ``grid_step``, then locally refines
+    search walks the weight simplex at ``_GRID_STEP``, then locally refines
     the best vertex with pairwise golden-section line searches.  Ties are
     broken toward equal weights, then lexicographically, so the result is
     deterministic even when the dev fit is degenerate.  The additive bias
@@ -163,13 +168,13 @@ def fuse_scores(dev_systems: Sequence[Mapping[str, float]],
     k = len(dev_systems)
     uniform = np.full(k, 1.0 / k)
     best_w, best_key = None, None
-    for w in _simplex_grid(k, int(round(1.0 / grid_step))):
+    for w in _simplex_grid(k, int(round(1.0 / _GRID_STEP))):
         w = np.asarray(w, dtype=np.float64)
         key = (dev_eer(w), float(((w - uniform) ** 2).sum()), tuple(w))
         if best_key is None or key < best_key:
             best_w, best_key = w, key
 
-    best_w, best_eer = _refine_pairwise(best_w, best_key[0], dev_eer, grid_step)
+    best_w, best_eer = _refine_pairwise(best_w, best_key[0], dev_eer)
 
     fused_eval: dict[str, float] = {}
     if eval_systems:
@@ -204,28 +209,24 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _refine_pairwise(w: np.ndarray, eer: float, objective, step: float,
-                     sweeps: int = 2, iters: int = 24):
+def _refine_pairwise(w: np.ndarray, eer: float, objective):
     """Golden-section line searches between coordinate pairs around the grid optimum."""
     w = w.copy()
     k = w.shape[0]
-    for _ in range(sweeps):
+    for _ in range(_REFINE_SWEEPS):
         improved = False
         for i in range(k):
             for j in range(k):
                 if i == j:
                     continue
-                lo = -min(step, float(w[j]))
-                hi = min(step, float(w[i]))
+                lo = -min(_GRID_STEP, float(w[j]))
+                hi = min(_GRID_STEP, float(w[i]))
                 if hi - lo <= 1e-12:
                     continue
                 direction = np.zeros(k)
                 direction[i] = -1.0
                 direction[j] = 1.0
-                t, val = _golden_section(lambda t: objective(w + t * direction), lo, hi, iters)
+                t, val = _golden_section(lambda t: objective(w + t * direction), lo, hi)
                 if val < eer:
                     w = w + t * direction
                     eer = val
@@ -235,12 +236,12 @@ def _refine_pairwise(w: np.ndarray, eer: float, objective, step: float,
     return w, eer
 
 
-def _golden_section(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
+def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

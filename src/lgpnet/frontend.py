@@ -190,7 +190,8 @@ def store_features(path, feats: np.ndarray) -> None:
 
 
 def load_features(path) -> np.ndarray:
-    """Read a feature matrix back; bit-exact for float32 data."""
+    """Read a feature matrix back; bit-exact for float32 data.  A NaN or
+    infinite value is a FormatError, so it cannot reach a score."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 14:
@@ -206,4 +207,8 @@ def load_features(path) -> np.ndarray:
             f"{path}: expected {expected} bytes for {rows}x{cols} values, got {len(data)}",
             offset=min(len(data), expected),
         )
-    return np.frombuffer(data, dtype="<f4", offset=14).reshape(rows, cols).copy()
+    feats = np.frombuffer(data, dtype="<f4", offset=14).reshape(rows, cols).copy()
+    if not np.isfinite(feats).all():
+        bad = int(np.flatnonzero(~np.isfinite(feats))[0])
+        raise FormatError(f"{path}: non-finite value in frame {bad // cols}", offset=14 + 4 * bad)
+    return feats

@@ -23,15 +23,12 @@ class EmConfig:
     iterations: int = 30
     variance_floor_factor: float = 1e-3   # times the global per-dimension variance
     seed: int = 0
-    init: str = "kmeans++"
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.variance_floor_factor <= 0.0:
             raise ValueError("variance floor factor must be positive")
-        if self.init not in ("kmeans++", "random"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 class Gmm:
@@ -77,26 +74,16 @@ class Gmm:
 
     # -- densities ---------------------------------------------------------
 
-    def component_log_density(self, i: int, x: np.ndarray) -> float:
-        """log p_i(x) for one component (mixture weight excluded)."""
-        if not 0 <= i < self.order:
-            raise ValueError(f"component index {i} out of range")
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"frame has dim {x.shape}, expected ({self.dim},)")
-        diff = x - self.means[i]
-        quad = np.dot(diff * diff, self._inv_var[i])
-        return float(self.log_norm[i] - 0.5 * quad)
-
     def component_log_densities(self, frames: np.ndarray) -> np.ndarray:
-        """log p_i(x_t) for all frames and components; shape (T, M).
+        """log p_i(x_t) for all frames and components (mixture weights
+        excluded); shape (T, M).
 
         Expanding the Mahalanobis term keeps this a few matrix products:
         sum_d (x-mu)^2 / var = sum x^2/var - 2 sum x mu/var + sum mu^2/var.
         """
-        frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-        if frames.shape[1] != self.dim:
-            raise ValueError(f"frames have dim {frames.shape[1]}, expected {self.dim}")
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 2 or frames.shape[1] != self.dim:
+            raise ValueError(f"frames have shape {frames.shape}, expected (T, {self.dim})")
         quad = (
             (frames * frames) @ self._inv_var.T
             - 2.0 * frames @ (self.means * self._inv_var).T
@@ -104,11 +91,8 @@ class Gmm:
         )
         return self.log_norm[None, :] - 0.5 * quad
 
-    def log_likelihood(self, x: np.ndarray) -> float:
-        """Per-frame mixture log density log sum_i w_i p_i(x)."""
-        return float(self.frame_log_likelihoods(np.asarray(x)[None, :])[0])
-
     def frame_log_likelihoods(self, frames: np.ndarray) -> np.ndarray:
+        """Per-frame mixture log density log sum_i w_i p_i(x_t); shape (T,)."""
         weighted = self.component_log_densities(frames) + self.log_weights[None, :]
         return logsumexp(weighted, axis=1)
 
@@ -209,10 +193,7 @@ def train_em(frames: np.ndarray, m: int, cfg: EmConfig | None = None) -> tuple[G
     global_var = frames.var(axis=0)
     floor = np.maximum(cfg.variance_floor_factor * global_var, 1e-12)
 
-    if cfg.init == "kmeans++":
-        means = _kmeanspp_means(frames, m, rng)
-    else:
-        means = frames[rng.choice(n, size=m, replace=False)]
+    means = _kmeanspp_means(frames, m, rng)
     weights = np.full(m, 1.0 / m)
     variances = np.maximum(np.tile(global_var, (m, 1)), floor)
     model = Gmm(weights, means, variances)

@@ -8,7 +8,8 @@ GMM, so the feature width equals the mixture order.  Two forms exist:
 
 The fast form drops a per-component constant, which mean/variance
 normalization over the training set cancels exactly, so both forms yield
-the same normalized feature.
+the same normalized feature.  The command line fits fast-form statistics;
+the full form stays as the reference the fast one is checked against.
 """
 
 from __future__ import annotations
@@ -85,25 +86,17 @@ def lgp_frames_full(gmm: Gmm, frames: np.ndarray) -> np.ndarray:
 
 def lgp_frames_fast(gmm: Gmm, frames: np.ndarray) -> np.ndarray:
     """Raw fast-form LGP rows; differs from the full form by a constant per component."""
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    if frames.shape[1] != gmm.dim:
-        raise ValueError(f"frames have dim {frames.shape[1]}, expected {gmm.dim}")
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[1] != gmm.dim:
+        raise ValueError(f"frames have shape {frames.shape}, expected (T, {gmm.dim})")
     inv_var = 1.0 / gmm.variances
     return -0.5 * (frames * frames) @ inv_var.T + frames @ (gmm.means * inv_var).T
-
-
-def lgp_frame_full(gmm: Gmm, x: np.ndarray) -> np.ndarray:
-    return lgp_frames_full(gmm, np.asarray(x)[None, :])[0]
-
-
-def lgp_frame_fast(gmm: Gmm, x: np.ndarray) -> np.ndarray:
-    return lgp_frames_fast(gmm, np.asarray(x)[None, :])[0]
 
 
 _RAW_FORMS = {"full": lgp_frames_full, "fast": lgp_frames_fast}
 
 
-def fit_norm_stats(gmm: Gmm, frames: np.ndarray, form: str = "fast") -> LgpNormStats:
+def fit_norm_stats(gmm: Gmm, frames: np.ndarray, form: str) -> LgpNormStats:
     """Population mean/std of raw LGP values over pooled training frames.
 
     ``frames`` is the concatenation of every training utterance, (N, D).
@@ -121,20 +114,15 @@ def fit_norm_stats(gmm: Gmm, frames: np.ndarray, form: str = "fast") -> LgpNormS
     return LgpNormStats(mean=mean, std=std, form=form)
 
 
-def extract_lgp(gmm: Gmm, stats: LgpNormStats, frames: np.ndarray,
-                form: str | None = None) -> np.ndarray:
+def extract_lgp(gmm: Gmm, stats: LgpNormStats, frames: np.ndarray) -> np.ndarray:
     """Normalized LGP feature map for one utterance; shape (M, T).
 
-    ``stats`` must come from the same GMM and the same form; the component
-    count is checked, and the form defaults to the one the stats were
-    fitted with.
+    ``stats`` must come from the same GMM; the component count is checked,
+    and the raw form is the one the stats were fitted with.
     """
-    form = form or stats.form
-    if form != stats.form:
-        raise ValueError(f"stats were fitted for form {stats.form!r}, not {form!r}")
     if stats.order != gmm.order:
         raise ValueError(
             f"stats cover {stats.order} components but the GMM has {gmm.order}"
         )
-    raw = _RAW_FORMS[form](gmm, frames)            # (T, M)
+    raw = _RAW_FORMS[stats.form](gmm, frames)      # (T, M)
     return ((raw - stats.mean[None, :]) / stats.std[None, :]).T

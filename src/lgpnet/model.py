@@ -127,7 +127,7 @@ class ResBlock:
 
 
 class PathNetwork:
-    """One classifier path: LGP map (order, N) -> embedding (channels,)."""
+    """One classifier path: LGP maps (B, order, N) -> embeddings (B, channels)."""
 
     def __init__(self, cfg: ClassifierConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -152,7 +152,7 @@ class PathNetwork:
                 for key, arr in layer.named_tensors().items()}
 
     def forward(self, lgp, training):
-        """(order, N) or (B, order, N) -> (channels,) or (B, channels)."""
+        """(B, order, N) -> (B, channels)."""
         h = self.relu.forward(self.bn.forward(self.conv.forward(lgp), training))
         for block in self.blocks:
             h = block.forward(h, training)
@@ -204,7 +204,7 @@ class SpoofModel:
 
     def path_lgp(self, k: int, feats: np.ndarray) -> np.ndarray:
         """Normalized LGP map of raw features under path ``k``'s GMM; (M, T)."""
-        return extract_lgp(self.gmms[k], self.stats[k], feats, self.cfg.lgp_form)
+        return extract_lgp(self.gmms[k], self.stats[k], feats)
 
     # -- inference -----------------------------------------------------------
 
@@ -257,7 +257,9 @@ class SpoofModel:
         """Rebuild a model from checkpoint tensors plus the exact GMM/stats it
         was trained with.  A missing, misshapen or unexpected tensor, or a
         fingerprint mismatch, raises FormatError."""
-        model = cls(ClassifierConfig.from_tensors(tensors), gmms, stats, seed=0)
+        cfg = ClassifierConfig.from_tensors(tensors)
+        _check_sizes(cfg, tensors)
+        model = cls(cfg, gmms, stats, seed=0)
         expected = model.to_tensors()
         unexpected = [name for name in tensors if name not in expected]
         if unexpected:
@@ -280,6 +282,21 @@ class SpoofModel:
     @classmethod
     def load(cls, path, gmms: list[Gmm], stats: list[LgpNormStats]) -> "SpoofModel":
         return cls.from_tensors(tensorio.load_tensors(path), gmms, stats)
+
+
+def _check_sizes(cfg: ClassifierConfig, tensors) -> None:
+    """Hold ``cfg.channels`` and ``cfg.blocks`` against the stored stem and
+    last-block weights, so a corrupt size fails before any layer is built."""
+    for k in range(cfg.paths):
+        stem, last = f"path{k}.stem.conv.weight", f"path{k}.block{cfg.blocks - 1}.conv1.weight"
+        if stem not in tensors:
+            raise FormatError(f"checkpoint is missing tensor {stem!r}")
+        if tensors[stem].shape[:1] != (cfg.channels,):
+            raise FormatError(f"cfg.channels = {cfg.channels}, but {stem!r} has shape "
+                              f"{tensors[stem].shape}")
+        if last not in tensors:
+            raise FormatError(f"cfg.blocks = {cfg.blocks}, but the checkpoint is missing "
+                              f"tensor {last!r}")
 
 
 def _digest_tensor(digest: bytes) -> np.ndarray:

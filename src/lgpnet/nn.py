@@ -9,9 +9,8 @@ input, accumulating parameter gradients on the way.
 Stateful layers also list their current arrays by name in
 ``named_tensors``; checkpoints and training snapshots are built from it.
 
-Sequence inputs are channels-first: ``(channels, time)`` for a single
-example or ``(batch, channels, time)`` for a minibatch.  Computation is
-float64 unless the caller supplies float32 data.
+Every layer takes a minibatch: sequences are ``(batch, channels, time)``
+and feature vectors ``(batch, features)``.  Parameters are float64.
 """
 
 from __future__ import annotations
@@ -37,16 +36,6 @@ class Parameter:
         return self.data.shape
 
 
-def _as_batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Promote (C, T) to (1, C, T); report whether promotion happened."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return x[None, :, :], True
-    if x.ndim == 3:
-        return x, False
-    raise ValueError(f"expected rank-2 or rank-3 input, got rank {x.ndim}")
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # Split by sign so exp never overflows.
     out = np.empty_like(x)
@@ -60,22 +49,20 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 class Conv1d:
     """1-D convolution (cross-correlation) over the time axis.
 
-    Output length is ``(T + 2*padding - kernel) // stride + 1``; kernel 3,
-    stride 1, padding 1 preserves ``T``.  Weights are He-initialized for a
-    ReLU nonlinearity.
+    Output length is ``T + 2*padding - kernel + 1``; kernel 3 with padding
+    1 preserves ``T``.  Weights are He-initialized for a ReLU nonlinearity.
     """
 
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1,
-                 padding: int = 0, rng: np.random.Generator | None = None):
+    def __init__(self, in_ch: int, out_ch: int, kernel: int, padding: int = 0,
+                 rng: np.random.Generator | None = None):
         if in_ch < 1 or out_ch < 1:
             raise ValueError("channel counts must be >= 1")
-        if kernel < 1 or stride < 1 or padding < 0:
-            raise ValueError("bad kernel/stride/padding")
+        if kernel < 1 or padding < 0:
+            raise ValueError("bad kernel/padding")
         rng = rng or np.random.default_rng(0)
         scale = np.sqrt(2.0 / (in_ch * kernel))
         self.weight = Parameter(rng.normal(0.0, scale, size=(out_ch, in_ch, kernel)))
         self.bias = Parameter(np.zeros(out_ch))
-        self.stride = stride
         self.padding = padding
         self._cache = None
 
@@ -86,57 +73,49 @@ class Conv1d:
         return {"weight": self.weight.data, "bias": self.bias.data}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        xb, squeezed = _as_batched(x)
-        out_ch, in_ch, k = self.weight.shape
-        if xb.shape[1] != in_ch:
-            raise ValueError(f"expected {in_ch} input channels, got {xb.shape[1]}")
-        t_in = xb.shape[2]
-        t_out = (t_in + 2 * self.padding - k) // self.stride + 1
+        _, in_ch, k = self.weight.shape
+        if x.ndim != 3 or x.shape[1] != in_ch:
+            raise ValueError(f"expected (batch, {in_ch}, time) input, got shape {x.shape}")
+        t_in = x.shape[2]
         if t_in + 2 * self.padding < k:
             raise ValueError(f"time extent {t_in} too short for kernel {k} with padding {self.padding}")
-        xp = np.pad(xb, ((0, 0), (0, 0), (self.padding, self.padding)))
-        windows = sliding_window_view(xp, k, axis=2)[:, :, :: self.stride, :]
-        windows = windows[:, :, :t_out, :]
+        xp = np.pad(x, ((0, 0), (0, 0), (self.padding, self.padding)))
+        windows = sliding_window_view(xp, k, axis=2)
         out = np.einsum("bitk,oik->bot", windows, self.weight.data, optimize=True)
         out += self.bias.data[None, :, None]
-        self._cache = (windows, xp.shape, squeezed)
-        return out[0] if squeezed else out
+        self._cache = (windows, xp.shape)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        windows, xp_shape, squeezed = self._cache
-        g, _ = _as_batched(grad_out)
-        out_ch, in_ch, k = self.weight.shape
-        self.weight.grad += np.einsum("bot,bitk->oik", g, windows, optimize=True)
-        self.bias.grad += g.sum(axis=(0, 2))
-        grad_win = np.einsum("bot,oik->bitk", g, self.weight.data, optimize=True)
+        windows, xp_shape = self._cache
+        k = self.weight.shape[2]
+        self.weight.grad += np.einsum("bot,bitk->oik", grad_out, windows, optimize=True)
+        self.bias.grad += grad_out.sum(axis=(0, 2))
+        grad_win = np.einsum("bot,oik->bitk", grad_out, self.weight.data, optimize=True)
         grad_xp = np.zeros(xp_shape)
-        t_out = g.shape[2]
+        t_out = grad_out.shape[2]
         for tap in range(k):
-            grad_xp[:, :, tap : tap + self.stride * t_out : self.stride] += grad_win[:, :, :, tap]
+            grad_xp[:, :, tap : tap + t_out] += grad_win[:, :, :, tap]
         p = self.padding
-        grad_x = grad_xp[:, :, p : xp_shape[2] - p] if p else grad_xp
-        return grad_x[0] if squeezed else grad_x
+        return grad_xp[:, :, p : xp_shape[2] - p] if p else grad_xp
 
 
 class BatchNorm1d:
     """Per-channel batch normalization over the batch and time axes.
 
     Train mode normalizes with population statistics of the current batch
-    and folds them into the running estimates with the given momentum; eval
-    mode normalizes with the running estimates.
+    and folds them into the running estimates with momentum ``MOMENTUM``;
+    eval mode normalizes with the running estimates.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.1, epsilon: float = 1e-5):
-        if not 0.0 < momentum < 1.0:
-            raise ValueError("momentum must lie in (0, 1)")
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+    MOMENTUM = 0.1
+    EPSILON = 1e-5
+
+    def __init__(self, channels: int):
         self.gamma = Parameter(np.ones(channels))
         self.beta = Parameter(np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.epsilon = epsilon
         self._cache = None
 
     def parameters(self):
@@ -148,41 +127,37 @@ class BatchNorm1d:
                 "running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        xb, squeezed = _as_batched(x)
-        if xb.shape[1] != self.gamma.shape[0]:
+        if x.shape[1] != self.gamma.shape[0]:
             raise ValueError("channel count mismatch")
         if training:
-            n = xb.shape[0] * xb.shape[2]
+            n = x.shape[0] * x.shape[2]
             if n < 2:
                 raise ValueError("train-mode batch norm needs >1 sample per channel")
-            mean = xb.mean(axis=(0, 2))
-            var = xb.var(axis=(0, 2))
-            m = self.momentum
+            mean = x.mean(axis=(0, 2))
+            var = x.var(axis=(0, 2))
+            m = self.MOMENTUM
             self.running_mean = (1 - m) * self.running_mean + m * mean
             self.running_var = (1 - m) * self.running_var + m * var
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        xhat = (xb - mean[None, :, None]) * inv_std[None, :, None]
+        inv_std = 1.0 / np.sqrt(var + self.EPSILON)
+        xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
         out = self.gamma.data[None, :, None] * xhat + self.beta.data[None, :, None]
-        self._cache = (xhat, inv_std, training, squeezed)
-        return out[0] if squeezed else out
+        self._cache = (xhat, inv_std, training)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xhat, inv_std, training, squeezed = self._cache
-        g, _ = _as_batched(grad_out)
-        self.gamma.grad += (g * xhat).sum(axis=(0, 2))
-        self.beta.grad += g.sum(axis=(0, 2))
-        gxhat = g * self.gamma.data[None, :, None]
+        xhat, inv_std, training = self._cache
+        self.gamma.grad += (grad_out * xhat).sum(axis=(0, 2))
+        self.beta.grad += grad_out.sum(axis=(0, 2))
+        gxhat = grad_out * self.gamma.data[None, :, None]
         if not training:
-            grad_x = gxhat * inv_std[None, :, None]
-            return grad_x[0] if squeezed else grad_x
+            return gxhat * inv_std[None, :, None]
         n = xhat.shape[0] * xhat.shape[2]
         sum_g = gxhat.sum(axis=(0, 2), keepdims=True)
         sum_gx = (gxhat * xhat).sum(axis=(0, 2), keepdims=True)
-        grad_x = (inv_std[None, :, None] / n) * (n * gxhat - sum_g - xhat * sum_gx)
-        return grad_x[0] if squeezed else grad_x
+        return (inv_std[None, :, None] / n) * (n * gxhat - sum_g - xhat * sum_gx)
 
 
 class ReLU:
@@ -192,20 +167,19 @@ class ReLU:
         self._mask = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, np.asarray(grad_out, dtype=np.float64), 0.0)
+        return np.where(self._mask, grad_out, 0.0)
 
 
 class SEBlock:
     """Squeeze-excitation gate: per-channel scale from time-pooled statistics.
 
-    squeeze:  z_c = mean_t x[c, t]
-    excite:   s = sigmoid(W2 . relu(W1 . z + b1) + b2), s in (0, 1)^C
-    output:   x[c, t] * s_c
+    squeeze:  z_bc = mean_t x[b, c, t]
+    excite:   s_b = sigmoid(W2 . relu(W1 . z_b + b1) + b2), s_b in (0, 1)^C
+    output:   x[b, c, t] * s_bc
     """
 
     def __init__(self, channels: int, reduction: int = 16,
@@ -227,24 +201,21 @@ class SEBlock:
         return {"w1": self.w1.data, "b1": self.b1.data, "w2": self.w2.data, "b2": self.b2.data}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        xb, squeezed = _as_batched(x)
-        if xb.shape[1] != self.w1.shape[1]:
+        if x.shape[1] != self.w1.shape[1]:
             raise ValueError("channel count mismatch")
-        z = xb.mean(axis=2)                                   # (B, C)
+        z = x.mean(axis=2)                                    # (B, C)
         pre1 = z @ self.w1.data.T + self.b1.data              # (B, C/r)
         h = np.maximum(pre1, 0.0)
         pre2 = h @ self.w2.data.T + self.b2.data              # (B, C)
         s = sigmoid(pre2)
-        out = xb * s[:, :, None]
-        self._cache = (xb, z, pre1, h, s, squeezed)
-        return out[0] if squeezed else out
+        self._cache = (x, z, pre1, h, s)
+        return x * s[:, :, None]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xb, z, pre1, h, s, squeezed = self._cache
-        g, _ = _as_batched(grad_out)
-        t = xb.shape[2]
-        grad_s = (g * xb).sum(axis=2)                         # (B, C)
-        grad_x = g * s[:, :, None]
+        x, z, pre1, h, s = self._cache
+        t = x.shape[2]
+        grad_s = (grad_out * x).sum(axis=2)                   # (B, C)
+        grad_x = grad_out * s[:, :, None]
         grad_pre2 = grad_s * s * (1.0 - s)
         self.w2.grad += grad_pre2.T @ h
         self.b2.grad += grad_pre2.sum(axis=0)
@@ -254,11 +225,11 @@ class SEBlock:
         self.b1.grad += grad_pre1.sum(axis=0)
         grad_z = grad_pre1 @ self.w1.data
         grad_x += grad_z[:, :, None] / t
-        return grad_x[0] if squeezed else grad_x
+        return grad_x
 
 
 class MaxOverTime:
-    """Per-channel maximum over the time axis.
+    """Per-channel maximum over the time axis: (B, C, T) -> (B, C).
 
     Backward routes the gradient to the first argmax position of each
     channel, which keeps training deterministic under ties.
@@ -268,26 +239,21 @@ class MaxOverTime:
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        xb, squeezed = _as_batched(x)
-        if xb.shape[2] < 1:
+        if x.shape[2] < 1:
             raise ValueError("time axis is empty")
-        idx = xb.argmax(axis=2)                               # first occurrence on ties
-        out = np.take_along_axis(xb, idx[:, :, None], axis=2)[:, :, 0]
-        self._cache = (xb.shape, idx, squeezed)
-        return out[0] if squeezed else out
+        idx = x.argmax(axis=2)                                # first occurrence on ties
+        self._cache = (x.shape, idx)
+        return np.take_along_axis(x, idx[:, :, None], axis=2)[:, :, 0]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        shape, idx, squeezed = self._cache
-        g = np.asarray(grad_out, dtype=np.float64)
-        if squeezed:
-            g = g[None, :]
+        shape, idx = self._cache
         grad_x = np.zeros(shape)
-        np.put_along_axis(grad_x, idx[:, :, None], g[:, :, None], axis=2)
-        return grad_x[0] if squeezed else grad_x
+        np.put_along_axis(grad_x, idx[:, :, None], grad_out[:, :, None], axis=2)
+        return grad_x
 
 
 class Linear:
-    """Affine map ``x @ W.T + b`` over feature vectors (B, in) or (in,).
+    """Affine map ``x @ W.T + b`` over a batch of feature vectors (B, in).
 
     ``init="zero"`` starts weights and bias at zero, which makes a
     two-class softmax head emit exactly uniform probabilities at step 0.
@@ -313,29 +279,19 @@ class Linear:
         return {"weight": self.weight.data, "bias": self.bias.data}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        squeezed = x.ndim == 1
-        xb = x[None, :] if squeezed else x
-        if xb.shape[1] != self.weight.shape[1]:
+        if x.shape[1] != self.weight.shape[1]:
             raise ValueError("feature width mismatch")
-        out = xb @ self.weight.data.T + self.bias.data
-        self._cache = (xb, squeezed)
-        return out[0] if squeezed else out
+        self._cache = x
+        return x @ self.weight.data.T + self.bias.data
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xb, squeezed = self._cache
-        g = np.asarray(grad_out, dtype=np.float64)
-        if squeezed:
-            g = g[None, :]
-        self.weight.grad += g.T @ xb
-        self.bias.grad += g.sum(axis=0)
-        grad_x = g @ self.weight.data
-        return grad_x[0] if squeezed else grad_x
+        self.weight.grad += grad_out.T @ self._cache
+        self.bias.grad += grad_out.sum(axis=0)
+        return grad_out @ self.weight.data
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log softmax in max-subtracted (overflow-safe) form."""
-    logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
@@ -344,23 +300,19 @@ def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray
     """Mean cross-entropy of integer class labels under softmax logits.
 
     Returns ``(loss, grad_logits)`` where the gradient is taken of the mean
-    loss: ``(softmax(logits) - onehot(label)) / batch``.  Accepts a single
-    ``(K,)`` row with a scalar label or a ``(B, K)`` batch with ``(B,)``
-    labels.
+    loss: ``(softmax(logits) - onehot(label)) / batch``.  ``logits`` is a
+    ``(B, K)`` batch and ``labels`` holds ``B`` class indices.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    squeezed = logits.ndim == 1
-    lb = logits[None, :] if squeezed else logits
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if labels.shape[0] != lb.shape[0]:
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (logits.shape[0],):
         raise ValueError("label count does not match batch size")
-    logp = log_softmax(lb)
-    n = lb.shape[0]
+    logp = log_softmax(logits)
+    n = logits.shape[0]
     loss = -logp[np.arange(n), labels].mean()
     grad = np.exp(logp)
     grad[np.arange(n), labels] -= 1.0
     grad /= n
-    return float(loss), (grad[0] if squeezed else grad)
+    return float(loss), grad
 
 
 class Adam:
@@ -368,30 +320,31 @@ class Adam:
 
     update: m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2
             step = lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+    with b1 = ``BETA1``, b2 = ``BETA2`` and eps = ``EPSILON``.
     """
 
-    def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPSILON = 1e-8
+
+    def __init__(self, params, lr: float = 1e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPSILON)
 
     def zero_grad(self) -> None:
         for p in self.params:

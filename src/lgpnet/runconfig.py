@@ -21,7 +21,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_CASTS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+_CASTS = {"int": int, "float": float, "bool": _parse_bool}
 
 
 def read_flat_config(cls, path):
@@ -60,7 +60,6 @@ class RunConfig:
     """Everything one experiment needs, in one flat document."""
 
     gmm_order: int = 512
-    lgp_form: str = "fast"
     channels: int = 512
     blocks: int = 6
     se_enabled: bool = False
@@ -76,8 +75,6 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.lgp_form not in ("fast", "full"):
-            raise ValueError(f"lgp_form must be fast or full, got {self.lgp_form!r}")
         if self.paths not in (1, 2):
             raise ValueError("paths must be 1 or 2")
         if self.workers < 1:

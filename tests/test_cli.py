@@ -104,6 +104,12 @@ def score_with(root, model):
                "--stats", root / "m.stats", "--out", root / "scores.eval")
 
 
+def score_gmm_with(root):
+    return run("score-gmm", "--gmm", root / "m.gmm", "--gmm2", root / "m.gmm",
+               "--features", root / "feats", "--protocol", root / "eval.txt",
+               "--out", root / "scores.eval")
+
+
 class TestScoreCheckpoint:
     def test_valid_checkpoint_scores(self, score_fixture):
         assert score_with(score_fixture, score_fixture / "model.lgpn") == 0
@@ -124,6 +130,39 @@ class TestScoreCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "path0.block0.conv2.bias" in err
         assert "Traceback" not in err
+
+    def test_oversized_channel_count_exits_3(self, score_fixture, capsys):
+        from lgpnet import tensorio
+
+        tensors = tensorio.load_tensors(score_fixture / "model.lgpn")
+        tensors["cfg.channels"] = np.array([2.0**20], dtype=np.float32)
+        tensorio.save_tensors(score_fixture / "wide.lgpn", tensors)
+        assert score_with(score_fixture, score_fixture / "wide.lgpn") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cfg.channels" in err
+        assert "Traceback" not in err
+        assert not (score_fixture / "scores.eval").exists()
+
+
+class TestNonFiniteFeatures:
+    @pytest.fixture
+    def nan_fixture(self, score_fixture):
+        from lgpnet.frontend import store_features
+
+        feats = np.random.default_rng(4).normal(size=(20, 2))
+        feats[7, 1] = np.nan
+        store_features(score_fixture / "feats" / "u1.lgpf", feats)
+        return score_fixture
+
+    @pytest.mark.parametrize("score", [
+        lambda root: score_with(root, root / "model.lgpn"), score_gmm_with,
+    ], ids=["score", "score-gmm"])
+    def test_nan_frame_exits_3_without_scores(self, nan_fixture, capsys, score):
+        assert score(nan_fixture) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "u1.lgpf" in err and "non-finite" in err
+        assert "Traceback" not in err
+        assert not (nan_fixture / "scores.eval").exists()
 
 
 class TestRunConfig:
@@ -154,9 +193,10 @@ class TestRunConfig:
 
     def test_removed_gmm_keys_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("em_iterations = 30\n")
-        with pytest.raises(ProtocolError, match="unknown key"):
-            RunConfig.from_file(path)
+        for removed in ("em_iterations = 30\n", "lgp_form = fast\n"):
+            path.write_text(removed)
+            with pytest.raises(ProtocolError, match="unknown key"):
+                RunConfig.from_file(path)
 
 
 class TestTdcfConfig:
@@ -277,7 +317,7 @@ class TestPipeline:
         assert run("train-gmm", "--features", lists["spoof"], "--components", 4,
                    "--iters", 5, "--out", tmp_path / "spoof.gmm") == 0
         assert run("fit-lgp-stats", "--gmm", tmp_path / "pooled.gmm",
-                   "--features", corpus / "feats", "--form", "fast",
+                   "--features", corpus / "feats",
                    "--out", tmp_path / "pooled.stats") == 0
 
         cfg = tmp_path / "run.cfg"

@@ -22,44 +22,44 @@ def direct_component_log_density(gmm, i, x):
 class TestDensities:
     def test_at_mean_identity_covariance(self):
         gmm = Gmm(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
-        assert gmm.component_log_density(0, np.zeros(2)) == pytest.approx(-LOG_2PI, abs=1e-12)
+        value = gmm.component_log_densities(np.zeros((1, 2)))[0, 0]
+        assert value == pytest.approx(-LOG_2PI, abs=1e-12)
 
     def test_unit_offset(self):
         gmm = Gmm(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
-        value = gmm.component_log_density(0, np.array([1.0, 0.0]))
+        value = gmm.component_log_densities(np.array([[1.0, 0.0]]))[0, 0]
         assert value == pytest.approx(-LOG_2PI - 0.5, abs=1e-12)
 
     def test_matches_direct_formula(self, toy_gmm, rng):
-        for _ in range(20):
-            x = rng.normal(size=toy_gmm.dim) * 3.0
+        frames = rng.normal(size=(20, toy_gmm.dim)) * 3.0
+        densities = toy_gmm.component_log_densities(frames)
+        for t, x in enumerate(frames):
             for i in range(toy_gmm.order):
-                assert toy_gmm.component_log_density(i, x) == pytest.approx(
+                assert densities[t, i] == pytest.approx(
                     direct_component_log_density(toy_gmm, i, x), abs=1e-12
                 )
-
-    def test_index_and_dimension_checks(self, toy_gmm):
-        with pytest.raises(ValueError):
-            toy_gmm.component_log_density(5, np.zeros(3))
-        with pytest.raises(ValueError):
-            toy_gmm.component_log_density(0, np.zeros(4))
 
 
 class TestMixtureLikelihood:
     def test_single_component_equals_density(self, rng):
         gmm = Gmm(np.array([1.0]), rng.normal(size=(1, 3)), np.ones((1, 3)) * 0.7)
-        x = rng.normal(size=3)
-        assert gmm.log_likelihood(x) == pytest.approx(gmm.component_log_density(0, x), abs=1e-12)
+        frames = rng.normal(size=(5, 3))
+        mixture = gmm.frame_log_likelihoods(frames)
+        single = gmm.component_log_densities(frames)[:, 0]
+        for got, want in zip(mixture, single):
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_matches_brute_force_sum(self, toy_gmm, rng):
-        for _ in range(20):
-            x = rng.normal(size=3) * 2.0
+        frames = rng.normal(size=(20, 3)) * 2.0
+        mixture = toy_gmm.frame_log_likelihoods(frames)
+        for t, x in enumerate(frames):
             brute = np.log(
                 sum(
                     w * np.exp(direct_component_log_density(toy_gmm, i, x))
                     for i, w in enumerate(toy_gmm.weights)
                 )
             )
-            assert toy_gmm.log_likelihood(x) == pytest.approx(brute, abs=1e-10)
+            assert mixture[t] == pytest.approx(brute, abs=1e-10)
 
     def test_utterance_value_invariant_to_frame_order(self, toy_gmm, rng):
         frames = rng.normal(size=(37, 3))

@@ -6,8 +6,6 @@ from lgpnet.lgp import (
     LgpNormStats,
     extract_lgp,
     fit_norm_stats,
-    lgp_frame_fast,
-    lgp_frame_full,
     lgp_frames_fast,
     lgp_frames_full,
 )
@@ -41,30 +39,26 @@ def direct_fast_form(gmm, x):
 class TestRawForms:
     def test_full_at_mean_identity_covariance(self):
         gmm = Gmm(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
-        assert lgp_frame_full(gmm, np.zeros(2))[0] == pytest.approx(-LOG_2PI, abs=1e-12)
-
-    def test_full_equals_component_log_density(self, toy_gmm, rng):
-        x = rng.normal(size=3)
-        full = lgp_frame_full(toy_gmm, x)
-        for i in range(toy_gmm.order):
-            assert full[i] == pytest.approx(toy_gmm.component_log_density(i, x), abs=1e-12)
+        assert lgp_frames_full(gmm, np.zeros((1, 2)))[0, 0] == pytest.approx(-LOG_2PI, abs=1e-12)
 
     def test_full_matches_direct_formula(self, toy_gmm, rng):
-        for _ in range(10):
-            x = rng.normal(size=3) * 2.0
-            assert np.allclose(lgp_frame_full(toy_gmm, x), direct_full_form(toy_gmm, x), atol=1e-12)
+        frames = rng.normal(size=(10, 3)) * 2.0
+        full = lgp_frames_full(toy_gmm, frames)
+        for row, x in zip(full, frames):
+            assert np.allclose(row, direct_full_form(toy_gmm, x), atol=1e-12)
 
     def test_fast_hand_value(self):
         gmm = Gmm(np.array([1.0]), np.ones((1, 2)), np.ones((1, 2)))
-        assert lgp_frame_fast(gmm, np.array([1.0, 1.0]))[0] == pytest.approx(1.0, abs=1e-12)
+        assert lgp_frames_fast(gmm, np.array([[1.0, 1.0]]))[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_fast_vanishes_at_origin(self, toy_gmm):
-        assert np.array_equal(lgp_frame_fast(toy_gmm, np.zeros(3)), np.zeros(2))
+        assert np.array_equal(lgp_frames_fast(toy_gmm, np.zeros((4, 3))), np.zeros((4, 2)))
 
     def test_fast_matches_direct_formula(self, toy_gmm, rng):
-        for _ in range(10):
-            x = rng.normal(size=3) * 2.0
-            assert np.allclose(lgp_frame_fast(toy_gmm, x), direct_fast_form(toy_gmm, x), atol=1e-12)
+        frames = rng.normal(size=(10, 3)) * 2.0
+        fast = lgp_frames_fast(toy_gmm, frames)
+        for row, x in zip(fast, frames):
+            assert np.allclose(row, direct_fast_form(toy_gmm, x), atol=1e-12)
 
     def test_forms_differ_by_frame_independent_constant(self, toy_gmm, rng):
         frames = rng.normal(size=(6, 3))
@@ -73,9 +67,9 @@ class TestRawForms:
 
     def test_dimension_mismatch_rejected(self, toy_gmm):
         with pytest.raises(ValueError):
-            lgp_frame_full(toy_gmm, np.zeros(4))
+            lgp_frames_full(toy_gmm, np.zeros((1, 4)))
         with pytest.raises(ValueError):
-            lgp_frame_fast(toy_gmm, np.zeros(2))
+            lgp_frames_fast(toy_gmm, np.zeros((1, 2)))
 
 
 class TestNormStats:
@@ -162,9 +156,3 @@ class TestExtract:
         stats = LgpNormStats(mean=np.zeros(5), std=np.ones(5), form="fast")
         with pytest.raises(ValueError):
             extract_lgp(toy_gmm, stats, np.zeros((4, 3)))
-
-    def test_form_mismatch_rejected(self, toy_gmm, rng):
-        frames = rng.normal(size=(20, 3))
-        stats = fit_norm_stats(toy_gmm, frames, "fast")
-        with pytest.raises(ValueError):
-            extract_lgp(toy_gmm, stats, frames, form="full")

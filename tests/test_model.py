@@ -51,8 +51,8 @@ def two_path_model(rng):
 class TestPathShapes:
     def test_desk_scale_embedding(self, rng):
         path = PathNetwork(desk_config(), rng)
-        lgp = rng.normal(size=(8, 32))
-        assert path.forward(lgp, training=False).shape == (16,)
+        lgp = rng.normal(size=(1, 8, 32))
+        assert path.forward(lgp, training=False).shape == (1, 16)
 
     def test_batched_embedding(self, rng):
         path = PathNetwork(desk_config(se=True), rng)
@@ -64,13 +64,13 @@ class TestPathShapes:
         cfg = ClassifierConfig(gmm_order=512, channels=512, blocks=6,
                                se_enabled=False, input_length=400, paths=1)
         path = PathNetwork(cfg, rng)
-        lgp = rng.normal(size=(512, 400)).astype(np.float64)
-        assert path.forward(lgp, training=False).shape == (512,)
+        lgp = rng.normal(size=(1, 512, 400))
+        assert path.forward(lgp, training=False).shape == (1, 512)
 
     def test_wrong_input_shape_rejected(self, rng):
         path = PathNetwork(desk_config(), rng)
         with pytest.raises(ValueError):
-            path.forward(rng.normal(size=(9, 32)), training=False)
+            path.forward(rng.normal(size=(1, 9, 32)), training=False)
 
     def test_end_to_end_gradient_check(self, rng):
         for se in (False, True):
@@ -330,6 +330,18 @@ class TestCheckpointSchema:
         tensors = desk_model.to_tensors()
         tensors["fc.bias"] = np.zeros(3)
         with pytest.raises(FormatError, match="'fc.bias' has shape"):
+            self.load(desk_model, tensors)
+
+    @pytest.mark.parametrize("key,value", [("cfg.channels", 2**20), ("cfg.blocks", 2**40)])
+    def test_oversized_config_refused_before_building(self, desk_model, monkeypatch, key, value):
+        tensors = desk_model.to_tensors()
+        tensors[key] = np.array([float(value)])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a path was built before the stored sizes were checked")
+
+        monkeypatch.setattr("lgpnet.model.PathNetwork", refuse)
+        with pytest.raises(FormatError, match=f"{key} = {value}"):
             self.load(desk_model, tensors)
 
     def test_unexpected_tensor_refused(self, desk_model):

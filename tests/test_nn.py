@@ -12,45 +12,40 @@ class TestConv1d:
         conv = nn.Conv1d(1, 1, 3, padding=1)
         conv.weight.data[:] = 1.0
         conv.bias.data[:] = 0.0
-        out = conv.forward(np.array([[1.0, 2.0, 3.0]]))
-        assert np.array_equal(out, [[3.0, 6.0, 5.0]])
+        out = conv.forward(np.array([[[1.0, 2.0, 3.0]]]))
+        assert np.array_equal(out, [[[3.0, 6.0, 5.0]]])
 
     def test_identity_kernel(self, rng):
         conv = nn.Conv1d(1, 1, 3, padding=1)
         conv.weight.data[0, 0] = [0.0, 1.0, 0.0]
         conv.bias.data[:] = 0.0
-        x = rng.normal(size=(1, 9))
+        x = rng.normal(size=(2, 1, 9))
         assert np.allclose(conv.forward(x), x)
 
     def test_full_scale_shape_preserved(self, rng):
-        conv = nn.Conv1d(512, 512, 3, stride=1, padding=1, rng=rng)
-        out = conv.forward(rng.normal(size=(512, 400)))
-        assert out.shape == (512, 400)
+        conv = nn.Conv1d(512, 512, 3, padding=1, rng=rng)
+        out = conv.forward(rng.normal(size=(1, 512, 400)))
+        assert out.shape == (1, 512, 400)
 
     @given(t=st.integers(min_value=1, max_value=64), ch=st.integers(min_value=1, max_value=4))
     @settings(max_examples=25, deadline=None)
     def test_time_extent_preserved_property(self, t, ch):
-        conv = nn.Conv1d(ch, ch, 3, stride=1, padding=1)
-        out = conv.forward(np.zeros((ch, t)))
-        assert out.shape == (ch, t)
-
-    def test_strided_output_length(self, rng):
-        conv = nn.Conv1d(2, 3, 5, stride=2, padding=2, rng=rng)
-        out = conv.forward(rng.normal(size=(2, 11)))
-        assert out.shape == (3, (11 + 4 - 5) // 2 + 1)
+        conv = nn.Conv1d(ch, ch, 3, padding=1)
+        out = conv.forward(np.zeros((2, ch, t)))
+        assert out.shape == (2, ch, t)
 
     def test_scalar_backward_is_input(self):
         # 1x1 input, 1-tap kernel, loss = the single output value.
         conv = nn.Conv1d(1, 1, 1)
         conv.weight.data[:] = 0.7
-        x = np.array([[2.5]])
+        x = np.array([[[2.5]]])
         conv.forward(x)
-        conv.backward(np.array([[1.0]]))
+        conv.backward(np.array([[[1.0]]]))
         assert conv.weight.grad[0, 0, 0] == pytest.approx(2.5)
 
     def test_zero_upstream_gradient(self, rng):
         conv = nn.Conv1d(2, 2, 3, padding=1, rng=rng)
-        out = conv.forward(rng.normal(size=(2, 6)))
+        out = conv.forward(rng.normal(size=(3, 2, 6)))
         grad_x = conv.backward(np.zeros_like(out))
         assert not np.any(grad_x)
         assert not np.any(conv.weight.grad)
@@ -77,12 +72,12 @@ class TestConv1d:
     def test_channel_mismatch_rejected(self, rng):
         conv = nn.Conv1d(3, 2, 3, padding=1, rng=rng)
         with pytest.raises(ValueError):
-            conv.forward(rng.normal(size=(2, 5)))
+            conv.forward(rng.normal(size=(1, 2, 5)))
 
     def test_too_short_input_rejected(self):
         conv = nn.Conv1d(1, 1, 5)
         with pytest.raises(ValueError):
-            conv.forward(np.zeros((1, 3)))
+            conv.forward(np.zeros((1, 1, 3)))
 
 
 class TestBatchNorm:
@@ -156,28 +151,28 @@ class TestBatchNorm:
 class TestReluAndSe:
     def test_relu_values(self):
         layer = nn.ReLU()
-        assert np.array_equal(layer.forward(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+        assert np.array_equal(layer.forward(np.array([[-1.0, 0.0, 2.0]])), [[0.0, 0.0, 2.0]])
 
     def test_zero_weights_halve_input(self, rng):
         se = nn.SEBlock(4, reduction=2)
         for p in se.parameters():
             p.data[:] = 0.0
-        x = rng.normal(size=(4, 6))
+        x = rng.normal(size=(2, 4, 6))
         assert np.allclose(se.forward(x), 0.5 * x)
 
     def test_scale_strictly_inside_unit_interval(self, rng):
         se = nn.SEBlock(4, reduction=2, rng=rng)
-        x = rng.normal(size=(4, 6))
+        x = rng.normal(size=(2, 4, 6))
         out = se.forward(x)
-        scale = out[:, 0] / x[:, 0]
+        scale = out[:, :, 0] / x[:, :, 0]
         assert np.all(scale > 0.0) and np.all(scale < 1.0)
-        assert np.allclose(out, x * scale[:, None])
+        assert np.allclose(out, x * scale[:, :, None])
 
     def test_large_excitation_saturates_to_identity(self, rng):
         se = nn.SEBlock(2, reduction=2)
         for p in se.parameters():
             p.data[:] = 0.0
-        x = rng.normal(size=(2, 5))
+        x = rng.normal(size=(1, 2, 5))
         previous = se.forward(x)
         for bias in (2.0, 5.0, 20.0):
             se.b2.data[:] = bias           # pre-sigmoid excitation, monotone in bias
@@ -209,22 +204,22 @@ class TestReluAndSe:
 class TestMaxOverTime:
     def test_full_scale_shape(self, rng):
         pool = nn.MaxOverTime()
-        assert pool.forward(rng.normal(size=(512, 400))).shape == (512,)
+        assert pool.forward(rng.normal(size=(1, 512, 400))).shape == (1, 512)
 
     def test_constant_channel(self):
         pool = nn.MaxOverTime()
-        out = pool.forward(np.full((3, 10), 4.2))
+        out = pool.forward(np.full((2, 3, 10), 4.2))
         assert np.allclose(out, 4.2)
 
     def test_tie_routes_gradient_to_first_index(self):
         pool = nn.MaxOverTime()
-        pool.forward(np.array([[5.0, 5.0]]))
-        grad = pool.backward(np.array([1.0]))
-        assert np.array_equal(grad, [[1.0, 0.0]])
+        pool.forward(np.array([[[5.0, 5.0]]]))
+        grad = pool.backward(np.array([[1.0]]))
+        assert np.array_equal(grad, [[[1.0, 0.0]]])
 
     def test_empty_time_axis_rejected(self):
         with pytest.raises(ValueError):
-            nn.MaxOverTime().forward(np.zeros((3, 0)))
+            nn.MaxOverTime().forward(np.zeros((1, 3, 0)))
 
     def test_finite_difference_agreement(self, rng):
         pool = nn.MaxOverTime()
@@ -241,27 +236,27 @@ class TestMaxOverTime:
 
 class TestLinearAndLoss:
     def test_uniform_logits_loss_is_ln2(self):
-        loss, grad = nn.softmax_cross_entropy(np.array([0.0, 0.0]), 0)
+        loss, grad = nn.softmax_cross_entropy(np.array([[0.0, 0.0]]), [0])
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
-        assert np.allclose(grad, [-0.5, 0.5])
+        assert np.allclose(grad, [[-0.5, 0.5]])
 
     def test_extreme_logits_do_not_overflow(self):
-        loss, grad = nn.softmax_cross_entropy(np.array([1000.0, 0.0]), 0)
+        loss, grad = nn.softmax_cross_entropy(np.array([[1000.0, 0.0]]), [0])
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert np.all(np.isfinite(grad))
 
     def test_loss_nonnegative_and_ln_k_at_uniform(self):
         for k in (2, 3, 5):
-            loss, _ = nn.softmax_cross_entropy(np.full(k, 1.7), 0)
+            loss, _ = nn.softmax_cross_entropy(np.full((1, k), 1.7), [0])
             assert loss == pytest.approx(np.log(k), abs=1e-12)
 
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=6),
            st.integers(min_value=0, max_value=5))
     @settings(max_examples=100, deadline=None)
     def test_loss_nonnegative_property(self, logits, label):
-        logits = np.asarray(logits)
-        label = label % logits.shape[0]
-        loss, _ = nn.softmax_cross_entropy(logits, label)
+        logits = np.asarray(logits)[None, :]
+        label = label % logits.shape[1]
+        loss, _ = nn.softmax_cross_entropy(logits, [label])
         assert loss >= 0.0
 
     def test_finite_difference_agreement(self, rng):
@@ -320,7 +315,7 @@ class TestAdam:
         assert np.array_equal(p.data, [1.5, -0.5])
 
     def test_two_step_trace_matches_hand_recurrence(self):
-        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8     # the fixed Adam constants
         g1, g2 = 0.8, -1.7
         # hand-applied recurrences
         theta, m, v = 2.0, 0.0, 0.0
@@ -332,7 +327,7 @@ class TestAdam:
             expected.append(theta)
 
         p = nn.Parameter(np.array([2.0]))
-        opt = nn.Adam([p], lr=lr, beta1=b1, beta2=b2, epsilon=eps)
+        opt = nn.Adam([p], lr=lr)
         observed = []
         for g in (g1, g2):
             p.grad[:] = g
