@@ -42,21 +42,22 @@ def run(args) -> None:
     sh("extract-lfcc", "--wav-dir", root / "wav", "--out-dir", feats,
        "--workers", args.workers)
 
+    # lfcc/ holds every partition; GMMs and LGP stats see the train partition only.
     labels = read_protocol(root / "train.txt")
     lists = {}
-    for cls in ("bonafide", "spoof"):
+    for cls in ("train", "bonafide", "spoof"):
         lst = out / f"{cls}.list"
         lst.write_text("".join(f"{feats / (u + '.lgpf')}\n"
-                               for u, l in labels.items() if l == cls))
+                               for u, l in labels.items() if cls in ("train", l)))
         lists[cls] = lst
 
     sh("train-gmm", "--features", lists["bonafide"], "--components", args.mixtures,
        "--iters", 30, "--seed", 1, "--out", out / "bona.gmm")
     sh("train-gmm", "--features", lists["spoof"], "--components", args.mixtures,
        "--iters", 30, "--seed", 2, "--out", out / "spoof.gmm")
-    sh("fit-lgp-stats", "--gmm", out / "bona.gmm", "--features", feats,
+    sh("fit-lgp-stats", "--gmm", out / "bona.gmm", "--features", lists["train"],
        "--out", out / "bona.stats")
-    sh("fit-lgp-stats", "--gmm", out / "spoof.gmm", "--features", feats,
+    sh("fit-lgp-stats", "--gmm", out / "spoof.gmm", "--features", lists["train"],
        "--out", out / "spoof.stats")
 
     run_cfg = out / "run.cfg"

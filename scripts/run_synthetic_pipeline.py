@@ -26,11 +26,13 @@ def sh(*argv):
         raise SystemExit(f"step failed ({code}): {' '.join(str(a) for a in argv)}")
 
 
-def class_list(corpus: Path, out: Path, label: str) -> Path:
+def train_list(corpus: Path, out: Path, label: str | None = None) -> Path:
+    """List file of the train partition's features, or of one class of it."""
     labels = read_protocol(corpus / "train.txt")
-    path = out / f"{label}.list"
+    path = out / f"{label or 'train'}.list"
     path.write_text(
-        "".join(f"{corpus / 'feats' / (u + '.lgpf')}\n" for u, l in labels.items() if l == label)
+        "".join(f"{corpus / 'feats' / (u + '.lgpf')}\n" for u, l in labels.items()
+                if label in (None, l))
     )
     return path
 
@@ -43,16 +45,18 @@ def run(args) -> None:
     sh("gen-corpus", "--task", args.task, "--out", corpus, "--seed", args.seed,
        "--train-utts", 400, "--dev-utts", 200, "--eval-utts", 200)
 
-    bona_list = class_list(corpus, out, "bonafide")
-    spoof_list = class_list(corpus, out, "spoof")
+    # GMMs and normalization stats see the train partition only, never dev or eval.
+    all_list = train_list(corpus, out)
+    bona_list = train_list(corpus, out, "bonafide")
+    spoof_list = train_list(corpus, out, "spoof")
 
-    sh("train-gmm", "--features", corpus / "feats", "--components", args.gmm_order,
+    sh("train-gmm", "--features", all_list, "--components", args.gmm_order,
        "--iters", 30, "--seed", 1, "--out", out / "pooled.gmm")
     sh("train-gmm", "--features", bona_list, "--components", args.gmm_order,
        "--iters", 30, "--seed", 2, "--out", out / "bona.gmm")
     sh("train-gmm", "--features", spoof_list, "--components", args.gmm_order,
        "--iters", 30, "--seed", 3, "--out", out / "spoof.gmm")
-    sh("fit-lgp-stats", "--gmm", out / "pooled.gmm", "--features", corpus / "feats",
+    sh("fit-lgp-stats", "--gmm", out / "pooled.gmm", "--features", all_list,
        "--out", out / "pooled.stats")
 
     run_cfg = out / "run.cfg"

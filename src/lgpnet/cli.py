@@ -62,6 +62,13 @@ def _feature_paths(spec: str) -> list[Path]:
     return files
 
 
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _map_workers(workers: int, fn, items):
     if workers <= 1:
         return [fn(item) for item in items]
@@ -301,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--no-deltas", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(fn=_cmd_extract_lfcc)
 
     p = sub.add_parser("train-gmm", help="EM-train a diagonal GMM on pooled frames")
@@ -324,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", required=True)
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(fn=_cmd_extract_lgp)
 
     p = sub.add_parser("train", help="train a one-path or two-path classifier")
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", required=True)
     p.add_argument("--stats2")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(fn=_cmd_score)
 
     p = sub.add_parser("score-gmm", help="log-likelihood-ratio baseline scores")
@@ -357,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--protocol", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(fn=_cmd_score_gmm)
 
     p = sub.add_parser("evaluate", help="EER and optional min t-DCF of a score file")

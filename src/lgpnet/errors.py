@@ -26,3 +26,12 @@ class ProtocolError(ValueError):
 
 class TrainingDivergedError(RuntimeError):
     """A loss or parameter became non-finite during training."""
+
+
+class NonFiniteMapError(FloatingPointError):
+    """A feature map derived from finite input is not finite (overflow);
+    ``row`` is the batch row of the first such map."""
+
+    def __init__(self, message, row):
+        super().__init__(f"{message} (batch row {row})")
+        self.row = row

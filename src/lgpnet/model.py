@@ -11,6 +11,11 @@ One-path models classify a single embedding; two-path models run one path
 per class-conditional GMM and classify the concatenated embeddings.  The
 detection score is the bona fide logit minus the spoof logit (class 0 is
 bona fide throughout).
+
+The model's input is raw feature segments (B, N, D).  ``SpoofModel.embed``
+is the one map from them to the head input, for training and scoring alike:
+each path derives its LGP maps (B, M, N) from the segments under its own GMM
+inside the call, so no LGP map is kept between batches.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensorio
-from .errors import FormatError
+from .errors import FormatError, NonFiniteMapError
 from .gmm import Gmm
 from .lgp import LgpNormStats, extract_lgp
 from .nn import BatchNorm1d, Conv1d, Linear, MaxOverTime, ReLU, SEBlock
@@ -46,8 +51,8 @@ class ClassifierConfig:
     def __post_init__(self):
         if self.gmm_order < 1 or self.channels < 1 or self.blocks < 1:
             raise ValueError("gmm_order, channels and blocks must be >= 1")
-        if self.input_length < 1:
-            raise ValueError("input length must be >= 1")
+        if self.input_length < 2 or self.input_length % 2 != 0:
+            raise ValueError("input length must be even and >= 2 (segments hop N/2)")
         if self.paths not in (1, 2):
             raise ValueError("paths must be 1 or 2")
         if self.se_enabled and (self.se_reduction < 1 or self.channels % self.se_reduction != 0):
@@ -92,10 +97,6 @@ class UfmConfig:
     def __post_init__(self):
         if self.segment_length < 2 or self.segment_length % 2 != 0:
             raise ValueError("segment length must be even and >= 2")
-
-    @property
-    def overlap(self) -> int:
-        return self.segment_length // 2
 
 
 class ResBlock:
@@ -200,17 +201,24 @@ class SpoofModel:
         # Zero-init head: uniform softmax (loss ln 2) before the first update.
         self.fc = Linear(cfg.paths * cfg.channels, 2, init="zero")
 
-    # -- feature plumbing ----------------------------------------------------
-
-    def path_lgp(self, k: int, feats: np.ndarray) -> np.ndarray:
-        """Normalized LGP map of raw features under path ``k``'s GMM; (M, T)."""
-        return extract_lgp(self.gmms[k], self.stats[k], feats)
-
     # -- inference -----------------------------------------------------------
 
-    def embed_batch(self, lgp_per_path: list[np.ndarray], training: bool) -> np.ndarray:
-        """Concatenate per-path embeddings: list of (B, M, N) -> (B, paths*ch)."""
-        embs = [path.forward(lgp, training) for path, lgp in zip(self.paths, lgp_per_path)]
+    def embed(self, segments: np.ndarray, training: bool, path_ids) -> np.ndarray:
+        """Head input of raw feature segments: (B, N, D) -> (B, len(path_ids) * channels).
+
+        Each path in ``path_ids`` computes the normalized LGP maps of the
+        segments under its own GMM, embeds them and drops them, so no LGP map
+        outlives the call.  A map that is not finite (overflow from finite
+        features) raises NonFiniteMapError with its batch row.
+        """
+        embs = []
+        for k in path_ids:
+            lgp = np.stack([extract_lgp(self.gmms[k], self.stats[k], seg) for seg in segments])
+            finite = np.isfinite(lgp).all(axis=(1, 2))
+            if not finite.all():
+                raise NonFiniteMapError(f"non-finite LGP map under path {k}",
+                                        int(np.argmin(finite)))
+            embs.append(self.paths[k].forward(lgp, training))
         return np.concatenate(embs, axis=1)
 
     def forward_model(self, feats: np.ndarray) -> tuple[np.ndarray, float]:
@@ -223,18 +231,13 @@ class SpoofModel:
                 f"expected {self.cfg.input_length} frames, got {feats.shape[0]}; "
                 "fix the length or score through score_utterance"
             )
-        lgps = [self.path_lgp(k, feats)[None, :, :] for k in range(self.cfg.paths)]
-        logits = self.fc.forward(self.embed_batch(lgps, training=False))[0]
+        logits = self.fc.forward(self.embed(feats[None], False, range(self.cfg.paths)))[0]
         return logits, float(logits[BONA_FIDE] - logits[SPOOF])
 
     def score_utterance(self, feats: np.ndarray) -> float:
         """Mean detection score over all overlap segments of an utterance."""
-        segments = segment_ufm(feats, UfmConfig(self.cfg.input_length))
-        batch = np.stack(segments)                                  # (S, N, D)
-        lgps = []
-        for k in range(self.cfg.paths):
-            lgps.append(np.stack([self.path_lgp(k, seg) for seg in batch]))
-        logits = self.fc.forward(self.embed_batch(lgps, training=False))
+        segments = np.stack(segment_ufm(feats, UfmConfig(self.cfg.input_length)))  # (S, N, D)
+        logits = self.fc.forward(self.embed(segments, False, range(self.cfg.paths)))
         scores = logits[:, BONA_FIDE] - logits[:, SPOOF]
         return float(scores.mean())
 

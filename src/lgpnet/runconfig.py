@@ -79,6 +79,8 @@ class RunConfig:
             raise ValueError("paths must be 1 or 2")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.step1_epochs < 0 or self.step2_epochs < 0:
+            raise ValueError("step1_epochs and step2_epochs must be >= 0")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

@@ -2,6 +2,12 @@
 two-path models (pretrain each path under a temporary classifier, then
 freeze the paths and fit only the fusion head).
 
+The only input training keeps is raw feature segments, shared by every
+path: the training set fixed to N frames, (n, N, D), and each dev
+utterance's UFM segments, (S, N, D).  ``SpoofModel.embed`` derives each
+path's LGP maps from a minibatch, or from one dev utterance, inside the
+forward pass and drops them, so no LGP map outlives its batch.
+
 Everything is deterministic given the config seed: weight init, epoch
 shuffles, and batch reductions all flow from seeded generators, so two
 runs with the same inputs produce bit-identical parameters.
@@ -14,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TrainingDivergedError
+from .errors import NonFiniteMapError, TrainingDivergedError
 from .evaluation import eer_from_scores, read_protocol
 from .frontend import fix_length, load_features
 from .model import BONA_FIDE, LABEL_NAMES, SpoofModel, UfmConfig, segment_ufm
@@ -36,6 +42,8 @@ class TrainConfig:
             raise ValueError("batch size and epochs must be >= 1")
         if self.lr <= 0.0:
             raise ValueError("learning rate must be positive")
+        if min(self.step1_epochs or 0, self.step2_epochs or 0) < 0:
+            raise ValueError("step1_epochs and step2_epochs must be >= 0")
 
 
 @dataclass
@@ -105,71 +113,57 @@ def paths_state(paths) -> list[np.ndarray]:
 # -- internals ----------------------------------------------------------------
 
 
-def _finite_or_raise(arr: np.ndarray, utt_id: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise TrainingDivergedError(f"non-finite feature map for utterance {utt_id!r}")
-    return arr
+def _segments(model: SpoofModel, cfg: TrainConfig, data: LabeledDataset, dev):
+    """The raw inputs every path shares: the training set fixed to N frames,
+    (n, N, D), and, with a dev set, each dev utterance's UFM segments (S, N, D)."""
+    n = model.cfg.input_length
+    if cfg.target_length != n:
+        raise ValueError("config target length does not match the model input length")
+    train_x = np.stack([fix_length(utt.features, n) for utt in data.items])
+    if dev is None:
+        return train_x, None
+    return train_x, [np.stack(segment_ufm(utt.features, UfmConfig(n))) for utt in dev.items]
 
 
-def _precompute_train_lgp(model: SpoofModel, data: LabeledDataset, path_ids):
-    n = len(data)
-    cfg = model.cfg
-    out = []
-    for k in path_ids:
-        stack = np.empty((n, cfg.gmm_order, cfg.input_length))
-        for i, utt in enumerate(data.items):
-            stack[i] = _finite_or_raise(
-                model.path_lgp(k, fix_length(utt.features, cfg.input_length)), utt.utt_id
-            )
-        out.append(stack)
-    return out
+def _embed(model: SpoofModel, path_ids, x: np.ndarray, training: bool, ids) -> np.ndarray:
+    """Head input of the rows ``x``: raw segments the paths ``path_ids``
+    embed or, with no paths, embeddings already.  ``ids[i]`` is the
+    utterance of row ``i``, named when its LGP map is not finite."""
+    if not path_ids:
+        return x
+    try:
+        return model.embed(x, training, path_ids)
+    except NonFiniteMapError as exc:
+        raise TrainingDivergedError(
+            f"non-finite feature map for utterance {ids[exc.row]!r}") from None
 
 
-def _precompute_dev_lgp(model: SpoofModel, dev: LabeledDataset, path_ids):
-    """Per-utterance UFM segment LGP maps: list over utts of list over paths of (S, M, N)."""
-    ufm = UfmConfig(model.cfg.input_length)
-    cached = []
-    for utt in dev.items:
-        segments = segment_ufm(utt.features, ufm)
-        per_path = [
-            _finite_or_raise(np.stack([model.path_lgp(k, seg) for seg in segments]), utt.utt_id)
-            for k in path_ids
-        ]
-        cached.append(per_path)
-    return cached
+def _dev_eer(model, path_ids, head, dev_x, dev: LabeledDataset) -> float:
+    scores = np.empty(len(dev_x))
+    for i, (x, utt) in enumerate(zip(dev_x, dev.items)):
+        logits = head.forward(_embed(model, path_ids, x, False, [utt.utt_id] * len(x)))
+        scores[i] = (logits[:, 0] - logits[:, 1]).mean()
+    labels = dev.labels()
+    return eer_from_scores(scores[labels == BONA_FIDE], scores[labels != BONA_FIDE])[0]
 
 
-def _embed(paths, inputs, training: bool) -> np.ndarray:
-    """Head input: the concatenated path embeddings of ``inputs``; with no
-    paths the inputs are embeddings already."""
-    if paths:
-        inputs = [path.forward(x, training) for path, x in zip(paths, inputs)]
-    return np.concatenate(inputs, axis=1)
+def _fit(model: SpoofModel, path_ids, head, train_x, data: LabeledDataset, dev_x, dev,
+         cfg: TrainConfig, epochs: int, seed_tag: int, on_epoch) -> TrainResult:
+    """Shared minibatch loop; the head and the paths ``path_ids`` of ``model``
+    are the trainable state.
 
-
-def _dev_eer(paths, head, dev_inputs, dev_labels) -> float:
-    scores = np.empty(len(dev_inputs))
-    for i, per_path in enumerate(dev_inputs):
-        logits = head.forward(_embed(paths, per_path, training=False))
-        seg_scores = logits[:, 0] - logits[:, 1]
-        scores[i] = seg_scores.mean()
-    bona = scores[dev_labels == BONA_FIDE]
-    spoof = scores[dev_labels != BONA_FIDE]
-    return eer_from_scores(bona, spoof)[0]
-
-
-def _fit(paths, head, train_inputs, labels, cfg: TrainConfig, epochs: int,
-         dev_inputs=None, dev_labels=None, seed_tag: int = 0, on_epoch=None) -> TrainResult:
-    """Shared minibatch loop; the head and ``paths`` are the trainable state.
-
-    ``train_inputs`` holds one (n, ...) stack per input: the LGP maps each
-    path embeds or, with no paths, fixed embeddings the head is fitted on
-    (step 2 of the two-step scheme).  With a dev set, the state of the best
-    dev-EER epoch is copied back in place at the end.
+    ``train_x`` has one row per training utterance and ``dev_x`` one stack
+    per dev utterance: raw segments the paths embed or, with no paths, fixed
+    embeddings the head is fitted on (step 2 of the two-step scheme).  With
+    a dev set, the state of the best dev-EER epoch is copied back in place
+    at the end.
     """
+    paths = [model.paths[k] for k in path_ids]
     modules = [head, *paths]
     params = [p for module in modules for p in module.parameters()]
     opt = Adam(params, lr=cfg.lr)
+    labels = data.labels()
+    ids = np.array([utt.utt_id for utt in data.items], dtype=object)
     n = labels.shape[0]
 
     result = TrainResult(loss_trace=[])
@@ -180,7 +174,7 @@ def _fit(paths, head, train_inputs, labels, cfg: TrainConfig, epochs: int,
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            logits = head.forward(_embed(paths, [x[idx] for x in train_inputs], training=True))
+            logits = head.forward(_embed(model, path_ids, train_x[idx], True, ids[idx]))
             loss, grad_logits = softmax_cross_entropy(logits, labels[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
@@ -199,8 +193,8 @@ def _fit(paths, head, train_inputs, labels, cfg: TrainConfig, epochs: int,
             if not np.isfinite(p.data).all():
                 raise TrainingDivergedError(f"non-finite parameters after epoch {epoch}")
 
-        if dev_inputs is not None:
-            eer = _dev_eer(paths, head, dev_inputs, dev_labels)
+        if dev_x is not None:
+            eer = _dev_eer(model, path_ids, head, dev_x, dev)
             result.dev_eer_trace.append(eer)
             if best is None or eer < best[0]:
                 best = (eer, epoch, paths_state(modules))
@@ -227,15 +221,9 @@ def train_one_path(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
     """
     if model.cfg.paths != 1:
         raise ValueError("train_one_path expects a one-path model")
-    if cfg.target_length != model.cfg.input_length:
-        raise ValueError("config target length does not match the model input length")
-    train_lgp = _precompute_train_lgp(model, data, [0])
-    dev_lgp = dev_labels = None
-    if dev is not None:
-        dev_lgp = _precompute_dev_lgp(model, dev, [0])
-        dev_labels = dev.labels()
-    return _fit(model.paths, model.fc, train_lgp, data.labels(), cfg, cfg.epochs,
-                dev_lgp, dev_labels, seed_tag=0, on_epoch=on_epoch)
+    train_x, dev_x = _segments(model, cfg, data, dev)
+    return _fit(model, [0], model.fc, train_x, data, dev_x, dev, cfg, cfg.epochs,
+                0, on_epoch)
 
 
 def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
@@ -248,29 +236,19 @@ def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
     parameter (batch statistics included, so the paths are bit-identical
     afterwards), and trains only the shared head on the concatenated
     embeddings; the frozen paths run with their step-1 running statistics.
+    Both steps read the same raw segments; step 2 embeds them once, in
+    chunks of ``batch_size``.
     """
     if model.cfg.paths != 2:
         raise ValueError("train_two_step expects a two-path model")
-    if cfg.target_length != model.cfg.input_length:
-        raise ValueError("config target length does not match the model input length")
-    ch = model.cfg.channels
-    labels = data.labels()
-    step1_epochs = cfg.step1_epochs or cfg.epochs
-    step2_epochs = cfg.step2_epochs or cfg.epochs
-
-    train_lgp = _precompute_train_lgp(model, data, range(model.cfg.paths))
-    dev_lgp = dev_labels = None
-    if dev is not None:
-        dev_lgp = _precompute_dev_lgp(model, dev, range(model.cfg.paths))
-        dev_labels = dev.labels()
+    train_x, dev_x = _segments(model, cfg, data, dev)
 
     step1_results: list[TrainResult] = []
     path_dev_eers: list[float] = []
-    for k, path in enumerate(model.paths):
-        temp_head = Linear(ch, 2, init="zero")
-        dev_k = [[per_path[k]] for per_path in dev_lgp] if dev_lgp is not None else None
-        res = _fit([path], temp_head, [train_lgp[k]], labels, cfg, step1_epochs,
-                   dev_k, dev_labels, seed_tag=1 + k, on_epoch=on_epoch)
+    for k in range(model.cfg.paths):
+        temp_head = Linear(model.cfg.channels, 2, init="zero")
+        res = _fit(model, [k], temp_head, train_x, data, dev_x, dev, cfg,
+                   cfg.step1_epochs or cfg.epochs, 1 + k, on_epoch)
         step1_results.append(res)
         if res.dev_eer_trace:
             path_dev_eers.append(min(res.dev_eer_trace))
@@ -278,15 +256,14 @@ def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
     frozen_state = paths_state(model.paths)
 
     # Step 2: the frozen paths give fixed embeddings; fit only the head on them.
-    train_embs = _embed(model.paths, train_lgp, training=False)
-    dev_embs = None
-    if dev_lgp is not None:
-        dev_embs = [[_embed(model.paths, per_path, training=False)] for per_path in dev_lgp]
-    step2 = _fit([], model.fc, [train_embs], labels, cfg, step2_epochs,
-                 dev_embs, dev_labels, seed_tag=100, on_epoch=on_epoch)
+    every = range(model.cfg.paths)
+    train_embs = np.concatenate([model.embed(train_x[start : start + cfg.batch_size], False, every)
+                                 for start in range(0, len(data), cfg.batch_size)])
+    dev_embs = None if dev_x is None else [model.embed(x, False, every) for x in dev_x]
+    step2 = _fit(model, [], model.fc, train_embs, data, dev_embs, dev, cfg,
+                 cfg.step2_epochs or cfg.epochs, 100, on_epoch)
 
-    dev_eer = (_dev_eer([], model.fc, dev_embs, dev_labels)
-               if dev_embs is not None else float("nan"))
+    dev_eer = _dev_eer(model, [], model.fc, dev_embs, dev) if dev is not None else float("nan")
     return TwoStepResult(step1=step1_results, step2=step2,
                          path_dev_eers=path_dev_eers, dev_eer=dev_eer,
                          frozen_state=frozen_state)

@@ -199,6 +199,28 @@ class TestRunConfig:
                 RunConfig.from_file(path)
 
 
+class TestTrainConfigChecks:
+    """A run config the model or the schedule cannot honour stops ``train``
+    before anything is written."""
+
+    @pytest.mark.parametrize("line,message", [
+        ("segment_length = 33", "input length must be even"),
+        ("step1_epochs = -3", "step1_epochs and step2_epochs must be >= 0"),
+        ("step2_epochs = -1", "step1_epochs and step2_epochs must be >= 0"),
+    ])
+    def test_train_exits_3_without_model(self, score_fixture, capsys, line, message):
+        cfg = score_fixture / "run.cfg"
+        cfg.write_text(f"gmm_order = 4\nchannels = 8\nblocks = 1\n{line}\n")
+        code = run("train", "--config", cfg, "--features", score_fixture / "feats",
+                   "--protocol", score_fixture / "eval.txt", "--gmm", score_fixture / "m.gmm",
+                   "--stats", score_fixture / "m.stats", "--out", score_fixture / "ckpt")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert not (score_fixture / "ckpt" / "model.lgpn").exists()
+
+
 class TestTdcfConfig:
     def test_duplicate_key_exits_3(self, perfect_fixture, tmp_path, capsys):
         scores, proto = perfect_fixture
@@ -274,6 +296,19 @@ class TestWorkers:
                 "--workers", workers, "--out", tmp_path / f"w{workers}.eval",
             ) == 0
         assert (tmp_path / "w1.eval").read_bytes() == (tmp_path / "w2.eval").read_bytes()
+
+
+    @pytest.mark.parametrize("command", [
+        ["extract-lfcc", "--wav-dir", "w", "--out-dir", "o"],
+        ["extract-lgp", "--gmm", "g", "--stats", "s", "--in", "i", "--out", "o"],
+        ["score", "--model", "m", "--features", "f", "--protocol", "p", "--gmm", "g",
+         "--stats", "s", "--out", "o"],
+        ["score-gmm", "--gmm", "g", "--gmm2", "h", "--features", "f", "--protocol", "p",
+         "--out", "o"],
+    ], ids=lambda argv: argv[0])
+    def test_fewer_than_one_worker_is_a_usage_error(self, command, capsys):
+        assert run(*command, "--workers", "0") == 2
+        assert "--workers: must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestOutDirOverride:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgpnet.errors import FormatError
+from lgpnet.errors import FormatError, NonFiniteMapError
 from lgpnet.gmm import Gmm
 from lgpnet.lgp import fit_norm_stats
 from lgpnet.model import (
@@ -115,9 +115,20 @@ class TestForwardModel:
         for p_dst, p_src in zip(model.paths[1].parameters(), model.paths[0].parameters()):
             p_dst.data[...] = p_src.data
         feats = rng.normal(size=(32, 4))
-        lgps = [model.path_lgp(k, feats)[None] for k in range(2)]
-        emb = model.embed_batch(lgps, training=False)[0]
+        emb = model.embed(feats[None], False, range(2))[0]
         assert np.array_equal(emb[:16], emb[16:])
+
+    @pytest.mark.parametrize("length", [0, 1, 33])
+    def test_odd_or_short_input_length_rejected(self, length):
+        with pytest.raises(ValueError, match="even and >= 2"):
+            ClassifierConfig(gmm_order=8, input_length=length)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_lgp_map_refused_with_its_segment(self, desk_model, rng):
+        feats = rng.normal(size=(70, 4))
+        feats[40, 0] = 1e300        # frame 40 lies in the segments at 16 and 32
+        with pytest.raises(NonFiniteMapError, match="path 0 .batch row 1."):
+            desk_model.score_utterance(feats)
 
     def test_score_negates_when_head_rows_swap(self, desk_model, rng):
         desk_model.fc.weight.data[:] = rng.normal(size=(2, 16))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,17 @@ class TestOnePath:
         with pytest.raises(TrainingDivergedError, match="train_b0"):
             train_one_path(model, poisoned, cfg)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_dev_input_names_the_dev_utterance(self, rng):
+        model = build_one_path(rng)
+        data = separable_dataset(rng, n_per_class=2)
+        dev = separable_dataset(rng, n_per_class=2, partition="dev")
+        dev.items[1].features[3, 1] = 1e300
+        cfg = TrainConfig(batch_size=4, epochs=1, lr=1e-3, seed=0, target_length=8)
+        with pytest.raises(TrainingDivergedError,
+                           match="^non-finite feature map for utterance 'dev_s0'$"):
+            train_one_path(model, data, cfg, dev)
+
     def test_non_finite_loss_aborts(self, rng, monkeypatch):
         # Divergence mid-training: force the loss itself to go non-finite.
         from lgpnet import training as training_mod
@@ -157,6 +170,11 @@ class TestOnePath:
         data = separable_dataset(rng, n_per_class=2)
         with pytest.raises(ValueError):
             train_one_path(model, data, TrainConfig(target_length=8))
+
+    @pytest.mark.parametrize("budget", ["step1_epochs", "step2_epochs"])
+    def test_negative_step_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="step"):
+            TrainConfig(target_length=8, **{budget: -3})
 
     def test_length_mismatch_rejected(self, rng):
         model = build_one_path(rng)
@@ -224,6 +242,33 @@ class TestTwoStep:
             path_params = model.paths[k].parameters()
             assert [id(p) for p in opt.params[-len(path_params):]] == [id(p) for p in path_params]
         assert [id(p) for p in optimizers[2].params] == [id(p) for p in model.fc.parameters()]
+
+    def test_dev_run_keeps_no_lgp_stack(self):
+        """Both steps with a dev set stay below the size of one float64
+        (n, M, N) LGP stack: paths derive their maps per minibatch."""
+        n, order, length = 512, 256, 64
+        rng = np.random.default_rng(0)
+        gmms = [make_gmm(seed, order=order) for seed in (1, 2)]
+        frames = rng.normal(scale=2.0, size=(2000, 2))
+        stats = [fit_norm_stats(g, frames, "fast") for g in gmms]
+        cfg = ClassifierConfig(gmm_order=order, channels=8, blocks=1, input_length=length,
+                               paths=2)
+        model = SpoofModel(cfg, gmms, stats, seed=0)
+
+        def dataset(partition, count):
+            items = [LabeledUtterance(f"{partition}{i}", rng.normal(size=(40 + i % 100, 2)), i % 2)
+                     for i in range(count)]
+            return LabeledDataset(items, partition)
+
+        data, dev = dataset("train", n), dataset("dev", 64)
+        train_cfg = TrainConfig(batch_size=16, epochs=1, lr=1e-3, seed=0, target_length=length)
+        tracemalloc.start()
+        try:
+            train_two_step(model, data, train_cfg, dev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * order * length * 8
 
     def test_step_budget_split_configurable(self, rng):
         model = build_two_path(rng, seed=3)
