@@ -28,7 +28,7 @@ from .evaluation import (
     read_trials,
     write_scores,
 )
-from .frontend import LfccConfig, extract_lfcc, load_features, read_wav, store_features
+from .frontend import extract_lfcc, load_features, read_wav, store_features
 from .gmm import EmConfig, Gmm, llr_score, train_em
 from .lgp import LgpNormStats, extract_lgp, fit_norm_stats
 from .model import ClassifierConfig, SpoofModel
@@ -96,7 +96,6 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_extract_lfcc(args) -> int:
-    cfg = LfccConfig(include_deltas=not args.no_deltas)
     wav_dir = Path(args.wav_dir)
     out_dir = _out_path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -105,7 +104,7 @@ def _cmd_extract_lfcc(args) -> int:
         raise FileNotFoundError(f"{wav_dir}: no .wav files found")
 
     def one(path: Path):
-        feats = extract_lfcc(read_wav(path), cfg)
+        feats = extract_lfcc(read_wav(path), include_deltas=not args.no_deltas)
         store_features(out_dir / (path.stem + ".lgpf"), feats)
 
     _map_workers(args.workers, one, wavs)
@@ -181,7 +180,7 @@ def _cmd_train(args) -> int:
     train_cfg = TrainConfig(
         batch_size=run.batch_size, epochs=run.epochs, lr=run.lr, seed=run.seed,
         target_length=run.segment_length,
-        step1_epochs=run.step1_epochs or None, step2_epochs=run.step2_epochs or None,
+        step1_epochs=run.step1_epochs, step2_epochs=run.step2_epochs,
     )
     data = load_dataset(args.protocol, args.features, "train")
     dev = load_dataset(args.dev_protocol, args.features, "dev") if args.dev_protocol else None

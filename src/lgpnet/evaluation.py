@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ProtocolError
+from .nn import sigmoid
 
 LABELS = ("bonafide", "spoof")
 
@@ -125,133 +126,71 @@ def min_tdcf_from_scores(bona: np.ndarray, spoof: np.ndarray,
 @dataclass
 class FusionResult:
     weights: np.ndarray
-    bias: float
     dev_eer: float
     fused_eval: dict[str, float]
 
 
-_GRID_STEP = 0.01        # simplex grid spacing of the fusion weight search
-_REFINE_SWEEPS = 2       # passes over all coordinate pairs
-_GOLDEN_ITERS = 24       # golden-section steps per line search
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_RIDGE = 1e-6            # L2 penalty of the fusion's logistic regression
+_NEWTON_STEPS = 50       # fixed, so the fit is deterministic
 
 
 def fuse_scores(dev_systems: Sequence[Mapping[str, float]],
                 dev_labels: Mapping[str, str],
                 eval_systems: Sequence[Mapping[str, float]] | None = None) -> FusionResult:
-    """Pick convex weights minimizing dev EER; apply them to eval scores.
+    """Fit linear logistic-regression fusion weights on dev; apply them to eval.
 
     All subsystems must cover identical trial ids on each partition.  The
-    search walks the weight simplex at ``_GRID_STEP``, then locally refines
-    the best vertex with pairwise golden-section line searches.  Ties are
-    broken toward equal weights, then lexicographically, so the result is
-    deterministic even when the dev fit is degenerate.  The additive bias
-    of the linear fusion cannot move the EER, so it is fixed at 0.
+    weights and a bias are fitted by Newton's method on the mean log-loss of
+    the dev labels (bona fide = 1), with a small ridge, starting from zero
+    for a fixed number of steps (Brümmer & du Preez, Computer Speech &
+    Language 2006).  The bias cannot move EER or min t-DCF, so it is
+    dropped, and the weights are scaled to unit L1 norm; they may be
+    negative.  If every fitted weight is 0, as for all-zero dev scores,
+    the weights are equal.
     """
     if not dev_systems:
         raise ValueError("need at least one subsystem")
-    ids = sorted(dev_systems[0])
-    for k, system in enumerate(dev_systems):
-        if sorted(system) != ids:
-            raise ValueError(f"dev subsystem {k} covers different trial ids")
+    ids, scores = _score_matrix(dev_systems, "dev")
     missing = [u for u in ids if u not in dev_labels]
     if missing:
         raise ValueError(f"no label for trial {missing[0]!r}")
-
-    scores = np.array([[system[u] for u in ids] for system in dev_systems])  # (K, n)
     is_bona = np.array([dev_labels[u] == "bonafide" for u in ids])
 
-    def dev_eer(weights: np.ndarray) -> float:
-        fused = weights @ scores
-        return eer_from_scores(fused[is_bona], fused[~is_bona])[0]
-
-    k = len(dev_systems)
-    uniform = np.full(k, 1.0 / k)
-    best_w, best_key = None, None
-    for w in _simplex_grid(k, int(round(1.0 / _GRID_STEP))):
-        w = np.asarray(w, dtype=np.float64)
-        key = (dev_eer(w), float(((w - uniform) ** 2).sum()), tuple(w))
-        if best_key is None or key < best_key:
-            best_w, best_key = w, key
-
-    best_w, best_eer = _refine_pairwise(best_w, best_key[0], dev_eer)
+    # Each system enters the fit divided by its largest magnitude, so no
+    # square overflows and the ridge does not depend on a system's units.
+    k, n = scores.shape
+    scale = np.abs(scores).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    x = np.vstack([scores / scale[:, None], np.ones(n)])      # (K+1, n)
+    w = np.zeros(k + 1)
+    for _ in range(_NEWTON_STEPS):
+        p = sigmoid(w @ x)
+        grad = x @ (p - is_bona) / n + _RIDGE * w
+        hess = (x * (p * (1.0 - p))) @ x.T / n + _RIDGE * np.eye(k + 1)
+        w -= np.linalg.solve(hess, grad)
+    weights = w[:k] / scale
+    norm = np.abs(weights).sum()
+    weights = weights / norm if norm > 0.0 else np.full(k, 1.0 / k)
+    fused = weights @ scores
+    dev_eer = eer_from_scores(fused[is_bona], fused[~is_bona])[0]
 
     fused_eval: dict[str, float] = {}
     if eval_systems:
-        if len(eval_systems) != k:
+        if len(eval_systems) != len(dev_systems):
             raise ValueError("dev and eval subsystem counts differ")
-        eval_ids = sorted(eval_systems[0])
-        for j, system in enumerate(eval_systems):
-            if sorted(system) != eval_ids:
-                raise ValueError(f"eval subsystem {j} covers different trial ids")
-        eval_scores = np.array([[system[u] for u in eval_ids] for system in eval_systems])
-        fused = best_w @ eval_scores
-        fused_eval = dict(zip(eval_ids, fused.tolist()))
+        eval_ids, eval_scores = _score_matrix(eval_systems, "eval")
+        fused_eval = dict(zip(eval_ids, (weights @ eval_scores).tolist()))
 
-    return FusionResult(weights=best_w, bias=0.0, dev_eer=best_eer, fused_eval=fused_eval)
+    return FusionResult(weights=weights, dev_eer=dev_eer, fused_eval=fused_eval)
 
 
-def _simplex_grid(k: int, steps: int):
-    """Integer compositions of ``steps`` into ``k`` parts, scaled to sum 1."""
-    if k == 1:
-        yield (1.0,)
-        return
-    for composition in _compositions(steps, k):
-        yield tuple(c / steps for c in composition)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _refine_pairwise(w: np.ndarray, eer: float, objective):
-    """Golden-section line searches between coordinate pairs around the grid optimum."""
-    w = w.copy()
-    k = w.shape[0]
-    for _ in range(_REFINE_SWEEPS):
-        improved = False
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                lo = -min(_GRID_STEP, float(w[j]))
-                hi = min(_GRID_STEP, float(w[i]))
-                if hi - lo <= 1e-12:
-                    continue
-                direction = np.zeros(k)
-                direction[i] = -1.0
-                direction[j] = 1.0
-                t, val = _golden_section(lambda t: objective(w + t * direction), lo, hi)
-                if val < eer:
-                    w = w + t * direction
-                    eer = val
-                    improved = True
-        if not improved:
-            break
-    return w, eer
-
-
-def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_GOLDEN_ITERS):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    t = c if fc <= fd else d
-    return t, min(fc, fd)
+def _score_matrix(systems: Sequence[Mapping[str, float]], part: str):
+    """Sorted trial ids and the (K, n) score matrix; every system must cover the same ids."""
+    ids = sorted(systems[0])
+    for k, system in enumerate(systems):
+        if sorted(system) != ids:
+            raise ValueError(f"{part} subsystem {k} covers different trial ids")
+    return ids, np.array([[system[u] for u in ids] for system in systems])
 
 
 # -- text formats -------------------------------------------------------------

@@ -28,6 +28,16 @@ FEATURE_VERSION = 1
 
 _LOG_FLOOR = 1e-20
 
+# LFCC settings of the common anti-spoofing baseline: 20 ms Hamming windows
+# with a 10 ms hop, a 512-point FFT, 20 linear triangular filters, 20
+# cepstra, and delta streams over +/- 2 frames.
+LFCC_WINDOW_MS = 20.0
+LFCC_HOP_MS = 10.0
+LFCC_N_FFT = 512
+LFCC_FILTERS = 20
+LFCC_COEFFS = 20
+LFCC_DELTA_WINDOW = 2
+
 
 @dataclass
 class Waveform:
@@ -53,33 +63,6 @@ def read_wav(path) -> Waveform:
         rate = fh.getframerate()
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples=samples, sample_rate=rate)
-
-
-@dataclass
-class LfccConfig:
-    """Linear-frequency cepstral extraction settings.
-
-    Defaults follow the common anti-spoofing baseline convention: 20 ms
-    Hamming windows with 10 ms hop, a 512-point FFT, 20 triangular filters
-    on a linear frequency axis, 20 cepstra, and appended delta and
-    delta-delta streams (60 dims total).
-    """
-
-    window_ms: float = 20.0
-    hop_ms: float = 10.0
-    n_fft: int = 512
-    n_filters: int = 20
-    n_coeffs: int = 20
-    include_deltas: bool = True
-    delta_window: int = 2
-
-    def __post_init__(self):
-        if self.hop_ms > self.window_ms:
-            raise ValueError("hop must not exceed the window length")
-        if self.n_coeffs > self.n_filters:
-            raise ValueError("coefficient count must not exceed filter count")
-        if self.delta_window < 1:
-            raise ValueError("delta window must be >= 1")
 
 
 def linear_filterbank(n_filters: int, n_fft: int, sample_rate: float) -> np.ndarray:
@@ -122,20 +105,19 @@ def _deltas(feats: np.ndarray, window: int) -> np.ndarray:
     return out / denom
 
 
-def extract_lfcc(wav: Waveform, cfg: LfccConfig | None = None) -> np.ndarray:
-    """LFCC feature matrix (T, D); D = n_coeffs, or 3x that with deltas.
+def extract_lfcc(wav: Waveform, include_deltas: bool = True) -> np.ndarray:
+    """LFCC feature matrix (T, D); D = LFCC_COEFFS, or 3x that with deltas.
 
     Pipeline: Hamming-windowed power spectrum -> linear triangular
-    filterbank -> log -> orthonormal DCT-II -> first ``n_coeffs`` terms,
+    filterbank -> log -> orthonormal DCT-II -> first ``LFCC_COEFFS`` terms,
     with optional delta and delta-delta streams appended.
     """
-    cfg = cfg or LfccConfig()
-    win = int(round(cfg.window_ms * wav.sample_rate / 1000.0))
-    hop = int(round(cfg.hop_ms * wav.sample_rate / 1000.0))
+    win = int(round(LFCC_WINDOW_MS * wav.sample_rate / 1000.0))
+    hop = int(round(LFCC_HOP_MS * wav.sample_rate / 1000.0))
     if win < 1 or hop < 1:
         raise ValueError("window/hop too short for this sample rate")
-    if cfg.n_fft < win:
-        raise ValueError(f"FFT size {cfg.n_fft} shorter than the {win}-sample window")
+    if LFCC_N_FFT < win:
+        raise ValueError(f"FFT size {LFCC_N_FFT} shorter than the {win}-sample window")
     n = wav.samples.shape[0]
     if n < win:
         raise ValueError(f"waveform has {n} samples, needs at least one {win}-sample window")
@@ -144,17 +126,17 @@ def extract_lfcc(wav: Waveform, cfg: LfccConfig | None = None) -> np.ndarray:
     window = np.hamming(win)
     idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = wav.samples[idx] * window[None, :]
-    spectrum = np.abs(np.fft.rfft(frames, n=cfg.n_fft, axis=1)) ** 2
+    spectrum = np.abs(np.fft.rfft(frames, n=LFCC_N_FFT, axis=1)) ** 2
 
-    fbank = linear_filterbank(cfg.n_filters, cfg.n_fft, wav.sample_rate)
+    fbank = linear_filterbank(LFCC_FILTERS, LFCC_N_FFT, wav.sample_rate)
     energies = np.log(np.maximum(spectrum @ fbank.T, _LOG_FLOOR))
-    dct = _dct2_orthonormal(cfg.n_filters)[: cfg.n_coeffs]
+    dct = _dct2_orthonormal(LFCC_FILTERS)[:LFCC_COEFFS]
     ceps = energies @ dct.T
 
-    if not cfg.include_deltas:
+    if not include_deltas:
         return ceps
-    d1 = _deltas(ceps, cfg.delta_window)
-    d2 = _deltas(d1, cfg.delta_window)
+    d1 = _deltas(ceps, LFCC_DELTA_WINDOW)
+    d2 = _deltas(d1, LFCC_DELTA_WINDOW)
     return np.concatenate([ceps, d1, d2], axis=1)
 
 

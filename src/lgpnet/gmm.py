@@ -47,6 +47,8 @@ class Gmm:
             raise ValueError("means and variances must both be (M, D)")
         if weights.shape != (means.shape[0],):
             raise ValueError("weights must be (M,)")
+        if not all(np.isfinite(a).all() for a in (weights, means, variances)):
+            raise ValueError("GMM weights, means and variances must be finite")
         if np.any(weights < 0.0):
             raise ValueError("weights must be non-negative")
         if abs(weights.sum() - 1.0) > 1e-10:

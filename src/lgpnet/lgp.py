@@ -39,6 +39,8 @@ class LgpNormStats:
         self.std = np.asarray(self.std, dtype=np.float64)
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise ValueError("mean and std must be matching vectors")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):
+            raise ValueError("LGP stats mean and std must be finite")
         if np.any(self.std <= 0.0):
             raise ValueError("std must be strictly positive (floored)")
         if self.form not in _FORM_CODES:
@@ -60,9 +62,12 @@ class LgpNormStats:
         try:
             mean = tensors["lgp_mean"]
             std = tensors["lgp_std"]
-            code = float(tensors["form"][0])
+            form = tensors["form"]
         except KeyError as exc:
             raise ValueError(f"stats checkpoint is missing tensor {exc}") from exc
+        if form.shape != (1,):
+            raise ValueError(f"stats tensor 'form' has shape {form.shape}, expected (1,)")
+        code = float(form[0])
         for name, value in _FORM_CODES.items():
             if code == value:
                 return cls(mean, std, name)

@@ -34,15 +34,15 @@ class TrainConfig:
     lr: float = 1e-4
     seed: int = 0
     target_length: int = 400
-    step1_epochs: int | None = None    # two-step budgets; default: same as epochs
-    step2_epochs: int | None = None
+    step1_epochs: int = 0              # two-step budgets; 0 means epochs
+    step2_epochs: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch size and epochs must be >= 1")
         if self.lr <= 0.0:
             raise ValueError("learning rate must be positive")
-        if min(self.step1_epochs or 0, self.step2_epochs or 0) < 0:
+        if min(self.step1_epochs, self.step2_epochs) < 0:
             raise ValueError("step1_epochs and step2_epochs must be >= 0")
 
 

@@ -165,6 +165,48 @@ class TestNonFiniteFeatures:
         assert not (nan_fixture / "scores.eval").exists()
 
 
+def extract_lgp_with(root):
+    return run("extract-lgp", "--gmm", root / "m.gmm", "--stats", root / "m.stats",
+               "--in", root / "feats", "--out", root / "lgp")
+
+
+class TestBadModelFiles:
+    @staticmethod
+    def rewrite(path, name, value):
+        from lgpnet import tensorio
+
+        tensors = tensorio.load_tensors(path)
+        tensors[name] = value(tensors[name].copy())
+        tensorio.save_tensors(path, tensors)
+
+    @staticmethod
+    def nan_at_1(array):
+        array.flat[1] = np.nan
+        return array
+
+    @pytest.mark.parametrize("file, tensor, command, output", [
+        ("m.gmm", "means", score_gmm_with, "scores.eval"),
+        ("m.gmm", "means", extract_lgp_with, "lgp"),
+        ("m.stats", "lgp_mean", extract_lgp_with, "lgp"),
+    ], ids=["score-gmm-gmm", "extract-lgp-gmm", "extract-lgp-stats"])
+    def test_nan_entry_exits_3_without_output(self, score_fixture, capsys,
+                                              file, tensor, command, output):
+        self.rewrite(score_fixture / file, tensor, self.nan_at_1)
+        assert command(score_fixture) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err
+        assert "Traceback" not in err
+        assert not (score_fixture / output).exists()
+
+    def test_empty_stats_form_exits_3(self, score_fixture, capsys):
+        self.rewrite(score_fixture / "m.stats", "form", lambda form: form[:0])
+        assert extract_lgp_with(score_fixture) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'form' has shape (0,)" in err
+        assert "Traceback" not in err
+        assert not (score_fixture / "lgp").exists()
+
+
 class TestRunConfig:
     def test_defaults_round_trip(self, tmp_path):
         cfg = RunConfig()

@@ -185,8 +185,9 @@ class TestFusion:
         assert result.dev_eer <= min(eer_a, eer_b)
 
     def test_all_but_one_zero_weight_reproduces_survivor(self, rng):
-        # The second system is so harmful that (1, 0) is the unique optimum;
-        # the degenerate weight vector must reproduce the survivor exactly.
+        # The second system is the first scaled by -100, so every fused score
+        # is one multiple of the survivor's: the fusion must rank the trials
+        # exactly as the survivor does.
         ids = [f"u{i}" for i in range(30)]
         labels = {u: ("bonafide" if i % 2 else "spoof") for i, u in enumerate(ids)}
         good = {u: (3.0 if labels[u] == "bonafide" else -3.0) + float(rng.normal(0, 0.1))
@@ -195,9 +196,45 @@ class TestFusion:
         eval_good = {f"e{i}": float(rng.normal()) for i in range(10)}
         eval_harmful = {u: -100.0 * s for u, s in eval_good.items()}
         result = fuse_scores([good, harmful], labels, [eval_good, eval_harmful])
-        assert result.weights.tolist() == [1.0, 0.0]
+        assert np.isfinite(result.weights).all()
         assert result.dev_eer == _dev_eer_of(good, labels)
-        assert result.fused_eval == eval_good
+        fused = [result.fused_eval[u] for u in eval_good]
+        assert np.argsort(fused).tolist() == np.argsort(list(eval_good.values())).tolist()
+
+    def test_four_systems_beat_the_best_single_system(self, rng):
+        # Independent noise, different units, and one system oriented the
+        # wrong way round, which gets a negative weight.
+        ids = [f"u{i}" for i in range(2000)]
+        labels = {u: ("bonafide" if i % 2 else "spoof") for i, u in enumerate(ids)}
+        truth = np.array([1.0 if labels[u] == "bonafide" else -1.0 for u in ids])
+        systems = [dict(zip(ids, (unit * (gain * truth + rng.normal(size=truth.size))).tolist()))
+                   for gain, unit in ((1.0, 1.0), (0.8, 30.0), (0.6, 0.01), (0.5, -2.0))]
+        result = fuse_scores(systems, labels)
+        assert result.dev_eer <= min(_dev_eer_of(s, labels) for s in systems)
+        assert result.weights[3] < 0.0
+        assert np.abs(result.weights).sum() == pytest.approx(1.0)
+
+    def test_all_zero_dev_scores_give_equal_weights(self):
+        ids = [f"u{i}" for i in range(6)]
+        labels = {u: ("bonafide" if i % 2 else "spoof") for i, u in enumerate(ids)}
+        zeros = dict.fromkeys(ids, 0.0)
+        result = fuse_scores([zeros, dict(zeros)], labels, [{"e1": 1.0}, {"e1": 3.0}])
+        assert result.weights.tolist() == [0.5, 0.5]
+        assert result.fused_eval == {"e1": 2.0}
+        assert result.dev_eer == 0.5
+
+    def test_units_of_a_system_do_not_matter(self, rng):
+        # Fitted in raw units, squares of 1e200 overflow and the informative
+        # system ends up with weight 0.
+        ids = [f"u{i}" for i in range(40)]
+        labels = {u: ("bonafide" if i % 2 else "spoof") for i, u in enumerate(ids)}
+        a = {u: (1.0 if labels[u] == "bonafide" else -1.0) + float(rng.normal()) for u in ids}
+        b = {u: float(rng.normal()) for u in ids}
+        huge = {u: 1e200 * s for u, s in a.items()}
+        result = fuse_scores([huge, b], labels, [huge, b])
+        assert np.isfinite(result.weights).all()
+        assert np.isfinite(list(result.fused_eval.values())).all()
+        assert result.dev_eer == fuse_scores([a, b], labels).dev_eer
 
     def test_id_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -124,6 +124,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             Gmm(np.array([1.0]), np.zeros((1, 2)), np.array([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize("field", ["weights", "means", "variances"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, toy_gmm, field, bad):
+        params = {"weights": toy_gmm.weights.copy(), "means": toy_gmm.means.copy(),
+                  "variances": toy_gmm.variances.copy()}
+        params[field].flat[1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            Gmm(**params)
+
     def test_cache_consistent_with_parameters(self, toy_gmm):
         expected = -0.5 * (3 * LOG_2PI + np.log(toy_gmm.variances).sum(axis=1))
         assert np.allclose(toy_gmm.log_norm, expected, atol=1e-14)

@@ -111,6 +111,19 @@ class TestNormStats:
         assert np.allclose(loaded.mean, stats.mean, rtol=1e-6)
         assert np.allclose(loaded.std, stats.std, rtol=1e-6)
 
+    @pytest.mark.parametrize("field", ["mean", "std"])
+    def test_non_finite_stats_rejected(self, field):
+        values = {"mean": np.zeros(3), "std": np.ones(3)}
+        values[field][2] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            LgpNormStats(form="fast", **values)
+
+    @pytest.mark.parametrize("form", [np.zeros(0), np.ones(2), np.ones((1, 1))])
+    def test_misshapen_form_tensor_rejected(self, form):
+        tensors = {"lgp_mean": np.zeros(3), "lgp_std": np.ones(3), "form": form}
+        with pytest.raises(ValueError, match="'form' has shape"):
+            LgpNormStats.from_tensors(tensors)
+
 
 class TestExtract:
     def test_normalized_corpus_is_standardized(self, toy_gmm, rng):
