@@ -31,7 +31,7 @@ from .evaluation import (
 from .frontend import extract_lfcc, load_features, read_wav, store_features
 from .gmm import EmConfig, Gmm, llr_score, train_em
 from .lgp import LgpNormStats, extract_lgp, fit_norm_stats
-from .model import ClassifierConfig, SpoofModel
+from .model import ClassifierConfig, ScoringPlan, SpoofModel
 from .runconfig import RunConfig, read_flat_config
 from .synthcorpus import CorpusSpec, generate
 from .training import TrainConfig, load_dataset, train_one_path, train_two_step
@@ -211,13 +211,13 @@ def _cmd_train(args) -> int:
 def _cmd_score(args) -> int:
     tensors = tensorio.load_tensors(args.model)
     gmms, stats = _load_models(args, ClassifierConfig.from_tensors(tensors).paths)
-    model = SpoofModel.from_tensors(tensors, gmms, stats)
-    del tensors                        # the model holds its own float64 copies
+    plan = ScoringPlan.from_tensors(tensors, gmms, stats)
+    del tensors                        # the plan holds its own float64 weights
     labels = read_protocol(args.protocol)
     feat_dir = Path(args.features)
 
     def one(utt_id: str) -> float:
-        return model.score_utterance(load_features(feat_dir / f"{utt_id}.lgpf"))
+        return plan.score_utterance(load_features(feat_dir / f"{utt_id}.lgpf"))
 
     ids = list(labels)
     values = _map_workers(args.workers, one, ids)
@@ -271,7 +271,7 @@ def _cmd_fuse(args) -> int:
     weights = " ".join(f"{w:.4f}" for w in result.weights)
     print(f"weights {weights}")
     print(f"dev EER {result.dev_eer:.4f}")
-    if args.out and result.fused_eval:
+    if args.out:
         out = _out_path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         write_scores(out, result.fused_eval)
@@ -387,6 +387,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "fuse" and args.out and not args.eval:
+            parser.error("fuse --out writes the fused eval scores, so it needs --eval")
     except SystemExit as exc:          # argparse printed usage/help already
         return int(exc.code or 0)
     try:

@@ -16,6 +16,10 @@ The model's input is raw feature segments (B, N, D).  ``SpoofModel.embed``
 is the one map from them to the head input, for training and scoring alike:
 each path derives its LGP maps (B, M, N) from the segments under its own GMM
 inside the call, so no LGP map is kept between batches.
+
+``lgpnet score`` does not run these layers: ``ScoringPlan`` reads the same
+checkpoint into folded float64 weights and scores without caches, and
+``SpoofModel.score_utterance`` stays as its oracle.
 """
 
 from __future__ import annotations
@@ -23,12 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensorio
 from .errors import FormatError, NonFiniteMapError
 from .gmm import Gmm
 from .lgp import LgpNormStats, extract_lgp
-from .nn import BatchNorm1d, Conv1d, Linear, MaxOverTime, ReLU, SEBlock
+from .nn import BatchNorm1d, Conv1d, Linear, MaxOverTime, ReLU, SEBlock, sigmoid
 
 BONA_FIDE, SPOOF = 0, 1
 LABEL_NAMES = {"bonafide": BONA_FIDE, "spoof": SPOOF}
@@ -182,15 +187,7 @@ class SpoofModel:
 
     def __init__(self, cfg: ClassifierConfig, gmms: list[Gmm], stats: list[LgpNormStats],
                  seed: int = 0):
-        if len(gmms) != cfg.paths or len(stats) != cfg.paths:
-            raise ValueError(f"need {cfg.paths} GMM(s) and stats, got {len(gmms)}/{len(stats)}")
-        for g, s in zip(gmms, stats):
-            if g.order != cfg.gmm_order:
-                raise ValueError(f"GMM order {g.order} != configured {cfg.gmm_order}")
-            if s.order != g.order:
-                raise ValueError("stats do not match their GMM")
-            if s.form != cfg.lgp_form:
-                raise ValueError(f"stats use form {s.form!r}, config wants {cfg.lgp_form!r}")
+        _check_front_ends(cfg, gmms, stats)
         self.cfg = cfg
         self.gmms = list(gmms)
         self.stats = list(stats)
@@ -211,15 +208,9 @@ class SpoofModel:
         outlives the call.  A map that is not finite (overflow from finite
         features) raises NonFiniteMapError with its batch row.
         """
-        embs = []
-        for k in path_ids:
-            lgp = np.stack([extract_lgp(self.gmms[k], self.stats[k], seg) for seg in segments])
-            finite = np.isfinite(lgp).all(axis=(1, 2))
-            if not finite.all():
-                raise NonFiniteMapError(f"non-finite LGP map under path {k}",
-                                        int(np.argmin(finite)))
-            embs.append(self.paths[k].forward(lgp, training))
-        return np.concatenate(embs, axis=1)
+        return np.concatenate([
+            self.paths[k].forward(_lgp_maps(self.gmms[k], self.stats[k], segments, k), training)
+            for k in path_ids], axis=1)
 
     def forward_model(self, feats: np.ndarray) -> tuple[np.ndarray, float]:
         """Logits and detection score for one fixed-length feature matrix (N, D)."""
@@ -258,33 +249,189 @@ class SpoofModel:
     @classmethod
     def from_tensors(cls, tensors, gmms: list[Gmm], stats: list[LgpNormStats]) -> "SpoofModel":
         """Rebuild a model from checkpoint tensors plus the exact GMM/stats it
-        was trained with.  A missing, misshapen or unexpected tensor, or a
-        fingerprint mismatch, raises FormatError."""
-        cfg = ClassifierConfig.from_tensors(tensors)
-        _check_sizes(cfg, tensors)
+        was trained with; :func:`read_checkpoint` checks them first."""
+        cfg, params = read_checkpoint(tensors, gmms, stats)
         model = cls(cfg, gmms, stats, seed=0)
-        expected = model.to_tensors()
-        unexpected = [name for name in tensors if name not in expected]
-        if unexpected:
-            raise FormatError(f"checkpoint has unexpected tensor {unexpected[0]!r}")
-        for name, live in expected.items():
-            stored = tensors.get(name)
-            if stored is None:
-                raise FormatError(f"checkpoint is missing tensor {name!r}")
-            if stored.shape != live.shape:
-                raise FormatError(f"tensor {name!r} has shape {stored.shape}, expected {live.shape}")
-            if name.startswith("cfg."):
-                continue                  # already decoded into model.cfg
-            if name.endswith("_sha256"):
-                if not np.array_equal(stored, live):
-                    raise FormatError(f"{name!r} does not match the given GMM/stats file")
-            else:
-                live[...] = stored
+        live = model.to_tensors()
+        for name, stored in params.items():
+            live[name][...] = stored
         return model
 
     @classmethod
     def load(cls, path, gmms: list[Gmm], stats: list[LgpNormStats]) -> "SpoofModel":
         return cls.from_tensors(tensorio.load_tensors(path), gmms, stats)
+
+
+class ScoringPlan:
+    """Frozen float64 inference of a checkpoint: what ``lgpnet score`` runs.
+
+    Built straight from checkpoint tensors, so no layer and no random init
+    exists.  Every tensor is cast to float64 first, and then each eval-mode
+    batch norm is folded into the conv before it:
+
+        s = gamma / sqrt(running_var + eps),  W' = W s,  b' = (b - running_mean) s + beta
+
+    (cast before fold: ``running_var + eps`` in float32 moves scores by
+    ~1e-6 relative).  A segment batch then runs conv, in-place ReLU, the SE
+    gate and the in-place residual add, max over time and the head, and
+    keeps nothing.  Scoring writes no attribute, so ``--workers`` threads
+    share one plan.  ``SpoofModel.score_utterance`` is its float64 oracle.
+    """
+
+    def __init__(self, cfg: ClassifierConfig, gmms: list[Gmm], stats: list[LgpNormStats],
+                 params: dict[str, np.ndarray]):
+        """``params`` are checked parameter tensors by checkpoint name, as
+        :func:`read_checkpoint` returns them."""
+        self.cfg = cfg
+        self.gmms = list(gmms)
+        self.stats = list(stats)
+        t = {name: arr.astype(np.float64) for name, arr in params.items()}
+        self.paths = []
+        for k in range(cfg.paths):
+            blocks = []
+            for b in range(cfg.blocks):
+                name = f"path{k}.block{b}"
+                se = (tuple(t[f"{name}.se.{key}"] for key in ("w1", "b1", "w2", "b2"))
+                      if cfg.se_enabled else None)
+                blocks.append((_fold_bn(t, f"{name}.conv1", f"{name}.bn1"),
+                               _fold_bn(t, f"{name}.conv2", f"{name}.bn2"), se))
+            self.paths.append((_fold_bn(t, f"path{k}.stem.conv", f"path{k}.stem.bn"), blocks))
+        self.head = (t["fc.weight"], t["fc.bias"])
+
+    @classmethod
+    def from_tensors(cls, tensors, gmms: list[Gmm], stats: list[LgpNormStats]) -> "ScoringPlan":
+        cfg, params = read_checkpoint(tensors, gmms, stats)
+        return cls(cfg, gmms, stats, params)
+
+    def score_utterance(self, feats: np.ndarray) -> float:
+        """Mean detection score over all overlap segments of an utterance."""
+        segments = np.stack(segment_ufm(feats, UfmConfig(self.cfg.input_length)))  # (S, N, D)
+        emb = np.concatenate([self._embed(k, segments) for k in range(self.cfg.paths)], axis=1)
+        weight, bias = self.head
+        logits = emb @ weight.T + bias
+        return float((logits[:, BONA_FIDE] - logits[:, SPOOF]).mean())
+
+    def _embed(self, k: int, segments: np.ndarray) -> np.ndarray:
+        """(S, N, D) segments -> (S, channels) embeddings under path ``k``."""
+        (w, b), blocks = self.paths[k]
+        h = _conv3(_lgp_maps(self.gmms[k], self.stats[k], segments, k), w, b)
+        np.maximum(h, 0.0, out=h)
+        for (w1, b1), (w2, b2), se in blocks:
+            g = _conv3(h, w1, b1)
+            np.maximum(g, 0.0, out=g)
+            g = _conv3(g, w2, b2)
+            np.maximum(g, 0.0, out=g)
+            if se is not None:
+                g *= _se_gate(g, *se)[:, :, None]
+            h += g
+        return h.max(axis=2)
+
+
+def _fold_bn(t: dict[str, np.ndarray], conv: str, bn: str) -> tuple[np.ndarray, np.ndarray]:
+    """Weight and bias of conv ``conv`` followed by eval-mode batch norm ``bn``."""
+    s = t[f"{bn}.gamma"] / np.sqrt(t[f"{bn}.running_var"] + BatchNorm1d.EPSILON)
+    weight = t[f"{conv}.weight"] * s[:, None, None]
+    bias = (t[f"{conv}.bias"] - t[f"{bn}.running_mean"]) * s + t[f"{bn}.beta"]
+    return weight, bias
+
+
+def _conv3(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Kernel-3, padding-1 convolution of a (B, C_in, T) batch, as ``Conv1d.forward``."""
+    windows = sliding_window_view(np.pad(x, ((0, 0), (0, 0), (1, 1))), 3, axis=2)
+    out = np.einsum("bitk,oik->bot", windows, weight, optimize=True)
+    out += bias[None, :, None]
+    return out
+
+
+def _se_gate(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
+    """Per-channel squeeze-excitation scale (B, C) of a (B, C, T) batch, as ``SEBlock.forward``."""
+    inner = np.maximum(x.mean(axis=2) @ w1.T + b1, 0.0)
+    return sigmoid(inner @ w2.T + b2)
+
+
+def _lgp_maps(gmm: Gmm, stats: LgpNormStats, segments: np.ndarray, k: int) -> np.ndarray:
+    """Normalized LGP maps (B, M, N) of (B, N, D) segments; a map that is not
+    finite (overflow from finite features) raises NonFiniteMapError."""
+    lgp = np.stack([extract_lgp(gmm, stats, seg) for seg in segments])
+    finite = np.isfinite(lgp).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFiniteMapError(f"non-finite LGP map under path {k}", int(np.argmin(finite)))
+    return lgp
+
+
+def read_checkpoint(tensors, gmms: list[Gmm], stats: list[LgpNormStats]
+                    ) -> tuple[ClassifierConfig, dict[str, np.ndarray]]:
+    """The one check of checkpoint tensors, for ``SpoofModel`` and ``ScoringPlan``.
+
+    Decodes ``cfg.*`` and holds the sizes against the stored weights before
+    anything they size is allocated; checks the GMM/stats against the config
+    and the stored fingerprints; and requires every expected tensor and no
+    other, each at its shape, finite, with no negative running variance.
+    Returns the config and the parameter tensors by name (no ``cfg.*``
+    entries, no fingerprints).  A violation raises FormatError (ValueError
+    for GMM/stats that do not fit the config).
+    """
+    cfg = ClassifierConfig.from_tensors(tensors)
+    _check_sizes(cfg, tensors)
+    _check_front_ends(cfg, gmms, stats)
+    shapes = _tensor_shapes(cfg)
+    unexpected = [name for name in tensors if name not in shapes]
+    if unexpected:
+        raise FormatError(f"checkpoint has unexpected tensor {unexpected[0]!r}")
+    for name, shape in shapes.items():
+        if name not in tensors:
+            raise FormatError(f"checkpoint is missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise FormatError(f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
+    for k in range(cfg.paths):
+        for name, source in ((f"path{k}.gmm_sha256", gmms[k]), (f"path{k}.stats_sha256", stats[k])):
+            if not np.array_equal(tensors[name], _digest_tensor(source.fingerprint())):
+                raise FormatError(f"{name!r} does not match the given GMM/stats file")
+    params = {name: tensors[name] for name in shapes
+              if not name.startswith("cfg.") and not name.endswith("_sha256")}
+    for name, arr in params.items():
+        if not np.isfinite(arr).all():
+            raise FormatError(f"tensor {name!r} has a non-finite value")
+        if name.endswith(".running_var") and (arr < 0).any():
+            raise FormatError(f"tensor {name!r} has a negative variance")
+    return cfg, params
+
+
+def _tensor_shapes(cfg: ClassifierConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every checkpoint tensor of ``cfg``, in the order of
+    ``SpoofModel.to_tensors``."""
+    c = cfg.channels
+
+    def conv_bn(conv, bn, in_ch):
+        return {f"{conv}.weight": (c, in_ch, 3), f"{conv}.bias": (c,),
+                **{f"{bn}.{key}": (c,) for key in ("gamma", "beta", "running_mean", "running_var")}}
+
+    shapes = {f"cfg.{f.name}": (1,) for f in fields(cfg)}
+    for k in range(cfg.paths):
+        shapes.update(conv_bn(f"path{k}.stem.conv", f"path{k}.stem.bn", cfg.gmm_order))
+        for b in range(cfg.blocks):
+            block = f"path{k}.block{b}"
+            shapes.update(conv_bn(f"{block}.conv1", f"{block}.bn1", c))
+            shapes.update(conv_bn(f"{block}.conv2", f"{block}.bn2", c))
+            if cfg.se_enabled:
+                r = c // cfg.se_reduction
+                shapes.update({f"{block}.se.w1": (r, c), f"{block}.se.b1": (r,),
+                               f"{block}.se.w2": (c, r), f"{block}.se.b2": (c,)})
+        shapes[f"path{k}.gmm_sha256"] = shapes[f"path{k}.stats_sha256"] = (32,)
+    shapes.update({"fc.weight": (2, cfg.paths * c), "fc.bias": (2,)})
+    return shapes
+
+
+def _check_front_ends(cfg: ClassifierConfig, gmms: list[Gmm], stats: list[LgpNormStats]) -> None:
+    if len(gmms) != cfg.paths or len(stats) != cfg.paths:
+        raise ValueError(f"need {cfg.paths} GMM(s) and stats, got {len(gmms)}/{len(stats)}")
+    for g, s in zip(gmms, stats):
+        if g.order != cfg.gmm_order:
+            raise ValueError(f"GMM order {g.order} != configured {cfg.gmm_order}")
+        if s.order != g.order:
+            raise ValueError("stats do not match their GMM")
+        if s.form != cfg.lgp_form:
+            raise ValueError(f"stats use form {s.form!r}, config wants {cfg.lgp_form!r}")
 
 
 def _check_sizes(cfg: ClassifierConfig, tensors) -> None:

@@ -198,6 +198,19 @@ class TestBadModelFiles:
         assert "Traceback" not in err
         assert not (score_fixture / output).exists()
 
+    @pytest.mark.parametrize("tensor, corrupt, message", [
+        ("path0.block0.conv1.weight", nan_at_1, "non-finite value"),
+        ("path0.block0.bn1.running_var", lambda v: -v, "negative variance"),
+    ], ids=["nan-weight", "negative-running-var"])
+    def test_corrupt_checkpoint_exits_3_without_scores(self, score_fixture, capsys,
+                                                       tensor, corrupt, message):
+        self.rewrite(score_fixture / "model.lgpn", tensor, corrupt)
+        assert score_with(score_fixture, score_fixture / "model.lgpn") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and tensor in err and message in err
+        assert "Traceback" not in err
+        assert not (score_fixture / "scores.eval").exists()
+
     def test_empty_stats_form_exits_3(self, score_fixture, capsys):
         self.rewrite(score_fixture / "m.stats", "form", lambda form: form[:0])
         assert extract_lgp_with(score_fixture) == 3
@@ -340,6 +353,36 @@ class TestWorkers:
         assert (tmp_path / "w1.eval").read_bytes() == (tmp_path / "w2.eval").read_bytes()
 
 
+    def test_parallel_network_scoring_matches_serial(self, tmp_path):
+        from lgpnet.frontend import store_features
+        from lgpnet.gmm import Gmm
+        from lgpnet.lgp import fit_norm_stats
+        from lgpnet.model import ClassifierConfig, SpoofModel
+
+        rng = np.random.default_rng(11)
+        gmm = Gmm(np.full(4, 0.25), rng.normal(size=(4, 2)), rng.uniform(0.5, 1.5, size=(4, 2)))
+        stats = fit_norm_stats(gmm, rng.normal(size=(200, 2)), "fast")
+        gmm.save(tmp_path / "m.gmm")
+        stats.save(tmp_path / "m.stats")
+        model = SpoofModel(ClassifierConfig(gmm_order=4, channels=8, blocks=2, se_enabled=True,
+                                            se_reduction=2, input_length=16), [gmm], [stats])
+        model.fc.weight.data[...] = rng.normal(size=model.fc.weight.shape)
+        model.save(tmp_path / "model.lgpn")
+        (tmp_path / "feats").mkdir()
+        labels = {}
+        for i, length in enumerate(rng.integers(5, 60, size=16)):
+            store_features(tmp_path / "feats" / f"u{i}.lgpf", rng.normal(size=(length, 2)))
+            labels[f"u{i}"] = "bonafide" if i % 2 else "spoof"
+        write_protocol(tmp_path / "eval.txt", labels)
+        for workers in (1, 2):
+            assert run("score", "--model", tmp_path / "model.lgpn", "--features", tmp_path / "feats",
+                       "--protocol", tmp_path / "eval.txt", "--gmm", tmp_path / "m.gmm",
+                       "--stats", tmp_path / "m.stats", "--workers", workers,
+                       "--out", tmp_path / f"w{workers}.eval") == 0
+        serial = read_scores(tmp_path / "w1.eval")
+        assert len(set(serial.values())) == len(labels)
+        assert (tmp_path / "w1.eval").read_bytes() == (tmp_path / "w2.eval").read_bytes()
+
     @pytest.mark.parametrize("command", [
         ["extract-lfcc", "--wav-dir", "w", "--out-dir", "o"],
         ["extract-lgp", "--gmm", "g", "--stats", "s", "--in", "i", "--out", "o"],
@@ -351,6 +394,15 @@ class TestWorkers:
     def test_fewer_than_one_worker_is_a_usage_error(self, command, capsys):
         assert run(*command, "--workers", "0") == 2
         assert "--workers: must be >= 1, got 0" in capsys.readouterr().err
+
+
+class TestFuse:
+    def test_out_without_eval_is_a_usage_error(self, perfect_fixture, tmp_path, capsys):
+        scores, proto = perfect_fixture
+        out = tmp_path / "fused.eval"
+        assert run("fuse", "--dev", scores, "--protocol", proto, "--out", out) == 2
+        assert "--out writes the fused eval scores, so it needs --eval" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOutDirOverride:

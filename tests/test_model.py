@@ -1,20 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgpnet import tensorio
 from lgpnet.errors import FormatError, NonFiniteMapError
 from lgpnet.gmm import Gmm
 from lgpnet.lgp import fit_norm_stats
 from lgpnet.model import (
     ClassifierConfig,
     PathNetwork,
+    ScoringPlan,
     SpoofModel,
     UfmConfig,
+    _tensor_shapes,
+    read_checkpoint,
     segment_ufm,
 )
 from fdcheck import assert_gradients_match
-from lgpnet.nn import Linear, softmax_cross_entropy
+from lgpnet.nn import BatchNorm1d, Conv1d, Linear, SEBlock, softmax_cross_entropy
 
 
 def desk_config(paths=1, se=False):
@@ -360,3 +366,117 @@ class TestCheckpointSchema:
         tensors["path0.block2.conv1.weight"] = np.zeros((16, 16, 3))
         with pytest.raises(FormatError, match="unexpected tensor 'path0.block2.conv1.weight'"):
             self.load(desk_model, tensors)
+
+
+def seeded_checkpoint(model, rng, path):
+    """Save ``model`` with a random head and non-trivial BN statistics and
+    affine terms, so every folded term moves the score."""
+    c = model.cfg.channels
+    model.fc.weight.data[...] = rng.normal(0.0, 1.0, size=model.fc.weight.shape)
+    model.fc.bias.data[...] = rng.normal(0.0, 0.1, size=2)
+    for p in model.paths:
+        for bn in p.batchnorms():
+            bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=c)
+            bn.beta.data[...] = rng.normal(0.0, 0.1, size=c)
+            bn.running_mean = rng.normal(0.0, 0.3, size=c)
+            bn.running_var = rng.uniform(0.2, 2.0, size=c)
+    model.save(path)
+    return path
+
+
+def load_plan(path, gmms, stats):
+    return ScoringPlan.from_tensors(tensorio.load_tensors(path), gmms, stats)
+
+
+MODEL_KINDS = {"one-path": dict(), "two-path": dict(paths=2), "se": dict(se=True)}
+
+
+class TestScoringPlan:
+    """The plan against its float64 oracle, ``SpoofModel.score_utterance``."""
+
+    @pytest.fixture(params=list(MODEL_KINDS))
+    def checkpoint(self, request, rng, tmp_path):
+        cfg = desk_config(**MODEL_KINDS[request.param])
+        gmms = [make_gmm(8, 4, 5 + k) for k in range(cfg.paths)]
+        stats = [fit_norm_stats(g, rng.normal(size=(300, 4)), "fast") for g in gmms]
+        model = SpoofModel(cfg, gmms, stats, seed=3)
+        return seeded_checkpoint(model, rng, tmp_path / "model.lgpn"), gmms, stats
+
+    def test_matches_oracle_after_round_trip(self, checkpoint, rng):
+        path, gmms, stats = checkpoint
+        oracle = SpoofModel.load(path, gmms, stats)
+        plan = load_plan(path, gmms, stats)
+        worst = 0.0
+        for length, segments in ((32, 1), (50, 3), (96, 5)):
+            feats = rng.normal(size=(length, 4))
+            assert len(segment_ufm(feats, UfmConfig(32))) == segments
+            want = oracle.score_utterance(feats)
+            worst = max(worst, abs(plan.score_utterance(feats) - want) / abs(want))
+        assert worst <= 1e-9, f"max relative |dscore| {worst:.3g}"
+        print(f"max relative |dscore| {worst:.3g}")
+
+    def test_builds_no_layer(self, checkpoint, monkeypatch):
+        path, gmms, stats = checkpoint
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the plan built a training layer")
+
+        for layer in (PathNetwork, Conv1d, BatchNorm1d, SEBlock, Linear):
+            monkeypatch.setattr(layer, "__init__", refuse)
+        load_plan(path, gmms, stats)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_lgp_map_refused_with_its_segment(self, desk_model, rng, tmp_path):
+        desk_model.save(tmp_path / "model.lgpn")
+        plan = load_plan(tmp_path / "model.lgpn", desk_model.gmms, desk_model.stats)
+        feats = rng.normal(size=(70, 4))
+        feats[40, 0] = 1e300        # frame 40 lies in the segments at 16 and 32
+        with pytest.raises(NonFiniteMapError, match="path 0 .batch row 1."):
+            plan.score_utterance(feats)
+
+    def test_keeps_no_activation_after_scoring(self, rng, tmp_path):
+        cfg = ClassifierConfig(gmm_order=8, channels=64, blocks=2, input_length=64)
+        gmm = make_gmm(8, 4, 5)
+        stats = fit_norm_stats(gmm, rng.normal(size=(300, 4)), "fast")
+        path = seeded_checkpoint(SpoofModel(cfg, [gmm], [stats]), rng, tmp_path / "m.lgpn")
+        plan = load_plan(path, [gmm], [stats])
+        feats = rng.normal(size=(160, 4))                 # 5 segments
+        activation = 5 * cfg.channels * cfg.input_length * 8
+        plan.score_utterance(feats)                       # warm up numpy's own caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plan.score_utterance(feats)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < activation, f"{kept} bytes kept, one activation is {activation}"
+
+
+class TestReadCheckpoint:
+    @pytest.mark.parametrize("kind", list(MODEL_KINDS))
+    def test_schema_matches_the_layers(self, kind, rng):
+        cfg = desk_config(**MODEL_KINDS[kind])
+        gmms = [make_gmm(8, 4, 5 + k) for k in range(cfg.paths)]
+        stats = [fit_norm_stats(g, rng.normal(size=(300, 4)), "fast") for g in gmms]
+        live = SpoofModel(cfg, gmms, stats).to_tensors()
+        assert _tensor_shapes(cfg) == {name: arr.shape for name, arr in live.items()}
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("path0.block0.conv1.weight", np.nan, "non-finite"),
+        ("fc.bias", np.inf, "non-finite"),
+        ("path0.block0.bn1.running_var", -0.5, "negative variance"),
+    ], ids=["nan-weight", "inf-head", "negative-variance"])
+    def test_corrupt_tensor_refused(self, desk_model, name, value, message):
+        tensors = desk_model.to_tensors()
+        tensors[name].flat[0] = value
+        for build in (SpoofModel.from_tensors, ScoringPlan.from_tensors):
+            with pytest.raises(FormatError, match=f"{name}.* {message}"):
+                build(tensors, desk_model.gmms, desk_model.stats)
+
+    def test_zero_running_variance_accepted(self, desk_model):
+        tensors = desk_model.to_tensors()
+        tensors["path0.stem.bn.running_var"][...] = 0.0
+        cfg, params = read_checkpoint(tensors, desk_model.gmms, desk_model.stats)
+        assert cfg == desk_model.cfg
+        assert not any(name.startswith("cfg.") or name.endswith("_sha256") for name in params)
