@@ -17,6 +17,13 @@ is the one map from them to the head input, for training and scoring alike:
 each path derives its LGP maps (B, M, N) from the segments under its own GMM
 inside the call, so no LGP map is kept between batches.
 
+A train-mode forward keeps, per path, the LGP maps (B, M, N) and the stem's
+batch-norm ``xhat``, and per residual block the block input, ``xhat1`` and
+``xhat2`` (B, C, N) (plus the SE input with SE on): (3 * blocks + 1) * B*C*N
++ B*M*N float64 values.  Each ReLU output is recomputed from its ``xhat``
+(``nn.BatchNormReLU``), backward frees every cache it uses, and an eval-mode
+forward keeps nothing.
+
 ``lgpnet score`` does not run these layers: ``ScoringPlan`` reads the same
 checkpoint into folded float64 weights and scores without caches, and
 ``SpoofModel.score_utterance`` stays as its oracle.
@@ -33,7 +40,7 @@ from . import tensorio
 from .errors import FormatError, NonFiniteMapError
 from .gmm import Gmm
 from .lgp import LgpNormStats, extract_lgp
-from .nn import BatchNorm1d, Conv1d, Linear, MaxOverTime, ReLU, SEBlock, sigmoid
+from .nn import BatchNorm1d, BatchNormReLU, Conv1d, Linear, MaxOverTime, SEBlock, sigmoid
 
 BONA_FIDE, SPOOF = 0, 1
 LABEL_NAMES = {"bonafide": BONA_FIDE, "spoof": SPOOF}
@@ -109,27 +116,29 @@ class ResBlock:
 
     def __init__(self, channels, se_enabled, se_reduction, rng):
         self.conv1 = Conv1d(channels, channels, 3, padding=1, rng=rng)
-        self.bn1 = BatchNorm1d(channels)
-        self.relu1 = ReLU()
+        self.bn1 = BatchNormReLU(channels)
         self.conv2 = Conv1d(channels, channels, 3, padding=1, rng=rng)
-        self.bn2 = BatchNorm1d(channels)
-        self.relu2 = ReLU()
+        self.bn2 = BatchNormReLU(channels)
         self.se = SEBlock(channels, se_reduction, rng=rng) if se_enabled else None
+        # conv2 keeps no input: backward takes it rebuilt from bn1's xhat
+        self.conv2.input_source = self.bn1
 
     def forward(self, x, training):
-        h = self.relu1.forward(self.bn1.forward(self.conv1.forward(x), training))
-        h = self.relu2.forward(self.bn2.forward(self.conv2.forward(h), training))
+        h = self.bn1.forward(self.conv1.forward(x), training)
+        h = self.bn2.forward(self.conv2.forward(h), training)
         if self.se is not None:
             h = self.se.forward(h)
-        return x + h
+        h += x
+        return h
 
     def backward(self, grad_out):
         g = grad_out
         if self.se is not None:
             g = self.se.backward(g)
-        g = self.conv2.backward(self.bn2.backward(self.relu2.backward(g)))
-        g = self.conv1.backward(self.bn1.backward(self.relu1.backward(g)))
-        return grad_out + g
+        g = self.conv2.backward(self.bn2.backward(g))
+        g = self.conv1.backward(self.bn1.backward(g))
+        g += grad_out
+        return g
 
 
 class PathNetwork:
@@ -138,8 +147,7 @@ class PathNetwork:
     def __init__(self, cfg: ClassifierConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.conv = Conv1d(cfg.gmm_order, cfg.channels, 3, padding=1, rng=rng)
-        self.bn = BatchNorm1d(cfg.channels)
-        self.relu = ReLU()
+        self.bn = BatchNormReLU(cfg.channels)
         self.blocks = [
             ResBlock(cfg.channels, cfg.se_enabled, cfg.se_reduction, rng)
             for _ in range(cfg.blocks)
@@ -152,23 +160,39 @@ class PathNetwork:
     def batchnorms(self):
         return [layer for _, layer in self._named_layers() if isinstance(layer, BatchNorm1d)]
 
+    def layers(self):
+        """Every layer of the path, the pooling included."""
+        return [layer for _, layer in self._named_layers()] + [self.pool]
+
     def named_tensors(self) -> dict[str, np.ndarray]:
         """Every live array of the path under its checkpoint name, in a fixed order."""
         return {f"{name}.{key}": arr for name, layer in self._named_layers()
                 for key, arr in layer.named_tensors().items()}
 
     def forward(self, lgp, training):
-        """(B, order, N) -> (B, channels)."""
-        h = self.relu.forward(self.bn.forward(self.conv.forward(lgp), training))
+        """(B, order, N) -> (B, channels).  Eval mode leaves no layer a cache."""
+        h = self.bn.forward(self.conv.forward(lgp), training)
         for block in self.blocks:
             h = block.forward(h, training)
-        return self.pool.forward(h)
+        emb = self.pool.forward(h)
+        if not training:
+            for layer in self.layers():
+                layer._cache = None
+        return emb
 
     def backward(self, grad_emb):
+        """Every parameter gradient; returns the gradient w.r.t. the LGP maps."""
+        return self.conv.backward_input(self.backward_params(grad_emb))
+
+    def backward_params(self, grad_emb):
+        """Every parameter gradient, without the LGP maps' own gradient (which
+        training never uses); returns the gradient at the stem conv's output."""
         g = self.pool.backward(grad_emb)
         for block in reversed(self.blocks):
             g = block.backward(g)
-        return self.conv.backward(self.bn.backward(self.relu.backward(g)))
+        g = self.bn.backward(g)
+        self.conv.backward_params(g)
+        return g
 
     def _named_layers(self):
         yield "stem.conv", self.conv

@@ -1,10 +1,16 @@
 """Dense 1-D network layers with hand-written forward and backward passes.
 
-Every layer caches what its backward pass needs during ``forward`` and
-exposes its trainable tensors as :class:`Parameter` objects.  There is no
-autodiff graph: ``backward`` consumes the gradient of the loss with respect
-to the layer output and returns the gradient with respect to the layer
-input, accumulating parameter gradients on the way.
+Every layer keeps in ``_cache`` only what its backward pass cannot rebuild,
+and ``backward`` clears it once used, so no activation outlives its step.
+Trainable tensors are :class:`Parameter` objects.  There is no autodiff
+graph: ``backward`` consumes the gradient of the loss with respect to the
+layer output and returns the gradient with respect to the layer input,
+accumulating parameter gradients on the way.
+
+:class:`BatchNormReLU` is batch norm and ReLU in one unit that keeps only
+batch norm's ``xhat`` and recomputes the ReLU output from it, in backward
+and for a :class:`Conv1d` whose ``input_source`` it is; the standalone
+:class:`BatchNorm1d` and :class:`ReLU` stay as its bit-level oracle.
 
 Stateful layers also list their current arrays by name in
 ``named_tensors``; checkpoints and training snapshots are built from it.
@@ -51,6 +57,11 @@ class Conv1d:
 
     Output length is ``T + 2*padding - kernel + 1``; kernel 3 with padding
     1 preserves ``T``.  Weights are He-initialized for a ReLU nonlinearity.
+
+    Forward keeps a reference to its unpadded input, and backward re-pads it
+    for the weight gradient only.  With ``input_source`` set (to a layer
+    with ``padded_output(padding)`` that rebuilds this conv's input), forward
+    keeps nothing and backward asks the source for the padded input instead.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, padding: int = 0,
@@ -64,6 +75,7 @@ class Conv1d:
         self.weight = Parameter(rng.normal(0.0, scale, size=(out_ch, in_ch, kernel)))
         self.bias = Parameter(np.zeros(out_ch))
         self.padding = padding
+        self.input_source = None
         self._cache = None
 
     def parameters(self):
@@ -79,25 +91,41 @@ class Conv1d:
         t_in = x.shape[2]
         if t_in + 2 * self.padding < k:
             raise ValueError(f"time extent {t_in} too short for kernel {k} with padding {self.padding}")
-        xp = np.pad(x, ((0, 0), (0, 0), (self.padding, self.padding)))
-        windows = sliding_window_view(xp, k, axis=2)
+        windows = sliding_window_view(self._pad(x), k, axis=2)
         out = np.einsum("bitk,oik->bot", windows, self.weight.data, optimize=True)
         out += self.bias.data[None, :, None]
-        self._cache = (windows, xp.shape)
+        self._cache = x if self.input_source is None else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        windows, xp_shape = self._cache
-        k = self.weight.shape[2]
+        self.backward_params(grad_out)
+        return self.backward_input(grad_out)
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """Accumulate the weight and bias gradients; the forward input is
+        padded for this call only and then dropped."""
+        if self.input_source is None:
+            xp = self._pad(self._cache)
+        else:
+            xp = self.input_source.padded_output(self.padding)
+        self._cache = None
+        windows = sliding_window_view(xp, self.weight.shape[2], axis=2)
         self.weight.grad += np.einsum("bot,bitk->oik", grad_out, windows, optimize=True)
         self.bias.grad += grad_out.sum(axis=(0, 2))
+
+    def backward_input(self, grad_out: np.ndarray) -> np.ndarray:
+        """Gradient with respect to the forward input; it needs only the weights."""
+        _, in_ch, k = self.weight.shape
         grad_win = np.einsum("bot,oik->bitk", grad_out, self.weight.data, optimize=True)
-        grad_xp = np.zeros(xp_shape)
         t_out = grad_out.shape[2]
+        grad_xp = np.zeros((grad_out.shape[0], in_ch, t_out + k - 1))
         for tap in range(k):
             grad_xp[:, :, tap : tap + t_out] += grad_win[:, :, :, tap]
         p = self.padding
-        return grad_xp[:, :, p : xp_shape[2] - p] if p else grad_xp
+        return grad_xp[:, :, p : grad_xp.shape[2] - p] if p else grad_xp
+
+    def _pad(self, x: np.ndarray) -> np.ndarray:
+        return np.pad(x, ((0, 0), (0, 0), (self.padding, self.padding)))
 
 
 class BatchNorm1d:
@@ -105,7 +133,8 @@ class BatchNorm1d:
 
     Train mode normalizes with population statistics of the current batch
     and folds them into the running estimates with momentum ``MOMENTUM``;
-    eval mode normalizes with the running estimates.
+    eval mode normalizes with the running estimates.  Forward keeps the
+    normalized input ``xhat`` and ``1/std``.
     """
 
     MOMENTUM = 0.1
@@ -134,44 +163,109 @@ class BatchNorm1d:
             if n < 2:
                 raise ValueError("train-mode batch norm needs >1 sample per channel")
             mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
+            xhat = x - mean[None, :, None]
+            # x.var(axis=(0, 2)) in NumPy's own operations, sharing x - mean with xhat
+            var = np.add.reduce(np.square(xhat), axis=(0, 2)) / n
             m = self.MOMENTUM
             self.running_mean = (1 - m) * self.running_mean + m * mean
             self.running_var = (1 - m) * self.running_var + m * var
         else:
-            mean = self.running_mean
+            xhat = x - self.running_mean[None, :, None]
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPSILON)
-        xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-        out = self.gamma.data[None, :, None] * xhat + self.beta.data[None, :, None]
+        xhat *= inv_std[None, :, None]
         self._cache = (xhat, inv_std, training)
-        return out
+        return self._affine(xhat, None)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xhat, inv_std, training = self._cache
-        self.gamma.grad += (grad_out * xhat).sum(axis=(0, 2))
+        self._cache = None
+        scratch = grad_out * xhat
+        self.gamma.grad += scratch.sum(axis=(0, 2))
         self.beta.grad += grad_out.sum(axis=(0, 2))
-        gxhat = grad_out * self.gamma.data[None, :, None]
+        g = grad_out * self.gamma.data[None, :, None]
         if not training:
-            return gxhat * inv_std[None, :, None]
+            g *= inv_std[None, :, None]
+            return g
+        # (inv_std / n) * (n * g - sum(g) - xhat * sum(g * xhat)), in place
         n = xhat.shape[0] * xhat.shape[2]
-        sum_g = gxhat.sum(axis=(0, 2), keepdims=True)
-        sum_gx = (gxhat * xhat).sum(axis=(0, 2), keepdims=True)
-        return (inv_std[None, :, None] / n) * (n * gxhat - sum_g - xhat * sum_gx)
+        sum_g = g.sum(axis=(0, 2), keepdims=True)
+        np.multiply(g, xhat, out=scratch)
+        sum_gx = scratch.sum(axis=(0, 2), keepdims=True)
+        g *= n
+        g -= sum_g
+        np.multiply(xhat, sum_gx, out=scratch)
+        g -= scratch
+        g *= inv_std[None, :, None] / n
+        return g
+
+    def _affine(self, xhat: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """``gamma * xhat + beta``, into ``out`` when given."""
+        out = np.multiply(self.gamma.data[None, :, None], xhat, out=out)
+        out += self.beta.data[None, :, None]
+        return out
+
+
+def _relu_in_place(z: np.ndarray) -> np.ndarray:
+    """``z`` overwritten with ``np.where(z > 0, z, 0.0)``, bit for bit.
+
+    ``np.maximum`` alone may leave -0.0 for a zero and propagates NaN; adding
+    +0.0 turns -0.0 into +0.0 and leaves every other value as it is, and NaN
+    is zeroed explicitly.  Several times faster than the masked select.
+    """
+    np.maximum(z, 0.0, out=z)
+    z += 0.0
+    nan = np.isnan(z)
+    if nan.any():
+        z[nan] = 0.0
+    return z
+
+
+class BatchNormReLU(BatchNorm1d):
+    """``relu(BatchNorm1d(x))`` that keeps only batch norm's ``xhat`` and ``1/std``.
+
+    ReLU cannot be inverted, so the unit keeps ``xhat`` rather than its
+    output, and recomputes ``gamma * xhat + beta`` with the forward's
+    operations whenever it needs the mask or the output again: in backward,
+    and in ``padded_output`` for the conv that reads this unit's output
+    (in-place activated BN, Rota Bulò et al., CVPR 2018, with the cheap
+    recomputation of Chen et al., 2016).  Everything is bit-identical to
+    ``BatchNorm1d`` followed by ``ReLU``.  Eval mode keeps nothing.
+    """
+
+    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
+        out = super().forward(x, training)
+        if not training:
+            self._cache = None
+        return _relu_in_place(out)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        mask = self._affine(self._cache[0], None) > 0
+        return super().backward(np.where(mask, grad_out, 0.0))
+
+    def padded_output(self, padding: int) -> np.ndarray:
+        """The last train-mode output, rebuilt inside ``padding`` zero frames
+        at each end of the time axis."""
+        xhat = self._cache[0]
+        b, c, t = xhat.shape
+        padded = np.zeros((b, c, t + 2 * padding))
+        _relu_in_place(self._affine(xhat, padded[:, :, padding : padding + t]))
+        return padded
 
 
 class ReLU:
     """Elementwise max(0, x); gradient passes only where x > 0."""
 
     def __init__(self):
-        self._mask = None
+        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self._cache = x > 0
+        return np.where(self._cache, x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, grad_out, 0.0)
+        mask, self._cache = self._cache, None
+        return np.where(mask, grad_out, 0.0)
 
 
 class SEBlock:
@@ -213,6 +307,7 @@ class SEBlock:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x, z, pre1, h, s = self._cache
+        self._cache = None
         t = x.shape[2]
         grad_s = (grad_out * x).sum(axis=2)                   # (B, C)
         grad_x = grad_out * s[:, :, None]
@@ -247,6 +342,7 @@ class MaxOverTime:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         shape, idx = self._cache
+        self._cache = None
         grad_x = np.zeros(shape)
         np.put_along_axis(grad_x, idx[:, :, None], grad_out[:, :, None], axis=2)
         return grad_x
@@ -285,7 +381,8 @@ class Linear:
         return x @ self.weight.data.T + self.bias.data
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        self.weight.grad += grad_out.T @ self._cache
+        x, self._cache = self._cache, None
+        self.weight.grad += grad_out.T @ x
         self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.data
 

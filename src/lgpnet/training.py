@@ -184,7 +184,7 @@ def _fit(model: SpoofModel, path_ids, head, train_x, data: LabeledDataset, dev_x
             grad_concat = head.backward(grad_logits)
             for k, path in enumerate(paths):
                 width = path.cfg.channels
-                path.backward(grad_concat[:, k * width : (k + 1) * width])
+                path.backward_params(grad_concat[:, k * width : (k + 1) * width])
             opt.step()
             epoch_loss += loss * idx.shape[0]
         result.loss_trace.append(epoch_loss / n)

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from lgpnet.model import (
     segment_ufm,
 )
 from fdcheck import assert_gradients_match
-from lgpnet.nn import BatchNorm1d, Conv1d, Linear, SEBlock, softmax_cross_entropy
+from lgpnet.nn import BatchNorm1d, Conv1d, Linear, ReLU, SEBlock, softmax_cross_entropy
 
 
 def desk_config(paths=1, se=False):
@@ -108,6 +109,117 @@ class TestPathShapes:
                 [x] + [p.data for p in params],
                 [grad_x] + [p.grad for p in params],
             )
+
+
+def _standalone_copy(path):
+    """The path as an explicit chain of standalone Conv1d -> BatchNorm1d -> ReLU
+    units holding copies of its tensors (SE and pooling copied whole)."""
+    def copied(src, dst):
+        for key, arr in src.named_tensors().items():
+            dst.named_tensors()[key][...] = arr
+        return dst
+
+    def unit(conv, bn):
+        out_ch, in_ch, k = conv.weight.shape
+        return (copied(conv, Conv1d(in_ch, out_ch, k, padding=1)),
+                copied(bn, BatchNorm1d(out_ch)), ReLU())
+
+    stem = unit(path.conv, path.bn)
+    blocks = [(unit(b.conv1, b.bn1), unit(b.conv2, b.bn2), copy.deepcopy(b.se))
+              for b in path.blocks]
+    return stem, blocks, copy.deepcopy(path.pool)
+
+
+def _run_standalone(chain, x, grad_emb):
+    """Train-mode forward and backward of ``_standalone_copy``; returns the
+    embedding and the input gradient."""
+    stem, blocks, pool = chain
+
+    def forward(unit, h):
+        conv, bn, relu = unit
+        return relu.forward(bn.forward(conv.forward(h), True))
+
+    def backward(unit, g):
+        conv, bn, relu = unit
+        return conv.backward(bn.backward(relu.backward(g)))
+
+    h = forward(stem, x)
+    for unit1, unit2, se in blocks:
+        g = forward(unit2, forward(unit1, h))
+        h = h + (g if se is None else se.forward(g))
+    emb = pool.forward(h)
+    g = pool.backward(grad_emb)
+    for unit1, unit2, se in reversed(blocks):
+        g = g + backward(unit1, backward(unit2, g if se is None else se.backward(g)))
+    return emb, backward(stem, g)
+
+
+def _standalone_layers(stem, blocks):
+    """The layers of a standalone chain that hold tensors, in the order of
+    ``PathNetwork._named_layers``."""
+    layers = [*stem[:2]]
+    for unit1, unit2, se in blocks:
+        layers += [*unit1[:2], *unit2[:2]] + ([se] if se is not None else [])
+    return layers
+
+
+class TestLeanTrainingStep:
+    """The fused BN+ReLU path against standalone layers, and what a step keeps."""
+
+    @staticmethod
+    def seeded_path(cfg, rng):
+        path = PathNetwork(cfg, rng)
+        for bn in path.batchnorms():
+            bn.gamma.data[:] = rng.uniform(-0.5, 1.5, size=cfg.channels)
+            bn.beta.data[:] = rng.normal(0.0, 0.5, size=cfg.channels)
+        return path
+
+    @pytest.mark.parametrize("se", [False, True])
+    def test_fused_path_equals_standalone_chain_bit_for_bit(self, rng, se):
+        cfg = ClassifierConfig(gmm_order=6, channels=8, blocks=2, se_enabled=se,
+                               se_reduction=4, input_length=10)
+        path = self.seeded_path(cfg, rng)
+        chain = _standalone_copy(path)
+        x = rng.normal(size=(3, 6, 10))
+        grad_emb = rng.normal(size=(3, 8))
+        emb = path.forward(x, training=True)
+        grad_x = path.backward(grad_emb)
+        want_emb, want_grad_x = _run_standalone(chain, x, grad_emb)
+        assert np.array_equal(emb, want_emb)
+        assert np.array_equal(grad_x, want_grad_x)
+        layers = [layer for _, layer in path._named_layers()]
+        standalone = _standalone_layers(chain[0], chain[1])
+        assert [type(a).__name__ for a in standalone] == [
+            "BatchNorm1d" if isinstance(b, BatchNorm1d) else type(b).__name__ for b in layers]
+        for got, want in zip(layers, standalone):
+            for key, arr in got.named_tensors().items():
+                assert np.array_equal(arr, want.named_tensors()[key]), key
+            for p, q in zip(got.parameters(), want.parameters()):
+                assert np.array_equal(p.grad, q.grad)
+        assert all(np.any(p.grad) for p in path.conv.parameters() + path.bn.parameters())
+
+    def test_train_step_keeps_three_tensors_per_block_then_nothing(self, rng):
+        cfg = ClassifierConfig(gmm_order=16, channels=16, blocks=2, input_length=64)
+        batch = 4
+        tensor = batch * cfg.channels * cfg.input_length * 8
+        bound = (3 * cfg.blocks + 2) * tensor        # LGP maps, stem xhat, 3 per block
+        slack = tensor // 2                          # per-channel vectors, pooling indices
+        path = PathNetwork(cfg, rng)
+        grad_emb = rng.normal(size=(batch, cfg.channels))
+        path.forward(rng.normal(size=(batch, 16, 64)), training=True)
+        path.backward(grad_emb)                      # warm up numpy's own caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            path.forward(rng.normal(size=(batch, 16, 64)), training=True)
+            after_forward = tracemalloc.get_traced_memory()[0] - before
+            path.backward(grad_emb)
+            after_backward = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert after_forward <= bound + slack, f"{after_forward} bytes kept, bound {bound}"
+        assert after_backward <= slack, f"{after_backward} bytes kept after backward"
+        assert all(layer._cache is None for layer in path.layers())
 
 
 class TestForwardModel:

@@ -148,6 +148,114 @@ class TestBatchNorm:
         )
 
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_matches_the_textbook_formula_bit_for_bit(self, rng, training):
+        bn = nn.BatchNorm1d(3)
+        bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=3)
+        bn.beta.data[:] = rng.normal(size=3)
+        bn.running_mean = rng.normal(size=3)
+        bn.running_var = rng.uniform(0.5, 2.0, size=3)
+        x = rng.normal(size=(4, 3, 9)) * 2.0 + 1.0
+        g = rng.normal(size=(4, 3, 9))
+        gamma, beta = bn.gamma.data[None, :, None], bn.beta.data[None, :, None]
+        if training:
+            mean, var = x.mean(axis=(0, 2)), x.var(axis=(0, 2))
+            want_running = (0.9 * bn.running_mean + 0.1 * mean, 0.9 * bn.running_var + 0.1 * var)
+        else:
+            mean, var = bn.running_mean, bn.running_var
+            want_running = (bn.running_mean.copy(), bn.running_var.copy())
+        inv_std = 1.0 / np.sqrt(var + nn.BatchNorm1d.EPSILON)
+        xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+        gxhat = g * gamma
+        if training:
+            n = x.shape[0] * x.shape[2]
+            want_grad = (inv_std[None, :, None] / n) * (
+                n * gxhat - gxhat.sum(axis=(0, 2), keepdims=True)
+                - xhat * (gxhat * xhat).sum(axis=(0, 2), keepdims=True))
+        else:
+            want_grad = gxhat * inv_std[None, :, None]
+        assert np.array_equal(bn.forward(x, training), gamma * xhat + beta)
+        assert np.array_equal(bn.running_mean, want_running[0])
+        assert np.array_equal(bn.running_var, want_running[1])
+        assert np.array_equal(bn.backward(g), want_grad)
+        assert np.array_equal(bn.gamma.grad, (g * xhat).sum(axis=(0, 2)))
+        assert np.array_equal(bn.beta.grad, g.sum(axis=(0, 2)))
+
+
+class TestBatchNormReLU:
+    def fused_and_chain(self, rng, channels=4):
+        gamma = rng.uniform(-1.0, 1.5, size=channels)
+        beta = rng.normal(scale=0.5, size=channels)
+        fused, bn = nn.BatchNormReLU(channels), nn.BatchNorm1d(channels)
+        for layer in (fused, bn):
+            layer.gamma.data[:] = gamma
+            layer.beta.data[:] = beta
+        return fused, bn, nn.ReLU()
+
+    def test_equals_batch_norm_then_relu_bit_for_bit(self, rng):
+        fused, bn, relu = self.fused_and_chain(rng)
+        x = rng.normal(size=(3, 4, 10)) * 2.0 - 0.5
+        g = rng.normal(size=(3, 4, 10))
+        y = fused.forward(x, True)
+        want = relu.forward(bn.forward(x, True))
+        assert np.array_equal(y, want)
+        assert np.array_equal(np.signbit(y), np.signbit(want))     # zeros are +0.0
+        assert 0 < np.count_nonzero(y) < y.size
+        assert np.array_equal(fused.running_mean, bn.running_mean)
+        assert np.array_equal(fused.running_var, bn.running_var)
+        padded = fused.padded_output(1)
+        assert np.array_equal(padded, np.pad(want, ((0, 0), (0, 0), (1, 1))))
+        assert np.array_equal(np.signbit(padded), np.zeros(padded.shape, bool))
+        assert np.array_equal(fused.backward(g), bn.backward(relu.backward(g)))
+        assert np.array_equal(fused.gamma.grad, bn.gamma.grad)
+        assert np.array_equal(fused.beta.grad, bn.beta.grad)
+
+    def test_keeps_xhat_alone_and_nothing_in_eval(self, rng):
+        fused, bn, relu = self.fused_and_chain(rng)
+        x = rng.normal(size=(2, 4, 6))
+        fused.forward(x, True)
+        bn.forward(x, True)
+        xhat, inv_std, training = fused._cache
+        assert xhat.shape == x.shape and inv_std.shape == (4,) and training
+        x[0, 1, 2] = np.nan              # ReLU maps NaN to 0; so must the fused unit
+        assert np.array_equal(fused.forward(x, False), relu.forward(bn.forward(x, False)))
+        assert fused._cache is None
+
+
+    def test_relu_matches_the_masked_select_on_special_values(self, rng):
+        values = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.5, -1.5])
+        for n in (1, 7, 64, 1001):          # vector bodies and scalar tails alike
+            z = rng.choice(values, size=n)
+            want = np.where(z > 0, z, 0.0)
+            padded = np.zeros((2, n + 2))
+            padded[1, 1:-1] = z
+            for got in (nn._relu_in_place(z.copy()), nn._relu_in_place(padded[1, 1:-1])):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestCachesCleared:
+    @pytest.mark.parametrize("make, x_shape, grad_shape", [
+        (lambda: nn.Conv1d(2, 3, 3, padding=1), (2, 2, 5), (2, 3, 5)),
+        (lambda: nn.BatchNorm1d(2), (2, 2, 5), (2, 2, 5)),
+        (lambda: nn.BatchNormReLU(2), (2, 2, 5), (2, 2, 5)),
+        (nn.ReLU, (2, 2, 5), (2, 2, 5)),
+        (lambda: nn.SEBlock(4, reduction=2), (2, 4, 5), (2, 4, 5)),
+        (nn.MaxOverTime, (2, 3, 5), (2, 3)),
+        (lambda: nn.Linear(3, 2), (4, 3), (4, 2)),
+    ])
+    def test_backward_drops_the_cache(self, rng, make, x_shape, grad_shape):
+        layer = make()
+        x = rng.normal(size=x_shape)
+        if isinstance(layer, nn.BatchNorm1d):
+            layer.forward(x, True)
+        else:
+            layer.forward(x)
+        assert layer._cache is not None
+        layer.backward(rng.normal(size=grad_shape))
+        assert layer._cache is None
+
+
 class TestReluAndSe:
     def test_relu_values(self):
         layer = nn.ReLU()

@@ -278,3 +278,33 @@ class TestTwoStep:
         result = train_two_step(model, data, cfg)
         assert all(len(r.loss_trace) == 2 for r in result.step1)
         assert len(result.step2.loss_trace) == 3
+
+
+class TestNoCacheAfterTraining:
+    """Dev EER, the step-2 embedding and best-epoch restore run eval-mode
+    forwards, and backward frees the rest: no path layer keeps a cache."""
+
+    @staticmethod
+    def cached_layers(model):
+        """(path, attribute) of every layer holding a cache, found by walking
+        the attributes of each path and block."""
+        owners = [(k, owner) for k, path in enumerate(model.paths)
+                  for owner in (path, *path.blocks)]
+        return [(k, name) for k, owner in owners for name, layer in vars(owner).items()
+                if getattr(layer, "_cache", None) is not None]
+
+    def test_one_path_with_dev(self, rng):
+        model = build_one_path(rng)
+        data = separable_dataset(rng, n_per_class=4)
+        dev = separable_dataset(rng, n_per_class=3, partition="dev")
+        train_one_path(model, data, TrainConfig(batch_size=3, epochs=2, lr=1e-3,
+                                                target_length=8), dev)
+        assert self.cached_layers(model) == []
+
+    def test_two_step_with_dev(self, rng):
+        model = build_two_path(rng, seed=3)
+        data = separable_dataset(rng, n_per_class=4)
+        dev = separable_dataset(rng, n_per_class=3, partition="dev")
+        train_two_step(model, data, TrainConfig(batch_size=3, epochs=2, lr=1e-3,
+                                                target_length=8), dev)
+        assert self.cached_layers(model) == []
