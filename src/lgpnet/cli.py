@@ -182,8 +182,8 @@ def _cmd_train(args) -> int:
         target_length=run.segment_length,
         step1_epochs=run.step1_epochs, step2_epochs=run.step2_epochs,
     )
-    data = load_dataset(args.protocol, args.features, "train")
-    dev = load_dataset(args.dev_protocol, args.features, "dev") if args.dev_protocol else None
+    data = load_dataset(args.protocol, args.features)
+    dev = load_dataset(args.dev_protocol, args.features) if args.dev_protocol else None
 
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -20,9 +20,10 @@ inside the call, so no LGP map is kept between batches.
 A train-mode forward keeps, per path, the LGP maps (B, M, N) and the stem's
 batch-norm ``xhat``, and per residual block the block input, ``xhat1`` and
 ``xhat2`` (B, C, N) (plus the SE input with SE on): (3 * blocks + 1) * B*C*N
-+ B*M*N float64 values.  Each ReLU output is recomputed from its ``xhat``
-(``nn.BatchNormReLU``), backward frees every cache it uses, and an eval-mode
-forward keeps nothing.
++ B*M*N float64 values, each with two zero gutter frames per row (the
+``nn`` layout in which a conv reads its input in place).  Each ReLU output
+is recomputed from its ``xhat`` (``nn.BatchNormReLU``), backward frees
+every cache it uses, and an eval-mode forward keeps nothing.
 
 ``lgpnet score`` does not run these layers: ``ScoringPlan`` reads the same
 checkpoint into folded float64 weights and scores without caches, and
@@ -34,13 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensorio
 from .errors import FormatError, NonFiniteMapError
 from .gmm import Gmm
 from .lgp import LgpNormStats, extract_lgp
-from .nn import BatchNorm1d, BatchNormReLU, Conv1d, Linear, MaxOverTime, SEBlock, sigmoid
+from .nn import (BatchNorm1d, BatchNormReLU, Conv1d, Linear, MaxOverTime, SEBlock, gutter_conv,
+                 interior, sigmoid, to_gutter)
 
 BONA_FIDE, SPOOF = 0, 1
 LABEL_NAMES = {"bonafide": BONA_FIDE, "spoof": SPOOF}
@@ -296,10 +297,13 @@ class ScoringPlan:
         s = gamma / sqrt(running_var + eps),  W' = W s,  b' = (b - running_mean) s + beta
 
     (cast before fold: ``running_var + eps`` in float32 moves scores by
-    ~1e-6 relative).  A segment batch then runs conv, in-place ReLU, the SE
-    gate and the in-place residual add, max over time and the head, and
-    keeps nothing.  Scoring writes no attribute, so ``--workers`` threads
-    share one plan.  ``SpoofModel.score_utterance`` is its float64 oracle.
+    ~1e-6 relative).  A segment batch then runs the conv kernel of
+    ``Conv1d`` (``nn.gutter_conv``), in-place ReLU, the SE gate and the
+    in-place residual add, max over time and the head, and keeps nothing.
+    Activations stay in one zero-gutter layout from the stem to the
+    pooling, so no layer copies or pads its input.  Scoring writes no
+    attribute, so ``--workers`` threads share one plan.
+    ``SpoofModel.score_utterance`` is its float64 oracle.
     """
 
     def __init__(self, cfg: ClassifierConfig, gmms: list[Gmm], stats: list[LgpNormStats],
@@ -337,34 +341,31 @@ class ScoringPlan:
 
     def _embed(self, k: int, segments: np.ndarray) -> np.ndarray:
         """(S, N, D) segments -> (S, channels) embeddings under path ``k``."""
-        (w, b), blocks = self.paths[k]
-        h = _conv3(_lgp_maps(self.gmms[k], self.stats[k], segments, k), w, b)
+        stem, blocks = self.paths[k]
+        n = self.cfg.input_length
+        # (C, S, N + 2) buffers with zero gutters, which ReLU, the SE gate and
+        # the residual add all keep at zero
+        h = _lgp_maps(self.gmms[k], self.stats[k], segments, k)
+        h = gutter_conv(to_gutter(h, n + 2), *stem)
         np.maximum(h, 0.0, out=h)
-        for (w1, b1), (w2, b2), se in blocks:
-            g = _conv3(h, w1, b1)
+        for conv1, conv2, se in blocks:
+            g = gutter_conv(h, *conv1)
             np.maximum(g, 0.0, out=g)
-            g = _conv3(g, w2, b2)
+            g = gutter_conv(g, *conv2)
             np.maximum(g, 0.0, out=g)
             if se is not None:
-                g *= _se_gate(g, *se)[:, :, None]
+                g *= _se_gate(interior(g, n), *se).T[:, :, None]
             h += g
-        return h.max(axis=2)
+        return interior(h, n).max(axis=2)
 
 
 def _fold_bn(t: dict[str, np.ndarray], conv: str, bn: str) -> tuple[np.ndarray, np.ndarray]:
-    """Weight and bias of conv ``conv`` followed by eval-mode batch norm ``bn``."""
+    """Taps (k, out, in) and bias of conv ``conv`` followed by eval-mode
+    batch norm ``bn``, as ``nn.gutter_conv`` takes them."""
     s = t[f"{bn}.gamma"] / np.sqrt(t[f"{bn}.running_var"] + BatchNorm1d.EPSILON)
     weight = t[f"{conv}.weight"] * s[:, None, None]
     bias = (t[f"{conv}.bias"] - t[f"{bn}.running_mean"]) * s + t[f"{bn}.beta"]
-    return weight, bias
-
-
-def _conv3(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Kernel-3, padding-1 convolution of a (B, C_in, T) batch, as ``Conv1d.forward``."""
-    windows = sliding_window_view(np.pad(x, ((0, 0), (0, 0), (1, 1))), 3, axis=2)
-    out = np.einsum("bitk,oik->bot", windows, weight, optimize=True)
-    out += bias[None, :, None]
-    return out
+    return weight.transpose(2, 0, 1).copy(), bias
 
 
 def _se_gate(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
@@ -374,9 +375,15 @@ def _se_gate(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
 
 
 def _lgp_maps(gmm: Gmm, stats: LgpNormStats, segments: np.ndarray, k: int) -> np.ndarray:
-    """Normalized LGP maps (B, M, N) of (B, N, D) segments; a map that is not
-    finite (overflow from finite features) raises NonFiniteMapError."""
-    lgp = np.stack([extract_lgp(gmm, stats, seg) for seg in segments])
+    """Normalized LGP maps (B, M, N) of (B, N, D) segments, as the interior of
+    the zero-gutter buffer (M, B, N + 2) that the stem conv reads in place; a
+    map that is not finite (overflow from finite features) raises
+    NonFiniteMapError."""
+    n = segments.shape[1]
+    buf = np.zeros((gmm.order, len(segments), n + 2))
+    for i, seg in enumerate(segments):
+        buf[:, i, 1:-1] = extract_lgp(gmm, stats, seg)
+    lgp = interior(buf, n)
     finite = np.isfinite(lgp).all(axis=(1, 2))
     if not finite.all():
         raise NonFiniteMapError(f"non-finite LGP map under path {k}", int(np.argmin(finite)))

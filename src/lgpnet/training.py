@@ -72,7 +72,7 @@ class LabeledDataset:
         return np.array([u.label for u in self.items], dtype=np.int64)
 
 
-def load_dataset(protocol_path, features_dir, partition: str = "train") -> LabeledDataset:
+def load_dataset(protocol_path, features_dir) -> LabeledDataset:
     """Materialize a dataset from a protocol file and a feature directory.
 
     Feature files are looked up as ``<features_dir>/<utt_id>.lgpf``.
@@ -83,7 +83,7 @@ def load_dataset(protocol_path, features_dir, partition: str = "train") -> Label
     for utt_id, label in labels.items():
         feats = load_features(features_dir / f"{utt_id}.lgpf")
         items.append(LabeledUtterance(utt_id, feats, LABEL_NAMES[label]))
-    return LabeledDataset(items=items, partition=partition)
+    return LabeledDataset(items=items)
 
 
 @dataclass
