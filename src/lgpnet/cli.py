@@ -39,27 +39,29 @@ from .training import TrainConfig, load_dataset, train_one_path, train_two_step
 USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 2, 3, 4
 
 
-def _out_path(raw) -> Path:
+def _out_path(raw, *, directory: bool) -> Path:
+    """The output path ``raw`` names; makes it (``directory``) or its parent."""
     root = os.environ.get("LGPNET_OUT_DIR")
     path = Path(raw)
     if root and not path.is_absolute():
-        return Path(root) / path
+        path = Path(root) / path
+    (path if directory else path.parent).mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _feature_paths(spec: str) -> list[Path]:
-    """A features argument is either a directory of .lgpf files or a list file."""
+def _pooled_frames(spec: str) -> np.ndarray:
+    """The stacked frames of ``spec``: a directory of .lgpf files or a list file."""
     path = Path(spec)
     if path.is_dir():
         files = sorted(path.glob("*.lgpf"))
         if not files:
             raise FileNotFoundError(f"{spec}: no .lgpf files found")
-        return files
-    with open(path, "r", encoding="utf-8") as fh:
-        files = [Path(line.strip()) for line in fh if line.strip()]
-    if not files:
-        raise FileNotFoundError(f"{spec}: empty feature list")
-    return files
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            files = [Path(line.strip()) for line in fh if line.strip()]
+        if not files:
+            raise FileNotFoundError(f"{spec}: empty feature list")
+    return np.concatenate([load_features(p) for p in files], axis=0)
 
 
 def _worker_count(text: str) -> int:
@@ -85,8 +87,7 @@ def _cmd_gen_corpus(args) -> int:
         dev_utts=args.dev_utts, eval_utts=args.eval_utts,
         min_len=args.min_len, max_len=args.max_len, seed=args.seed,
     )
-    out = _out_path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_path(args.out, directory=True)
     generate(spec, out)
     with open(out / "corpus-spec.cfg", "w", encoding="utf-8") as fh:
         for key, value in vars(spec).items():
@@ -97,8 +98,7 @@ def _cmd_gen_corpus(args) -> int:
 
 def _cmd_extract_lfcc(args) -> int:
     wav_dir = Path(args.wav_dir)
-    out_dir = _out_path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_path(args.out_dir, directory=True)
     wavs = sorted(wav_dir.glob("*.wav"))
     if not wavs:
         raise FileNotFoundError(f"{wav_dir}: no .wav files found")
@@ -113,13 +113,11 @@ def _cmd_extract_lfcc(args) -> int:
 
 
 def _cmd_train_gmm(args) -> int:
-    files = _feature_paths(args.features)
-    frames = np.concatenate([load_features(p) for p in files], axis=0)
+    frames = _pooled_frames(args.features)
     cfg = EmConfig(iterations=args.iters, seed=args.seed,
                    variance_floor_factor=args.floor_factor)
     model, trace = train_em(frames, args.components, cfg)
-    out = _out_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_path(args.out, directory=False)
     model.save(out)
     print(f"trained {args.components}-component GMM on {frames.shape[0]} frames "
           f"(avg log-likelihood {trace[-1]:.4f}) -> {out}")
@@ -128,11 +126,9 @@ def _cmd_train_gmm(args) -> int:
 
 def _cmd_fit_lgp_stats(args) -> int:
     gmm = Gmm.load(args.gmm)
-    files = _feature_paths(args.features)
-    frames = np.concatenate([load_features(p) for p in files], axis=0)
+    frames = _pooled_frames(args.features)
     stats = fit_norm_stats(gmm, frames, "fast")
-    out = _out_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_path(args.out, directory=False)
     stats.save(out)
     print(f"fitted {stats.form}-form stats over {frames.shape[0]} frames -> {out}")
     return 0
@@ -142,8 +138,7 @@ def _cmd_extract_lgp(args) -> int:
     gmm = Gmm.load(args.gmm)
     stats = LgpNormStats.load(args.stats)
     in_dir = Path(args.in_dir)
-    out_dir = _out_path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_path(args.out, directory=True)
     files = sorted(in_dir.glob("*.lgpf"))
     if not files:
         raise FileNotFoundError(f"{in_dir}: no .lgpf files found")
@@ -185,8 +180,7 @@ def _cmd_train(args) -> int:
     data = load_dataset(args.protocol, args.features)
     dev = load_dataset(args.dev_protocol, args.features) if args.dev_protocol else None
 
-    out = _out_path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_path(args.out, directory=True)
     run.write(out / "resolved-config.cfg")
     metrics = open(out / "metrics.log", "w", encoding="utf-8")
 
@@ -213,36 +207,26 @@ def _cmd_score(args) -> int:
     gmms, stats = _load_models(args, ClassifierConfig.from_tensors(tensors).paths)
     plan = ScoringPlan.from_tensors(tensors, gmms, stats)
     del tensors                        # the plan holds its own float64 weights
-    labels = read_protocol(args.protocol)
-    feat_dir = Path(args.features)
-
-    def one(utt_id: str) -> float:
-        return plan.score_utterance(load_features(feat_dir / f"{utt_id}.lgpf"))
-
-    ids = list(labels)
-    values = _map_workers(args.workers, one, ids)
-    out = _out_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_scores(out, dict(zip(ids, values)))
-    print(f"scored {len(ids)} utterances -> {out}")
-    return 0
+    return _score_protocol(args, plan.score_utterance, "")
 
 
 def _cmd_score_gmm(args) -> int:
     genuine = Gmm.load(args.gmm)
     spoof = Gmm.load(args.gmm2)
-    labels = read_protocol(args.protocol)
+    return _score_protocol(args, lambda feats: llr_score(genuine, spoof, feats),
+                           " (GMM baseline)")
+
+
+def _score_protocol(args, score, what: str) -> int:
+    """Write ``score`` of the features of every utterance of ``--protocol``,
+    in protocol order whatever ``--workers`` is, to ``--out``."""
+    ids = list(read_protocol(args.protocol))
     feat_dir = Path(args.features)
-
-    def one(utt_id: str) -> float:
-        return llr_score(genuine, spoof, load_features(feat_dir / f"{utt_id}.lgpf"))
-
-    ids = list(labels)
-    values = _map_workers(args.workers, one, ids)
-    out = _out_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    values = _map_workers(args.workers,
+                          lambda utt_id: score(load_features(feat_dir / f"{utt_id}.lgpf")), ids)
+    out = _out_path(args.out, directory=False)
     write_scores(out, dict(zip(ids, values)))
-    print(f"scored {len(ids)} utterances (GMM baseline) -> {out}")
+    print(f"scored {len(ids)} utterances{what} -> {out}")
     return 0
 
 
@@ -256,8 +240,7 @@ def _cmd_evaluate(args) -> int:
     for line in lines:
         print(line)
     if args.out:
-        out = _out_path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
+        out = _out_path(args.out, directory=False)
         with open(out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     return 0
@@ -272,8 +255,7 @@ def _cmd_fuse(args) -> int:
     print(f"weights {weights}")
     print(f"dev EER {result.dev_eer:.4f}")
     if args.out:
-        out = _out_path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
+        out = _out_path(args.out, directory=False)
         write_scores(out, result.fused_eval)
         print(f"wrote fused eval scores -> {out}")
     return 0

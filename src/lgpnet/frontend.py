@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
+from .tensorio import finite_float32
 
 FEATURE_MAGIC = b"LGPF"
 FEATURE_VERSION = 1
@@ -160,15 +161,17 @@ def fix_length(feats: np.ndarray, target_t: int) -> np.ndarray:
 
 
 def store_features(path, feats: np.ndarray) -> None:
-    """Write a feature matrix to the LGPF container (values stored as f32)."""
+    """Write a feature matrix to the LGPF container (values stored as f32);
+    one that is not finite as float32 is a ValueError, and writes no file."""
     feats = np.asarray(feats)
     if feats.ndim != 2:
         raise ValueError("features must be a (T, D) matrix")
     rows, cols = feats.shape
+    data = finite_float32(feats, str(path))
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<HII", FEATURE_VERSION, rows, cols))
-        fh.write(np.ascontiguousarray(feats, dtype="<f4").tobytes())
+        fh.write(data.tobytes())
 
 
 def load_features(path) -> np.ndarray:

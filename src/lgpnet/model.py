@@ -7,6 +7,8 @@ A *path* maps an LGP feature map (order, time) to a fixed-width embedding:
     blocks x [conv-BN-ReLU, conv-BN-ReLU, optional SE, skip add]
     max over time
 
+Convs have no bias: each feeds a batch norm, which would cancel it.
+
 One-path models classify a single embedding; two-path models run one path
 per class-conditional GMM and classify the concatenated embeddings.  The
 detection score is the bona fide logit minus the spoof logit (class 0 is
@@ -25,9 +27,9 @@ batch-norm ``xhat``, and per residual block the block input, ``xhat1`` and
 is recomputed from its ``xhat`` (``nn.BatchNormReLU``), backward frees
 every cache it uses, and an eval-mode forward keeps nothing.
 
-``lgpnet score`` does not run these layers: ``ScoringPlan`` reads the same
-checkpoint into folded float64 weights and scores without caches, and
-``SpoofModel.score_utterance`` stays as its oracle.
+``lgpnet score`` does not run these layers: ``ScoringPlan`` folds the same
+checkpoint into float64 conv weights and shifts, scores without caches,
+and ``SpoofModel.score_utterance`` stays as its oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import FormatError, NonFiniteMapError
 from .gmm import Gmm
 from .lgp import LgpNormStats, extract_lgp
 from .nn import (BatchNorm1d, BatchNormReLU, Conv1d, Linear, MaxOverTime, SEBlock, gutter_conv,
-                 interior, sigmoid, to_gutter)
+                 interior, sigmoid, to_gutter, zero_gutters)
 
 BONA_FIDE, SPOOF = 0, 1
 LABEL_NAMES = {"bonafide": BONA_FIDE, "spoof": SPOOF}
@@ -292,14 +294,14 @@ class ScoringPlan:
 
     Built straight from checkpoint tensors, so no layer and no random init
     exists.  Every tensor is cast to float64 first, and then each eval-mode
-    batch norm is folded into the conv before it:
+    batch norm is folded into the (bias-free) conv before it:
 
-        s = gamma / sqrt(running_var + eps),  W' = W s,  b' = (b - running_mean) s + beta
+        s = gamma / sqrt(running_var + eps),  W' = W s,  b' = beta - running_mean s
 
     (cast before fold: ``running_var + eps`` in float32 moves scores by
-    ~1e-6 relative).  A segment batch then runs the conv kernel of
-    ``Conv1d`` (``nn.gutter_conv``), in-place ReLU, the SE gate and the
-    in-place residual add, max over time and the head, and keeps nothing.
+    ~1e-6 relative).  A segment batch then runs the conv kernel of ``Conv1d``
+    (``nn.gutter_conv``), the shift ``b'`` and an in-place ReLU, the SE gate and
+    the in-place residual add, max over time and the head, and keeps nothing.
     Activations stay in one zero-gutter layout from the stem to the
     pooling, so no layer copies or pads its input.  Scoring writes no
     attribute, so ``--workers`` threads share one plan.
@@ -343,16 +345,12 @@ class ScoringPlan:
         """(S, N, D) segments -> (S, channels) embeddings under path ``k``."""
         stem, blocks = self.paths[k]
         n = self.cfg.input_length
-        # (C, S, N + 2) buffers with zero gutters, which ReLU, the SE gate and
-        # the residual add all keep at zero
+        # (C, S, N + 2) buffers with zero gutters, which the SE gate and the
+        # residual add keep at zero
         h = _lgp_maps(self.gmms[k], self.stats[k], segments, k)
-        h = gutter_conv(to_gutter(h, n + 2), *stem)
-        np.maximum(h, 0.0, out=h)
+        h = _conv_bn_relu(to_gutter(h, n + 2), *stem, n)
         for conv1, conv2, se in blocks:
-            g = gutter_conv(h, *conv1)
-            np.maximum(g, 0.0, out=g)
-            g = gutter_conv(g, *conv2)
-            np.maximum(g, 0.0, out=g)
+            g = _conv_bn_relu(_conv_bn_relu(h, *conv1, n), *conv2, n)
             if se is not None:
                 g *= _se_gate(interior(g, n), *se).T[:, :, None]
             h += g
@@ -360,12 +358,19 @@ class ScoringPlan:
 
 
 def _fold_bn(t: dict[str, np.ndarray], conv: str, bn: str) -> tuple[np.ndarray, np.ndarray]:
-    """Taps (k, out, in) and bias of conv ``conv`` followed by eval-mode
-    batch norm ``bn``, as ``nn.gutter_conv`` takes them."""
+    """Taps (k, out, in), as ``nn.gutter_conv`` takes them, and per-channel
+    shift of conv ``conv`` followed by eval-mode batch norm ``bn``."""
     s = t[f"{bn}.gamma"] / np.sqrt(t[f"{bn}.running_var"] + BatchNorm1d.EPSILON)
     weight = t[f"{conv}.weight"] * s[:, None, None]
-    bias = (t[f"{conv}.bias"] - t[f"{bn}.running_mean"]) * s + t[f"{bn}.beta"]
-    return weight.transpose(2, 0, 1).copy(), bias
+    shift = t[f"{bn}.beta"] - t[f"{bn}.running_mean"] * s
+    return weight.transpose(2, 0, 1).copy(), shift
+
+
+def _conv_bn_relu(xbuf: np.ndarray, taps, shift, t: int) -> np.ndarray:
+    """``relu(conv + shift)`` over a whole zero-gutter buffer: a new one of ``t`` frames."""
+    h = gutter_conv(xbuf, taps)
+    h += shift[:, None, None]
+    return zero_gutters(np.maximum(h, 0.0, out=h), t)
 
 
 def _se_gate(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
@@ -434,7 +439,7 @@ def _tensor_shapes(cfg: ClassifierConfig) -> dict[str, tuple[int, ...]]:
     c = cfg.channels
 
     def conv_bn(conv, bn, in_ch):
-        return {f"{conv}.weight": (c, in_ch, 3), f"{conv}.bias": (c,),
+        return {f"{conv}.weight": (c, in_ch, 3),
                 **{f"{bn}.{key}": (c,) for key in ("gamma", "beta", "running_mean", "running_var")}}
 
     shapes = {f"cfg.{f.name}": (1,) for f in fields(cfg)}

@@ -68,7 +68,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # alone, and then zeroes the gutters again.
 
 
-def _zero_gutters(buf: np.ndarray, t: int) -> np.ndarray:
+def zero_gutters(buf: np.ndarray, t: int) -> np.ndarray:
     q = (buf.shape[2] - t) // 2
     buf[:, :, :q] = 0.0
     buf[:, :, q + t :] = 0.0
@@ -109,7 +109,7 @@ def to_gutter(x: np.ndarray, width: int) -> np.ndarray:
     ``x``: the buffer ``x`` already is the interior of, or else a new copy."""
     buf = _gutter_of(x)
     if buf is None or buf.shape[2] != width:
-        buf = _zero_gutters(np.empty((x.shape[1], x.shape[0], width)), x.shape[2])
+        buf = zero_gutters(np.empty((x.shape[1], x.shape[0], width)), x.shape[2])
         interior(buf, x.shape[2])[...] = x
     return buf
 
@@ -130,23 +130,24 @@ def _tap_sum(taps: np.ndarray, src: np.ndarray, out: np.ndarray, first: int) -> 
             out[:, lo:hi] += np.matmul(taps[j], src[:, lo + s : hi + s], out=part)
 
 
-def gutter_conv(xbuf: np.ndarray, taps: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def gutter_conv(xbuf: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Kernel-k convolution of a zero-gutter buffer (C, B, W) by ``taps``
-    (the weight as (k, O, C)) plus ``bias``: a new zero-gutter buffer
-    (O, B, W) holding the W - k + 1 output frames."""
+    (the weight as (k, O, C)): a new zero-gutter buffer (O, B, W) holding
+    the W - k + 1 output frames."""
     k, out_ch, in_ch = taps.shape
     _, batch, width = xbuf.shape
     ybuf = np.empty((out_ch, batch, width))
     _tap_sum(taps, xbuf.reshape(in_ch, -1), ybuf.reshape(out_ch, -1), (k - 1) // 2)
-    ybuf += bias[:, None, None]
-    return _zero_gutters(ybuf, width - k + 1)       # and the sums that straddle two rows
+    return zero_gutters(ybuf, width - k + 1)       # and the sums that straddle two rows
 
 
 class Conv1d:
-    """1-D convolution (cross-correlation) over the time axis.
+    """1-D convolution (cross-correlation) over the time axis, with no bias.
 
     Output length is ``T + 2*padding - kernel + 1``; kernel 3 with padding
     1 preserves ``T``.  Weights are He-initialized for a ReLU nonlinearity.
+    Every conv here feeds a batch norm, which subtracts the batch mean and so
+    cancels a bias (Ioffe & Szegedy, ICML 2015, §3.2); its ``beta`` is the shift.
 
     The forward pass, the weight gradient and the input gradient are each
     ``kernel`` GEMMs over zero-gutter buffers (see :func:`gutter_conv`).  An
@@ -170,16 +171,15 @@ class Conv1d:
         rng = rng or np.random.default_rng(0)
         scale = np.sqrt(2.0 / (in_ch * kernel))
         self.weight = Parameter(rng.normal(0.0, scale, size=(out_ch, in_ch, kernel)))
-        self.bias = Parameter(np.zeros(out_ch))
         self.padding = padding
         self.input_source = None
         self._cache = None
 
     def parameters(self):
-        return [self.weight, self.bias]
+        return [self.weight]
 
     def named_tensors(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight.data, "bias": self.bias.data}
+        return {"weight": self.weight.data}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         _, in_ch, k = self.weight.shape
@@ -191,7 +191,7 @@ class Conv1d:
             raise ValueError(f"time extent {t_in} too short for kernel {k} with padding {self.padding}")
         xbuf = to_gutter(x, width)
         self._cache = xbuf if self.input_source is None else None
-        ybuf = gutter_conv(xbuf, self.weight.data.transpose(2, 0, 1).copy(), self.bias.data)
+        ybuf = gutter_conv(xbuf, self.weight.data.transpose(2, 0, 1).copy())
         return interior(ybuf, width - k + 1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -199,7 +199,7 @@ class Conv1d:
         return self.backward_input(grad_out)
 
     def backward_params(self, grad_out: np.ndarray) -> None:
-        """Accumulate the weight and bias gradients, and drop the input."""
+        """Accumulate the weight gradient, and drop the input."""
         if self.input_source is None:
             xbuf = self._cache
         else:
@@ -213,7 +213,6 @@ class Conv1d:
             s = j - first
             lo, hi = max(0, -s), n - max(0, s)
             self.weight.grad[:, :, j] += g[:, lo:hi] @ x[:, lo + s : hi + s].T
-        self.bias.grad += g.sum(axis=1)
 
     def backward_input(self, grad_out: np.ndarray) -> np.ndarray:
         """Gradient with respect to the forward input: the forward pass of
@@ -224,7 +223,7 @@ class Conv1d:
         taps = self.weight.data[:, :, ::-1].transpose(2, 1, 0).copy()
         _tap_sum(taps, gbuf.reshape(out_ch, -1), dbuf.reshape(in_ch, -1), k - 1 - (k - 1) // 2)
         t_in = dbuf.shape[2] - 2 * self.padding
-        return interior(_zero_gutters(dbuf, t_in), t_in)
+        return interior(zero_gutters(dbuf, t_in), t_in)
 
 
 class BatchNorm1d:
@@ -273,19 +272,19 @@ class BatchNorm1d:
             if n < 2:
                 raise ValueError("train-mode batch norm needs >1 sample per channel")
             mean = src.sum(axis=(1, 2)) / n
-            _zero_gutters(np.subtract(src, mean[:, None, None], out=xhat), t)
+            zero_gutters(np.subtract(src, mean[:, None, None], out=xhat), t)
             flat = xhat.reshape(c, -1)
             var = np.einsum("ij,ij->i", flat, flat) / n        # no squared temporary
             m = self.MOMENTUM
             self.running_mean = (1 - m) * self.running_mean + m * mean
             self.running_var = (1 - m) * self.running_var + m * var
         else:
-            _zero_gutters(np.subtract(src, self.running_mean[:, None, None], out=xhat), t)
+            zero_gutters(np.subtract(src, self.running_mean[:, None, None], out=xhat), t)
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPSILON)
         xhat *= inv_std[:, None, None]
         self._cache = (interior(xhat, t), inv_std, training)
-        return interior(_zero_gutters(self._affine(xhat, np.empty_like(xhat)), t), t)
+        return interior(zero_gutters(self._affine(xhat, np.empty_like(xhat)), t), t)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xhat, inv_std, training = self._cache
@@ -309,7 +308,7 @@ class BatchNorm1d:
             xhat *= (scale * sum_dyx / n)[:, None]
             xhat += (scale * sum_dy / n)[:, None]
             dx -= xhat
-        return interior(_zero_gutters(dx.reshape(c, b, width), t), t)
+        return interior(zero_gutters(dx.reshape(c, b, width), t), t)
 
     def _affine(self, xhat: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """``gamma * xhat + beta`` of channel-major ``xhat``, into ``out`` when given."""
@@ -365,7 +364,7 @@ class BatchNormReLU(BatchNorm1d):
         zero-gutter buffer."""
         xhat = self._cache[0]
         b, c, t = xhat.shape
-        buf = _zero_gutters(np.empty((c, b, t + 2 * padding)), t)
+        buf = zero_gutters(np.empty((c, b, t + 2 * padding)), t)
         self._affine(xhat.transpose(1, 0, 2), _frames(buf, t))
         return _relu_in_place(buf).transpose(1, 0, 2)
 

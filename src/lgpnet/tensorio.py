@@ -13,7 +13,8 @@ Layout (all integers little-endian):
         data        prod(extents) * f32
 
 Values are stored as 32-bit floats; a float32 array round-trips
-bit-exactly.  Insertion order of the mapping is preserved.
+bit-exactly.  Insertion order of the mapping is preserved.  Values that are
+not finite as float32 are refused, as every reader of these files does.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ MAGIC = b"LGPN"
 VERSION = 1
 
 _MAX_RANK = 8
+
+
+def finite_float32(arr, what: str) -> np.ndarray:
+    """``arr`` as little-endian float32; ValueError naming ``what`` if not all finite."""
+    with np.errstate(over="ignore"):
+        out = np.ascontiguousarray(arr, dtype="<f4")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} has a value that is not finite as float32")
+    return out
 
 
 def serialize_tensors(tensors: dict[str, np.ndarray]) -> bytes:
@@ -49,7 +59,7 @@ def serialize_tensors(tensors: dict[str, np.ndarray]) -> bytes:
         buf.write(struct.pack("<B", arr.ndim))
         for ext in arr.shape:
             buf.write(struct.pack("<Q", ext))
-        buf.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        buf.write(finite_float32(arr, f"tensor {name!r}").tobytes())
     return buf.getvalue()
 
 
@@ -96,8 +106,9 @@ def deserialize_tensors(data: bytes) -> dict[str, np.ndarray]:
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
+    data = serialize_tensors(tensors)
     with open(path, "wb") as fh:
-        fh.write(serialize_tensors(tensors))
+        fh.write(data)
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -124,12 +125,24 @@ class TestScoreCheckpoint:
         from lgpnet import tensorio
 
         tensors = tensorio.load_tensors(score_fixture / "model.lgpn")
-        del tensors["path0.block0.conv2.bias"]
+        del tensors["path0.block0.bn2.beta"]
         tensorio.save_tensors(score_fixture / "cut.lgpn", tensors)
         assert score_with(score_fixture, score_fixture / "cut.lgpn") == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "path0.block0.conv2.bias" in err
+        assert err.startswith("error:") and "path0.block0.bn2.beta" in err
         assert "Traceback" not in err
+
+    def test_checkpoint_with_a_conv_bias_exits_3(self, score_fixture, capsys):
+        # convs have no bias, so a checkpoint that stores one is refused
+        from lgpnet import tensorio
+
+        tensors = tensorio.load_tensors(score_fixture / "model.lgpn")
+        channels = tensors["path0.stem.conv.weight"].shape[0]
+        tensors["path0.stem.conv.bias"] = np.zeros(channels, dtype=np.float32)
+        tensorio.save_tensors(score_fixture / "biased.lgpn", tensors)
+        assert score_with(score_fixture, score_fixture / "biased.lgpn") == 3
+        err = capsys.readouterr().err
+        assert "unexpected tensor 'path0.stem.conv.bias'" in err and "Traceback" not in err
 
     def test_oversized_channel_count_exits_3(self, score_fixture, capsys):
         from lgpnet import tensorio
@@ -147,11 +160,11 @@ class TestScoreCheckpoint:
 class TestNonFiniteFeatures:
     @pytest.fixture
     def nan_fixture(self, score_fixture):
-        from lgpnet.frontend import store_features
-
+        # built by hand: store_features refuses to write a NaN
         feats = np.random.default_rng(4).normal(size=(20, 2))
         feats[7, 1] = np.nan
-        store_features(score_fixture / "feats" / "u1.lgpf", feats)
+        (score_fixture / "feats" / "u1.lgpf").write_bytes(
+            b"LGPF" + struct.pack("<HII", 1, 20, 2) + feats.astype("<f4").tobytes())
         return score_fixture
 
     @pytest.mark.parametrize("score", [
@@ -173,11 +186,16 @@ def extract_lgp_with(root):
 class TestBadModelFiles:
     @staticmethod
     def rewrite(path, name, value):
+        # the container is built by hand: save_tensors refuses to write a NaN
         from lgpnet import tensorio
 
         tensors = tensorio.load_tensors(path)
         tensors[name] = value(tensors[name].copy())
-        tensorio.save_tensors(path, tensors)
+        blob = [b"LGPN", struct.pack("<HI", 1, len(tensors))]
+        for key, arr in tensors.items():
+            blob += [struct.pack("<H", len(key)), key.encode(), struct.pack("<B", arr.ndim),
+                     *(struct.pack("<Q", ext) for ext in arr.shape), arr.astype("<f4").tobytes()]
+        path.write_bytes(b"".join(blob))
 
     @staticmethod
     def nan_at_1(array):
@@ -218,6 +236,42 @@ class TestBadModelFiles:
         assert err.startswith("error:") and "'form' has shape (0,)" in err
         assert "Traceback" not in err
         assert not (score_fixture / "lgp").exists()
+
+
+class TestWritersRefuseNonFinite:
+    """A value that overflows float32 is refused before its file is opened,
+    since the file's reader would refuse it."""
+
+    @pytest.fixture
+    def overflow_fixture(self, tmp_path):
+        from lgpnet.frontend import store_features
+        from lgpnet.gmm import Gmm
+        from lgpnet.lgp import LgpNormStats
+
+        # raw LGP of x = 1e10 under variance 1e-30 is -5e49, beyond float32
+        Gmm(np.full(2, 0.5), np.zeros((2, 1)), np.array([[1.0], [1e-30]])).save(tmp_path / "m.gmm")
+        LgpNormStats(np.zeros(2), np.ones(2), "fast").save(tmp_path / "m.stats")
+        (tmp_path / "feats").mkdir()
+        store_features(tmp_path / "feats" / "u1.lgpf", np.array([[1e10], [0.5], [-0.5]]))
+        return tmp_path
+
+    def refused(self, capsys, code, name, output):
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and name in err and "not finite as float32" in err
+        assert "Traceback" not in err
+        assert not output.exists()
+
+    def test_extract_lgp_writes_no_overflowed_map(self, overflow_fixture, capsys):
+        root = overflow_fixture
+        code = extract_lgp_with(root)
+        self.refused(capsys, code, "u1.lgpf", root / "lgp" / "u1.lgpf")
+
+    def test_fit_lgp_stats_writes_no_overflowed_stats(self, overflow_fixture, capsys):
+        root = overflow_fixture
+        code = run("fit-lgp-stats", "--gmm", root / "m.gmm", "--features", root / "feats",
+                   "--out", root / "new.stats")
+        self.refused(capsys, code, "'lgp_mean'", root / "new.stats")
 
 
 class TestRunConfig:

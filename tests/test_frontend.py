@@ -126,6 +126,13 @@ class TestFeatureContainer:
         store_features(path, feats)
         assert np.array_equal(load_features(path), feats)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e39], ids=["nan", "inf", "float32-overflow"])
+    def test_value_not_finite_as_float32_refused_before_writing(self, tmp_path, bad):
+        path = tmp_path / "f.lgpf"
+        with pytest.raises(ValueError, match="f.lgpf .* not finite as float32"):
+            store_features(path, np.array([[0.5, bad]]))
+        assert not path.exists()
+
     def test_layout_is_little_endian(self, tmp_path):
         path = tmp_path / "f.lgpf"
         store_features(path, np.array([[1.5, -2.0]], dtype=np.float32))

@@ -374,13 +374,13 @@ class TestCheckpoint:
         assert names == [
             "cfg.gmm_order", "cfg.channels", "cfg.blocks", "cfg.se_enabled",
             "cfg.se_reduction", "cfg.input_length", "cfg.paths", "cfg.lgp_form",
-            "path0.stem.conv.weight", "path0.stem.conv.bias",
+            "path0.stem.conv.weight",
             "path0.stem.bn.gamma", "path0.stem.bn.beta",
             "path0.stem.bn.running_mean", "path0.stem.bn.running_var",
-            "path0.block0.conv1.weight", "path0.block0.conv1.bias",
+            "path0.block0.conv1.weight",
             "path0.block0.bn1.gamma", "path0.block0.bn1.beta",
             "path0.block0.bn1.running_mean", "path0.block0.bn1.running_var",
-            "path0.block0.conv2.weight", "path0.block0.conv2.bias",
+            "path0.block0.conv2.weight",
             "path0.block0.bn2.gamma", "path0.block0.bn2.beta",
             "path0.block0.bn2.running_mean", "path0.block0.bn2.running_var",
             "path0.block0.se.w1", "path0.block0.se.b1",
@@ -391,11 +391,11 @@ class TestCheckpoint:
 
     def test_two_path_tensor_names_in_order(self, two_path_model):
         def path_names(k):
-            names = [f"path{k}.stem.conv.weight", f"path{k}.stem.conv.bias"]
+            names = [f"path{k}.stem.conv.weight"]
             names += [f"path{k}.stem.bn.{t}" for t in ("gamma", "beta", "running_mean", "running_var")]
             for b in range(2):
                 for layer in ("1", "2"):
-                    names += [f"path{k}.block{b}.conv{layer}.weight", f"path{k}.block{b}.conv{layer}.bias"]
+                    names += [f"path{k}.block{b}.conv{layer}.weight"]
                     names += [f"path{k}.block{b}.bn{layer}.{t}"
                               for t in ("gamma", "beta", "running_mean", "running_var")]
             return names + [f"path{k}.gmm_sha256", f"path{k}.stats_sha256"]
@@ -478,6 +478,15 @@ class TestCheckpointSchema:
         tensors["path0.block2.conv1.weight"] = np.zeros((16, 16, 3))
         with pytest.raises(FormatError, match="unexpected tensor 'path0.block2.conv1.weight'"):
             self.load(desk_model, tensors)
+        # the schema of checkpoints written while convs still had a bias
+        parent = {}
+        for name, arr in desk_model.to_tensors().items():
+            parent[name] = arr
+            if ".conv" in name:
+                parent[name.replace(".weight", ".bias")] = np.zeros(arr.shape[0])
+        assert len(parent) - len(desk_model.to_tensors()) == 1 + 2 * 2   # stem, two blocks
+        with pytest.raises(FormatError, match="unexpected tensor 'path0.stem.conv.bias'"):
+            self.load(desk_model, parent)
 
 
 def seeded_checkpoint(model, rng, path):

@@ -13,14 +13,12 @@ class TestConv1d:
     def test_hand_convolution(self):
         conv = nn.Conv1d(1, 1, 3, padding=1)
         conv.weight.data[:] = 1.0
-        conv.bias.data[:] = 0.0
         out = conv.forward(np.array([[[1.0, 2.0, 3.0]]]))
         assert np.array_equal(out, [[[3.0, 6.0, 5.0]]])
 
     def test_identity_kernel(self, rng):
         conv = nn.Conv1d(1, 1, 3, padding=1)
         conv.weight.data[0, 0] = [0.0, 1.0, 0.0]
-        conv.bias.data[:] = 0.0
         x = rng.normal(size=(2, 1, 9))
         assert np.allclose(conv.forward(x), x)
 
@@ -51,7 +49,6 @@ class TestConv1d:
         grad_x = conv.backward(np.zeros_like(out))
         assert not np.any(grad_x)
         assert not np.any(conv.weight.grad)
-        assert not np.any(conv.bias.grad)
 
     def test_finite_difference_agreement(self, rng):
         conv = nn.Conv1d(2, 3, 3, padding=1, rng=rng)
@@ -67,8 +64,8 @@ class TestConv1d:
         grad_x = conv.backward(proj)
         assert_gradients_match(
             loss,
-            [x, conv.weight.data, conv.bias.data],
-            [grad_x, conv.weight.grad, conv.bias.grad],
+            [x, conv.weight.data],
+            [grad_x, conv.weight.grad],
         )
 
     def test_channel_mismatch_rejected(self, rng):
@@ -82,23 +79,22 @@ class TestConv1d:
             conv.forward(np.zeros((1, 1, 3)))
 
 
-def conv_oracle(x, weight, bias, padding, grad_out):
-    """Output, weight, bias and input gradients of a 1-D convolution by
-    direct loops over batch rows, output frames and taps."""
+def conv_oracle(x, weight, padding, grad_out):
+    """Output, weight and input gradients of a 1-D convolution by direct
+    loops over batch rows, output frames and taps."""
     batch, _, t = x.shape
     k = weight.shape[2]
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
     t_out = xp.shape[2] - k + 1
-    out = np.empty((batch, weight.shape[0], t_out))
+    out = np.zeros((batch, weight.shape[0], t_out))
     grad_w, grad_xp = np.zeros_like(weight), np.zeros_like(xp)
     for i in range(batch):
         for s in range(t_out):
-            out[i, :, s] = bias
             for j in range(k):
                 out[i, :, s] += weight[:, :, j] @ xp[i, :, s + j]
                 grad_w[:, :, j] += np.outer(grad_out[i, :, s], xp[i, :, s + j])
                 grad_xp[i, :, s + j] += weight[:, :, j].T @ grad_out[i, :, s]
-    return out, grad_w, grad_out.sum(axis=(0, 2)), grad_xp[:, :, padding : padding + t]
+    return out, grad_w, grad_xp[:, :, padding : padding + t]
 
 
 def laid_out(a, layout):
@@ -121,17 +117,16 @@ class TestConvAgainstLoops:
     @pytest.mark.parametrize("layout", ["contiguous", "transposed", "gutter", "dirty-gutter"])
     def test_forward_and_gradients_match_direct_loops(self, rng, kernel, padding, batch, layout):
         conv = nn.Conv1d(4, 5, kernel, padding=padding, rng=rng)
-        conv.bias.data[:] = rng.normal(size=5)
         x = rng.normal(size=(batch, 4, 7))
         t_out = 7 + 2 * padding - kernel + 1
         grad_out = rng.normal(size=(batch, 5, t_out))
-        want = conv_oracle(x, conv.weight.data, conv.bias.data, padding, grad_out)
+        want = conv_oracle(x, conv.weight.data, padding, grad_out)
         x_in, g_in = laid_out(x, layout), laid_out(grad_out, layout)
         out = conv.forward(x_in)
         grad_x = conv.backward(g_in)
         assert np.array_equal(x_in, x) and np.array_equal(g_in, grad_out)
         worst = 0.0
-        for got, expected in zip((out, conv.weight.grad, conv.bias.grad, grad_x), want):
+        for got, expected in zip((out, conv.weight.grad, grad_x), want):
             assert got.shape == expected.shape
             worst = max(worst, np.abs(got - expected).max() / np.abs(expected).max())
         print(f"max relative error {worst:.1e}")
@@ -265,6 +260,28 @@ class TestBatchNorm:
                 for got, want in pairs]
         print(f"largest drift {max(ulps):.1f} ulps of the largest value")
         assert max(ulps) <= 4, ulps
+
+    @pytest.mark.parametrize("layer", [nn.BatchNorm1d, nn.BatchNormReLU])
+    def test_train_mode_cancels_a_per_channel_constant(self, rng, layer):
+        # Why a conv feeding batch norm needs no bias: the batch mean takes it out.
+        x = rng.normal(size=(4, 3, 9)) * 2.0 + 1.0
+        shift = rng.normal(scale=3.0, size=(1, 3, 1))
+        gamma, beta = rng.uniform(0.5, 1.5, size=3), rng.normal(size=3)
+        g = rng.normal(size=(4, 3, 9))
+        runs = []
+        for inp in (x, x + shift):
+            bn = layer(3)
+            bn.gamma.data[:], bn.beta.data[:] = gamma, beta
+            out = bn.forward(inp, True).copy()
+            runs.append((out, bn.running_var, bn.backward(g), bn.gamma.grad, bn.beta.grad))
+        # gamma's gradient sums g * xhat with |xhat| of order 1, and may cancel
+        # to near zero, so its rounding is measured against sum |g|
+        scales = [np.abs(want).max() for want in runs[0]]
+        scales[3] = np.abs(g).sum(axis=(0, 2)).max()
+        ulps = [np.abs(got - want).max() / (np.finfo(float).eps * scale)
+                for got, want, scale in zip(*runs, scales)]
+        print(f"largest drift {max(ulps):.1f} ulps")
+        assert max(ulps) <= 8, ulps
 
 
 class TestBatchNormReLU:

@@ -23,6 +23,15 @@ def test_round_trip_preserves_bits_and_order(tmp_path):
         assert np.array_equal(loaded[name], tensors[name])
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e39], ids=["nan", "inf", "float32-overflow"])
+def test_value_not_finite_as_float32_refused_before_writing(tmp_path, bad):
+    tensors = {"ok": np.ones(2), "w": np.array([1.0, bad])}
+    path = tmp_path / "t.lgpn"
+    with pytest.raises(ValueError, match="tensor 'w' .* not finite as float32"):
+        tensorio.save_tensors(path, tensors)
+    assert not path.exists()
+
+
 def test_save_load_save_is_byte_identical(tmp_path):
     tensors = {"w": np.arange(12, dtype=np.float32).reshape(3, 4)}
     first = tensorio.serialize_tensors(tensors)
