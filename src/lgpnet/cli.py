@@ -1,15 +1,13 @@
 """Command-line entry point wiring the whole pipeline.
 
 Exit codes: 0 success, 2 usage, 3 data/format problems, 4 numeric failure.
-Output paths given as relative can be redirected under the directory named
-by the ``LGPNET_OUT_DIR`` environment variable; nothing else reads the
+Outputs go where the command's output flag says; nothing reads the
 environment.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -41,10 +39,7 @@ USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 2, 3, 4
 
 def _out_path(raw, *, directory: bool) -> Path:
     """The output path ``raw`` names; makes it (``directory``) or its parent."""
-    root = os.environ.get("LGPNET_OUT_DIR")
     path = Path(raw)
-    if root and not path.is_absolute():
-        path = Path(root) / path
     (path if directory else path.parent).mkdir(parents=True, exist_ok=True)
     return path
 
@@ -104,7 +99,7 @@ def _cmd_extract_lfcc(args) -> int:
         raise FileNotFoundError(f"{wav_dir}: no .wav files found")
 
     def one(path: Path):
-        feats = extract_lfcc(read_wav(path), include_deltas=not args.no_deltas)
+        feats = extract_lfcc(read_wav(path))
         store_features(out_dir / (path.stem + ".lgpf"), feats)
 
     _map_workers(args.workers, one, wavs)
@@ -114,8 +109,7 @@ def _cmd_extract_lfcc(args) -> int:
 
 def _cmd_train_gmm(args) -> int:
     frames = _pooled_frames(args.features)
-    cfg = EmConfig(iterations=args.iters, seed=args.seed,
-                   variance_floor_factor=args.floor_factor)
+    cfg = EmConfig(iterations=args.iters, seed=args.seed)
     model, trace = train_em(frames, args.components, cfg)
     out = _out_path(args.out, directory=False)
     model.save(out)
@@ -270,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="LGP-feature spoofing detection toolkit",
     )
     parser.add_argument("--version", action="version",
-                        version=f"lgpnet {__version__} (containers LGPN v1, LGPF v1)")
+                        version=f"lgpnet {__version__} (container LGPN v1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-corpus", help="generate a synthetic two-class corpus")
@@ -288,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract-lfcc", help="LFCC features from 16-bit mono WAV files")
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--no-deltas", action="store_true")
     p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(fn=_cmd_extract_lfcc)
 
@@ -297,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", type=int, default=512)
     p.add_argument("--iters", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--floor-factor", type=float, default=1e-3)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_train_gmm)
 

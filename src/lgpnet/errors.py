@@ -4,10 +4,12 @@
 class FormatError(ValueError):
     """A binary container or text file violates its declared format.
 
-    Carries the byte (or line) offset at which the problem was detected.
+    Carries the byte (or line) offset at which the problem was detected,
+    and the message without it as ``reason``.
     """
 
     def __init__(self, message, offset=None):
+        self.reason = message
         if offset is not None:
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)

@@ -1,31 +1,21 @@
 """Acoustic front end: WAV ingestion, LFCC extraction, feature files.
 
-Feature matrices are stored row-major as (frames, dims) in a small binary
-container (all integers little-endian):
-
-    magic    4 bytes   b"LGPF"
-    version  u16       currently 1
-    rows     u32       frame count T
-    cols     u32       feature dim D
-    data     rows*cols f32
-
-Precomputed features from other extractors (e.g. constant-Q cepstra) enter
-the pipeline through this container; only LFCC is computed here.
+A feature file (``.lgpf``) is a tensor container (see ``tensorio``) that
+holds exactly one rank-2 tensor named ``features``: (T, D) frames for
+acoustic features, (M, T) for exported LGP maps.  Precomputed features
+from other extractors (e.g. constant-Q cepstra) enter the pipeline through
+it; only LFCC is computed here.
 """
 
 from __future__ import annotations
 
-import struct
 import wave
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensorio
 from .errors import FormatError
-from .tensorio import finite_float32
-
-FEATURE_MAGIC = b"LGPF"
-FEATURE_VERSION = 1
 
 _LOG_FLOOR = 1e-20
 
@@ -106,12 +96,12 @@ def _deltas(feats: np.ndarray, window: int) -> np.ndarray:
     return out / denom
 
 
-def extract_lfcc(wav: Waveform, include_deltas: bool = True) -> np.ndarray:
-    """LFCC feature matrix (T, D); D = LFCC_COEFFS, or 3x that with deltas.
+def extract_lfcc(wav: Waveform) -> np.ndarray:
+    """LFCC feature matrix (T, 3 * LFCC_COEFFS): static, delta, delta-delta.
 
     Pipeline: Hamming-windowed power spectrum -> linear triangular
     filterbank -> log -> orthonormal DCT-II -> first ``LFCC_COEFFS`` terms,
-    with optional delta and delta-delta streams appended.
+    with the delta and delta-delta streams appended.
     """
     win = int(round(LFCC_WINDOW_MS * wav.sample_rate / 1000.0))
     hop = int(round(LFCC_HOP_MS * wav.sample_rate / 1000.0))
@@ -133,9 +123,6 @@ def extract_lfcc(wav: Waveform, include_deltas: bool = True) -> np.ndarray:
     energies = np.log(np.maximum(spectrum @ fbank.T, _LOG_FLOOR))
     dct = _dct2_orthonormal(LFCC_FILTERS)[:LFCC_COEFFS]
     ceps = energies @ dct.T
-
-    if not include_deltas:
-        return ceps
     d1 = _deltas(ceps, LFCC_DELTA_WINDOW)
     d2 = _deltas(d1, LFCC_DELTA_WINDOW)
     return np.concatenate([ceps, d1, d2], axis=1)
@@ -161,39 +148,25 @@ def fix_length(feats: np.ndarray, target_t: int) -> np.ndarray:
 
 
 def store_features(path, feats: np.ndarray) -> None:
-    """Write a feature matrix to the LGPF container (values stored as f32);
+    """Write a feature matrix as the one tensor ``features`` (stored as f32);
     one that is not finite as float32 is a ValueError, and writes no file."""
     feats = np.asarray(feats)
     if feats.ndim != 2:
         raise ValueError("features must be a (T, D) matrix")
-    rows, cols = feats.shape
-    data = finite_float32(feats, str(path))
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<HII", FEATURE_VERSION, rows, cols))
-        fh.write(data.tobytes())
+    tensorio.save_tensors(path, {"features": tensorio.finite_float32(feats, str(path))})
 
 
 def load_features(path) -> np.ndarray:
-    """Read a feature matrix back; bit-exact for float32 data.  A NaN or
-    infinite value is a FormatError, so it cannot reach a score."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 14:
-        raise FormatError(f"{path}: truncated header", offset=len(data))
-    if data[:4] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic bytes", offset=0)
-    version, rows, cols = struct.unpack("<HII", data[4:14])
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}", offset=4)
-    expected = 14 + 4 * rows * cols
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes for {rows}x{cols} values, got {len(data)}",
-            offset=min(len(data), expected),
-        )
-    feats = np.frombuffer(data, dtype="<f4", offset=14).reshape(rows, cols).copy()
+    """Read a feature matrix back; bit-exact for float32 data.  Anything but
+    one rank-2 tensor ``features``, or a NaN or infinite value in it, is a
+    FormatError naming the file, so it cannot reach a score."""
+    tensors = tensorio.load_tensors(path)
+    if set(tensors) != {"features"}:
+        raise FormatError(f"{path}: expected one tensor 'features', found {sorted(tensors)}")
+    feats = tensors["features"]
+    if feats.ndim != 2:
+        raise FormatError(f"{path}: tensor 'features' has rank {feats.ndim}, expected 2")
     if not np.isfinite(feats).all():
-        bad = int(np.flatnonzero(~np.isfinite(feats))[0])
-        raise FormatError(f"{path}: non-finite value in frame {bad // cols}", offset=14 + 4 * bad)
+        frame = int(np.argmin(np.isfinite(feats).all(axis=1)))
+        raise FormatError(f"{path}: non-finite value in frame {frame}")
     return feats

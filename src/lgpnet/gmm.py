@@ -15,20 +15,20 @@ from . import tensorio
 
 LOG_2PI = np.log(2.0 * np.pi)
 
+# EM floors every variance at this factor times the global per-dimension variance.
+VARIANCE_FLOOR_FACTOR = 1e-3
+
 
 @dataclass
 class EmConfig:
     """Knobs for EM training."""
 
     iterations: int = 30
-    variance_floor_factor: float = 1e-3   # times the global per-dimension variance
     seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.variance_floor_factor <= 0.0:
-            raise ValueError("variance floor factor must be positive")
 
 
 class Gmm:
@@ -134,7 +134,11 @@ class Gmm:
 
     @classmethod
     def load(cls, path) -> "Gmm":
-        return cls.from_tensors(tensorio.load_tensors(path))
+        tensors = tensorio.load_tensors(path)
+        try:
+            return cls.from_tensors(tensors)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def fingerprint(self) -> bytes:
         return tensorio.fingerprint(self.to_tensors())
@@ -193,7 +197,7 @@ def train_em(frames: np.ndarray, m: int, cfg: EmConfig | None = None) -> tuple[G
 
     rng = np.random.default_rng(cfg.seed)
     global_var = frames.var(axis=0)
-    floor = np.maximum(cfg.variance_floor_factor * global_var, 1e-12)
+    floor = np.maximum(VARIANCE_FLOOR_FACTOR * global_var, 1e-12)
 
     means = _kmeanspp_means(frames, m, rng)
     weights = np.full(m, 1.0 / m)

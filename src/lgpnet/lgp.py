@@ -78,7 +78,11 @@ class LgpNormStats:
 
     @classmethod
     def load(cls, path) -> "LgpNormStats":
-        return cls.from_tensors(tensorio.load_tensors(path))
+        tensors = tensorio.load_tensors(path)
+        try:
+            return cls.from_tensors(tensors)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def fingerprint(self) -> bytes:
         return tensorio.fingerprint(self.to_tensors())

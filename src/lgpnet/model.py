@@ -254,7 +254,7 @@ class SpoofModel:
 
     def score_utterance(self, feats: np.ndarray) -> float:
         """Mean detection score over all overlap segments of an utterance."""
-        segments = np.stack(segment_ufm(feats, UfmConfig(self.cfg.input_length)))  # (S, N, D)
+        segments = segment_ufm(feats, UfmConfig(self.cfg.input_length))  # (S, N, D)
         logits = self.fc.forward(self.embed(segments, False, range(self.cfg.paths)))
         scores = logits[:, BONA_FIDE] - logits[:, SPOOF]
         return float(scores.mean())
@@ -335,7 +335,7 @@ class ScoringPlan:
 
     def score_utterance(self, feats: np.ndarray) -> float:
         """Mean detection score over all overlap segments of an utterance."""
-        segments = np.stack(segment_ufm(feats, UfmConfig(self.cfg.input_length)))  # (S, N, D)
+        segments = segment_ufm(feats, UfmConfig(self.cfg.input_length))  # (S, N, D)
         emb = np.concatenate([self._embed(k, segments) for k in range(self.cfg.paths)], axis=1)
         weight, bias = self.head
         logits = emb @ weight.T + bias
@@ -489,12 +489,12 @@ def _digest_tensor(digest: bytes) -> np.ndarray:
     return np.frombuffer(digest, dtype=np.uint8).astype(np.float64)
 
 
-def segment_ufm(feats: np.ndarray, cfg: UfmConfig) -> list[np.ndarray]:
-    """Cut an utterance into half-overlapping fixed-length segments.
+def segment_ufm(feats: np.ndarray, cfg: UfmConfig) -> np.ndarray:
+    """Cut an utterance into half-overlapping fixed-length segments; (S, N, D).
 
     The utterance is first extended by cyclic repetition to the least
     multiple L of N with L >= T, then segments start at 0, N/2, ..., L - N,
-    giving exactly 2L/N - 1 of them.
+    giving exactly S = 2L/N - 1 of them.
     """
     feats = np.asarray(feats)
     if feats.ndim != 2 or feats.shape[0] == 0:
@@ -502,8 +502,5 @@ def segment_ufm(feats: np.ndarray, cfg: UfmConfig) -> list[np.ndarray]:
     n = cfg.segment_length
     t = feats.shape[0]
     length = -(-t // n) * n
-    reps = -(-length // t)
-    extended = np.tile(feats, (reps, 1))[:length]
-    hop = n // 2
-    return [extended[start : start + n] for start in range(0, length - n + 1, hop)]
-
+    starts = np.arange(0, length - n + 1, n // 2)
+    return feats[(starts[:, None] + np.arange(n)) % t]

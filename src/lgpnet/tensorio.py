@@ -112,8 +112,13 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
+    """Read a container file; every FormatError it raises names ``path``."""
     with open(path, "rb") as fh:
-        return deserialize_tensors(fh.read())
+        data = fh.read()
+    try:
+        return deserialize_tensors(data)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc.reason}", offset=exc.offset) from None
 
 
 def fingerprint(tensors: dict[str, np.ndarray]) -> bytes:

@@ -122,7 +122,7 @@ def _segments(model: SpoofModel, cfg: TrainConfig, data: LabeledDataset, dev):
     train_x = np.stack([fix_length(utt.features, n) for utt in data.items])
     if dev is None:
         return train_x, None
-    return train_x, [np.stack(segment_ufm(utt.features, UfmConfig(n))) for utt in dev.items]
+    return train_x, [segment_ufm(utt.features, UfmConfig(n)) for utt in dev.items]
 
 
 def _embed(model: SpoofModel, path_ids, x: np.ndarray, training: bool, ids) -> np.ndarray:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from handbuilt import container_bytes
 from lgpnet.cli import main
 from lgpnet.evaluation import read_scores, write_scores, write_protocol
 from lgpnet.runconfig import RunConfig
@@ -43,7 +44,8 @@ class TestDispatch:
 
     def test_version(self, capsys):
         assert run("--version") == 0
-        assert "lgpnet" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "lgpnet" in out and "LGPN" in out and "LGPF" not in out
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         proto = tmp_path / "p.txt"
@@ -105,8 +107,8 @@ def score_with(root, model):
                "--stats", root / "m.stats", "--out", root / "scores.eval")
 
 
-def score_gmm_with(root):
-    return run("score-gmm", "--gmm", root / "m.gmm", "--gmm2", root / "m.gmm",
+def score_gmm_with(root, genuine="m.gmm", spoof="m.gmm"):
+    return run("score-gmm", "--gmm", root / genuine, "--gmm2", root / spoof,
                "--features", root / "feats", "--protocol", root / "eval.txt",
                "--out", root / "scores.eval")
 
@@ -163,8 +165,7 @@ class TestNonFiniteFeatures:
         # built by hand: store_features refuses to write a NaN
         feats = np.random.default_rng(4).normal(size=(20, 2))
         feats[7, 1] = np.nan
-        (score_fixture / "feats" / "u1.lgpf").write_bytes(
-            b"LGPF" + struct.pack("<HII", 1, 20, 2) + feats.astype("<f4").tobytes())
+        (score_fixture / "feats" / "u1.lgpf").write_bytes(container_bytes({"features": feats}))
         return score_fixture
 
     @pytest.mark.parametrize("score", [
@@ -176,6 +177,50 @@ class TestNonFiniteFeatures:
         assert err.startswith("error:") and "u1.lgpf" in err and "non-finite" in err
         assert "Traceback" not in err
         assert not (nan_fixture / "scores.eval").exists()
+
+
+class TestBadFeatureFiles:
+    """A feature file is a tensor container holding one (T, D) tensor
+    ``features``; anything else exits 3 with the file's name."""
+
+    @pytest.mark.parametrize("blob, message", [
+        # the retired LGPF layout: magic, version u16, rows u32, cols u32, f32 data
+        (b"LGPF" + struct.pack("<HII", 1, 20, 2) + np.ones(40, "<f4").tobytes(),
+         "bad magic bytes"),
+        (container_bytes({"features": np.ones((20, 2)), "extra": np.ones(1)}),
+         "expected one tensor 'features'"),
+        (container_bytes({"frames": np.ones((20, 2))}), "expected one tensor 'features'"),
+        (container_bytes({"features": np.ones(40)}), "has rank 1, expected 2"),
+    ], ids=["old-layout", "second-tensor", "wrong-name", "rank-1"])
+    def test_exits_3_naming_the_file(self, score_fixture, capsys, blob, message):
+        (score_fixture / "feats" / "u1.lgpf").write_bytes(blob)
+        assert score_gmm_with(score_fixture) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "u1.lgpf" in err and message in err
+        assert "Traceback" not in err
+        assert not (score_fixture / "scores.eval").exists()
+
+
+class TestBadGmmFiles:
+    def test_corrupt_second_gmm_is_named(self, score_fixture, capsys):
+        root = score_fixture
+        (root / "bad.gmm").write_bytes(b"XXXX" + (root / "m.gmm").read_bytes()[4:])
+        assert score_gmm_with(root, spoof="bad.gmm") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {root / 'bad.gmm'}: bad magic bytes")
+        assert "Traceback" not in err
+        assert not (root / "scores.eval").exists()
+
+    def test_gmm_with_a_missing_tensor_is_named(self, score_fixture, capsys):
+        from lgpnet import tensorio
+
+        root = score_fixture
+        tensors = tensorio.load_tensors(root / "m.gmm")
+        del tensors["vars"]
+        tensorio.save_tensors(root / "cut.gmm", tensors)
+        assert score_gmm_with(root, genuine="cut.gmm") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {root / 'cut.gmm'}: GMM checkpoint is missing tensor")
 
 
 def extract_lgp_with(root):
@@ -191,11 +236,7 @@ class TestBadModelFiles:
 
         tensors = tensorio.load_tensors(path)
         tensors[name] = value(tensors[name].copy())
-        blob = [b"LGPN", struct.pack("<HI", 1, len(tensors))]
-        for key, arr in tensors.items():
-            blob += [struct.pack("<H", len(key)), key.encode(), struct.pack("<B", arr.ndim),
-                     *(struct.pack("<Q", ext) for ext in arr.shape), arr.astype("<f4").tobytes()]
-        path.write_bytes(b"".join(blob))
+        path.write_bytes(container_bytes(tensors))
 
     @staticmethod
     def nan_at_1(array):
@@ -233,7 +274,8 @@ class TestBadModelFiles:
         self.rewrite(score_fixture / "m.stats", "form", lambda form: form[:0])
         assert extract_lgp_with(score_fixture) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "'form' has shape (0,)" in err
+        assert err.startswith(f"error: {score_fixture / 'm.stats'}: ")
+        assert "'form' has shape (0,)" in err
         assert "Traceback" not in err
         assert not (score_fixture / "lgp").exists()
 
@@ -457,16 +499,6 @@ class TestFuse:
         assert run("fuse", "--dev", scores, "--protocol", proto, "--out", out) == 2
         assert "--out writes the fused eval scores, so it needs --eval" in capsys.readouterr().err
         assert not out.exists()
-
-
-class TestOutDirOverride:
-    def test_relative_out_redirected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LGPNET_OUT_DIR", str(tmp_path / "redirected"))
-        assert run(
-            "gen-corpus", "--task", "order-only", "--out", "corpus",
-            "--train-utts", 4, "--dev-utts", 2, "--eval-utts", 2,
-        ) == 0
-        assert (tmp_path / "redirected" / "corpus" / "train.txt").exists()
 
 
 class TestPipeline:

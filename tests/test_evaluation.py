@@ -161,7 +161,7 @@ class TestFusion:
         base, _ = eer_from_scores(np.array([2.0, 0.5]), np.array([-1.0]))
         assert result.dev_eer == base
 
-    def test_identical_subsystems_tie_break_to_equal_weights(self, rng):
+    def test_identical_subsystems_get_equal_weights_by_symmetry(self, rng):
         scores = {f"u{i}": float(s) for i, s in enumerate(rng.normal(size=12))}
         labels = {u: ("bonafide" if i % 2 else "spoof") for i, u in enumerate(scores)}
         result = fuse_scores([scores, dict(scores)], labels)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from handbuilt import container_bytes
 from lgpnet.errors import FormatError
 from lgpnet.frontend import (
     LFCC_COEFFS,
@@ -31,7 +32,7 @@ class TestLfcc:
             wav = Waveform(np.zeros(n_samples) + 0.01, rate)
             win, hop = 320, 160
             expected = 1 + (n_samples - win) // hop
-            assert extract_lfcc(wav, include_deltas=False).shape == (expected, LFCC_COEFFS)
+            assert extract_lfcc(wav)[:, :LFCC_COEFFS].shape == (expected, LFCC_COEFFS)
 
     def test_delta_streams_triple_the_width(self):
         wav = tone(440.0, 0.2)
@@ -39,7 +40,7 @@ class TestLfcc:
 
     def test_dc_energy_lands_in_first_coefficient(self):
         wav = Waveform(np.full(3200, 0.5), 16000)
-        feats = extract_lfcc(wav, include_deltas=False)
+        feats = extract_lfcc(wav)[:, :LFCC_COEFFS]
         magnitudes = np.abs(feats)
         assert np.all(magnitudes[:, 0] >= magnitudes[:, 1:].max(axis=1))
 
@@ -134,19 +135,16 @@ class TestFeatureContainer:
         assert not path.exists()
 
     def test_layout_is_little_endian(self, tmp_path):
+        # one rank-2 tensor named "features" in the tensor container
         path = tmp_path / "f.lgpf"
         store_features(path, np.array([[1.5, -2.0]], dtype=np.float32))
-        blob = path.read_bytes()
-        assert blob[:4] == b"LGPF"
-        version, rows, cols = struct.unpack("<HII", blob[4:14])
-        assert (version, rows, cols) == (1, 1, 2)
-        assert blob[14:] == np.array([1.5, -2.0], dtype="<f4").tobytes()
+        assert path.read_bytes() == (
+            b"LGPN" + struct.pack("<HIH", 1, 1, 8) + b"features" + struct.pack("<BQQ", 2, 1, 2)
+            + np.array([1.5, -2.0], dtype="<f4").tobytes())
 
     def test_handcrafted_file_loads(self, tmp_path):
-        # A file built byte-by-byte, independent of store_features.
-        blob = b"LGPF" + struct.pack("<HII", 1, 2, 2) + struct.pack("<4f", 1, 2, 3, 4)
         path = tmp_path / "hand.lgpf"
-        path.write_bytes(blob)
+        path.write_bytes(container_bytes({"features": [[1, 2], [3, 4]]}))
         assert np.array_equal(load_features(path), [[1.0, 2.0], [3.0, 4.0]])
 
     def test_corrupt_magic_rejected(self, tmp_path):
@@ -155,7 +153,15 @@ class TestFeatureContainer:
         blob = bytearray(path.read_bytes())
         blob[0] = ord("X")
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError) as err:
+        with pytest.raises(FormatError, match="bad.lgpf: bad magic") as err:
+            load_features(path)
+        assert err.value.offset == 0
+
+    def test_old_feature_layout_rejected(self, tmp_path):
+        # the retired LGPF layout: magic, version u16, rows u32, cols u32, f32 data
+        path = tmp_path / "old.lgpf"
+        path.write_bytes(b"LGPF" + struct.pack("<HII", 1, 1, 2) + struct.pack("<2f", 1, 2))
+        with pytest.raises(FormatError, match="old.lgpf: bad magic") as err:
             load_features(path)
         assert err.value.offset == 0
 
@@ -163,12 +169,33 @@ class TestFeatureContainer:
         path = tmp_path / "short.lgpf"
         store_features(path, np.ones((4, 4), dtype=np.float32))
         path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="short.lgpf: truncated"):
             load_features(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "v9.lgpf"
-        path.write_bytes(b"LGPF" + struct.pack("<HII", 9, 0, 0))
+        path.write_bytes(b"LGPN" + struct.pack("<HI", 9, 0))
         with pytest.raises(FormatError) as err:
             load_features(path)
         assert err.value.offset == 4
+
+    @pytest.mark.parametrize("tensors, message", [
+        ({"features": np.ones((2, 2)), "extra": np.ones(1)}, "expected one tensor 'features'"),
+        ({"frames": np.ones((2, 2))}, "expected one tensor 'features'"),
+        ({}, "expected one tensor 'features'"),
+        ({"features": np.ones(4)}, "tensor 'features' has rank 1, expected 2"),
+        ({"features": np.ones((2, 2, 2))}, "tensor 'features' has rank 3, expected 2"),
+    ], ids=["second-tensor", "wrong-name", "empty", "rank-1", "rank-3"])
+    def test_anything_but_one_matrix_rejected(self, tmp_path, tensors, message):
+        path = tmp_path / "odd.lgpf"
+        path.write_bytes(container_bytes(tensors))
+        with pytest.raises(FormatError, match=f"odd.lgpf: {message}"):
+            load_features(path)
+
+    def test_non_finite_value_names_its_frame(self, tmp_path):
+        feats = np.zeros((5, 3))
+        feats[3, 1] = np.inf
+        path = tmp_path / "inf.lgpf"
+        path.write_bytes(container_bytes({"features": feats}))
+        with pytest.raises(FormatError, match="inf.lgpf: non-finite value in frame 3"):
+            load_features(path)

@@ -282,7 +282,7 @@ class TestUfm:
     def test_documented_example(self, rng):
         feats = rng.normal(size=(1000, 4))
         segments = segment_ufm(feats, UfmConfig(400))
-        assert len(segments) == 5
+        assert segments.shape == (5, 400, 4)
         extended = np.concatenate([feats, feats[:200]])
         for i, start in enumerate((0, 200, 400, 600, 800)):
             assert np.array_equal(segments[i], extended[start : start + 400])
