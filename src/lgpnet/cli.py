@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, tensorio
-from .errors import FormatError, ProtocolError, TrainingDivergedError
+from .errors import FormatError, ProtocolError, TrainingDivergedError, naming
 from .evaluation import (
     TdcfCostModel,
     eer_from_scores,
@@ -45,7 +45,8 @@ def _out_path(raw, *, directory: bool) -> Path:
 
 
 def _pooled_frames(spec: str) -> np.ndarray:
-    """The stacked frames of ``spec``: a directory of .lgpf files or a list file."""
+    """The stacked frames of ``spec``: a directory of .lgpf files or a list file.
+    Every file must have the first file's frame width."""
     path = Path(spec)
     if path.is_dir():
         files = sorted(path.glob("*.lgpf"))
@@ -56,7 +57,12 @@ def _pooled_frames(spec: str) -> np.ndarray:
             files = [Path(line.strip()) for line in fh if line.strip()]
         if not files:
             raise FileNotFoundError(f"{spec}: empty feature list")
-    return np.concatenate([load_features(p) for p in files], axis=0)
+    arrays = [load_features(p) for p in files]
+    for path, feats in zip(files, arrays):
+        if feats.shape[1] != arrays[0].shape[1]:
+            raise FormatError(f"{path}: {feats.shape[1]} values per frame, but {files[0]} "
+                              f"has {arrays[0].shape[1]}")
+    return np.concatenate(arrays, axis=0)
 
 
 def _worker_count(text: str) -> int:
@@ -113,6 +119,8 @@ def _cmd_train_gmm(args) -> int:
     model, trace = train_em(frames, args.components, cfg)
     out = _out_path(args.out, directory=False)
     model.save(out)
+    for it, value in enumerate(trace[:-1], start=1):
+        print(f"em iteration {it}/{cfg.iterations}: avg log-likelihood {value:.4f}")
     print(f"trained {args.components}-component GMM on {frames.shape[0]} frames "
           f"(avg log-likelihood {trace[-1]:.4f}) -> {out}")
     return 0
@@ -198,8 +206,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_score(args) -> int:
     tensors = tensorio.load_tensors(args.model)
-    gmms, stats = _load_models(args, ClassifierConfig.from_tensors(tensors).paths)
-    plan = ScoringPlan.from_tensors(tensors, gmms, stats)
+    with naming(args.model):
+        paths = ClassifierConfig.from_tensors(tensors).paths
+    gmms, stats = _load_models(args, paths)
+    with naming(args.model):
+        plan = ScoringPlan.from_tensors(tensors, gmms, stats)
     del tensors                        # the plan holds its own float64 weights
     return _score_protocol(args, plan.score_utterance, "")
 

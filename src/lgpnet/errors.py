@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+from contextlib import contextmanager
+
 
 class FormatError(ValueError):
     """A binary container or text file violates its declared format.
@@ -14,6 +16,15 @@ class FormatError(ValueError):
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+@contextmanager
+def naming(path):
+    """Re-raise a FormatError of the body with ``path`` in front of its reason."""
+    try:
+        yield
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc.reason}", offset=exc.offset) from None
 
 
 class ProtocolError(ValueError):

@@ -18,6 +18,13 @@ LOG_2PI = np.log(2.0 * np.pi)
 # EM floors every variance at this factor times the global per-dimension variance.
 VARIANCE_FLOOR_FACTOR = 1e-3
 
+# Passes over pooled frames (EM, its seeding, the LGP statistics) take the
+# frames in consecutive blocks of at most this many values per (rows, M)
+# block, M the mixture order (or the frame width D, if wider), so their
+# working memory does not grow with the number of frames: 2,048 frames at
+# M = 512.
+CHUNK_VALUES = 1 << 20
+
 
 @dataclass
 class EmConfig:
@@ -160,19 +167,69 @@ def llr_score(gmm_genuine: Gmm, gmm_spoof: Gmm, frames: np.ndarray) -> float:
     return gmm_genuine.utterance_log_likelihood(frames) - gmm_spoof.utterance_log_likelihood(frames)
 
 
+def frame_chunks(frames: np.ndarray, order: int):
+    """The rows of ``frames`` as consecutive float64 blocks, in order.
+
+    Yields ``(rows, block)``: the slice of ``frames`` and its float64 cast.
+    A block has at most ``CHUNK_VALUES // max(order, D)`` rows (at least
+    one), so a pass that makes a few (rows, order) arrays per block holds
+    O(CHUNK_VALUES) values however many frames there are.
+    """
+    n, d = frames.shape
+    step = max(1, CHUNK_VALUES // max(order, d))
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        yield rows, np.asarray(frames[rows], dtype=np.float64)
+
+
+def pooled_mean_var(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Population mean and variance of the rows of all ``blocks`` together.
+
+    One pass: each block's mean and sum of squared deviations are merged
+    into the running ones in block order by the pairwise update of Chan,
+    Golub & LeVeque (1979).  A single block gives exactly ``x.mean(axis=0)``
+    and ``x.var(axis=0)``.
+    """
+    count = 0
+    for x in blocks:
+        rows = x.shape[0]
+        block_mean = x.mean(axis=0)
+        block_m2 = ((x - block_mean) ** 2).sum(axis=0)
+        if count == 0:
+            mean, m2 = block_mean, block_m2
+        else:
+            delta = block_mean - mean
+            total = count + rows
+            mean = mean + delta * (rows / total)
+            m2 = m2 + block_m2 + delta * delta * (count * rows / total)
+        count += rows
+        del x                     # free this block before the next one is made
+    return mean, m2 / count
+
+
 def _kmeanspp_means(frames: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++-style seeding: spread initial means over the data."""
+    """k-means++-style seeding: spread initial means over the data.
+
+    The squared distance to a new mean c is ||x||^2 - 2 x.c + ||c||^2,
+    clamped at 0, taken block by block.
+    """
     n = frames.shape[0]
+    sq_norms = np.empty(n)
+    for rows, x in frame_chunks(frames, m):
+        sq_norms[rows] = np.einsum("ij,ij->i", x, x)
     chosen = np.empty((m, frames.shape[1]))
-    chosen[0] = frames[rng.integers(n)]
-    d2 = ((frames - chosen[0]) ** 2).sum(axis=1)
-    for j in range(1, m):
-        total = d2.sum()
-        if total <= 0.0:
-            chosen[j] = frames[rng.integers(n)]
-            continue
-        chosen[j] = frames[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((frames - chosen[j]) ** 2).sum(axis=1))
+    d2 = np.full(n, np.inf)
+    pick = rng.integers(n)
+    for j in range(m):
+        if j:
+            total = d2.sum()
+            pick = rng.integers(n) if total <= 0.0 else rng.choice(n, p=d2 / total)
+        chosen[j] = frames[pick]
+        c = chosen[j]
+        c_norm = c @ c
+        for rows, x in frame_chunks(frames, m):
+            dist = sq_norms[rows] - 2.0 * (x @ c) + c_norm
+            np.minimum(d2[rows], np.maximum(dist, 0.0), out=d2[rows])
     return chosen
 
 
@@ -184,19 +241,23 @@ def train_em(frames: np.ndarray, m: int, cfg: EmConfig | None = None) -> tuple[G
     iteration, plus a final entry for the returned model).  The trace is
     non-decreasing up to the variance floor and degenerate-component
     reseeding, both of which only trigger on pathological data.
+
+    Every pass walks the frames in :func:`frame_chunks` blocks, so the
+    working memory is O(CHUNK_VALUES) plus a few (N,) vectors; a corpus
+    that fits in one block gives the same bits as the unchunked formulas.
     """
     cfg = cfg or EmConfig()
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = np.asarray(frames)
     if frames.ndim != 2:
         raise ValueError("frames must be a (N, D) matrix")
-    n, d = frames.shape
+    n = frames.shape[0]
     if m < 1:
         raise ValueError("component count must be >= 1")
     if n < m:
         raise ValueError(f"{n} frames cannot support {m} components")
 
     rng = np.random.default_rng(cfg.seed)
-    global_var = frames.var(axis=0)
+    _, global_var = pooled_mean_var(x for _, x in frame_chunks(frames, m))
     floor = np.maximum(VARIANCE_FLOOR_FACTOR * global_var, 1e-12)
 
     means = _kmeanspp_means(frames, m, rng)
@@ -206,31 +267,53 @@ def train_em(frames: np.ndarray, m: int, cfg: EmConfig | None = None) -> tuple[G
 
     trace = np.empty(cfg.iterations + 1)
     for it in range(cfg.iterations):
-        # E-step
-        weighted = model.component_log_densities(frames) + model.log_weights[None, :]
-        frame_ll = logsumexp(weighted, axis=1)
-        trace[it] = frame_ll.mean()
-        resp = np.exp(weighted - frame_ll[:, None])          # (N, M)
+        model, trace[it] = _em_step(model, frames, global_var, floor)
 
-        # M-step
-        counts = resp.sum(axis=0)                            # (M,)
-        dead = counts < 1e-10
-        safe = np.where(dead, 1.0, counts)
-        means = (resp.T @ frames) / safe[:, None]
-        variances = (resp.T @ (frames * frames)) / safe[:, None] - means * means
-        weights = counts / n
-
-        if dead.any():
-            # Reseed each starved component on the worst-scored frame.
-            worst = np.argsort(frame_ll)
-            for rank, i in enumerate(np.flatnonzero(dead)):
-                means[i] = frames[worst[rank % n]]
-                variances[i] = global_var
-                weights[i] = 1.0 / n
-            weights /= weights.sum()
-
-        variances = np.maximum(variances, floor)
-        model = Gmm(weights, means, variances)
-
-    trace[-1] = model.frame_log_likelihoods(frames).mean()
+    frame_ll = np.empty(n)
+    for rows, x in frame_chunks(frames, m):
+        frame_ll[rows] = model.frame_log_likelihoods(x)
+    trace[-1] = frame_ll.mean()
     return model, trace
+
+
+def _em_step(model: Gmm, frames: np.ndarray, global_var: np.ndarray,
+             floor: np.ndarray) -> tuple[Gmm, float]:
+    """One EM iteration: the next model and the average log-likelihood
+    under ``model``.
+
+    The E-step sums the sufficient statistics (counts, sum r x, sum r x^2)
+    block by block into zeros; only the (N,) per-frame log-likelihoods are
+    kept whole, for reseeding starved components.
+    """
+    n, d = frames.shape
+    m = model.order
+    frame_ll = np.empty(n)
+    counts = np.zeros(m)
+    sum_x = np.zeros((m, d))
+    sum_xx = np.zeros((m, d))
+    for rows, x in frame_chunks(frames, m):
+        weighted = model.component_log_densities(x) + model.log_weights[None, :]
+        ll = frame_ll[rows] = logsumexp(weighted, axis=1)
+        resp = np.exp(weighted - ll[:, None])            # (rows, M)
+        counts += resp.sum(axis=0)
+        sum_x += resp.T @ x
+        sum_xx += resp.T @ (x * x)
+        del weighted, resp        # free this block's (rows, M) arrays before the next
+
+    dead = counts < 1e-10
+    safe = np.where(dead, 1.0, counts)
+    means = sum_x / safe[:, None]
+    variances = sum_xx / safe[:, None] - means * means
+    weights = counts / n
+
+    if dead.any():
+        # Reseed each starved component on the worst-scored frame.
+        worst = np.argsort(frame_ll)
+        for rank, i in enumerate(np.flatnonzero(dead)):
+            means[i] = frames[worst[rank % n]]
+            variances[i] = global_var
+            weights[i] = 1.0 / n
+        weights /= weights.sum()
+
+    variances = np.maximum(variances, floor)
+    return Gmm(weights, means, variances), frame_ll.mean()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorio
-from .gmm import Gmm
+from .gmm import Gmm, frame_chunks, pooled_mean_var
 
 STD_FLOOR = 1e-8
 
@@ -109,17 +109,21 @@ def fit_norm_stats(gmm: Gmm, frames: np.ndarray, form: str) -> LgpNormStats:
     """Population mean/std of raw LGP values over pooled training frames.
 
     ``frames`` is the concatenation of every training utterance, (N, D).
-    Standard deviations are floored at ``STD_FLOOR`` so degenerate
-    components cannot produce non-finite features.
+    The raw values are made and reduced one :func:`~lgpnet.gmm.frame_chunks`
+    block at a time, so no (N, M) array exists.  Standard deviations are
+    floored at ``STD_FLOOR`` so degenerate components cannot produce
+    non-finite features.
     """
     if form not in _RAW_FORMS:
         raise ValueError(f"unknown LGP form {form!r}")
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = np.asarray(frames)
     if frames.ndim != 2 or frames.shape[0] < 2:
         raise ValueError("need at least two training frames")
-    raw = _RAW_FORMS[form](gmm, frames)
-    mean = raw.mean(axis=0)
-    std = np.maximum(raw.std(axis=0), STD_FLOOR)   # population convention (divide by N)
+    if frames.shape[1] != gmm.dim:
+        raise ValueError(f"frames have shape {frames.shape}, expected (N, {gmm.dim})")
+    raw_form = _RAW_FORMS[form]
+    mean, var = pooled_mean_var(raw_form(gmm, x) for _, x in frame_chunks(frames, gmm.order))
+    std = np.maximum(np.sqrt(var), STD_FLOOR)   # population convention (divide by N)
     return LgpNormStats(mean=mean, std=std, form=form)
 
 

@@ -25,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, naming
 
 MAGIC = b"LGPN"
 VERSION = 1
@@ -115,10 +115,8 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     """Read a container file; every FormatError it raises names ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
+    with naming(path):
         return deserialize_tensors(data)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc.reason}", offset=exc.offset) from None
 
 
 def fingerprint(tensors: dict[str, np.ndarray]) -> bytes:

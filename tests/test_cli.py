@@ -121,7 +121,8 @@ class TestScoreCheckpoint:
     def test_gmm_file_as_model_exits_3(self, score_fixture, capsys):
         assert score_with(score_fixture, score_fixture / "m.gmm") == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "cfg." in err and "Traceback" not in err
+        assert err.startswith(f"error: {score_fixture / 'm.gmm'}: ")
+        assert "cfg." in err and "Traceback" not in err
 
     def test_checkpoint_missing_a_tensor_exits_3(self, score_fixture, capsys):
         from lgpnet import tensorio
@@ -131,7 +132,8 @@ class TestScoreCheckpoint:
         tensorio.save_tensors(score_fixture / "cut.lgpn", tensors)
         assert score_with(score_fixture, score_fixture / "cut.lgpn") == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "path0.block0.bn2.beta" in err
+        assert err.startswith(f"error: {score_fixture / 'cut.lgpn'}: ")
+        assert "path0.block0.bn2.beta" in err
         assert "Traceback" not in err
 
     def test_checkpoint_with_a_conv_bias_exits_3(self, score_fixture, capsys):
@@ -144,7 +146,9 @@ class TestScoreCheckpoint:
         tensorio.save_tensors(score_fixture / "biased.lgpn", tensors)
         assert score_with(score_fixture, score_fixture / "biased.lgpn") == 3
         err = capsys.readouterr().err
-        assert "unexpected tensor 'path0.stem.conv.bias'" in err and "Traceback" not in err
+        assert err.startswith(f"error: {score_fixture / 'biased.lgpn'}: checkpoint has "
+                              "unexpected tensor 'path0.stem.conv.bias'")
+        assert "Traceback" not in err
 
     def test_oversized_channel_count_exits_3(self, score_fixture, capsys):
         from lgpnet import tensorio
@@ -154,7 +158,7 @@ class TestScoreCheckpoint:
         tensorio.save_tensors(score_fixture / "wide.lgpn", tensors)
         assert score_with(score_fixture, score_fixture / "wide.lgpn") == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "cfg.channels" in err
+        assert err.startswith(f"error: {score_fixture / 'wide.lgpn'}: ") and "cfg.channels" in err
         assert "Traceback" not in err
         assert not (score_fixture / "scores.eval").exists()
 
@@ -266,7 +270,8 @@ class TestBadModelFiles:
         self.rewrite(score_fixture / "model.lgpn", tensor, corrupt)
         assert score_with(score_fixture, score_fixture / "model.lgpn") == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and tensor in err and message in err
+        assert err.startswith(f"error: {score_fixture / 'model.lgpn'}: ")
+        assert tensor in err and message in err
         assert "Traceback" not in err
         assert not (score_fixture / "scores.eval").exists()
 
@@ -278,6 +283,70 @@ class TestBadModelFiles:
         assert "'form' has shape (0,)" in err
         assert "Traceback" not in err
         assert not (score_fixture / "lgp").exists()
+
+
+class TestPooledFrames:
+    """``train-gmm`` and ``fit-lgp-stats`` pool frames of one width only."""
+
+    def test_lgp_maps_of_unequal_length_exit_3_naming_the_file(self, score_fixture, capsys):
+        from lgpnet.frontend import store_features
+
+        root = score_fixture
+        store_features(root / "feats" / "u2.lgpf", np.ones((31, 2)))
+        assert extract_lgp_with(root) == 0          # (4, 20) and (4, 31) maps
+        code = run("train-gmm", "--features", root / "lgp", "--components", 2,
+                   "--out", root / "lgp.gmm")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: {root / 'lgp' / 'u2.lgpf'}: 31 values per frame, "
+                              f"but {root / 'lgp' / 'u1.lgpf'} has 20")
+        assert "Traceback" not in err
+        assert not (root / "lgp.gmm").exists()
+
+    def test_list_with_a_wider_file_exits_3_naming_it(self, score_fixture, capsys):
+        from lgpnet.frontend import store_features
+
+        root = score_fixture
+        store_features(root / "wide.lgpf", np.ones((20, 3)))
+        listing = root / "feats.list"
+        listing.write_text(f"{root / 'feats' / 'u1.lgpf'}\n{root / 'wide.lgpf'}\n")
+        code = run("fit-lgp-stats", "--gmm", root / "m.gmm", "--features", listing,
+                   "--out", root / "new.stats")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: {root / 'wide.lgpf'}: 3 values per frame, "
+                              f"but {root / 'feats' / 'u1.lgpf'} has 2")
+        assert not (root / "new.stats").exists()
+
+    def test_lgp_maps_of_equal_length_refused_by_fit_lgp_stats(self, score_fixture, capsys):
+        from lgpnet.frontend import store_features
+
+        root = score_fixture
+        store_features(root / "feats" / "u2.lgpf", np.ones((20, 2)))
+        assert extract_lgp_with(root) == 0          # two (4, 20) maps: 20-wide "frames"
+        code = run("fit-lgp-stats", "--gmm", root / "m.gmm", "--features", root / "lgp",
+                   "--out", root / "new.stats")
+        err = capsys.readouterr().err
+        assert code == 3 and "frames have shape (8, 20), expected (N, 2)" in err
+        assert not (root / "new.stats").exists()
+
+
+class TestTrainGmmTrace:
+    def test_prints_one_line_per_iteration(self, score_fixture, capsys):
+        from lgpnet.frontend import load_features
+        from lgpnet.gmm import EmConfig, train_em
+
+        root = score_fixture
+        assert run("train-gmm", "--features", root / "feats", "--components", 2,
+                   "--iters", 4, "--seed", 3, "--out", root / "t.gmm") == 0
+        lines = capsys.readouterr().out.splitlines()
+        _, trace = train_em(load_features(root / "feats" / "u1.lgpf"), 2,
+                            EmConfig(iterations=4, seed=3))
+        assert lines[:4] == [f"em iteration {i + 1}/4: avg log-likelihood {trace[i]:.4f}"
+                             for i in range(4)]
+        assert lines[4].startswith("trained 2-component GMM on 20 frames "
+                                   f"(avg log-likelihood {trace[4]:.4f})")
+        assert len(lines) == 5
 
 
 class TestWritersRefuseNonFinite:

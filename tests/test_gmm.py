@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgpnet.gmm import EmConfig, Gmm, llr_score, logsumexp, train_em
+import unchunked
+from lgpnet import gmm as gmm_module
+from lgpnet.gmm import EmConfig, Gmm, llr_score, logsumexp, pooled_mean_var, train_em
 from conftest import sample_gmm_frames
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -200,3 +204,167 @@ class TestPersistence:
         tensorio.save_tensors(path, {"weights": np.array([1.0], dtype=np.float32)})
         with pytest.raises(ValueError):
             Gmm.load(path)
+
+
+def clustered_frames(rng, n, d, dtype=np.float64):
+    """Frames around a few offset centres, with unequal per-dimension scales."""
+    centres = rng.normal(0.0, 3.0, size=(5, d))
+    scales = rng.uniform(0.5, 2.0, size=d)
+    which = rng.integers(5, size=n)
+    return (centres[which] + rng.normal(size=(n, d)) * scales).astype(dtype)
+
+
+def rows_per_chunk(monkeypatch, m, rows):
+    """Make frame_chunks cut ``rows`` frames per block at order ``m``."""
+    monkeypatch.setattr(gmm_module, "CHUNK_VALUES", m * rows)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Drift bounds of one chunked EM iteration against the unchunked oracle,
+# set before the chunked code was written: means within this fraction of
+# each dimension's scale (global standard deviation), variances and
+# weights within these relative errors.
+MEAN_DRIFT = 1e-12
+VAR_DRIFT = 1e-9
+WEIGHT_DRIFT = 1e-12
+
+
+class TestChunkedEm:
+    """EM by per-block sufficient statistics against the unchunked formulas."""
+
+    @pytest.mark.parametrize("n, d, m, dtype", [
+        (500, 3, 4, np.float64), (3000, 20, 32, np.float32), (2048, 60, 512, np.float32),
+    ])
+    def test_one_chunk_is_bit_identical(self, rng, n, d, m, dtype):
+        frames = clustered_frames(rng, n, d, dtype)
+        assert n <= gmm_module.CHUNK_VALUES // max(m, d)
+        cfg = EmConfig(iterations=3, seed=5)
+        model, trace = train_em(frames, m, cfg)
+        want, want_trace = unchunked.train_em(frames, m, cfg)
+        for got, ref in ((model.means, want.means), (model.variances, want.variances),
+                         (model.weights, want.weights), (trace, want_trace)):
+            assert same_bits(got, ref)
+
+    def test_reseeding_step_is_bit_identical_in_one_chunk(self, rng):
+        frames = clustered_frames(rng, 400, 3)
+        global_var, floor, model = unchunked.em_start(frames, 4, seed=1)
+        means = model.means.copy()
+        means[2] = 1e3                      # no frame reaches it: a dead component
+        model = Gmm(model.weights, means, model.variances)
+        got, got_ll = gmm_module._em_step(model, frames, global_var, floor)
+        want, want_ll = unchunked.em_step(model, frames, global_var, floor)
+        assert got.weights[2] == pytest.approx(1.0 / 401)
+        assert got_ll == want_ll
+        for a, b in ((got.means, want.means), (got.variances, want.variances),
+                     (got.weights, want.weights)):
+            assert same_bits(a, b)
+
+    @pytest.mark.parametrize("n, d, m, rows", [
+        (6000, 60, 512, 256), (2000, 4, 8, 3), (1500, 10, 16, 1),
+    ])
+    def test_one_iteration_drift_within_bounds(self, rng, monkeypatch, n, d, m, rows):
+        frames = clustered_frames(rng, n, d, np.float32)
+        global_var, floor, model = unchunked.em_start(frames, m, seed=2)
+        want, want_ll = unchunked.em_step(model, frames, global_var, floor)
+        rows_per_chunk(monkeypatch, m, rows)
+        got, got_ll = gmm_module._em_step(model, frames, global_var, floor)
+
+        mean_drift = (np.abs(got.means - want.means) / np.sqrt(global_var)).max()
+        var_drift = (np.abs(got.variances - want.variances) / want.variances).max()
+        weight_drift = (np.abs(got.weights - want.weights) / want.weights).max()
+        print(f"{-(-n // rows)} blocks: means {mean_drift:.2e} of scale, "
+              f"variances {var_drift:.2e} rel, weights {weight_drift:.2e} rel, "
+              f"avg log-likelihood {abs(got_ll - want_ll):.2e}")
+        assert mean_drift <= MEAN_DRIFT
+        assert var_drift <= VAR_DRIFT
+        assert weight_drift <= WEIGHT_DRIFT
+
+    def test_trace_monotone_over_64_frame_blocks(self, toy_gmm, rng, monkeypatch):
+        frames = sample_gmm_frames(toy_gmm, 2000, rng)
+        rows_per_chunk(monkeypatch, 3, 64)
+        _, trace = train_em(frames, 3, EmConfig(iterations=30, seed=2))
+        assert np.all(np.diff(trace) >= -1e-8)
+
+
+class TestKmeansSeeding:
+    """The ||x||^2 - 2 x.c + ||c||^2 seeding picks what ||x - c||^2 picks."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n, d, m, rows", [
+        (300, 2, 8, None), (1000, 20, 64, 100), (2500, 60, 128, None), (2500, 60, 128, 333),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_same_frames_as_direct_distance(self, monkeypatch, seed, n, d, m, rows, dtype):
+        frames = clustered_frames(np.random.default_rng(seed), n, d, dtype)
+        if rows:
+            rows_per_chunk(monkeypatch, m, rows)
+        got = gmm_module._kmeanspp_means(frames, m, np.random.default_rng(seed))
+        want = unchunked.kmeanspp_means(frames, m, np.random.default_rng(seed))
+        assert same_bits(got, want)
+
+    def test_duplicated_frames(self):
+        frames = np.concatenate([np.zeros((50, 2)), np.ones((50, 2))])
+        for seed in range(4):
+            got = gmm_module._kmeanspp_means(frames, 5, np.random.default_rng(seed))
+            want = unchunked.kmeanspp_means(frames, 5, np.random.default_rng(seed))
+            assert same_bits(got, want)
+
+
+class TestPooledMeanVar:
+    def test_one_block_is_numpy_mean_and_var(self, rng):
+        x = clustered_frames(rng, 333, 7)
+        mean, var = pooled_mean_var([x])
+        assert same_bits(mean, x.mean(axis=0)) and same_bits(var, x.var(axis=0))
+
+    def test_blocks_merge_to_the_pooled_moments(self, rng):
+        x = clustered_frames(rng, 1000, 7) + 100.0
+        cuts = [0, 1, 2, 10, 400, 999, 1000]
+        mean, var = pooled_mean_var(x[a:b] for a, b in zip(cuts, cuts[1:]))
+        assert np.allclose(mean, x.mean(axis=0), rtol=1e-14, atol=0.0)
+        assert np.allclose(var, x.var(axis=0), rtol=1e-12, atol=0.0)
+
+
+def traced_peak(fn):
+    """Bytes allocated at the peak of ``fn()`` above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """At M = 512 the working memory of EM and of the LGP statistics is set
+    by the block size, not by the number of frames."""
+
+    M, D = 512, 20
+
+    def peaks(self, fn):
+        rows = gmm_module.CHUNK_VALUES // self.M
+        out = []
+        for blocks in (1, 4):
+            frames = clustered_frames(np.random.default_rng(blocks), blocks * rows, self.D,
+                                      np.float32)
+            out.append(traced_peak(lambda: fn(frames)))
+        return out
+
+    def test_train_em_peak_flat_in_frames(self):
+        one, four = self.peaks(lambda f: train_em(f, self.M, EmConfig(iterations=1, seed=0)))
+        print(f"train_em traced peak: 1 block {one / 2**20:.1f} MiB, 4 blocks {four / 2**20:.1f} MiB")
+        assert four <= 1.10 * one
+
+    def test_fit_norm_stats_peak_flat_in_frames(self):
+        from lgpnet.lgp import fit_norm_stats
+
+        rng = np.random.default_rng(9)
+        model = Gmm(np.full(self.M, 1.0 / self.M), rng.normal(size=(self.M, self.D)),
+                    rng.uniform(0.5, 1.5, size=(self.M, self.D)))
+        one, four = self.peaks(lambda f: fit_norm_stats(model, f, "fast"))
+        print(f"fit_norm_stats traced peak: 1 block {one / 2**20:.1f} MiB, "
+              f"4 blocks {four / 2**20:.1f} MiB")
+        assert four <= 1.10 * one

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import unchunked
+from lgpnet import gmm as gmm_module
 from lgpnet.gmm import Gmm
 from lgpnet.lgp import (
     LgpNormStats,
@@ -123,6 +125,45 @@ class TestNormStats:
         tensors = {"lgp_mean": np.zeros(3), "lgp_std": np.ones(3), "form": form}
         with pytest.raises(ValueError, match="'form' has shape"):
             LgpNormStats.from_tensors(tensors)
+
+
+class TestChunkedNormStats:
+    """Stats merged block by block against the unchunked (N, M) formulas."""
+
+    @staticmethod
+    def model_and_frames(m, d, n, dtype):
+        rng = np.random.default_rng(m + d)
+        model = Gmm(rng.dirichlet(np.ones(m)), rng.normal(0.0, 2.0, size=(m, d)),
+                    rng.uniform(0.3, 2.0, size=(m, d)))
+        frames = (rng.normal(size=(n, d)) * 1.5 + rng.normal(size=d)).astype(dtype)
+        return model, frames
+
+    @pytest.mark.parametrize("form", ["fast", "full"])
+    @pytest.mark.parametrize("m, d, n, dtype", [
+        (2, 3, 200, np.float64), (64, 20, 5000, np.float32), (512, 60, 2048, np.float32),
+    ])
+    def test_one_chunk_is_bit_identical(self, form, m, d, n, dtype):
+        model, frames = self.model_and_frames(m, d, n, dtype)
+        assert n <= gmm_module.CHUNK_VALUES // max(m, d)
+        got = fit_norm_stats(model, frames, form)
+        want = unchunked.fit_norm_stats(model, frames, form)
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.std.tobytes() == want.std.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 256])
+    def test_many_chunks_drift_within_bounds(self, monkeypatch, rows):
+        # Bounds set before measuring: each mean within 1e-12 of the component's
+        # root mean square raw value, each std within 1e-12 relative.
+        model, frames = self.model_and_frames(64, 20, 5000, np.float32)
+        want = unchunked.fit_norm_stats(model, frames, "fast")
+        monkeypatch.setattr(gmm_module, "CHUNK_VALUES", 64 * rows)
+        got = fit_norm_stats(model, frames, "fast")
+        rms = np.sqrt(want.mean**2 + want.std**2)
+        mean_drift = (np.abs(got.mean - want.mean) / rms).max()
+        std_drift = (np.abs(got.std - want.std) / want.std).max()
+        print(f"{-(-5000 // rows)} blocks: means {mean_drift:.2e} of rms, stds {std_drift:.2e} rel")
+        assert mean_drift <= 1e-12
+        assert std_drift <= 1e-12
 
 
 class TestExtract:
