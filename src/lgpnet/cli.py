@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, tensorio
-from .errors import FormatError, ProtocolError, TrainingDivergedError, naming
+from .errors import FormatError, TrainingDivergedError, naming
 from .evaluation import (
     TdcfCostModel,
     eer_from_scores,
@@ -34,7 +34,7 @@ from .runconfig import RunConfig, read_flat_config
 from .synthcorpus import CorpusSpec, generate
 from .training import TrainConfig, load_dataset, train_one_path, train_two_step
 
-USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 2, 3, 4
+DATA_EXIT, NUMERIC_EXIT = 3, 4
 
 
 def _out_path(raw, *, directory: bool) -> Path:
@@ -47,21 +47,21 @@ def _out_path(raw, *, directory: bool) -> Path:
 def _pooled_frames(spec: str) -> np.ndarray:
     """The stacked frames of ``spec``: a directory of .lgpf files or a list file.
     Every file must have the first file's frame width."""
-    path = Path(spec)
-    if path.is_dir():
-        files = sorted(path.glob("*.lgpf"))
-        if not files:
-            raise FileNotFoundError(f"{spec}: no .lgpf files found")
+    if Path(spec).is_dir():
+        files = _files(spec, ".lgpf")
     else:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(spec, "r", encoding="utf-8") as fh:
             files = [Path(line.strip()) for line in fh if line.strip()]
         if not files:
             raise FileNotFoundError(f"{spec}: empty feature list")
-    arrays = [load_features(p) for p in files]
-    for path, feats in zip(files, arrays):
-        if feats.shape[1] != arrays[0].shape[1]:
-            raise FormatError(f"{path}: {feats.shape[1]} values per frame, but {files[0]} "
-                              f"has {arrays[0].shape[1]}")
+    arrays = []
+    for path in files:
+        with naming(path):
+            feats = load_features(path)
+            if arrays and feats.shape[1] != arrays[0].shape[1]:
+                raise FormatError(f"{feats.shape[1]} values per frame, but {files[0]} "
+                                  f"has {arrays[0].shape[1]}")
+        arrays.append(feats)
     return np.concatenate(arrays, axis=0)
 
 
@@ -72,11 +72,25 @@ def _worker_count(text: str) -> int:
     return value
 
 
-def _map_workers(workers: int, fn, items):
+def _files(directory, suffix: str) -> list[Path]:
+    """The ``*suffix`` files of ``directory``, sorted; finding none is an error."""
+    files = sorted(Path(directory).glob(f"*{suffix}"))
+    if not files:
+        raise FileNotFoundError(f"{directory}: no {suffix} files found")
+    return files
+
+
+def _each_file(workers: int, step, paths):
+    """``step(path)`` of every path, in order whatever ``workers`` is; a
+    ValueError of a step names its file."""
+    def named(path):
+        with naming(path):
+            return step(path)
+
     if workers <= 1:
-        return [fn(item) for item in items]
+        return [named(path) for path in paths]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))   # order preserved -> deterministic
+        return list(pool.map(named, paths))   # order preserved -> deterministic
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -98,17 +112,13 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_extract_lfcc(args) -> int:
-    wav_dir = Path(args.wav_dir)
+    wavs = _files(args.wav_dir, ".wav")
     out_dir = _out_path(args.out_dir, directory=True)
-    wavs = sorted(wav_dir.glob("*.wav"))
-    if not wavs:
-        raise FileNotFoundError(f"{wav_dir}: no .wav files found")
 
     def one(path: Path):
-        feats = extract_lfcc(read_wav(path))
-        store_features(out_dir / (path.stem + ".lgpf"), feats)
+        store_features(out_dir / (path.stem + ".lgpf"), extract_lfcc(read_wav(path)))
 
-    _map_workers(args.workers, one, wavs)
+    _each_file(args.workers, one, wavs)
     print(f"extracted {len(wavs)} files to {out_dir}")
     return 0
 
@@ -139,46 +149,40 @@ def _cmd_fit_lgp_stats(args) -> int:
 def _cmd_extract_lgp(args) -> int:
     gmm = Gmm.load(args.gmm)
     stats = LgpNormStats.load(args.stats)
-    in_dir = Path(args.in_dir)
+    files = _files(args.in_dir, ".lgpf")
     out_dir = _out_path(args.out, directory=True)
-    files = sorted(in_dir.glob("*.lgpf"))
-    if not files:
-        raise FileNotFoundError(f"{in_dir}: no .lgpf files found")
 
     def one(path: Path):
-        feats = load_features(path)
-        lgp_map = extract_lgp(gmm, stats, feats)
-        store_features(out_dir / path.name, lgp_map)
+        store_features(out_dir / path.name, extract_lgp(gmm, stats, load_features(path)))
 
-    _map_workers(args.workers, one, files)
+    _each_file(args.workers, one, files)
     print(f"extracted LGP maps for {len(files)} files to {out_dir}")
     return 0
 
 
-def _load_models(args, paths: int):
-    gmm_files = [args.gmm] + ([args.gmm2] if paths == 2 else [])
-    stats_files = [args.stats] + ([args.stats2] if paths == 2 else [])
-    if any(f is None for f in gmm_files + stats_files):
-        raise ProtocolError("two-path models need --gmm2 and --stats2")
-    gmms = [Gmm.load(f) for f in gmm_files]
-    stats = [LgpNormStats.load(f) for f in stats_files]
+def _load_models(args):
+    """Exactly the GMM and stats files given; the model checks that they fit it."""
+    gmms = [Gmm.load(f) for f in (args.gmm, args.gmm2) if f is not None]
+    stats = [LgpNormStats.load(f) for f in (args.stats, args.stats2) if f is not None]
     return gmms, stats
 
 
 def _cmd_train(args) -> int:
     run = RunConfig.from_file(args.config) if args.config else RunConfig()
-    gmms, stats = _load_models(args, run.paths)
-    cfg = ClassifierConfig(
-        gmm_order=run.gmm_order, channels=run.channels, blocks=run.blocks,
-        se_enabled=run.se_enabled, se_reduction=run.se_reduction,
-        input_length=run.segment_length, paths=run.paths, lgp_form=stats[0].form,
-    )
-    model = SpoofModel(cfg, gmms, stats, seed=run.seed)
-    train_cfg = TrainConfig(
-        batch_size=run.batch_size, epochs=run.epochs, lr=run.lr, seed=run.seed,
-        target_length=run.segment_length,
-        step1_epochs=run.step1_epochs, step2_epochs=run.step2_epochs,
-    )
+    gmms, stats = _load_models(args)
+    # the model and the schedule check the run's values, in the config's name
+    with naming(args.config or "default run config"):
+        cfg = ClassifierConfig(
+            gmm_order=run.gmm_order, channels=run.channels, blocks=run.blocks,
+            se_enabled=run.se_enabled, se_reduction=run.se_reduction,
+            input_length=run.segment_length, paths=run.paths, lgp_form=stats[0].form,
+        )
+        model = SpoofModel(cfg, gmms, stats, seed=run.seed)
+        train_cfg = TrainConfig(
+            batch_size=run.batch_size, epochs=run.epochs, lr=run.lr, seed=run.seed,
+            target_length=run.segment_length,
+            step1_epochs=run.step1_epochs, step2_epochs=run.step2_epochs,
+        )
     data = load_dataset(args.protocol, args.features)
     dev = load_dataset(args.dev_protocol, args.features) if args.dev_protocol else None
 
@@ -205,13 +209,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    tensors = tensorio.load_tensors(args.model)
-    with naming(args.model):
-        paths = ClassifierConfig.from_tensors(tensors).paths
-    gmms, stats = _load_models(args, paths)
-    with naming(args.model):
-        plan = ScoringPlan.from_tensors(tensors, gmms, stats)
-    del tensors                        # the plan holds its own float64 weights
+    gmms, stats = _load_models(args)
+    with naming(args.model):           # the plan holds its own float64 weights
+        plan = ScoringPlan.from_tensors(tensorio.load_tensors(args.model), gmms, stats)
     return _score_protocol(args, plan.score_utterance, "")
 
 
@@ -226,9 +226,8 @@ def _score_protocol(args, score, what: str) -> int:
     """Write ``score`` of the features of every utterance of ``--protocol``,
     in protocol order whatever ``--workers`` is, to ``--out``."""
     ids = list(read_protocol(args.protocol))
-    feat_dir = Path(args.features)
-    values = _map_workers(args.workers,
-                          lambda utt_id: score(load_features(feat_dir / f"{utt_id}.lgpf")), ids)
+    paths = [Path(args.features) / f"{utt_id}.lgpf" for utt_id in ids]
+    values = _each_file(args.workers, lambda path: score(load_features(path)), paths)
     out = _out_path(args.out, directory=False)
     write_scores(out, dict(zip(ids, values)))
     print(f"scored {len(ids)} utterances{what} -> {out}")
@@ -378,7 +377,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (FormatError, ProtocolError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:    # FormatError and ProtocolError included
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
     except (TrainingDivergedError, FloatingPointError) as exc:

@@ -6,12 +6,10 @@ from contextlib import contextmanager
 class FormatError(ValueError):
     """A binary container or text file violates its declared format.
 
-    Carries the byte (or line) offset at which the problem was detected,
-    and the message without it as ``reason``.
+    Carries the byte (or line) offset at which the problem was detected.
     """
 
     def __init__(self, message, offset=None):
-        self.reason = message
         if offset is not None:
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
@@ -20,11 +18,18 @@ class FormatError(ValueError):
 
 @contextmanager
 def naming(path):
-    """Re-raise a FormatError of the body with ``path`` in front of its reason."""
+    """Put ``path`` in front of the message of a ValueError the body raises,
+    unless it is there already.  FormatError and ProtocolError keep their
+    type and location; any other ValueError becomes a plain one."""
     try:
         yield
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc.reason}", offset=exc.offset) from None
+    except ValueError as exc:
+        if str(exc).startswith(f"{path}: "):
+            raise
+        if not isinstance(exc, (FormatError, ProtocolError)):
+            raise ValueError(f"{path}: {exc}") from None
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 class ProtocolError(ValueError):

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ProtocolError
+from .errors import ProtocolError, naming
 from .nn import sigmoid
 
 LABELS = ("bonafide", "spoof")
@@ -95,8 +95,9 @@ class TdcfCostModel:
             raise ValueError("priors must lie in (0, 1)")
         if abs(sum(priors) - 1.0) > 1e-6:
             raise ValueError(f"priors sum to {sum(priors)!r}, expected 1")
-        if min(self.c_miss_asv, self.c_fa_asv, self.c_miss_cm, self.c_fa_cm) <= 0.0:
-            raise ValueError("costs must be positive")
+        costs = (self.c_miss_asv, self.c_fa_asv, self.c_miss_cm, self.c_fa_cm)
+        if not all(0.0 < c < np.inf for c in costs):    # a NaN fails too
+            raise ValueError("costs must be positive and finite")
         for rate in (self.p_miss_asv, self.p_fa_asv, self.p_miss_spoof_asv):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError("ASV error rates must lie in [0, 1]")
@@ -206,12 +207,11 @@ def _read_two_columns(path, what: str):
                 continue
             fields = stripped.split()
             if len(fields) != 2:
-                raise ProtocolError(
-                    f"{path}: expected 'utt_id {what}', got {len(fields)} fields", line=lineno
-                )
+                raise ProtocolError(f"expected 'utt_id {what}', got {len(fields)} fields",
+                                    line=lineno)
             utt_id, value = fields
             if utt_id in seen:
-                raise ProtocolError(f"{path}: duplicate utterance id {utt_id!r}", line=lineno)
+                raise ProtocolError(f"duplicate utterance id {utt_id!r}", line=lineno)
             seen.add(utt_id)
             rows.append((lineno, utt_id, value))
     return rows
@@ -220,12 +220,13 @@ def _read_two_columns(path, what: str):
 def read_protocol(path) -> dict[str, str]:
     """Parse ``utt_id label`` lines; labels must be bonafide or spoof."""
     out: dict[str, str] = {}
-    for lineno, utt_id, label in _read_two_columns(path, "label"):
-        if label not in LABELS:
-            raise ProtocolError(f"{path}: unknown label {label!r}", line=lineno)
-        out[utt_id] = label
-    if not out:
-        raise ProtocolError(f"{path}: empty protocol")
+    with naming(path):
+        for lineno, utt_id, label in _read_two_columns(path, "label"):
+            if label not in LABELS:
+                raise ProtocolError(f"unknown label {label!r}", line=lineno)
+            out[utt_id] = label
+        if not out:
+            raise ProtocolError("empty protocol")
     return out
 
 
@@ -240,16 +241,17 @@ def write_protocol(path, labels: Mapping[str, str]) -> None:
 def read_scores(path) -> dict[str, float]:
     """Parse ``utt_id score`` lines; scores must be finite decimals."""
     out: dict[str, float] = {}
-    for lineno, utt_id, text in _read_two_columns(path, "score"):
-        try:
-            value = float(text)
-        except ValueError:
-            raise ProtocolError(f"{path}: bad score {text!r}", line=lineno) from None
-        if not np.isfinite(value):
-            raise ProtocolError(f"{path}: non-finite score {text!r}", line=lineno)
-        out[utt_id] = value
-    if not out:
-        raise ProtocolError(f"{path}: empty score file")
+    with naming(path):
+        for lineno, utt_id, text in _read_two_columns(path, "score"):
+            try:
+                value = float(text)
+            except ValueError:
+                raise ProtocolError(f"bad score {text!r}", line=lineno) from None
+            if not np.isfinite(value):
+                raise ProtocolError(f"non-finite score {text!r}", line=lineno)
+            out[utt_id] = value
+        if not out:
+            raise ProtocolError("empty score file")
     return out
 
 
@@ -270,7 +272,8 @@ def read_trials(score_path, protocol_path) -> tuple[np.ndarray, np.ndarray]:
     labels = read_protocol(protocol_path)
     missing = [u for u in scores if u not in labels]
     if missing:
-        raise ProtocolError(f"{protocol_path}: no label for scored trial {missing[0]!r}")
+        with naming(protocol_path):
+            raise ProtocolError(f"no label for scored trial {missing[0]!r}")
     bona = np.array([s for u, s in scores.items() if labels[u] == "bonafide"])
     spoof = np.array([s for u, s in scores.items() if labels[u] == "spoof"])
     return bona, spoof

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorio
-from .errors import FormatError
+from .errors import FormatError, naming
 
 _LOG_FLOOR = 1e-20
 
@@ -44,16 +44,24 @@ class Waveform:
 
 
 def read_wav(path) -> Waveform:
-    """Read a mono 16-bit PCM WAV file."""
-    with wave.open(str(path), "rb") as fh:
-        if fh.getnchannels() != 1:
-            raise FormatError(f"{path}: expected mono audio, got {fh.getnchannels()} channels")
-        if fh.getsampwidth() != 2:
-            raise FormatError(f"{path}: expected 16-bit PCM, got {8 * fh.getsampwidth()}-bit")
-        raw = fh.readframes(fh.getnframes())
-        rate = fh.getframerate()
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples=samples, sample_rate=rate)
+    """Read a mono 16-bit PCM WAV file.  Anything else, or data shorter than
+    the header says, is a FormatError naming the file."""
+    with naming(path):
+        try:
+            with wave.open(str(path), "rb") as fh:
+                if fh.getnchannels() != 1:
+                    raise FormatError(f"expected mono audio, got {fh.getnchannels()} channels")
+                if fh.getsampwidth() != 2:
+                    raise FormatError(f"expected 16-bit PCM, got {8 * fh.getsampwidth()}-bit")
+                frames = fh.getnframes()
+                raw = fh.readframes(frames)
+                if len(raw) != 2 * frames:
+                    raise FormatError(f"header says {2 * frames} bytes of samples, "
+                                      f"data holds {len(raw)}")
+                samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+                return Waveform(samples=samples, sample_rate=fh.getframerate())
+        except (wave.Error, EOFError) as exc:
+            raise FormatError(f"not a WAV file: {str(exc) or 'truncated header'}") from None
 
 
 def linear_filterbank(n_filters: int, n_fft: int, sample_rate: float) -> np.ndarray:
@@ -140,11 +148,7 @@ def fix_length(feats: np.ndarray, target_t: int) -> np.ndarray:
         raise ValueError("features must be a non-empty (T, D) matrix")
     if target_t < 1:
         raise ValueError("target length must be >= 1")
-    t = feats.shape[0]
-    if t >= target_t:
-        return feats[:target_t].copy()
-    reps = -(-target_t // t)
-    return np.tile(feats, (reps, 1))[:target_t]
+    return feats[np.arange(target_t) % feats.shape[0]]
 
 
 def store_features(path, feats: np.ndarray) -> None:
@@ -160,13 +164,14 @@ def load_features(path) -> np.ndarray:
     """Read a feature matrix back; bit-exact for float32 data.  Anything but
     one rank-2 tensor ``features``, or a NaN or infinite value in it, is a
     FormatError naming the file, so it cannot reach a score."""
-    tensors = tensorio.load_tensors(path)
-    if set(tensors) != {"features"}:
-        raise FormatError(f"{path}: expected one tensor 'features', found {sorted(tensors)}")
-    feats = tensors["features"]
-    if feats.ndim != 2:
-        raise FormatError(f"{path}: tensor 'features' has rank {feats.ndim}, expected 2")
-    if not np.isfinite(feats).all():
-        frame = int(np.argmin(np.isfinite(feats).all(axis=1)))
-        raise FormatError(f"{path}: non-finite value in frame {frame}")
-    return feats
+    with naming(path):
+        tensors = tensorio.load_tensors(path)
+        if set(tensors) != {"features"}:
+            raise FormatError(f"expected one tensor 'features', found {sorted(tensors)}")
+        feats = tensors["features"]
+        if feats.ndim != 2:
+            raise FormatError(f"tensor 'features' has rank {feats.ndim}, expected 2")
+        if not np.isfinite(feats).all():
+            frame = int(np.argmin(np.isfinite(feats).all(axis=1)))
+            raise FormatError(f"non-finite value in frame {frame}")
+        return feats

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorio
+from .errors import naming
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -65,9 +66,6 @@ class Gmm:
         self.weights = weights
         self.means = means
         self.variances = variances
-        self._refresh_cache()
-
-    def _refresh_cache(self) -> None:
         with np.errstate(divide="ignore"):
             self.log_weights = np.where(self.weights > 0.0, np.log(self.weights), -np.inf)
         self.log_norm = -0.5 * (self.dim * LOG_2PI + np.log(self.variances).sum(axis=1))
@@ -141,14 +139,8 @@ class Gmm:
 
     @classmethod
     def load(cls, path) -> "Gmm":
-        tensors = tensorio.load_tensors(path)
-        try:
-            return cls.from_tensors(tensors)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-    def fingerprint(self) -> bytes:
-        return tensorio.fingerprint(self.to_tensors())
+        with naming(path):
+            return cls.from_tensors(tensorio.load_tensors(path))
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorio
+from .errors import naming
 from .gmm import Gmm, frame_chunks, pooled_mean_var
 
 STD_FLOOR = 1e-8
@@ -78,14 +79,8 @@ class LgpNormStats:
 
     @classmethod
     def load(cls, path) -> "LgpNormStats":
-        tensors = tensorio.load_tensors(path)
-        try:
-            return cls.from_tensors(tensors)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-    def fingerprint(self) -> bytes:
-        return tensorio.fingerprint(self.to_tensors())
+        with naming(path):
+            return cls.from_tensors(tensorio.load_tensors(path))
 
 
 def lgp_frames_full(gmm: Gmm, frames: np.ndarray) -> np.ndarray:

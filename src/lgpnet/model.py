@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensorio
-from .errors import FormatError, NonFiniteMapError
+from .errors import FormatError, NonFiniteMapError, naming
 from .gmm import Gmm
 from .lgp import LgpNormStats, extract_lgp
 from .nn import (BatchNorm1d, BatchNormReLU, Conv1d, Linear, MaxOverTime, SEBlock, gutter_conv,
@@ -265,8 +265,8 @@ class SpoofModel:
         out = self.cfg.to_tensors()
         for k, path in enumerate(self.paths):
             out.update({f"path{k}.{name}": arr for name, arr in path.named_tensors().items()})
-            out[f"path{k}.gmm_sha256"] = _digest_tensor(self.gmms[k].fingerprint())
-            out[f"path{k}.stats_sha256"] = _digest_tensor(self.stats[k].fingerprint())
+            out[f"path{k}.gmm_sha256"] = _digest_tensor(self.gmms[k])
+            out[f"path{k}.stats_sha256"] = _digest_tensor(self.stats[k])
         out.update({f"fc.{name}": arr for name, arr in self.fc.named_tensors().items()})
         return out
 
@@ -286,7 +286,8 @@ class SpoofModel:
 
     @classmethod
     def load(cls, path, gmms: list[Gmm], stats: list[LgpNormStats]) -> "SpoofModel":
-        return cls.from_tensors(tensorio.load_tensors(path), gmms, stats)
+        with naming(path):
+            return cls.from_tensors(tensorio.load_tensors(path), gmms, stats)
 
 
 class ScoringPlan:
@@ -421,7 +422,7 @@ def read_checkpoint(tensors, gmms: list[Gmm], stats: list[LgpNormStats]
             raise FormatError(f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
     for k in range(cfg.paths):
         for name, source in ((f"path{k}.gmm_sha256", gmms[k]), (f"path{k}.stats_sha256", stats[k])):
-            if not np.array_equal(tensors[name], _digest_tensor(source.fingerprint())):
+            if not np.array_equal(tensors[name], _digest_tensor(source)):
                 raise FormatError(f"{name!r} does not match the given GMM/stats file")
     params = {name: tensors[name] for name in shapes
               if not name.startswith("cfg.") and not name.endswith("_sha256")}
@@ -459,13 +460,15 @@ def _tensor_shapes(cfg: ClassifierConfig) -> dict[str, tuple[int, ...]]:
 
 
 def _check_front_ends(cfg: ClassifierConfig, gmms: list[Gmm], stats: list[LgpNormStats]) -> None:
+    """The one check that a model's GMM/stats fit it, one pair per path."""
     if len(gmms) != cfg.paths or len(stats) != cfg.paths:
-        raise ValueError(f"need {cfg.paths} GMM(s) and stats, got {len(gmms)}/{len(stats)}")
+        raise ValueError(f"a {cfg.paths}-path model takes {cfg.paths} GMM(s) and "
+                         f"{cfg.paths} stats, got {len(gmms)} and {len(stats)}")
     for g, s in zip(gmms, stats):
         if g.order != cfg.gmm_order:
             raise ValueError(f"GMM order {g.order} != configured {cfg.gmm_order}")
         if s.order != g.order:
-            raise ValueError("stats do not match their GMM")
+            raise ValueError(f"stats cover {s.order} components but their GMM has {g.order}")
         if s.form != cfg.lgp_form:
             raise ValueError(f"stats use form {s.form!r}, config wants {cfg.lgp_form!r}")
 
@@ -485,7 +488,8 @@ def _check_sizes(cfg: ClassifierConfig, tensors) -> None:
                               f"tensor {last!r}")
 
 
-def _digest_tensor(digest: bytes) -> np.ndarray:
+def _digest_tensor(source: Gmm | LgpNormStats) -> np.ndarray:
+    digest = tensorio.fingerprint(source.to_tensors())
     return np.frombuffer(digest, dtype=np.uint8).astype(np.float64)
 
 

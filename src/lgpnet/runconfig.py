@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import ProtocolError
+from .errors import ProtocolError, naming
 
 
 def _parse_bool(text: str) -> bool:
@@ -28,31 +28,29 @@ def read_flat_config(cls, path):
     """Build the flat dataclass ``cls`` from a ``key = value`` file.
 
     Values are cast by field type.  Unknown keys, duplicate keys and bad
-    values raise ProtocolError with the line number.
+    values raise ProtocolError with the line number, and a value ``cls``
+    refuses raises its ValueError; every error names the file.
     """
     values = {}
     types = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
-    with open(path, "r", encoding="utf-8") as fh:
+    with naming(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
             if "=" not in text:
-                raise ProtocolError(f"{path}: expected 'key = value'", line=lineno)
+                raise ProtocolError("expected 'key = value'", line=lineno)
             key, _, raw = text.partition("=")
             key = key.strip()
             if key not in types:
-                raise ProtocolError(f"{path}: unknown key {key!r}", line=lineno)
+                raise ProtocolError(f"unknown key {key!r}", line=lineno)
             if key in values:
-                raise ProtocolError(f"{path}: duplicate key {key!r}", line=lineno)
+                raise ProtocolError(f"duplicate key {key!r}", line=lineno)
             try:
                 values[key] = _CASTS[types[key]](raw.strip())
             except ValueError as exc:
-                raise ProtocolError(f"{path}: bad value for {key!r}: {exc}", line=lineno) from None
-    try:
+                raise ProtocolError(f"bad value for {key!r}: {exc}", line=lineno) from None
         return cls(**values)
-    except ValueError as exc:
-        raise ProtocolError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -75,26 +73,20 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.paths not in (1, 2):
-            raise ValueError("paths must be 1 or 2")
+        # ClassifierConfig and TrainConfig check the model and training keys
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.step1_epochs < 0 or self.step2_epochs < 0:
-            raise ValueError("step1_epochs and step2_epochs must be >= 0")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         return read_flat_config(cls, path)
 
-    def to_text(self) -> str:
+    def write(self, path) -> None:
         lines = ["# resolved run configuration"]
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, bool):
                 value = "true" if value else "false"
             lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
-
-    def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
+            fh.write("\n".join(lines) + "\n")

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tensorio
 from .errors import NonFiniteMapError, TrainingDivergedError
 from .evaluation import eer_from_scores, read_protocol
 from .frontend import fix_length, load_features
@@ -40,8 +41,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch size and epochs must be >= 1")
-        if self.lr <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.lr < np.inf:                 # a NaN fails too
+            raise ValueError("learning rate must be positive and finite")
         if min(self.step1_epochs, self.step2_epochs) < 0:
             raise ValueError("step1_epochs and step2_epochs must be >= 0")
 
@@ -188,10 +189,13 @@ def _fit(model: SpoofModel, path_ids, head, train_x, data: LabeledDataset, dev_x
             opt.step()
             epoch_loss += loss * idx.shape[0]
         result.loss_trace.append(epoch_loss / n)
-        for p in params:
-            # NaN weights can hide behind ReLU zeros, so check explicitly.
-            if not np.isfinite(p.data).all():
-                raise TrainingDivergedError(f"non-finite parameters after epoch {epoch}")
+        # as the checkpoint writer will; NaN weights can hide behind ReLU zeros
+        try:
+            for owner, module in zip(["head", *(f"path{k}" for k in path_ids)], modules):
+                for name, arr in module.named_tensors().items():
+                    tensorio.finite_float32(arr, f"tensor '{owner}.{name}'")
+        except ValueError as exc:
+            raise TrainingDivergedError(f"after epoch {epoch}: {exc}") from None
 
         if dev_x is not None:
             eer = _dev_eer(model, path_ids, head, dev_x, dev)

@@ -101,10 +101,21 @@ def score_fixture(tmp_path):
     return tmp_path
 
 
-def score_with(root, model):
+def score_with(root, model, *files):
+    """``lgpnet score``; ``files`` replaces the default --gmm/--stats flags."""
+    files = files or ("--gmm", root / "m.gmm", "--stats", root / "m.stats")
     return run("score", "--model", model, "--features", root / "feats",
-               "--protocol", root / "eval.txt", "--gmm", root / "m.gmm",
-               "--stats", root / "m.stats", "--out", root / "scores.eval")
+               "--protocol", root / "eval.txt", *files, "--out", root / "scores.eval")
+
+
+def train_with(root, config, *files, protocol="eval.txt"):
+    """``lgpnet train`` of a tiny one-path run into ``root/ckpt``: ``config``
+    adds run keys, ``files`` replaces the default --gmm/--stats flags."""
+    cfg = root / "run.cfg"
+    cfg.write_text(f"gmm_order = 4\nchannels = 8\nblocks = 1\n{config}")
+    files = files or ("--gmm", root / "m.gmm", "--stats", root / "m.stats")
+    return run("train", "--config", cfg, "--features", root / "feats",
+               "--protocol", root / protocol, *files, "--out", root / "ckpt")
 
 
 def score_gmm_with(root, genuine="m.gmm", spoof="m.gmm"):
@@ -230,6 +241,37 @@ class TestBadGmmFiles:
 def extract_lgp_with(root):
     return run("extract-lgp", "--gmm", root / "m.gmm", "--stats", root / "m.stats",
                "--in", root / "feats", "--out", root / "lgp")
+
+
+class TestPerFileErrorsNameTheFile:
+    """An error in one file's step of a per-file command names that file."""
+
+    @pytest.fixture
+    def wide(self, score_fixture):
+        from lgpnet.frontend import store_features
+
+        store_features(score_fixture / "feats" / "u1.lgpf", np.ones((20, 3)))
+        return score_fixture / "feats" / "u1.lgpf"
+
+    @pytest.mark.parametrize("command, output, message", [
+        (lambda root: score_with(root, root / "model.lgpn"), "scores.eval",
+         "frames have shape (16, 3), expected (T, 2)"),
+        (score_gmm_with, "scores.eval", "frames have shape (20, 3), expected (T, 2)"),
+        (extract_lgp_with, "lgp/u1.lgpf", "frames have shape (20, 3), expected (T, 2)"),
+    ], ids=["score", "score-gmm", "extract-lgp"])
+    def test_feature_width_mismatch(self, score_fixture, wide, capsys, command, output, message):
+        assert command(score_fixture) == 3
+        assert capsys.readouterr().err == f"error: {wide}: {message}\n"
+        assert not (score_fixture / output).exists()
+
+    def test_extract_lfcc_of_a_file_that_is_not_wav(self, tmp_path, capsys):
+        (tmp_path / "wavs").mkdir()
+        (tmp_path / "wavs" / "x.wav").write_bytes(b"ID3 mp3 data, not RIFF")
+        assert run("extract-lfcc", "--wav-dir", tmp_path / "wavs", "--out-dir",
+                   tmp_path / "feats") == 3
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'wavs' / 'x.wav'}: not a WAV file: "
+                                           "file does not start with RIFF id\n")
+        assert not (tmp_path / "feats" / "x.lgpf").exists()
 
 
 class TestBadModelFiles:
@@ -429,16 +471,113 @@ class TestTrainConfigChecks:
         ("step2_epochs = -1", "step1_epochs and step2_epochs must be >= 0"),
     ])
     def test_train_exits_3_without_model(self, score_fixture, capsys, line, message):
-        cfg = score_fixture / "run.cfg"
-        cfg.write_text(f"gmm_order = 4\nchannels = 8\nblocks = 1\n{line}\n")
-        code = run("train", "--config", cfg, "--features", score_fixture / "feats",
-                   "--protocol", score_fixture / "eval.txt", "--gmm", score_fixture / "m.gmm",
-                   "--stats", score_fixture / "m.stats", "--out", score_fixture / "ckpt")
+        code = train_with(score_fixture, f"{line}\n")
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
+        assert err.startswith(f"error: {score_fixture / 'run.cfg'}: ") and message in err
         assert "Traceback" not in err
-        assert not (score_fixture / "ckpt" / "model.lgpn").exists()
+        assert not (score_fixture / "ckpt").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_3_writing_nothing(self, score_fixture, capsys,
+                                                              value):
+        assert train_with(score_fixture, f"lr = {value}\n") == 3
+        assert capsys.readouterr().err == (f"error: {score_fixture / 'run.cfg'}: "
+                                           "learning rate must be positive and finite\n")
+        assert not (score_fixture / "ckpt").exists()
+
+
+@pytest.fixture
+def train_fixture(score_fixture):
+    """``score_fixture`` plus ``train.txt``, four utterances of both classes."""
+    from lgpnet.frontend import store_features
+
+    rng = np.random.default_rng(8)
+    labels = {}
+    for i in range(4):
+        store_features(score_fixture / "feats" / f"t{i}.lgpf", rng.normal(size=(20, 2)) + i % 2)
+        labels[f"t{i}"] = "bonafide" if i % 2 else "spoof"
+    write_protocol(score_fixture / "train.txt", labels)
+    return score_fixture
+
+
+class TestDivergedTraining:
+    """A run whose state leaves float32 stops at that epoch: exit 4 with
+    ``numeric failure:``, no traceback and no model file."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lr, tensor", [
+        ("1e300", "head.weight"),
+        # parameters stay finite, a batch-norm running variance does not
+        ("1e30", "path0.stem.bn.running_var"),
+    ])
+    def test_exits_4_without_a_model(self, train_fixture, capsys, lr, tensor):
+        code = train_with(train_fixture, f"segment_length = 16\nbatch_size = 2\nepochs = 2\n"
+                          f"lr = {lr}\n", protocol="train.txt")
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("numeric failure: after epoch ")
+        assert f"tensor '{tensor}' has a value that is not finite as float32" in err
+        assert "Traceback" not in err
+        assert not (train_fixture / "ckpt" / "model.lgpn").exists()
+
+
+class TestModelFrontEnds:
+    """The model's own check decides whether the --gmm/--gmm2/--stats/--stats2
+    files fit it: the run config's model for ``train``, the checkpoint's for
+    ``score``.  A misfit exits 3, names the file that defines the model and
+    writes nothing."""
+
+    @pytest.fixture
+    def root(self, score_fixture):
+        from lgpnet.gmm import Gmm
+        from lgpnet.lgp import LgpNormStats, fit_norm_stats
+        from lgpnet.model import ClassifierConfig, SpoofModel
+
+        rng = np.random.default_rng(5)
+        small = Gmm(np.full(2, 0.5), rng.normal(size=(2, 2)), rng.uniform(0.5, 1.5, size=(2, 2)))
+        small.save(score_fixture / "small.gmm")
+        fit_norm_stats(small, rng.normal(size=(200, 2)), "fast").save(score_fixture / "small.stats")
+        gmm, stats = Gmm.load(score_fixture / "m.gmm"), LgpNormStats.load(score_fixture / "m.stats")
+        cfg = ClassifierConfig(gmm_order=4, channels=8, blocks=1, input_length=16, paths=2)
+        SpoofModel(cfg, [gmm, gmm], [stats, stats]).save(score_fixture / "two.lgpn")
+        return score_fixture
+
+    MISFITS = {
+        "second-pair-for-one-path": (
+            ("--gmm", "m.gmm", "--gmm2", "m.gmm", "--stats", "m.stats", "--stats2", "m.stats"),
+            "a 1-path model takes 1 GMM(s) and 1 stats, got 2 and 2"),
+        "gmm-of-another-order": (("--gmm", "small.gmm", "--stats", "small.stats"),
+                                 "GMM order 2 != configured 4"),
+        "stats-under-another-gmm": (("--gmm", "m.gmm", "--stats", "small.stats"),
+                                    "stats cover 2 components but their GMM has 4"),
+    }
+
+    @pytest.mark.parametrize("misfit", MISFITS)
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_misfit_exits_3_writing_nothing(self, root, capsys, command, misfit):
+        flags, message = self.MISFITS[misfit]
+        files = [root / f if f.endswith((".gmm", ".stats")) else f for f in flags]
+        if command == "train":
+            code, named, output = train_with(root, "", *files), root / "run.cfg", root / "ckpt"
+        else:
+            code = score_with(root, root / "model.lgpn", *files)
+            named, output = root / "model.lgpn", root / "scores.eval"
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {named}: {message}\n"
+        assert not output.exists()
+
+    def test_two_path_checkpoint_without_second_pair_exits_3(self, root, capsys):
+        assert score_with(root, root / "two.lgpn") == 3
+        assert capsys.readouterr().err == (f"error: {root / 'two.lgpn'}: a 2-path model takes "
+                                           "2 GMM(s) and 2 stats, got 1 and 1\n")
+        assert not (root / "scores.eval").exists()
+
+    def test_two_path_checkpoint_scores_with_second_pair(self, root):
+        pair = ("--gmm", root / "m.gmm", "--gmm2", root / "m.gmm",
+                "--stats", root / "m.stats", "--stats2", root / "m.stats")
+        assert score_with(root, root / "two.lgpn", *pair) == 0
+        assert list(read_scores(root / "scores.eval")) == ["u1"]
 
 
 class TestTdcfConfig:
@@ -449,6 +588,20 @@ class TestTdcfConfig:
         code = run("evaluate", "--scores", scores, "--protocol", proto, "--tdcf-config", cfg)
         assert code == 3
         assert "duplicate key 'p_fa_asv' (line 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_cost_exits_3_writing_nothing(self, perfect_fixture, tmp_path, capsys,
+                                                     value):
+        scores, proto = perfect_fixture
+        cfg = tmp_path / "tdcf.cfg"
+        cfg.write_text(f"c_fa_cm = {value}\n")
+        out = tmp_path / "metrics.txt"
+        code = run("evaluate", "--scores", scores, "--protocol", proto, "--tdcf-config", cfg,
+                   "--out", out)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == f"error: {cfg}: costs must be positive and finite\n"
+        assert captured.out == "" and not out.exists()
 
 
 def tree_hashes(root: Path) -> dict[str, str]:

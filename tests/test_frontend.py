@@ -89,6 +89,28 @@ class TestWav:
             read_wav(path)
 
 
+    @pytest.mark.parametrize("blob", [b"", b"RIFF", b"not a wav file at all" * 3],
+                             ids=["empty", "cut-header", "not-riff"])
+    def test_not_a_wav_file_refused_naming_it(self, tmp_path, blob):
+        path = tmp_path / "x.wav"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="not a WAV file") as err:
+            read_wav(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_data_shorter_than_the_header_says_refused(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(16000)
+            fh.writeframes(np.zeros(100, "<i2").tobytes())
+        path.write_bytes(path.read_bytes()[:60])          # 44-byte header, 16 data bytes
+        with pytest.raises(FormatError) as err:
+            read_wav(path)
+        assert str(err.value) == f"{path}: header says 200 bytes of samples, data holds 16"
+
+
 class TestFixLength:
     def test_truncation_keeps_head(self, rng):
         feats = rng.normal(size=(500, 4))

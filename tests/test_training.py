@@ -165,6 +165,24 @@ class TestOnePath:
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
             train_one_path(model, data, cfg)
 
+    def test_batch_statistic_beyond_float32_aborts_the_epoch(self, rng):
+        # finite in float64, so every parameter stays finite, but the
+        # checkpoint writer would refuse it
+        model = build_one_path(rng)
+        model.paths[0].bn.running_var[...] = 1e39
+        data = separable_dataset(rng, n_per_class=2)
+        cfg = TrainConfig(batch_size=4, epochs=2, lr=1e-3, seed=0, target_length=8)
+        epochs = []
+        with pytest.raises(TrainingDivergedError, match="^after epoch 0: tensor "
+                           "'path0.stem.bn.running_var' has a value that is not finite"):
+            train_one_path(model, data, cfg, on_epoch=lambda epoch, result: epochs.append(epoch))
+        assert epochs == []
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0])
+    def test_learning_rate_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+            TrainConfig(lr=lr)
+
     def test_two_path_model_rejected(self, rng):
         model = build_two_path(rng)
         data = separable_dataset(rng, n_per_class=2)
