@@ -3,11 +3,14 @@
 
 Drives the CLI through the whole pipeline: corpus generation, GMM baseline,
 LGP statistics, one-path training, scoring, evaluation, and fusion of the
-network with the baseline.  Writes all artifacts plus a final metrics file
-under --out.
+network with the baseline.  With ``--paths 2`` the network is the two-path
+model: LGP statistics under the bona fide and the spoof GMM, two-step
+training, and scoring with ``--gmm2/--stats2``.  Writes all artifacts plus
+a final metrics file under --out.
 
     python scripts/run_synthetic_pipeline.py --out /tmp/lgpnet-demo
     python scripts/run_synthetic_pipeline.py --task marginal-shift --se
+    python scripts/run_synthetic_pipeline.py --paths 2
 """
 
 import argparse
@@ -50,14 +53,20 @@ def run(args) -> None:
     bona_list = train_list(corpus, out, "bonafide")
     spoof_list = train_list(corpus, out, "spoof")
 
-    sh("train-gmm", "--features", all_list, "--components", args.gmm_order,
-       "--iters", 30, "--seed", 1, "--out", out / "pooled.gmm")
+    if args.paths == 1:
+        sh("train-gmm", "--features", all_list, "--components", args.gmm_order,
+           "--iters", 30, "--seed", 1, "--out", out / "pooled.gmm")
     sh("train-gmm", "--features", bona_list, "--components", args.gmm_order,
        "--iters", 30, "--seed", 2, "--out", out / "bona.gmm")
     sh("train-gmm", "--features", spoof_list, "--components", args.gmm_order,
        "--iters", 30, "--seed", 3, "--out", out / "spoof.gmm")
-    sh("fit-lgp-stats", "--gmm", out / "pooled.gmm", "--features", all_list,
-       "--out", out / "pooled.stats")
+    # the front end of each path: the pooled GMM, or the bona fide and the spoof GMM
+    fronts = ["pooled"] if args.paths == 1 else ["bona", "spoof"]
+    models = []
+    for suffix, name in zip(("", "2"), fronts):
+        sh("fit-lgp-stats", "--gmm", out / f"{name}.gmm", "--features", all_list,
+           "--out", out / f"{name}.stats")
+        models += [f"--gmm{suffix}", out / f"{name}.gmm", f"--stats{suffix}", out / f"{name}.stats"]
 
     run_cfg = out / "run.cfg"
     run_cfg.write_text(
@@ -71,17 +80,15 @@ def run(args) -> None:
         f"epochs = {args.epochs}\n"
         "lr = 0.001\n"
         f"seed = {args.seed}\n"
+        + ("paths = 2\n" if args.paths == 2 else "")
     )
     sh("train", "--config", run_cfg, "--features", corpus / "feats",
        "--protocol", corpus / "train.txt", "--dev-protocol", corpus / "dev.txt",
-       "--gmm", out / "pooled.gmm", "--stats", out / "pooled.stats",
-       "--out", out / "ckpt")
+       *models, "--out", out / "ckpt")
 
     for part in ("dev", "eval"):
         sh("score", "--model", out / "ckpt" / "model.lgpn", "--features", corpus / "feats",
-           "--protocol", corpus / f"{part}.txt",
-           "--gmm", out / "pooled.gmm", "--stats", out / "pooled.stats",
-           "--out", out / f"net.{part}")
+           "--protocol", corpus / f"{part}.txt", *models, "--out", out / f"net.{part}")
         sh("score-gmm", "--gmm", out / "bona.gmm", "--gmm2", out / "spoof.gmm",
            "--features", corpus / "feats", "--protocol", corpus / f"{part}.txt",
            "--out", out / f"gmm.{part}")
@@ -110,4 +117,6 @@ if __name__ == "__main__":
     parser.add_argument("--epochs", type=int, default=12)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--se", action="store_true", help="squeeze-excitation blocks")
+    parser.add_argument("--paths", type=int, choices=(1, 2), default=1,
+                        help="network paths; 2 trains with the two-step scheme")
     run(parser.parse_args())

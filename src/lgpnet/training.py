@@ -2,11 +2,10 @@
 two-path models (pretrain each path under a temporary classifier, then
 freeze the paths and fit only the fusion head).
 
-The only input training keeps is raw feature segments, shared by every
-path: the training set fixed to N frames, (n, N, D), and each dev
-utterance's UFM segments, (S, N, D).  ``SpoofModel.embed`` derives each
-path's LGP maps from a minibatch, or from one dev utterance, inside the
-forward pass and drops them, so no LGP map outlives its batch.
+Training holds no stacked copy of its input: each minibatch (B, N, D) and
+each dev utterance's UFM segments (S, N, D) are cut from the loaded features
+when used.  ``SpoofModel.embed`` derives each path's LGP maps from them
+inside the forward pass and drops them, so no LGP map outlives its batch.
 
 Everything is deterministic given the config seed: weight init, epoch
 shuffles, and batch reductions all flow from seeded generators, so two
@@ -114,16 +113,9 @@ def paths_state(paths) -> list[np.ndarray]:
 # -- internals ----------------------------------------------------------------
 
 
-def _segments(model: SpoofModel, cfg: TrainConfig, data: LabeledDataset, dev):
-    """The raw inputs every path shares: the training set fixed to N frames,
-    (n, N, D), and, with a dev set, each dev utterance's UFM segments (S, N, D)."""
-    n = model.cfg.input_length
-    if cfg.target_length != n:
-        raise ValueError("config target length does not match the model input length")
-    train_x = np.stack([fix_length(utt.features, n) for utt in data.items])
-    if dev is None:
-        return train_x, None
-    return train_x, [segment_ufm(utt.features, UfmConfig(n)) for utt in dev.items]
+def _batch(data: LabeledDataset, idx, length: int) -> np.ndarray:
+    """Training utterances ``idx``, each fixed to ``length`` frames: (B, N, D)."""
+    return np.stack([fix_length(data.items[i].features, length) for i in idx])
 
 
 def _embed(model: SpoofModel, path_ids, x: np.ndarray, training: bool, ids) -> np.ndarray:
@@ -139,26 +131,32 @@ def _embed(model: SpoofModel, path_ids, x: np.ndarray, training: bool, ids) -> n
             f"non-finite feature map for utterance {ids[exc.row]!r}") from None
 
 
-def _dev_eer(model, path_ids, head, dev_x, dev: LabeledDataset) -> float:
-    scores = np.empty(len(dev_x))
-    for i, (x, utt) in enumerate(zip(dev_x, dev.items)):
+def _dev_eer(model, path_ids, head, dev_embs, dev: LabeledDataset) -> float:
+    """Dev EER of ``head``; with paths, each utterance is cut when it is scored."""
+    ufm = UfmConfig(model.cfg.input_length)
+    scores = np.empty(len(dev))
+    for i, utt in enumerate(dev.items):
+        x = segment_ufm(utt.features, ufm) if path_ids else dev_embs[i]
         logits = head.forward(_embed(model, path_ids, x, False, [utt.utt_id] * len(x)))
         scores[i] = (logits[:, 0] - logits[:, 1]).mean()
     labels = dev.labels()
     return eer_from_scores(scores[labels == BONA_FIDE], scores[labels != BONA_FIDE])[0]
 
 
-def _fit(model: SpoofModel, path_ids, head, train_x, data: LabeledDataset, dev_x, dev,
+@np.errstate(over="ignore", invalid="ignore")
+def _fit(model: SpoofModel, path_ids, head, train_embs, data: LabeledDataset, dev_embs, dev,
          cfg: TrainConfig, epochs: int, seed_tag: int, on_epoch) -> TrainResult:
     """Shared minibatch loop; the head and the paths ``path_ids`` of ``model``
     are the trainable state.
 
-    ``train_x`` has one row per training utterance and ``dev_x`` one stack
-    per dev utterance: raw segments the paths embed or, with no paths, fixed
-    embeddings the head is fitted on (step 2 of the two-step scheme).  With
-    a dev set, the state of the best dev-EER epoch is copied back in place
-    at the end.
+    With paths, each minibatch is cut from ``data`` when it is used.  With
+    none (step 2), the head is fitted on ``train_embs``, one row per training
+    utterance, and ``dev_embs``, one stack per dev utterance.  With a dev set,
+    the best dev-EER epoch's state is copied back in place at the end.  The
+    loss and the per-epoch checks catch overflow, so NumPy does not warn of it.
     """
+    if cfg.target_length != model.cfg.input_length:
+        raise ValueError("config target length does not match the model input length")
     paths = [model.paths[k] for k in path_ids]
     modules = [head, *paths]
     params = [p for module in modules for p in module.parameters()]
@@ -175,7 +173,8 @@ def _fit(model: SpoofModel, path_ids, head, train_x, data: LabeledDataset, dev_x
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            logits = head.forward(_embed(model, path_ids, train_x[idx], True, ids[idx]))
+            x = _batch(data, idx, cfg.target_length) if path_ids else train_embs[idx]
+            logits = head.forward(_embed(model, path_ids, x, True, ids[idx]))
             loss, grad_logits = softmax_cross_entropy(logits, labels[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
@@ -197,8 +196,8 @@ def _fit(model: SpoofModel, path_ids, head, train_x, data: LabeledDataset, dev_x
         except ValueError as exc:
             raise TrainingDivergedError(f"after epoch {epoch}: {exc}") from None
 
-        if dev_x is not None:
-            eer = _dev_eer(model, path_ids, head, dev_x, dev)
+        if dev is not None:
+            eer = _dev_eer(model, path_ids, head, dev_embs, dev)
             result.dev_eer_trace.append(eer)
             if best is None or eer < best[0]:
                 best = (eer, epoch, paths_state(modules))
@@ -225,9 +224,7 @@ def train_one_path(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
     """
     if model.cfg.paths != 1:
         raise ValueError("train_one_path expects a one-path model")
-    train_x, dev_x = _segments(model, cfg, data, dev)
-    return _fit(model, [0], model.fc, train_x, data, dev_x, dev, cfg, cfg.epochs,
-                0, on_epoch)
+    return _fit(model, [0], model.fc, None, data, None, dev, cfg, cfg.epochs, 0, on_epoch)
 
 
 def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
@@ -240,18 +237,17 @@ def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
     parameter (batch statistics included, so the paths are bit-identical
     afterwards), and trains only the shared head on the concatenated
     embeddings; the frozen paths run with their step-1 running statistics.
-    Both steps read the same raw segments; step 2 embeds them once, in
-    chunks of ``batch_size``.
+    Both steps cut their input from the loaded features as they use it; the
+    fused dev EER is that of step 2's best epoch, whose head the model keeps.
     """
     if model.cfg.paths != 2:
         raise ValueError("train_two_step expects a two-path model")
-    train_x, dev_x = _segments(model, cfg, data, dev)
 
     step1_results: list[TrainResult] = []
     path_dev_eers: list[float] = []
     for k in range(model.cfg.paths):
         temp_head = Linear(model.cfg.channels, 2, init="zero")
-        res = _fit(model, [k], temp_head, train_x, data, dev_x, dev, cfg,
+        res = _fit(model, [k], temp_head, None, data, None, dev, cfg,
                    cfg.step1_epochs or cfg.epochs, 1 + k, on_epoch)
         step1_results.append(res)
         if res.dev_eer_trace:
@@ -259,15 +255,19 @@ def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
 
     frozen_state = paths_state(model.paths)
 
-    # Step 2: the frozen paths give fixed embeddings; fit only the head on them.
-    every = range(model.cfg.paths)
-    train_embs = np.concatenate([model.embed(train_x[start : start + cfg.batch_size], False, every)
-                                 for start in range(0, len(data), cfg.batch_size)])
-    dev_embs = None if dev_x is None else [model.embed(x, False, every) for x in dev_x]
+    # Step 2: the frozen paths embed each input once, batch by batch; fit only the head.
+    every, length = range(model.cfg.paths), model.cfg.input_length
+    rows = range(len(data))
+    train_embs = np.concatenate([
+        model.embed(_batch(data, rows[start : start + cfg.batch_size], length), False, every)
+        for start in rows[:: cfg.batch_size]])
+    dev_embs = None if dev is None else [
+        model.embed(segment_ufm(utt.features, UfmConfig(length)), False, every)
+        for utt in dev.items]
     step2 = _fit(model, [], model.fc, train_embs, data, dev_embs, dev, cfg,
                  cfg.step2_epochs or cfg.epochs, 100, on_epoch)
 
-    dev_eer = _dev_eer(model, [], model.fc, dev_embs, dev) if dev is not None else float("nan")
+    dev_eer = min(step2.dev_eer_trace) if dev is not None else float("nan")
     return TwoStepResult(step1=step1_results, step2=step2,
                          path_dev_eers=path_dev_eers, dev_eer=dev_eer,
                          frozen_state=frozen_state)

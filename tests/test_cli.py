@@ -505,7 +505,7 @@ class TestDivergedTraining:
     """A run whose state leaves float32 stops at that epoch: exit 4 with
     ``numeric failure:``, no traceback and no model file."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("lr, tensor", [
         ("1e300", "head.weight"),
         # parameters stay finite, a batch-norm running variance does not

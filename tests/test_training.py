@@ -1,12 +1,14 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from lgpnet.errors import TrainingDivergedError
+from lgpnet.evaluation import eer_from_scores
 from lgpnet.gmm import Gmm
 from lgpnet.lgp import fit_norm_stats
-from lgpnet.model import BONA_FIDE, SPOOF, ClassifierConfig, SpoofModel
+from lgpnet.model import BONA_FIDE, SPOOF, ClassifierConfig, SpoofModel, UfmConfig, segment_ufm
 from lgpnet.training import (
     LabeledDataset,
     LabeledUtterance,
@@ -234,6 +236,22 @@ class TestTwoStep:
         for path_eer in result.path_dev_eers:
             assert result.dev_eer <= path_eer + 0.02
 
+    def test_fused_dev_eer_is_that_of_the_kept_head(self):
+        """The fused dev EER is the best step-2 epoch's, whose head the model
+        keeps: scoring the dev set with the trained model gives it back."""
+        rng = np.random.default_rng(1)
+        model = build_two_path(rng, seed=3)
+        data = separable_dataset(rng, n_per_class=4)
+        dev = separable_dataset(rng, n_per_class=6, partition="dev")
+        for utt in dev.items:
+            utt.features = utt.features + rng.normal(scale=4.0, size=utt.features.shape)
+        cfg = TrainConfig(batch_size=4, epochs=4, lr=3e-2, seed=3, target_length=8)
+        result = train_two_step(model, data, cfg, dev)
+        scores = np.array([model.score_utterance(utt.features) for utt in dev.items])
+        labels = dev.labels()
+        eer = eer_from_scores(scores[labels == BONA_FIDE], scores[labels == SPOOF])[0]
+        assert result.dev_eer == eer < result.step2.dev_eer_trace[0]
+
     def test_one_path_model_rejected(self, rng):
         model = build_one_path(rng)
         data = separable_dataset(rng, n_per_class=2)
@@ -296,6 +314,49 @@ class TestTwoStep:
         result = train_two_step(model, data, cfg)
         assert all(len(r.loss_trace) == 2 for r in result.step1)
         assert len(result.step2.loss_trace) == 3
+
+
+class TestHeldInputIsPerBatch:
+    """Training cuts each minibatch, and each dev utterance's segments, when
+    it uses them: what it holds does not grow with the number of utterances,
+    save the step-2 embeddings (2C values per row against N·D raw ones)."""
+
+    LENGTH, DIM = 64, 20
+
+    def traced_peak(self, trainer, paths, count):
+        """Traced peak of ``trainer`` over ``count`` training and ``count // 2``
+        dev utterances, and the bytes the raw stacks of both would take."""
+        rng = np.random.default_rng(count)
+        gmms = [make_gmm(seed, dim=self.DIM) for seed in range(1, paths + 1)]
+        frames = rng.normal(size=(400, self.DIM))
+        stats = [fit_norm_stats(g, frames, "fast") for g in gmms]
+        cfg = dataclasses.replace(tiny_config(paths), input_length=self.LENGTH)
+        model = SpoofModel(cfg, gmms, stats, seed=0)
+
+        def dataset(partition, n):
+            items = [LabeledUtterance(f"{partition}{i}", rng.normal(size=(20 + i % 120, self.DIM)),
+                                      i % 2) for i in range(n)]
+            return LabeledDataset(items, partition)
+
+        data, dev = dataset("train", count), dataset("dev", count // 2)
+        raw = (len(data) * self.LENGTH * self.DIM * 8
+               + sum(segment_ufm(u.features, UfmConfig(self.LENGTH)).nbytes for u in dev.items))
+        train_cfg = TrainConfig(batch_size=16, epochs=1, lr=1e-3, seed=0,
+                                target_length=self.LENGTH)
+        tracemalloc.start()
+        try:
+            trainer(model, data, train_cfg, dev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, raw
+
+    @pytest.mark.parametrize("trainer, paths", [(train_one_path, 1), (train_two_step, 2)])
+    def test_peak_does_not_grow_with_the_corpus(self, trainer, paths):
+        n = 48
+        small, _ = self.traced_peak(trainer, paths, n)
+        large, raw = self.traced_peak(trainer, paths, 4 * n)
+        assert large - small < raw / 4
 
 
 class TestNoCacheAfterTraining:
