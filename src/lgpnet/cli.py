@@ -18,6 +18,7 @@ from . import __version__, tensorio
 from .errors import FormatError, TrainingDivergedError, naming
 from .evaluation import (
     TdcfCostModel,
+    both_classes,
     eer_from_scores,
     fuse_scores,
     min_tdcf_from_scores,
@@ -29,19 +30,12 @@ from .evaluation import (
 from .frontend import extract_lfcc, load_features, read_wav, store_features
 from .gmm import EmConfig, Gmm, llr_score, train_em
 from .lgp import LgpNormStats, extract_lgp, fit_norm_stats
-from .model import ClassifierConfig, ScoringPlan, SpoofModel
-from .runconfig import RunConfig, read_flat_config
+from .model import BONA_FIDE, ClassifierConfig, ScoringPlan, SpoofModel
+from .runconfig import RunConfig, read_flat_config, write_flat_config
 from .synthcorpus import CorpusSpec, generate
 from .training import TrainConfig, load_dataset, train_one_path, train_two_step
 
 DATA_EXIT, NUMERIC_EXIT = 3, 4
-
-
-def _out_path(raw, *, directory: bool) -> Path:
-    """The output path ``raw`` names; makes it (``directory``) or its parent."""
-    path = Path(raw)
-    (path if directory else path.parent).mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _pooled_frames(spec: str) -> np.ndarray:
@@ -102,24 +96,20 @@ def _cmd_gen_corpus(args) -> int:
         dev_utts=args.dev_utts, eval_utts=args.eval_utts,
         min_len=args.min_len, max_len=args.max_len, seed=args.seed,
     )
-    out = _out_path(args.out, directory=True)
-    generate(spec, out)
-    with open(out / "corpus-spec.cfg", "w", encoding="utf-8") as fh:
-        for key, value in vars(spec).items():
-            fh.write(f"{key} = {value}\n")
-    print(f"wrote corpus to {out}")
+    generate(spec, args.out)
+    write_flat_config(spec, Path(args.out) / "corpus-spec.cfg")
+    print(f"wrote corpus to {args.out}")
     return 0
 
 
 def _cmd_extract_lfcc(args) -> int:
     wavs = _files(args.wav_dir, ".wav")
-    out_dir = _out_path(args.out_dir, directory=True)
 
     def one(path: Path):
-        store_features(out_dir / (path.stem + ".lgpf"), extract_lfcc(read_wav(path)))
+        store_features(Path(args.out_dir) / f"{path.stem}.lgpf", extract_lfcc(read_wav(path)))
 
     _each_file(args.workers, one, wavs)
-    print(f"extracted {len(wavs)} files to {out_dir}")
+    print(f"extracted {len(wavs)} files to {args.out_dir}")
     return 0
 
 
@@ -127,12 +117,11 @@ def _cmd_train_gmm(args) -> int:
     frames = _pooled_frames(args.features)
     cfg = EmConfig(iterations=args.iters, seed=args.seed)
     model, trace = train_em(frames, args.components, cfg)
-    out = _out_path(args.out, directory=False)
-    model.save(out)
+    model.save(args.out)
     for it, value in enumerate(trace[:-1], start=1):
         print(f"em iteration {it}/{cfg.iterations}: avg log-likelihood {value:.4f}")
     print(f"trained {args.components}-component GMM on {frames.shape[0]} frames "
-          f"(avg log-likelihood {trace[-1]:.4f}) -> {out}")
+          f"(avg log-likelihood {trace[-1]:.4f}) -> {args.out}")
     return 0
 
 
@@ -140,9 +129,8 @@ def _cmd_fit_lgp_stats(args) -> int:
     gmm = Gmm.load(args.gmm)
     frames = _pooled_frames(args.features)
     stats = fit_norm_stats(gmm, frames, "fast")
-    out = _out_path(args.out, directory=False)
-    stats.save(out)
-    print(f"fitted {stats.form}-form stats over {frames.shape[0]} frames -> {out}")
+    stats.save(args.out)
+    print(f"fitted {stats.form}-form stats over {frames.shape[0]} frames -> {args.out}")
     return 0
 
 
@@ -150,13 +138,12 @@ def _cmd_extract_lgp(args) -> int:
     gmm = Gmm.load(args.gmm)
     stats = LgpNormStats.load(args.stats)
     files = _files(args.in_dir, ".lgpf")
-    out_dir = _out_path(args.out, directory=True)
 
     def one(path: Path):
-        store_features(out_dir / path.name, extract_lgp(gmm, stats, load_features(path)))
+        store_features(Path(args.out) / path.name, extract_lgp(gmm, stats, load_features(path)))
 
     _each_file(args.workers, one, files)
-    print(f"extracted LGP maps for {len(files)} files to {out_dir}")
+    print(f"extracted LGP maps for {len(files)} files to {args.out}")
     return 0
 
 
@@ -168,7 +155,7 @@ def _load_models(args):
 
 
 def _cmd_train(args) -> int:
-    run = RunConfig.from_file(args.config) if args.config else RunConfig()
+    run = read_flat_config(RunConfig, args.config) if args.config else RunConfig()
     gmms, stats = _load_models(args)
     # the model and the schedule check the run's values, in the config's name
     with naming(args.config or "default run config"):
@@ -184,25 +171,26 @@ def _cmd_train(args) -> int:
             step1_epochs=run.step1_epochs, step2_epochs=run.step2_epochs,
         )
     data = load_dataset(args.protocol, args.features)
-    dev = load_dataset(args.dev_protocol, args.features) if args.dev_protocol else None
+    dev = None
+    if args.dev_protocol:
+        dev = load_dataset(args.dev_protocol, args.features)
+        with naming(args.dev_protocol):     # a dev EER needs both classes
+            both_classes([u.label == BONA_FIDE for u in dev.items], "the dev set")
 
-    out = _out_path(args.out, directory=True)
-    run.write(out / "resolved-config.cfg")
-    metrics = open(out / "metrics.log", "w", encoding="utf-8")
+    out = Path(args.out)
+    write_flat_config(run, out / "resolved-config.cfg")
+    lines = []
 
     def log_epoch(epoch, result):
         eer = result.dev_eer_trace[-1] if result.dev_eer_trace else float("nan")
         line = f"epoch {epoch + 1} loss {result.loss_trace[-1]:.6f} dev_eer {eer:.4f}"
         print(line)
-        metrics.write(line + "\n")
+        lines.append(line + "\n")
+        # the whole log, rewritten after every epoch: live, and never torn
+        tensorio.write_file(out / "metrics.log", "".join(lines).encode("utf-8"))
 
-    try:
-        if run.paths == 1:
-            train_one_path(model, data, train_cfg, dev, on_epoch=log_epoch)
-        else:
-            train_two_step(model, data, train_cfg, dev, on_epoch=log_epoch)
-    finally:
-        metrics.close()
+    fit = train_one_path if run.paths == 1 else train_two_step
+    fit(model, data, train_cfg, dev, on_epoch=log_epoch)
     model.save(out / "model.lgpn")
     print(f"saved model to {out / 'model.lgpn'}")
     return 0
@@ -228,9 +216,8 @@ def _score_protocol(args, score, what: str) -> int:
     ids = list(read_protocol(args.protocol))
     paths = [Path(args.features) / f"{utt_id}.lgpf" for utt_id in ids]
     values = _each_file(args.workers, lambda path: score(load_features(path)), paths)
-    out = _out_path(args.out, directory=False)
-    write_scores(out, dict(zip(ids, values)))
-    print(f"scored {len(ids)} utterances{what} -> {out}")
+    write_scores(args.out, dict(zip(ids, values)))
+    print(f"scored {len(ids)} utterances{what} -> {args.out}")
     return 0
 
 
@@ -244,9 +231,7 @@ def _cmd_evaluate(args) -> int:
     for line in lines:
         print(line)
     if args.out:
-        out = _out_path(args.out, directory=False)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        tensorio.write_file(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     return 0
 
 
@@ -254,14 +239,14 @@ def _cmd_fuse(args) -> int:
     dev_systems = [read_scores(p) for p in args.dev]
     eval_systems = [read_scores(p) for p in args.eval] if args.eval else None
     labels = read_protocol(args.protocol)
+    read_trials(args.dev[0], args.protocol)  # an unlabelled or one-class dev set names both files
     result = fuse_scores(dev_systems, labels, eval_systems)
     weights = " ".join(f"{w:.4f}" for w in result.weights)
     print(f"weights {weights}")
     print(f"dev EER {result.dev_eer:.4f}")
     if args.out:
-        out = _out_path(args.out, directory=False)
-        write_scores(out, result.fused_eval)
-        print(f"wrote fused eval scores -> {out}")
+        write_scores(args.out, result.fused_eval)
+        print(f"wrote fused eval scores -> {args.out}")
     return 0
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ProtocolError, naming
 from .nn import sigmoid
+from .tensorio import write_file
 
 LABELS = ("bonafide", "spoof")
 
@@ -155,7 +156,7 @@ def fuse_scores(dev_systems: Sequence[Mapping[str, float]],
     missing = [u for u in ids if u not in dev_labels]
     if missing:
         raise ValueError(f"no label for trial {missing[0]!r}")
-    is_bona = np.array([dev_labels[u] == "bonafide" for u in ids])
+    is_bona = both_classes([dev_labels[u] == "bonafide" for u in ids], "the dev scores")
 
     # Each system enters the fit divided by its largest magnitude, so no
     # square overflows and the ridge does not depend on a system's units.
@@ -231,11 +232,10 @@ def read_protocol(path) -> dict[str, str]:
 
 
 def write_protocol(path, labels: Mapping[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt_id, label in labels.items():
-            if label not in LABELS:
-                raise ValueError(f"unknown label {label!r}")
-            fh.write(f"{utt_id} {label}\n")
+    unknown = [label for label in labels.values() if label not in LABELS]
+    if unknown:
+        raise ValueError(f"unknown label {unknown[0]!r}")
+    write_file(path, "".join(f"{u} {label}\n" for u, label in labels.items()).encode("utf-8"))
 
 
 def read_scores(path) -> dict[str, float]:
@@ -257,23 +257,30 @@ def read_scores(path) -> dict[str, float]:
 
 def write_scores(path, scores: Mapping[str, float]) -> None:
     """Full-precision score lines; reading them back reproduces the floats."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt_id, score in scores.items():
-            fh.write(f"{utt_id} {float(score)!r}\n")
+    write_file(path, "".join(f"{u} {float(s)!r}\n" for u, s in scores.items()).encode("utf-8"))
 
 
 def read_trials(score_path, protocol_path) -> tuple[np.ndarray, np.ndarray]:
     """Join a score file with a protocol by utterance id.
 
-    Returns the (bona fide, spoof) score arrays in score-file order; a
-    scored utterance the protocol does not label is an error.
+    Returns the (bona fide, spoof) score arrays in score-file order; scores
+    the protocol does not label, or of one class only, fail naming it.
     """
     scores = read_scores(score_path)
     labels = read_protocol(protocol_path)
-    missing = [u for u in scores if u not in labels]
-    if missing:
-        with naming(protocol_path):
+    with naming(protocol_path):
+        missing = [u for u in scores if u not in labels]
+        if missing:
             raise ProtocolError(f"no label for scored trial {missing[0]!r}")
-    bona = np.array([s for u, s in scores.items() if labels[u] == "bonafide"])
-    spoof = np.array([s for u, s in scores.items() if labels[u] == "spoof"])
-    return bona, spoof
+        is_bona = both_classes([labels[u] == "bonafide" for u in scores], score_path)
+    values = np.array(list(scores.values()))
+    return values[is_bona], values[~is_bona]
+
+
+def both_classes(is_bona, trials) -> np.ndarray:
+    """``is_bona`` as an array; a ValueError naming ``trials`` if it is one class."""
+    is_bona = np.asarray(is_bona, dtype=bool)
+    if is_bona.all() or not is_bona.any():
+        raise ValueError(f"every trial of {trials} is {LABELS[not is_bona.any()]}; "
+                         "need at least one trial of each class")
+    return is_bona

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import ProtocolError, naming
+from .tensorio import write_file
 
 
 def _parse_bool(text: str) -> bool:
@@ -53,6 +54,16 @@ def read_flat_config(cls, path):
         return cls(**values)
 
 
+def write_flat_config(obj, path) -> None:
+    """Write the flat dataclass ``obj`` as ``key = value`` lines in field
+    order, booleans as ``true``/``false``, the form :func:`read_flat_config` reads."""
+    lines = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        lines.append(f"{f.name} = {str(value).lower() if isinstance(value, bool) else value}\n")
+    write_file(path, "".join(lines).encode("utf-8"))
+
+
 @dataclass
 class RunConfig:
     """Everything one experiment needs, in one flat document."""
@@ -76,17 +87,3 @@ class RunConfig:
         # ClassifierConfig and TrainConfig check the model and training keys
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        return read_flat_config(cls, path)
-
-    def write(self, path) -> None:
-        lines = ["# resolved run configuration"]
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{f.name} = {value}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")

@@ -120,18 +120,12 @@ def generate(spec: CorpusSpec, out_dir) -> dict[str, Path]:
     Layout: ``<out>/feats/<utt_id>.lgpf`` plus ``<out>/<partition>.txt``.
     """
     out_dir = Path(out_dir)
-    feats_dir = out_dir / "feats"
-    feats_dir.mkdir(parents=True, exist_ok=True)
-    corpus = build_corpus(spec)
     protocols: dict[str, Path] = {}
-    for partition, utts in corpus.items():
-        labels = {}
+    for partition, utts in build_corpus(spec).items():
         for utt in utts:
-            store_features(feats_dir / f"{utt.utt_id}.lgpf", utt.features)
-            labels[utt.utt_id] = utt.label
-        path = out_dir / f"{partition}.txt"
-        write_protocol(path, labels)
-        protocols[partition] = path
+            store_features(out_dir / "feats" / f"{utt.utt_id}.lgpf", utt.features)
+        protocols[partition] = out_dir / f"{partition}.txt"
+        write_protocol(protocols[partition], {utt.utt_id: utt.label for utt in utts})
     return protocols
 
 

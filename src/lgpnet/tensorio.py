@@ -15,13 +15,16 @@ Layout (all integers little-endian):
 Values are stored as 32-bit floats; a float32 array round-trips
 bit-exactly.  Insertion order of the mapping is preserved.  Values that are
 not finite as float32 are refused, as every reader of these files does.
+Every file the package writes, text too, goes to disk by :func:`write_file`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -105,16 +108,28 @@ def deserialize_tensors(data: bytes) -> dict[str, np.ndarray]:
     return out
 
 
+def write_file(path, data: bytes) -> None:
+    """Write ``data`` to a hidden ``.<name>.part`` beside ``path`` (making the
+    directory) and rename it over ``path``; on any error, remove the part.
+    No reader sees part of a file.  No fsync: a crash may still lose one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    part = path.with_name(f".{path.name}.part")
+    try:
+        part.write_bytes(data)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    data = serialize_tensors(tensors)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    write_file(path, serialize_tensors(tensors))
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
     """Read a container file; every FormatError it raises names ``path``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = Path(path).read_bytes()
     with naming(path):
         return deserialize_tensors(data)
 
@@ -130,5 +145,4 @@ def fingerprint(tensors: dict[str, np.ndarray]) -> bytes:
 
 
 def file_fingerprint(path) -> bytes:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).digest()
+    return hashlib.sha256(Path(path).read_bytes()).digest()

@@ -8,7 +8,7 @@ import pytest
 from handbuilt import container_bytes
 from lgpnet.cli import main
 from lgpnet.evaluation import read_scores, write_scores, write_protocol
-from lgpnet.runconfig import RunConfig
+from lgpnet.runconfig import RunConfig, read_flat_config, write_flat_config
 from lgpnet.errors import ProtocolError
 
 
@@ -102,10 +102,12 @@ def score_fixture(tmp_path):
 
 
 def score_with(root, model, *files):
-    """``lgpnet score``; ``files`` replaces the default --gmm/--stats flags."""
+    """``lgpnet score`` into the new directory ``root/out``; ``files``
+    replaces the default --gmm/--stats flags."""
     files = files or ("--gmm", root / "m.gmm", "--stats", root / "m.stats")
     return run("score", "--model", model, "--features", root / "feats",
-               "--protocol", root / "eval.txt", *files, "--out", root / "scores.eval")
+               "--protocol", root / "eval.txt", *files,
+               "--out", root / "out" / "scores.eval")
 
 
 def train_with(root, config, *files, protocol="eval.txt"):
@@ -121,13 +123,13 @@ def train_with(root, config, *files, protocol="eval.txt"):
 def score_gmm_with(root, genuine="m.gmm", spoof="m.gmm"):
     return run("score-gmm", "--gmm", root / genuine, "--gmm2", root / spoof,
                "--features", root / "feats", "--protocol", root / "eval.txt",
-               "--out", root / "scores.eval")
+               "--out", root / "out" / "scores.eval")
 
 
 class TestScoreCheckpoint:
     def test_valid_checkpoint_scores(self, score_fixture):
         assert score_with(score_fixture, score_fixture / "model.lgpn") == 0
-        assert list(read_scores(score_fixture / "scores.eval")) == ["u1"]
+        assert list(read_scores(score_fixture / "out" / "scores.eval")) == ["u1"]
 
     def test_gmm_file_as_model_exits_3(self, score_fixture, capsys):
         assert score_with(score_fixture, score_fixture / "m.gmm") == 3
@@ -171,7 +173,7 @@ class TestScoreCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {score_fixture / 'wide.lgpn'}: ") and "cfg.channels" in err
         assert "Traceback" not in err
-        assert not (score_fixture / "scores.eval").exists()
+        assert not (score_fixture / "out").exists()
 
 
 class TestNonFiniteFeatures:
@@ -191,7 +193,7 @@ class TestNonFiniteFeatures:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "u1.lgpf" in err and "non-finite" in err
         assert "Traceback" not in err
-        assert not (nan_fixture / "scores.eval").exists()
+        assert not (nan_fixture / "out").exists()
 
 
 class TestBadFeatureFiles:
@@ -213,7 +215,7 @@ class TestBadFeatureFiles:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "u1.lgpf" in err and message in err
         assert "Traceback" not in err
-        assert not (score_fixture / "scores.eval").exists()
+        assert not (score_fixture / "out").exists()
 
 
 class TestBadGmmFiles:
@@ -224,7 +226,7 @@ class TestBadGmmFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {root / 'bad.gmm'}: bad magic bytes")
         assert "Traceback" not in err
-        assert not (root / "scores.eval").exists()
+        assert not (root / "out").exists()
 
     def test_gmm_with_a_missing_tensor_is_named(self, score_fixture, capsys):
         from lgpnet import tensorio
@@ -254,10 +256,10 @@ class TestPerFileErrorsNameTheFile:
         return score_fixture / "feats" / "u1.lgpf"
 
     @pytest.mark.parametrize("command, output, message", [
-        (lambda root: score_with(root, root / "model.lgpn"), "scores.eval",
+        (lambda root: score_with(root, root / "model.lgpn"), "out",
          "frames have shape (16, 3), expected (T, 2)"),
-        (score_gmm_with, "scores.eval", "frames have shape (20, 3), expected (T, 2)"),
-        (extract_lgp_with, "lgp/u1.lgpf", "frames have shape (20, 3), expected (T, 2)"),
+        (score_gmm_with, "out", "frames have shape (20, 3), expected (T, 2)"),
+        (extract_lgp_with, "lgp", "frames have shape (20, 3), expected (T, 2)"),
     ], ids=["score", "score-gmm", "extract-lgp"])
     def test_feature_width_mismatch(self, score_fixture, wide, capsys, command, output, message):
         assert command(score_fixture) == 3
@@ -290,7 +292,7 @@ class TestBadModelFiles:
         return array
 
     @pytest.mark.parametrize("file, tensor, command, output", [
-        ("m.gmm", "means", score_gmm_with, "scores.eval"),
+        ("m.gmm", "means", score_gmm_with, "out"),
         ("m.gmm", "means", extract_lgp_with, "lgp"),
         ("m.stats", "lgp_mean", extract_lgp_with, "lgp"),
     ], ids=["score-gmm-gmm", "extract-lgp-gmm", "extract-lgp-stats"])
@@ -315,7 +317,7 @@ class TestBadModelFiles:
         assert err.startswith(f"error: {score_fixture / 'model.lgpn'}: ")
         assert tensor in err and message in err
         assert "Traceback" not in err
-        assert not (score_fixture / "scores.eval").exists()
+        assert not (score_fixture / "out").exists()
 
     def test_empty_stats_form_exits_3(self, score_fixture, capsys):
         self.rewrite(score_fixture / "m.stats", "form", lambda form: form[:0])
@@ -337,13 +339,13 @@ class TestPooledFrames:
         store_features(root / "feats" / "u2.lgpf", np.ones((31, 2)))
         assert extract_lgp_with(root) == 0          # (4, 20) and (4, 31) maps
         code = run("train-gmm", "--features", root / "lgp", "--components", 2,
-                   "--out", root / "lgp.gmm")
+                   "--out", root / "new" / "lgp.gmm")
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith(f"error: {root / 'lgp' / 'u2.lgpf'}: 31 values per frame, "
                               f"but {root / 'lgp' / 'u1.lgpf'} has 20")
         assert "Traceback" not in err
-        assert not (root / "lgp.gmm").exists()
+        assert not (root / "new").exists()
 
     def test_list_with_a_wider_file_exits_3_naming_it(self, score_fixture, capsys):
         from lgpnet.frontend import store_features
@@ -353,12 +355,12 @@ class TestPooledFrames:
         listing = root / "feats.list"
         listing.write_text(f"{root / 'feats' / 'u1.lgpf'}\n{root / 'wide.lgpf'}\n")
         code = run("fit-lgp-stats", "--gmm", root / "m.gmm", "--features", listing,
-                   "--out", root / "new.stats")
+                   "--out", root / "new" / "m.stats")
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith(f"error: {root / 'wide.lgpf'}: 3 values per frame, "
                               f"but {root / 'feats' / 'u1.lgpf'} has 2")
-        assert not (root / "new.stats").exists()
+        assert not (root / "new").exists()
 
     def test_lgp_maps_of_equal_length_refused_by_fit_lgp_stats(self, score_fixture, capsys):
         from lgpnet.frontend import store_features
@@ -367,10 +369,10 @@ class TestPooledFrames:
         store_features(root / "feats" / "u2.lgpf", np.ones((20, 2)))
         assert extract_lgp_with(root) == 0          # two (4, 20) maps: 20-wide "frames"
         code = run("fit-lgp-stats", "--gmm", root / "m.gmm", "--features", root / "lgp",
-                   "--out", root / "new.stats")
+                   "--out", root / "new" / "m.stats")
         err = capsys.readouterr().err
         assert code == 3 and "frames have shape (8, 20), expected (N, 2)" in err
-        assert not (root / "new.stats").exists()
+        assert not (root / "new").exists()
 
 
 class TestTrainGmmTrace:
@@ -418,39 +420,39 @@ class TestWritersRefuseNonFinite:
     def test_extract_lgp_writes_no_overflowed_map(self, overflow_fixture, capsys):
         root = overflow_fixture
         code = extract_lgp_with(root)
-        self.refused(capsys, code, "u1.lgpf", root / "lgp" / "u1.lgpf")
+        self.refused(capsys, code, "u1.lgpf", root / "lgp")
 
     def test_fit_lgp_stats_writes_no_overflowed_stats(self, overflow_fixture, capsys):
         root = overflow_fixture
         code = run("fit-lgp-stats", "--gmm", root / "m.gmm", "--features", root / "feats",
-                   "--out", root / "new.stats")
-        self.refused(capsys, code, "'lgp_mean'", root / "new.stats")
+                   "--out", root / "new" / "m.stats")
+        self.refused(capsys, code, "'lgp_mean'", root / "new")
 
 
 class TestRunConfig:
     def test_defaults_round_trip(self, tmp_path):
         cfg = RunConfig()
         path = tmp_path / "run.cfg"
-        cfg.write(path)
-        assert RunConfig.from_file(path) == cfg
+        write_flat_config(cfg, path)
+        assert read_flat_config(RunConfig, path) == cfg
 
     def test_values_parsed_with_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("channels = 32  # small\nse_enabled = true\nlr = 5e-4\n")
-        cfg = RunConfig.from_file(path)
+        cfg = read_flat_config(RunConfig, path)
         assert cfg.channels == 32 and cfg.se_enabled is True and cfg.lr == 5e-4
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("channels = 32\nchannels = 64\n")
         with pytest.raises(ProtocolError):
-            RunConfig.from_file(path)
+            read_flat_config(RunConfig, path)
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("channels = many\n")
         with pytest.raises(ProtocolError):
-            RunConfig.from_file(path)
+            read_flat_config(RunConfig, path)
 
 
     def test_removed_gmm_keys_rejected(self, tmp_path):
@@ -458,7 +460,7 @@ class TestRunConfig:
         for removed in ("em_iterations = 30\n", "lgp_form = fast\n"):
             path.write_text(removed)
             with pytest.raises(ProtocolError, match="unknown key"):
-                RunConfig.from_file(path)
+                read_flat_config(RunConfig, path)
 
 
 class TestTrainConfigChecks:
@@ -522,6 +524,49 @@ class TestDivergedTraining:
         assert not (train_fixture / "ckpt" / "model.lgpn").exists()
 
 
+class TestOneClassTrials:
+    """A dev set or a score file whose trials are all of one class has no
+    EER: each command refuses it naming its files, before writing anything."""
+
+    MESSAGE = "is bonafide; need at least one trial of each class\n"
+
+    def test_train_refuses_the_dev_protocol(self, train_fixture, capsys):
+        root = train_fixture
+        write_protocol(root / "dev.txt", {"t1": "bonafide", "t3": "bonafide"})
+        code = train_with(root, "segment_length = 16\n", "--gmm", root / "m.gmm",
+                          "--stats", root / "m.stats", "--dev-protocol", root / "dev.txt",
+                          protocol="train.txt")
+        assert code == 3
+        assert capsys.readouterr().err == (f"error: {root / 'dev.txt'}: every trial of the "
+                                           f"dev set {self.MESSAGE}")
+        assert not (root / "ckpt").exists()
+
+    @pytest.fixture
+    def one_class(self, tmp_path):
+        write_scores(tmp_path / "a.dev", {"b1": 2.0, "b2": 3.0})
+        write_protocol(tmp_path / "dev.txt", {"b1": "bonafide", "b2": "bonafide"})
+        return tmp_path
+
+    def test_evaluate_names_the_protocol_and_the_scores(self, one_class, capsys):
+        root = one_class
+        code = run("evaluate", "--scores", root / "a.dev", "--protocol", root / "dev.txt",
+                   "--out", root / "new" / "metrics.txt")
+        assert code == 3
+        assert capsys.readouterr().err == (f"error: {root / 'dev.txt'}: every trial of "
+                                           f"{root / 'a.dev'} {self.MESSAGE}")
+        assert not (root / "new").exists()
+
+    def test_fuse_names_the_dev_protocol_and_the_scores(self, one_class, capsys):
+        root = one_class
+        code = run("fuse", "--dev", root / "a.dev", root / "a.dev", "--eval", root / "a.dev",
+                   root / "a.dev", "--protocol", root / "dev.txt",
+                   "--out", root / "new" / "fused.eval")
+        assert code == 3
+        assert capsys.readouterr().err == (f"error: {root / 'dev.txt'}: every trial of "
+                                           f"{root / 'a.dev'} {self.MESSAGE}")
+        assert not (root / "new").exists()
+
+
 class TestModelFrontEnds:
     """The model's own check decides whether the --gmm/--gmm2/--stats/--stats2
     files fit it: the run config's model for ``train``, the checkpoint's for
@@ -562,7 +607,7 @@ class TestModelFrontEnds:
             code, named, output = train_with(root, "", *files), root / "run.cfg", root / "ckpt"
         else:
             code = score_with(root, root / "model.lgpn", *files)
-            named, output = root / "model.lgpn", root / "scores.eval"
+            named, output = root / "model.lgpn", root / "out"
         assert code == 3
         assert capsys.readouterr().err == f"error: {named}: {message}\n"
         assert not output.exists()
@@ -571,13 +616,13 @@ class TestModelFrontEnds:
         assert score_with(root, root / "two.lgpn") == 3
         assert capsys.readouterr().err == (f"error: {root / 'two.lgpn'}: a 2-path model takes "
                                            "2 GMM(s) and 2 stats, got 1 and 1\n")
-        assert not (root / "scores.eval").exists()
+        assert not (root / "out").exists()
 
     def test_two_path_checkpoint_scores_with_second_pair(self, root):
         pair = ("--gmm", root / "m.gmm", "--gmm2", root / "m.gmm",
                 "--stats", root / "m.stats", "--stats2", root / "m.stats")
         assert score_with(root, root / "two.lgpn", *pair) == 0
-        assert list(read_scores(root / "scores.eval")) == ["u1"]
+        assert list(read_scores(root / "out" / "scores.eval")) == ["u1"]
 
 
 class TestTdcfConfig:
@@ -595,13 +640,13 @@ class TestTdcfConfig:
         scores, proto = perfect_fixture
         cfg = tmp_path / "tdcf.cfg"
         cfg.write_text(f"c_fa_cm = {value}\n")
-        out = tmp_path / "metrics.txt"
+        out = tmp_path / "new" / "metrics.txt"
         code = run("evaluate", "--scores", scores, "--protocol", proto, "--tdcf-config", cfg,
                    "--out", out)
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err == f"error: {cfg}: costs must be positive and finite\n"
-        assert captured.out == "" and not out.exists()
+        assert captured.out == "" and not out.parent.exists()
 
 
 def tree_hashes(root: Path) -> dict[str, str]:

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,90 @@ def test_value_not_finite_as_float32_refused_before_writing(tmp_path, bad):
     with pytest.raises(ValueError, match="tensor 'w' .* not finite as float32"):
         tensorio.save_tensors(path, tensors)
     assert not path.exists()
+
+
+class TestWriteFile:
+    """``write_file`` puts a file at its path whole or leaves the path as it was."""
+
+    def test_makes_the_directory_and_replaces_a_file_whole(self, tmp_path):
+        path = tmp_path / "new" / "deeper" / "f.bin"
+        tensorio.write_file(path, b"x" * 1000)
+        tensorio.write_file(path, b"short")
+        assert path.read_bytes() == b"short"
+        assert list(path.parent.iterdir()) == [path]
+
+    def test_a_symlink_is_replaced_not_written_through(self, tmp_path):
+        (tmp_path / "real").write_bytes(b"old")
+        link = tmp_path / "out"
+        link.symlink_to(tmp_path / "real")
+        tensorio.write_file(link, b"new")
+        assert not link.is_symlink() and link.read_bytes() == b"new"
+        assert (tmp_path / "real").read_bytes() == b"old"
+
+    def test_a_directory_target_is_left_as_it_was(self, tmp_path):
+        target = tmp_path / "t"
+        target.mkdir()
+        with pytest.raises(OSError):
+            tensorio.write_file(target, b"data")
+        assert target.is_dir() and list(tmp_path.iterdir()) == [target]
+
+    def test_a_failing_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"old")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(tensorio.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            tensorio.write_file(path, b"new")
+        assert path.read_bytes() == b"old" and list(tmp_path.iterdir()) == [path]
+
+    def test_tensors_not_finite_as_float32_keep_the_old_file(self, tmp_path):
+        path = tmp_path / "t.lgpn"
+        tensorio.save_tensors(path, {"w": np.ones(3)})
+        old = path.read_bytes()
+        with pytest.raises(ValueError, match="not finite as float32"):
+            tensorio.save_tensors(path, {"w": np.array([1.0, np.nan])})
+        assert path.read_bytes() == old and list(tmp_path.iterdir()) == [path]
+
+
+def _file_writes(call: ast.Call) -> str | None:
+    """What ``call`` does to the file system, if it writes or makes anything."""
+    func = call.func
+    name = getattr(func, "attr", getattr(func, "id", None))
+    if name in ("write_text", "write_bytes", "mkdir", "makedirs"):
+        return name
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os" \
+            and name in ("replace", "rename"):
+        return f"os.{name}"
+    if name == "open":
+        modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[1:2]
+        for mode in modes:
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                return "open for writing"
+    return None
+
+
+def test_every_file_is_written_by_write_file():
+    """No code of the package but ``tensorio.write_file`` writes a file or
+    makes a directory."""
+    package = Path(tensorio.__file__).parent
+    found, inside = [], []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        writer = set()
+        if source.name == "tensorio.py":
+            (fn,) = [n for n in tree.body if getattr(n, "name", None) == "write_file"]
+            writer = {id(n) for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (what := _file_writes(node)):
+                (inside if id(node) in writer else found).append(
+                    f"{source.name}:{node.lineno} {what}")
+    assert found == []
+    # the walk does see writes: write_file's own
+    assert sorted(entry.split(" ", 1)[1] for entry in inside) == [
+        "mkdir", "os.replace", "write_bytes"]
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
