@@ -27,8 +27,8 @@ from .evaluation import (
     read_trials,
     write_scores,
 )
-from .frontend import extract_lfcc, load_features, read_wav, store_features
-from .gmm import EmConfig, Gmm, llr_score, train_em
+from .frontend import extract_lfcc, feature_rows, load_features, read_wav, store_features
+from .gmm import EmConfig, Gmm, llr_scores, train_em, utterance_groups
 from .lgp import LgpNormStats, extract_lgp, fit_norm_stats
 from .model import BONA_FIDE, ClassifierConfig, ScoringPlan, SpoofModel
 from .runconfig import RunConfig, read_flat_config, write_flat_config
@@ -40,7 +40,8 @@ DATA_EXIT, NUMERIC_EXIT = 3, 4
 
 def _pooled_frames(spec: str) -> np.ndarray:
     """The stacked frames of ``spec``: a directory of .lgpf files or a list file.
-    Every file must have the first file's frame width."""
+    Every file must have the first file's frame width.  The frame counts come
+    from the file headers first, so the files are read into one array."""
     if Path(spec).is_dir():
         files = _files(spec, ".lgpf")
     else:
@@ -48,15 +49,20 @@ def _pooled_frames(spec: str) -> np.ndarray:
             files = [Path(line.strip()) for line in fh if line.strip()]
         if not files:
             raise FileNotFoundError(f"{spec}: empty feature list")
-    arrays = []
+    total = sum(feature_rows(path) for path in files)
+    pooled, start = None, 0
     for path in files:
         with naming(path):
             feats = load_features(path)
-            if arrays and feats.shape[1] != arrays[0].shape[1]:
+            if pooled is None:
+                pooled = np.empty((total, feats.shape[1]), dtype=feats.dtype)
+            elif feats.shape[1] != pooled.shape[1]:
                 raise FormatError(f"{feats.shape[1]} values per frame, but {files[0]} "
-                                  f"has {arrays[0].shape[1]}")
-        arrays.append(feats)
-    return np.concatenate(arrays, axis=0)
+                                  f"has {pooled.shape[1]}")
+            pooled[start:start + feats.shape[0]] = feats
+        start += feats.shape[0]
+        del feats                 # free this file before the next is read
+    return pooled
 
 
 def _worker_count(text: str) -> int:
@@ -81,10 +87,15 @@ def _each_file(workers: int, step, paths):
         with naming(path):
             return step(path)
 
+    return _in_order(workers, named, paths)
+
+
+def _in_order(workers: int, step, items):
+    """``step(item)`` of every item, in order whatever ``workers`` is."""
     if workers <= 1:
-        return [named(path) for path in paths]
+        return [step(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(named, paths))   # order preserved -> deterministic
+        return list(pool.map(step, items))    # order preserved -> deterministic
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -171,6 +182,8 @@ def _cmd_train(args) -> int:
             step1_epochs=run.step1_epochs, step2_epochs=run.step2_epochs,
         )
     data = load_dataset(args.protocol, args.features)
+    with naming(args.protocol):         # training needs both classes
+        both_classes([u.label == BONA_FIDE for u in data.items], "the training set")
     dev = None
     if args.dev_protocol:
         dev = load_dataset(args.dev_protocol, args.features)
@@ -200,23 +213,41 @@ def _cmd_score(args) -> int:
     gmms, stats = _load_models(args)
     with naming(args.model):           # the plan holds its own float64 weights
         plan = ScoringPlan.from_tensors(tensorio.load_tensors(args.model), gmms, stats)
-    return _score_protocol(args, plan.score_utterance, "")
+    return _score_protocol(args, gmms, lambda paths: _read_each(paths, plan.score_utterance), "")
 
 
 def _cmd_score_gmm(args) -> int:
     genuine = Gmm.load(args.gmm)
     spoof = Gmm.load(args.gmm2)
-    return _score_protocol(args, lambda feats: llr_score(genuine, spoof, feats),
-                           " (GMM baseline)")
+    return _score_protocol(
+        args, [genuine, spoof],
+        lambda paths: llr_scores(genuine, spoof, _read_each(paths, genuine.check_utterance)),
+        " (GMM baseline)")
 
 
-def _score_protocol(args, score, what: str) -> int:
-    """Write ``score`` of the features of every utterance of ``--protocol``,
-    in protocol order whatever ``--workers`` is, to ``--out``."""
+def _read_each(paths, step) -> list:
+    """``step(features)`` of every file of ``paths``, read one by one; an
+    error of the read or the step names the file."""
+    out = []
+    for path in paths:
+        with naming(path):
+            out.append(step(load_features(path)))
+    return out
+
+
+def _score_protocol(args, gmms, score, what: str) -> int:
+    """Write the scores of every utterance of ``--protocol`` to ``--out``.
+
+    The utterances go by :func:`~lgpnet.gmm.utterance_groups` of ``gmms``,
+    sized by the frame counts of the file headers: ``score(paths)`` reads
+    and scores one group, so one group's frames are held at a time (one per
+    worker).  The groups, and so the bytes, do not depend on ``--workers``.
+    """
     ids = list(read_protocol(args.protocol))
     paths = [Path(args.features) / f"{utt_id}.lgpf" for utt_id in ids]
-    values = _each_file(args.workers, lambda path: score(load_features(path)), paths)
-    write_scores(args.out, dict(zip(ids, values)))
+    groups = utterance_groups([feature_rows(path) for path in paths], *gmms)
+    parts = _in_order(args.workers, lambda group: score(paths[group]), groups)
+    write_scores(args.out, dict(zip(ids, (value for part in parts for value in part))))
     print(f"scored {len(ids)} utterances{what} -> {args.out}")
     return 0
 

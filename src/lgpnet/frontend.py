@@ -9,6 +9,7 @@ it; only LFCC is computed here.
 
 from __future__ import annotations
 
+import functools
 import wave
 from dataclasses import dataclass
 
@@ -122,18 +123,27 @@ def extract_lfcc(wav: Waveform) -> np.ndarray:
         raise ValueError(f"waveform has {n} samples, needs at least one {win}-sample window")
 
     n_frames = 1 + (n - win) // hop
-    window = np.hamming(win)
+    window, fbank, dct = _lfcc_matrices(wav.sample_rate, win)
     idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = wav.samples[idx] * window[None, :]
     spectrum = np.abs(np.fft.rfft(frames, n=LFCC_N_FFT, axis=1)) ** 2
 
-    fbank = linear_filterbank(LFCC_FILTERS, LFCC_N_FFT, wav.sample_rate)
     energies = np.log(np.maximum(spectrum @ fbank.T, _LOG_FLOOR))
-    dct = _dct2_orthonormal(LFCC_FILTERS)[:LFCC_COEFFS]
     ceps = energies @ dct.T
     d1 = _deltas(ceps, LFCC_DELTA_WINDOW)
     d2 = _deltas(d1, LFCC_DELTA_WINDOW)
     return np.concatenate([ceps, d1, d2], axis=1)
+
+
+@functools.cache
+def _lfcc_matrices(sample_rate: int, win: int):
+    """The Hamming window, filterbank and DCT of ``extract_lfcc`` at one
+    sample rate, made once and read-only."""
+    mats = (np.hamming(win), linear_filterbank(LFCC_FILTERS, LFCC_N_FFT, sample_rate),
+            _dct2_orthonormal(LFCC_FILTERS)[:LFCC_COEFFS])
+    for mat in mats:
+        mat.setflags(write=False)
+    return mats
 
 
 def fix_length(feats: np.ndarray, target_t: int) -> np.ndarray:
@@ -171,7 +181,19 @@ def load_features(path) -> np.ndarray:
         feats = tensors["features"]
         if feats.ndim != 2:
             raise FormatError(f"tensor 'features' has rank {feats.ndim}, expected 2")
-        if not np.isfinite(feats).all():
+        # min and max are finite exactly when every value is, and need no
+        # (T, D) temporary
+        if feats.size and not np.isfinite([feats.min(), feats.max()]).all():
             frame = int(np.argmin(np.isfinite(feats).all(axis=1)))
             raise FormatError(f"non-finite value in frame {frame}")
         return feats
+
+
+def feature_rows(path) -> int:
+    """The frame count a feature file's header declares, read without its
+    data; 0 if the file has no such header (loading it says why)."""
+    try:
+        shape = tensorio.tensor_shapes(path).get("features", ())
+    except (OSError, ValueError):
+        return 0
+    return shape[0] if len(shape) == 2 else 0

@@ -3,6 +3,13 @@
 Covers EM training on pooled feature frames, per-component log densities,
 utterance log-likelihoods, and the two-model log-likelihood-ratio score
 used as the classical spoofing-detection baseline.
+
+Every per-frame pass (scoring, the EM E-step, EM's final trace entry) runs
+one kernel over cache-sized row blocks: two matrix products and in-place
+arithmetic for the log densities, then a log-sum-exp whose exp never takes
+NumPy's slow path for results that underflow to zero.  It gives the bits of
+the plain formulas (kept in ``tests/unchunked.py``) wherever BLAS rounds a
+row of a matrix product the same way whatever block holds it.
 """
 
 from __future__ import annotations
@@ -26,6 +33,17 @@ VARIANCE_FLOOR_FACTOR = 1e-3
 # M = 512.
 CHUNK_VALUES = 1 << 20
 
+# The per-frame kernel takes the rows of its input in near-equal blocks of at
+# most this many values per (rows, M) block, so its scratch stays in cache:
+# 128 frames at M = 512.
+ROW_BLOCK_VALUES = 1 << 16
+
+# Float64 exp is exactly +0 below -745.1332, but NumPy computes such results
+# on a slow path, -inf included (subnormal ones, which are kept, are slower
+# still).  Arguments below this bound go into the exp as 0 instead, and their
+# results are set to +0 after it.
+EXP_ZERO = -745.2
+
 
 @dataclass
 class EmConfig:
@@ -42,9 +60,10 @@ class EmConfig:
 class Gmm:
     """Mixture of ``M`` axis-aligned Gaussians over ``D``-dimensional frames.
 
-    Scoring constants (log weights and the per-component log normalizer
-    ``-D/2 log 2pi - 1/2 sum_d log var``) are cached at construction and kept
-    consistent with the parameters.
+    Scoring constants (log weights, the per-component log normalizer
+    ``-D/2 log 2pi - 1/2 sum_d log var`` and the terms of the expanded
+    Mahalanobis distance) are cached at construction and kept consistent
+    with the parameters.
     """
 
     def __init__(self, weights: np.ndarray, means: np.ndarray, variances: np.ndarray):
@@ -69,7 +88,11 @@ class Gmm:
         with np.errstate(divide="ignore"):
             self.log_weights = np.where(self.weights > 0.0, np.log(self.weights), -np.inf)
         self.log_norm = -0.5 * (self.dim * LOG_2PI + np.log(self.variances).sum(axis=1))
-        self._inv_var = 1.0 / self.variances
+        inv_var = 1.0 / self.variances
+        # transposed views, laid out as the uncached products were
+        self._inv_var_t = inv_var.T
+        self._scaled_means_t = (self.means * inv_var).T
+        self._mean_quad = (self.means * self.means * inv_var).sum(axis=1)
 
     @property
     def order(self) -> int:
@@ -85,23 +108,32 @@ class Gmm:
         """log p_i(x_t) for all frames and components (mixture weights
         excluded); shape (T, M).
 
-        Expanding the Mahalanobis term keeps this a few matrix products:
+        Expanding the Mahalanobis term keeps this two matrix products:
         sum_d (x-mu)^2 / var = sum x^2/var - 2 sum x mu/var + sum mu^2/var.
+        The rest is done in place on the first product.  That gives the bits
+        of ``log_norm - 0.5 * quad``: ``*= -0.5`` negates ``0.5 * quad``
+        exactly, and adding the negation is subtracting.
         """
-        frames = np.asarray(frames, dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[1] != self.dim:
-            raise ValueError(f"frames have shape {frames.shape}, expected (T, {self.dim})")
-        quad = (
-            (frames * frames) @ self._inv_var.T
-            - 2.0 * frames @ (self.means * self._inv_var).T
-            + (self.means * self.means * self._inv_var).sum(axis=1)[None, :]
-        )
-        return self.log_norm[None, :] - 0.5 * quad
+        frames = self._checked(frames)
+        out = (frames * frames) @ self._inv_var_t
+        out -= 2.0 * frames @ self._scaled_means_t
+        out += self._mean_quad
+        out *= -0.5
+        out += self.log_norm
+        return out
 
     def frame_log_likelihoods(self, frames: np.ndarray) -> np.ndarray:
-        """Per-frame mixture log density log sum_i w_i p_i(x_t); shape (T,)."""
-        weighted = self.component_log_densities(frames) + self.log_weights[None, :]
-        return logsumexp(weighted, axis=1)
+        """Per-frame mixture log density log sum_i w_i p_i(x_t); shape (T,).
+
+        Taken in :func:`_row_blocks`, so the (rows, M) scratch stays in cache.
+        """
+        frames = self._checked(frames)
+        out = np.empty(frames.shape[0])
+        for rows in _row_blocks(frames.shape[0], self):
+            weighted = self.component_log_densities(frames[rows])
+            weighted += self.log_weights
+            out[rows] = logsumexp(weighted, axis=1)
+        return out
 
     def utterance_log_likelihood(self, frames: np.ndarray) -> float:
         """Sum of per-frame mixture log densities (frames treated as independent).
@@ -110,10 +142,23 @@ class Gmm:
         result exactly invariant to frame permutations instead of merely
         invariant up to rounding.
         """
-        frames = np.asarray(frames, dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[0] == 0:
+        return _sorted_sum(self.frame_log_likelihoods(self.check_utterance(frames)))
+
+    def check_utterance(self, frames: np.ndarray) -> np.ndarray:
+        """``frames``, if it is a non-empty (T, D) matrix; else a ValueError
+        with the message scoring it would raise."""
+        shape = np.shape(frames)
+        if len(shape) != 2 or shape[0] == 0:
             raise ValueError("utterance must be a non-empty (T, D) matrix")
-        return float(np.sort(self.frame_log_likelihoods(frames)).sum())
+        if shape[1] != self.dim:
+            raise ValueError(f"frames have shape {shape}, expected (T, {self.dim})")
+        return frames
+
+    def _checked(self, frames) -> np.ndarray:
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 2 or frames.shape[1] != self.dim:
+            raise ValueError(f"frames have shape {frames.shape}, expected (T, {self.dim})")
+        return frames
 
     # -- persistence ---------------------------------------------------------
 
@@ -147,16 +192,86 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Overflow-safe log(sum(exp(a))) along ``axis``."""
     m = np.max(a, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
+    shifted = a - m
+    _exp_in_place(shifted)
     with np.errstate(divide="ignore"):
-        out = np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
-    return out
+        return np.log(shifted.sum(axis=axis)) + np.squeeze(m, axis=axis)
+
+
+def _exp_in_place(a: np.ndarray) -> None:
+    """``a = exp(a)``.  Arguments below ``EXP_ZERO`` give +0; they are set to
+    0 for the exp, which NumPy takes on its fast path, and their results to
+    +0 after it."""
+    under = a < EXP_ZERO
+    np.putmask(a, under, 0.0)
+    np.exp(a, out=a)
+    np.putmask(a, under, 0.0)
+
+
+def _sorted_sum(values: np.ndarray) -> float:
+    return float(np.sort(values).sum())
+
+
+def _row_blocks(n: int, model: Gmm) -> list[slice]:
+    """``range(n)`` as the fewest consecutive slices of at most
+    ``ROW_BLOCK_VALUES // max(M, D)`` rows, of near-equal length.
+
+    No block is much shorter than the rest, so no row of a longer input
+    lands in a one-row block: NumPy takes the product of a one-row matrix
+    as a matrix-vector product, which rounds differently.
+    """
+    count = -(-n // max(1, ROW_BLOCK_VALUES // max(model.order, model.dim)))
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def utterance_groups(lengths, *models: Gmm) -> list[slice]:
+    """Consecutive utterances, given by their frame counts, in groups of at
+    most ``CHUNK_VALUES // max(M, D)`` frames over ``models``.
+
+    An utterance longer than that forms its own group, and so does one of
+    one or two frames, so that its product rounds as when it is scored
+    alone: NumPy multiplies a one-row matrix as a matrix-vector product,
+    and OpenBLAS multiplies a two-row one by another kernel.
+    """
+    limit = max(1, CHUNK_VALUES // max(max(g.order, g.dim) for g in models))
+    groups, start, rows = [], 0, 0
+    for i, length in enumerate(lengths):
+        if i > start and (rows + length > limit or length <= 2 or rows <= 2):
+            groups.append(slice(start, i))
+            start, rows = i, 0
+        rows += length
+    if start < len(lengths):
+        groups.append(slice(start, len(lengths)))
+    return groups
+
+
+def llr_scores(gmm_genuine: Gmm, gmm_spoof: Gmm, utterances) -> list[float]:
+    """Baseline detection scores log p(X|genuine) - log p(X|spoof), one per
+    utterance (a non-empty (T, D) frame matrix).
+
+    The frames of each :func:`utterance_groups` group are scored together;
+    an utterance's value is still its own sorted sum of per-frame values,
+    the same bits as scored alone wherever BLAS rounds a row of a product
+    alike in every block (see the module docstring).
+    """
+    if gmm_genuine.dim != gmm_spoof.dim:
+        raise ValueError("models disagree on feature dimension")
+    utterances = [gmm_genuine.check_utterance(frames) for frames in utterances]
+    lengths = [len(frames) for frames in utterances]
+    scores = []
+    for group in utterance_groups(lengths, gmm_genuine, gmm_spoof):
+        frames = np.concatenate(utterances[group], dtype=np.float64)
+        cuts = np.cumsum(lengths[group])[:-1]
+        genuine, spoof = (np.split(g.frame_log_likelihoods(frames), cuts)
+                          for g in (gmm_genuine, gmm_spoof))
+        scores += [_sorted_sum(a) - _sorted_sum(b) for a, b in zip(genuine, spoof)]
+    return scores
 
 
 def llr_score(gmm_genuine: Gmm, gmm_spoof: Gmm, frames: np.ndarray) -> float:
     """Baseline detection score log p(X|genuine) - log p(X|spoof)."""
-    if gmm_genuine.dim != gmm_spoof.dim:
-        raise ValueError("models disagree on feature dimension")
-    return gmm_genuine.utterance_log_likelihood(frames) - gmm_spoof.utterance_log_likelihood(frames)
+    return llr_scores(gmm_genuine, gmm_spoof, [frames])[0]
 
 
 def frame_chunks(frames: np.ndarray, order: int):
@@ -275,7 +390,9 @@ def _em_step(model: Gmm, frames: np.ndarray, global_var: np.ndarray,
 
     The E-step sums the sufficient statistics (counts, sum r x, sum r x^2)
     block by block into zeros; only the (N,) per-frame log-likelihoods are
-    kept whole, for reseeding starved components.
+    kept whole, for reseeding starved components.  Each block's (rows, M)
+    responsibilities are filled :func:`_row_blocks` sub-block by sub-block
+    and summed whole, so the sums run in the order of the plain formulas.
     """
     n, d = frames.shape
     m = model.order
@@ -284,13 +401,18 @@ def _em_step(model: Gmm, frames: np.ndarray, global_var: np.ndarray,
     sum_x = np.zeros((m, d))
     sum_xx = np.zeros((m, d))
     for rows, x in frame_chunks(frames, m):
-        weighted = model.component_log_densities(x) + model.log_weights[None, :]
-        ll = frame_ll[rows] = logsumexp(weighted, axis=1)
-        resp = np.exp(weighted - ll[:, None])            # (rows, M)
+        resp = np.empty((x.shape[0], m))
+        ll = frame_ll[rows]
+        for sub in _row_blocks(x.shape[0], model):
+            weighted = model.component_log_densities(x[sub])
+            weighted += model.log_weights
+            ll[sub] = logsumexp(weighted, axis=1)
+            np.subtract(weighted, ll[sub, None], out=resp[sub])
+            _exp_in_place(resp[sub])
         counts += resp.sum(axis=0)
         sum_x += resp.T @ x
         sum_xx += resp.T @ (x * x)
-        del weighted, resp        # free this block's (rows, M) arrays before the next
+        del resp                  # free this block's (rows, M) array before the next
 
     dead = counts < 1e-10
     safe = np.where(dead, 1.0, counts)

@@ -68,42 +68,61 @@ def serialize_tensors(tensors: dict[str, np.ndarray]) -> bytes:
 
 def deserialize_tensors(data: bytes) -> dict[str, np.ndarray]:
     """Decode container bytes back into an ordered name -> float32 array mapping."""
-    view = memoryview(data)
+    return _read_container(io.BytesIO(data), len(data), True)
+
+
+def _read_container(fh, size: int, with_data: bool) -> dict:
+    """The ordered name -> float32 array mapping of the ``size``-byte
+    container read from ``fh``; without data, name -> shape, the data
+    skipped unread.  Each tensor's data is read straight into its array, and
+    only once the bytes it claims are known to be there."""
     pos = 0
 
-    def take(n: int, what: str) -> memoryview:
+    def claim(n: int, what: str) -> None:
         nonlocal pos
-        if pos + n > len(view):
+        if pos + n > size:
             raise FormatError(f"truncated container while reading {what}", offset=pos)
-        chunk = view[pos : pos + n]
         pos += n
+
+    def take(n: int, what: str) -> bytes:
+        claim(n, what)
+        chunk = fh.read(n)
+        if len(chunk) != n:           # the file shrank since its size was taken
+            raise FormatError(f"truncated container while reading {what}", offset=pos - n)
         return chunk
 
-    if bytes(take(4, "magic")) != MAGIC:
+    if take(4, "magic") != MAGIC:
         raise FormatError("bad magic bytes, not a tensor container", offset=0)
     (version,) = struct.unpack("<H", take(2, "version"))
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}", offset=4)
     (count,) = struct.unpack("<I", take(4, "tensor count"))
 
-    out: dict[str, np.ndarray] = {}
+    out: dict = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = bytes(take(name_len, "name")).decode("utf-8")
+        name = take(name_len, "name").decode("utf-8")
         (rank,) = struct.unpack("<B", take(1, "rank"))
         if rank > _MAX_RANK:
             raise FormatError(f"tensor {name!r} has invalid rank {rank}", offset=pos - 1)
         shape = tuple(
             struct.unpack("<Q", take(8, f"extent of {name!r}"))[0] for _ in range(rank)
         )
-        n_values = 1
+        n_bytes = 4
         for ext in shape:
-            n_values *= ext
-        raw = take(4 * n_values, f"data of {name!r}")
+            n_bytes *= ext
+        claim(n_bytes, f"data of {name!r}")
+        if with_data:
+            arr = np.empty(shape, dtype="<f4")
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != n_bytes:
+                raise FormatError(f"truncated container while reading data of {name!r}",
+                                  offset=pos - n_bytes)
+        else:
+            fh.seek(n_bytes, io.SEEK_CUR)
         if name in out:
             raise FormatError(f"duplicate tensor name {name!r}", offset=pos)
-        out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    if pos != len(view):
+        out[name] = arr if with_data else shape
+    if pos != size:
         raise FormatError("trailing bytes after last tensor", offset=pos)
     return out
 
@@ -129,9 +148,19 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 def load_tensors(path) -> dict[str, np.ndarray]:
     """Read a container file; every FormatError it raises names ``path``."""
-    data = Path(path).read_bytes()
-    with naming(path):
-        return deserialize_tensors(data)
+    return _read_file(path, True)
+
+
+def tensor_shapes(path) -> dict[str, tuple]:
+    """The name -> shape mapping of a container file, from its headers
+    alone; it raises what :func:`load_tensors` would, but for the data."""
+    return _read_file(path, False)
+
+
+def _read_file(path, with_data: bool) -> dict:
+    with open(path, "rb") as fh:
+        with naming(path):
+            return _read_container(fh, os.fstat(fh.fileno()).st_size, with_data)
 
 
 def fingerprint(tensors: dict[str, np.ndarray]) -> bytes:

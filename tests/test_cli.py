@@ -375,6 +375,32 @@ class TestPooledFrames:
         assert not (root / "new").exists()
 
 
+class TestPooledFramesMemory:
+    def test_peak_is_the_result_and_one_file(self, tmp_path):
+        """Pooling holds the pooled array and one file's data at a time."""
+        import tracemalloc
+
+        from lgpnet.cli import _pooled_frames
+        from lgpnet.frontend import store_features
+
+        rng = np.random.default_rng(5)
+        for i in range(40):
+            store_features(tmp_path / f"u{i:02d}.lgpf", rng.normal(size=(1000, 60)))
+        one_file = (tmp_path / "u00.lgpf").stat().st_size
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pooled = _pooled_frames(str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        print(f"pooled {pooled.nbytes / 2**20:.2f} MiB, peak {peak / 2**20:.2f} MiB, "
+              f"one file {one_file / 2**20:.2f} MiB")
+        assert pooled.shape == (40_000, 60) and pooled.dtype == np.float32
+        # 64 KiB for the file list, the read buffer and other small objects
+        assert peak <= pooled.nbytes + one_file + 64 * 2**10
+
+
 class TestTrainGmmTrace:
     def test_prints_one_line_per_iteration(self, score_fixture, capsys):
         from lgpnet.frontend import load_features
@@ -539,6 +565,15 @@ class TestOneClassTrials:
         assert code == 3
         assert capsys.readouterr().err == (f"error: {root / 'dev.txt'}: every trial of the "
                                            f"dev set {self.MESSAGE}")
+        assert not (root / "ckpt").exists()
+
+    def test_train_refuses_a_one_class_training_protocol(self, train_fixture, capsys):
+        root = train_fixture
+        write_protocol(root / "bona.txt", {"t1": "bonafide", "t3": "bonafide"})
+        code = train_with(root, "segment_length = 16\n", protocol="bona.txt")
+        assert code == 3
+        assert capsys.readouterr().err == (f"error: {root / 'bona.txt'}: every trial of the "
+                                           f"training set {self.MESSAGE}")
         assert not (root / "ckpt").exists()
 
     @pytest.fixture
@@ -715,6 +750,78 @@ class TestWorkers:
             ) == 0
         assert (tmp_path / "w1.eval").read_bytes() == (tmp_path / "w2.eval").read_bytes()
 
+
+    @pytest.fixture
+    def grouped(self, tmp_path, monkeypatch):
+        """A bona fide and a spoof GMM, and 24 utterances of 1 to 90 frames
+        that score in groups of at most 64 frames."""
+        from lgpnet import gmm as gmm_module
+        from lgpnet.frontend import store_features
+        from lgpnet.gmm import Gmm
+
+        rng = np.random.default_rng(12)
+        for name in ("a", "b"):
+            Gmm(np.full(8, 0.125), rng.normal(size=(8, 3)),
+                rng.uniform(0.2, 1.0, size=(8, 3))).save(tmp_path / f"{name}.gmm")
+        (tmp_path / "feats").mkdir()
+        labels = {}
+        for i, length in enumerate([1, *rng.integers(2, 40, size=20), 1, 90, 3]):
+            store_features(tmp_path / "feats" / f"u{i:02d}.lgpf",
+                           rng.normal(size=(length, 3)) * 2.0)
+            labels[f"u{i:02d}"] = "bonafide" if i % 2 else "spoof"
+        write_protocol(tmp_path / "eval.txt", labels)
+        monkeypatch.setattr(gmm_module, "CHUNK_VALUES", 8 * 64)
+        return tmp_path
+
+    def test_grouped_scoring_matches_per_utterance_scores(self, grouped):
+        from lgpnet.frontend import load_features
+        from lgpnet.gmm import Gmm, llr_score
+
+        root = grouped
+        for workers in (1, 2):
+            assert run("score-gmm", "--gmm", root / "a.gmm", "--gmm2", root / "b.gmm",
+                       "--features", root / "feats", "--protocol", root / "eval.txt",
+                       "--workers", workers, "--out", root / f"w{workers}.eval") == 0
+        assert (root / "w1.eval").read_bytes() == (root / "w2.eval").read_bytes()
+        genuine, spoof = Gmm.load(root / "a.gmm"), Gmm.load(root / "b.gmm")
+        alone = {u: llr_score(genuine, spoof, load_features(root / "feats" / f"{u}.lgpf"))
+                 for u in read_scores(root / "w1.eval")}
+        expected = root / "alone.eval"
+        write_scores(expected, alone)
+        assert (root / "w1.eval").read_bytes() == expected.read_bytes()
+
+    def test_held_memory_flat_in_utterances(self, tmp_path):
+        """Scoring holds one group of frames, however many utterances
+        the protocol has: 8 and 32 utterances of 512 frames at the paper
+        shape are 2 and 8 groups."""
+        import tracemalloc
+
+        from lgpnet.frontend import store_features
+        from lgpnet.gmm import Gmm
+
+        rng = np.random.default_rng(13)
+        for name in ("a", "b"):
+            Gmm(np.full(512, 1 / 512), rng.normal(size=(512, 60)),
+                rng.uniform(0.5, 1.5, size=(512, 60))).save(tmp_path / f"{name}.gmm")
+        (tmp_path / "feats").mkdir()
+        for i in range(32):
+            store_features(tmp_path / "feats" / f"u{i:02d}.lgpf", rng.normal(size=(512, 60)))
+        peaks = []
+        for count in (8, 32):
+            write_protocol(tmp_path / "eval.txt",
+                           {f"u{i:02d}": "bonafide" if i % 2 else "spoof" for i in range(count)})
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert run("score-gmm", "--gmm", tmp_path / "a.gmm", "--gmm2", tmp_path / "b.gmm",
+                           "--features", tmp_path / "feats", "--protocol", tmp_path / "eval.txt",
+                           "--out", tmp_path / f"n{count}.eval") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        print(f"score-gmm traced peak: 8 utterances {peaks[0] / 2**20:.2f} MiB, "
+              f"32 utterances {peaks[1] / 2**20:.2f} MiB")
+        assert peaks[1] <= 1.05 * peaks[0]
 
     def test_parallel_network_scoring_matches_serial(self, tmp_path):
         from lgpnet.frontend import store_features

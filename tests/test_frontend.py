@@ -59,6 +59,14 @@ class TestLfcc:
         b = extract_lfcc(wav)
         assert np.array_equal(a, b)
 
+    def test_matrices_made_once_per_sample_rate_and_read_only(self):
+        from lgpnet.frontend import _lfcc_matrices
+
+        first = _lfcc_matrices(16000, 320)
+        assert _lfcc_matrices(16000, 320) is first
+        assert not any(mat.flags.writeable for mat in first)
+        assert _lfcc_matrices(8000, 160)[1].shape == first[1].shape
+
     def test_too_short_waveform_rejected(self):
         with pytest.raises(ValueError):
             extract_lfcc(Waveform(np.zeros(100), 16000))

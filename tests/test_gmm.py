@@ -368,3 +368,100 @@ class TestBoundedMemory:
         print(f"fit_norm_stats traced peak: 1 block {one / 2**20:.1f} MiB, "
               f"4 blocks {four / 2**20:.1f} MiB")
         assert four <= 1.10 * one
+
+
+def paper_shape_model(rng, frames, m):
+    """An ``m``-component model on ``frames``: means at frames, narrow
+    variances, so most components sit far below the best one and the
+    log-sum-exp meets arguments in exp's underflow and subnormal bands."""
+    means = frames[rng.choice(len(frames), m, replace=False)].astype(np.float64)
+    variances = rng.uniform(0.05, 0.5, size=(m, frames.shape[1]))
+    return Gmm(rng.dirichlet(np.ones(m)), means, variances)
+
+
+class TestFrameKernel:
+    """The in-place, row-blocked per-frame kernel against the plain formulas
+    of ``tests/unchunked.py``."""
+
+    @pytest.fixture(scope="class")
+    def paper(self):
+        rng = np.random.default_rng(17)
+        frames = clustered_frames(rng, 2600, 60, np.float32)
+        return paper_shape_model(rng, frames, 512), frames
+
+    @pytest.mark.parametrize("rows", [1, 7, 255, 256, 257, 2048])
+    def test_frame_log_likelihoods_bit_identical_to_oracle(self, paper, rows):
+        model, frames = paper
+        x = frames[300:300 + rows]
+        assert same_bits(model.frame_log_likelihoods(x), unchunked.frame_log_likelihoods(model, x))
+        assert same_bits(model.component_log_densities(x),
+                         unchunked.component_log_densities(model, x))
+
+    def test_oracle_frames_reach_the_slow_exp_bands(self, paper):
+        model, frames = paper
+        weighted = unchunked.component_log_densities(model, frames[:2048]) + model.log_weights
+        shifted = weighted - weighted.max(axis=1, keepdims=True)
+        assert ((shifted < -745.1332) & (shifted > -2500)).mean() > 0.01
+        assert ((shifted > -745.1332) & (shifted < -708.4)).any()
+
+    def test_logsumexp_bit_identical_on_special_values(self):
+        rows = [[0.0, v] for v in (-708.5, -745.1, -745.2, -746.0, -1e4, -np.inf)]
+        rows += [[-np.inf, -np.inf], [0.0, np.nan], [-745.2, -745.2 - 708.5]]
+        a = np.array(rows)
+        assert same_bits(logsumexp(a, axis=1), unchunked.logsumexp(a, axis=1))
+
+    def test_exp_in_place_bit_identical_across_the_bands(self):
+        a = np.concatenate([np.linspace(-2600.0, 1.0, 200_001),
+                            np.nextafter(gmm_module.EXP_ZERO, [np.inf, -np.inf]),
+                            [-745.1332, -745.1333, -np.inf, np.nan, -0.0]])
+        want = np.exp(a)
+        gmm_module._exp_in_place(a)
+        assert same_bits(a, want)
+
+    def test_exp_is_exactly_zero_below_the_bound(self):
+        # a dense grid of consecutive doubles below EXP_ZERO, then a coarse one
+        x = np.full(20_000, gmm_module.EXP_ZERO)
+        for i in range(1, len(x)):
+            x[i] = np.nextafter(x[i - 1], -np.inf)
+        x = np.concatenate([x, np.linspace(gmm_module.EXP_ZERO, -3000.0, 100_000)])
+        got = np.exp(x)
+        assert np.all(got == 0.0) and not np.signbit(got).any()
+
+
+class TestLlrScores:
+    """Scoring utterances in groups gives each one the bits it gets alone."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        rng = np.random.default_rng(19)
+        frames = clustered_frames(rng, 3000, 60, np.float32)
+        return paper_shape_model(rng, frames, 512), paper_shape_model(rng, frames, 512)
+
+    def test_groups_match_utterances_scored_alone(self, models):
+        genuine, spoof = models
+        rng = np.random.default_rng(23)
+        lengths = [49] * 50 + [1] + [60] * 15 + [2100] + [7, 1, 1, 300, 2, 2, 3, 40]
+        utterances = [clustered_frames(rng, t, 60, np.float32) for t in lengths]
+        groups = gmm_module.utterance_groups(lengths, genuine, spoof)
+        # groups cut at the 2048-frame boundary (41 x 49 = 2009 frames),
+        # around each utterance of one or two frames, and around the one
+        # longer than a group
+        assert groups[:2] == [slice(0, 41), slice(41, 50)]
+        alone = [i for i, t in enumerate(lengths) if t <= 2 or t > 2048]
+        assert all(slice(i, i + 1) in groups for i in alone)
+        assert all(sum(lengths[g]) <= 2048 or g.stop - g.start == 1 for g in groups)
+        scores = gmm_module.llr_scores(genuine, spoof, utterances)
+        assert scores == [llr_score(genuine, spoof, u) for u in utterances]
+
+    def test_llr_score_is_the_difference_of_utterance_log_likelihoods(self, models):
+        genuine, spoof = models
+        frames = clustered_frames(np.random.default_rng(29), 80, 60, np.float32)
+        assert llr_score(genuine, spoof, frames) == (
+            genuine.utterance_log_likelihood(frames) - spoof.utterance_log_likelihood(frames))
+
+    @pytest.mark.parametrize("frames, message", [
+        (np.zeros((0, 3)), "non-empty"), (np.zeros((4, 2)), r"shape \(4, 2\)"),
+    ])
+    def test_a_bad_utterance_is_refused(self, toy_gmm, frames, message):
+        with pytest.raises(ValueError, match=message):
+            gmm_module.llr_scores(toy_gmm, toy_gmm, [np.zeros((5, 3)), frames])

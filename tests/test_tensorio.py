@@ -24,6 +24,21 @@ def test_round_trip_preserves_bits_and_order(tmp_path):
     for name in tensors:
         assert loaded[name].shape == tensors[name].shape
         assert np.array_equal(loaded[name], tensors[name])
+        assert loaded[name].flags.writeable and loaded[name].flags.aligned
+    assert tensorio.tensor_shapes(path) == {"zeta": (3, 4), "alpha": (7,), "m": (2, 3, 5)}
+
+
+def test_shapes_refuse_what_a_load_refuses(tmp_path):
+    blob = tensorio.serialize_tensors({"a": np.ones((2, 3), dtype=np.float32),
+                                       "b": np.ones(4, dtype=np.float32)})
+    for cut in (blob[:-5], blob + b"\x00", b"XXXX" + blob[4:]):
+        (tmp_path / "t.lgpn").write_bytes(cut)
+        with pytest.raises(FormatError) as load_err:
+            tensorio.load_tensors(tmp_path / "t.lgpn")
+        with pytest.raises(FormatError) as shapes_err:
+            tensorio.tensor_shapes(tmp_path / "t.lgpn")
+        assert str(shapes_err.value) == str(load_err.value)
+        assert str(load_err.value).startswith(f"{tmp_path / 't.lgpn'}: ")
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e39], ids=["nan", "inf", "float32-overflow"])

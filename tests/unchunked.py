@@ -1,15 +1,44 @@
 """Unchunked float64 reference formulas: the oracle for the chunked passes.
 
 These are the GMM-stage formulas as they stood before EM, its seeding and
-the LGP statistics were computed block by block: every pass holds whole
-(N, M) and (N, D) float64 arrays.  Tests compare the library against them
-bit for bit below one block, and within recorded bounds above it.
+the LGP statistics were computed block by block, and before the per-frame
+kernel worked in place over cache-sized row blocks: every pass holds whole
+(N, M) and (N, D) float64 arrays, and the log densities and their
+log-sum-exp are the plain expressions.  Tests compare the library against
+them bit for bit below one block, and within recorded bounds above it.
 """
 
 import numpy as np
 
-from lgpnet.gmm import VARIANCE_FLOOR_FACTOR, EmConfig, Gmm, logsumexp
+from lgpnet.gmm import VARIANCE_FLOOR_FACTOR, EmConfig, Gmm
 from lgpnet.lgp import STD_FLOOR, LgpNormStats, lgp_frames_fast, lgp_frames_full
+
+
+def component_log_densities(gmm, frames):
+    """log p_i(x_t), (T, M), with the Mahalanobis term expanded and every
+    constant computed on the spot."""
+    frames = np.asarray(frames, dtype=np.float64)
+    inv_var = 1.0 / gmm.variances
+    quad = (
+        (frames * frames) @ inv_var.T
+        - 2.0 * frames @ (gmm.means * inv_var).T
+        + (gmm.means * gmm.means * inv_var).sum(axis=1)[None, :]
+    )
+    return gmm.log_norm[None, :] - 0.5 * quad
+
+
+def logsumexp(a, axis=-1):
+    """Overflow-safe log(sum(exp(a))) along ``axis``."""
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+    return out
+
+
+def frame_log_likelihoods(gmm, frames):
+    weighted = component_log_densities(gmm, frames) + gmm.log_weights[None, :]
+    return logsumexp(weighted, axis=1)
 
 
 def kmeanspp_means(frames, m, rng):
@@ -33,7 +62,7 @@ def em_step(model, frames, global_var, floor):
     """One EM iteration over the whole (N, M) responsibility matrix."""
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[0]
-    weighted = model.component_log_densities(frames) + model.log_weights[None, :]
+    weighted = component_log_densities(model, frames) + model.log_weights[None, :]
     frame_ll = logsumexp(weighted, axis=1)
     resp = np.exp(weighted - frame_ll[:, None])
 
@@ -74,7 +103,7 @@ def train_em(frames, m, cfg=None):
     trace = np.empty(cfg.iterations + 1)
     for it in range(cfg.iterations):
         model, trace[it] = em_step(model, frames, global_var, floor)
-    trace[-1] = model.frame_log_likelihoods(frames).mean()
+    trace[-1] = frame_log_likelihoods(model, frames).mean()
     return model, trace
 
 
