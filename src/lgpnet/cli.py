@@ -28,7 +28,7 @@ from .evaluation import (
     write_scores,
 )
 from .frontend import extract_lfcc, feature_rows, load_features, read_wav, store_features
-from .gmm import EmConfig, Gmm, llr_scores, train_em, utterance_groups
+from .gmm import EmConfig, Gmm, llr_score, train_em
 from .lgp import LgpNormStats, extract_lgp, fit_norm_stats
 from .model import BONA_FIDE, ClassifierConfig, ScoringPlan, SpoofModel
 from .runconfig import RunConfig, read_flat_config, write_flat_config
@@ -87,15 +87,10 @@ def _each_file(workers: int, step, paths):
         with naming(path):
             return step(path)
 
-    return _in_order(workers, named, paths)
-
-
-def _in_order(workers: int, step, items):
-    """``step(item)`` of every item, in order whatever ``workers`` is."""
     if workers <= 1:
-        return [step(item) for item in items]
+        return [named(path) for path in paths]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(step, items))    # order preserved -> deterministic
+        return list(pool.map(named, paths))   # order preserved -> deterministic
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -213,41 +208,27 @@ def _cmd_score(args) -> int:
     gmms, stats = _load_models(args)
     with naming(args.model):           # the plan holds its own float64 weights
         plan = ScoringPlan.from_tensors(tensorio.load_tensors(args.model), gmms, stats)
-    return _score_protocol(args, gmms, lambda paths: _read_each(paths, plan.score_utterance), "")
+    return _score_protocol(args, plan.score_utterance, "")
 
 
 def _cmd_score_gmm(args) -> int:
     genuine = Gmm.load(args.gmm)
     spoof = Gmm.load(args.gmm2)
-    return _score_protocol(
-        args, [genuine, spoof],
-        lambda paths: llr_scores(genuine, spoof, _read_each(paths, genuine.check_utterance)),
-        " (GMM baseline)")
+    if spoof.dim != genuine.dim:        # refused before any feature file is read
+        raise FormatError(f"{args.gmm2}: {spoof.dim} values per frame, "
+                          f"but {args.gmm} has {genuine.dim}")
+    return _score_protocol(args, lambda feats: llr_score(genuine, spoof, feats),
+                           " (GMM baseline)")
 
 
-def _read_each(paths, step) -> list:
-    """``step(features)`` of every file of ``paths``, read one by one; an
-    error of the read or the step names the file."""
-    out = []
-    for path in paths:
-        with naming(path):
-            out.append(step(load_features(path)))
-    return out
-
-
-def _score_protocol(args, gmms, score, what: str) -> int:
-    """Write the scores of every utterance of ``--protocol`` to ``--out``.
-
-    The utterances go by :func:`~lgpnet.gmm.utterance_groups` of ``gmms``,
-    sized by the frame counts of the file headers: ``score(paths)`` reads
-    and scores one group, so one group's frames are held at a time (one per
-    worker).  The groups, and so the bytes, do not depend on ``--workers``.
-    """
+def _score_protocol(args, score, what: str) -> int:
+    """Write ``score`` of the features of every utterance of ``--protocol``,
+    in protocol order whatever ``--workers`` is, to ``--out``.  Each
+    utterance is read and scored on its own, one per worker."""
     ids = list(read_protocol(args.protocol))
     paths = [Path(args.features) / f"{utt_id}.lgpf" for utt_id in ids]
-    groups = utterance_groups([feature_rows(path) for path in paths], *gmms)
-    parts = _in_order(args.workers, lambda group: score(paths[group]), groups)
-    write_scores(args.out, dict(zip(ids, (value for part in parts for value in part))))
+    values = _each_file(args.workers, lambda path: score(load_features(path)), paths)
+    write_scores(args.out, dict(zip(ids, values)))
     print(f"scored {len(ids)} utterances{what} -> {args.out}")
     return 0
 

@@ -10,6 +10,9 @@ arithmetic for the log densities, then a log-sum-exp whose exp never takes
 NumPy's slow path for results that underflow to zero.  It gives the bits of
 the plain formulas (kept in ``tests/unchunked.py``) wherever BLAS rounds a
 row of a matrix product the same way whatever block holds it.
+
+An utterance is scored on its own frames, so its score does not
+depend on the utterances scored around it.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ class Gmm:
 
     Scoring constants (log weights, the per-component log normalizer
     ``-D/2 log 2pi - 1/2 sum_d log var`` and the terms of the expanded
-    Mahalanobis distance) are cached at construction and kept consistent
-    with the parameters.
+    Mahalanobis distance: ``inv_var_t`` = (1/var)^T, ``scaled_means_t`` =
+    (mu/var)^T and ``mean_quad`` = sum_d mu^2/var) are cached at
+    construction and kept consistent with the parameters.
     """
 
     def __init__(self, weights: np.ndarray, means: np.ndarray, variances: np.ndarray):
@@ -90,9 +94,9 @@ class Gmm:
         self.log_norm = -0.5 * (self.dim * LOG_2PI + np.log(self.variances).sum(axis=1))
         inv_var = 1.0 / self.variances
         # transposed views, laid out as the uncached products were
-        self._inv_var_t = inv_var.T
-        self._scaled_means_t = (self.means * inv_var).T
-        self._mean_quad = (self.means * self.means * inv_var).sum(axis=1)
+        self.inv_var_t = inv_var.T
+        self.scaled_means_t = (self.means * inv_var).T
+        self.mean_quad = (self.means * self.means * inv_var).sum(axis=1)
 
     @property
     def order(self) -> int:
@@ -115,9 +119,9 @@ class Gmm:
         exactly, and adding the negation is subtracting.
         """
         frames = self._checked(frames)
-        out = (frames * frames) @ self._inv_var_t
-        out -= 2.0 * frames @ self._scaled_means_t
-        out += self._mean_quad
+        out = (frames * frames) @ self.inv_var_t
+        out -= 2.0 * frames @ self.scaled_means_t
+        out += self.mean_quad
         out *= -0.5
         out += self.log_norm
         return out
@@ -142,17 +146,10 @@ class Gmm:
         result exactly invariant to frame permutations instead of merely
         invariant up to rounding.
         """
-        return _sorted_sum(self.frame_log_likelihoods(self.check_utterance(frames)))
-
-    def check_utterance(self, frames: np.ndarray) -> np.ndarray:
-        """``frames``, if it is a non-empty (T, D) matrix; else a ValueError
-        with the message scoring it would raise."""
-        shape = np.shape(frames)
-        if len(shape) != 2 or shape[0] == 0:
+        frames = np.asarray(frames)
+        if frames.ndim != 2 or frames.shape[0] == 0:
             raise ValueError("utterance must be a non-empty (T, D) matrix")
-        if shape[1] != self.dim:
-            raise ValueError(f"frames have shape {shape}, expected (T, {self.dim})")
-        return frames
+        return float(np.sort(self.frame_log_likelihoods(frames)).sum())
 
     def _checked(self, frames) -> np.ndarray:
         frames = np.asarray(frames, dtype=np.float64)
@@ -208,70 +205,25 @@ def _exp_in_place(a: np.ndarray) -> None:
     np.putmask(a, under, 0.0)
 
 
-def _sorted_sum(values: np.ndarray) -> float:
-    return float(np.sort(values).sum())
-
-
 def _row_blocks(n: int, model: Gmm) -> list[slice]:
     """``range(n)`` as the fewest consecutive slices of at most
-    ``ROW_BLOCK_VALUES // max(M, D)`` rows, of near-equal length.
+    ``ROW_BLOCK_VALUES // max(M, D)`` rows, of near-equal length (one empty
+    slice if ``n`` is 0).
 
     No block is much shorter than the rest, so no row of a longer input
     lands in a one-row block: NumPy takes the product of a one-row matrix
     as a matrix-vector product, which rounds differently.
     """
-    count = -(-n // max(1, ROW_BLOCK_VALUES // max(model.order, model.dim)))
+    count = max(1, -(-n // max(1, ROW_BLOCK_VALUES // max(model.order, model.dim))))
     bounds = [n * i // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def utterance_groups(lengths, *models: Gmm) -> list[slice]:
-    """Consecutive utterances, given by their frame counts, in groups of at
-    most ``CHUNK_VALUES // max(M, D)`` frames over ``models``.
-
-    An utterance longer than that forms its own group, and so does one of
-    one or two frames, so that its product rounds as when it is scored
-    alone: NumPy multiplies a one-row matrix as a matrix-vector product,
-    and OpenBLAS multiplies a two-row one by another kernel.
-    """
-    limit = max(1, CHUNK_VALUES // max(max(g.order, g.dim) for g in models))
-    groups, start, rows = [], 0, 0
-    for i, length in enumerate(lengths):
-        if i > start and (rows + length > limit or length <= 2 or rows <= 2):
-            groups.append(slice(start, i))
-            start, rows = i, 0
-        rows += length
-    if start < len(lengths):
-        groups.append(slice(start, len(lengths)))
-    return groups
-
-
-def llr_scores(gmm_genuine: Gmm, gmm_spoof: Gmm, utterances) -> list[float]:
-    """Baseline detection scores log p(X|genuine) - log p(X|spoof), one per
-    utterance (a non-empty (T, D) frame matrix).
-
-    The frames of each :func:`utterance_groups` group are scored together;
-    an utterance's value is still its own sorted sum of per-frame values,
-    the same bits as scored alone wherever BLAS rounds a row of a product
-    alike in every block (see the module docstring).
-    """
-    if gmm_genuine.dim != gmm_spoof.dim:
-        raise ValueError("models disagree on feature dimension")
-    utterances = [gmm_genuine.check_utterance(frames) for frames in utterances]
-    lengths = [len(frames) for frames in utterances]
-    scores = []
-    for group in utterance_groups(lengths, gmm_genuine, gmm_spoof):
-        frames = np.concatenate(utterances[group], dtype=np.float64)
-        cuts = np.cumsum(lengths[group])[:-1]
-        genuine, spoof = (np.split(g.frame_log_likelihoods(frames), cuts)
-                          for g in (gmm_genuine, gmm_spoof))
-        scores += [_sorted_sum(a) - _sorted_sum(b) for a, b in zip(genuine, spoof)]
-    return scores
-
-
 def llr_score(gmm_genuine: Gmm, gmm_spoof: Gmm, frames: np.ndarray) -> float:
     """Baseline detection score log p(X|genuine) - log p(X|spoof)."""
-    return llr_scores(gmm_genuine, gmm_spoof, [frames])[0]
+    if gmm_genuine.dim != gmm_spoof.dim:
+        raise ValueError("models disagree on feature dimension")
+    return gmm_genuine.utterance_log_likelihood(frames) - gmm_spoof.utterance_log_likelihood(frames)
 
 
 def frame_chunks(frames: np.ndarray, order: int):

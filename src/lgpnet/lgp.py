@@ -93,8 +93,7 @@ def lgp_frames_fast(gmm: Gmm, frames: np.ndarray) -> np.ndarray:
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != gmm.dim:
         raise ValueError(f"frames have shape {frames.shape}, expected (T, {gmm.dim})")
-    inv_var = 1.0 / gmm.variances
-    return -0.5 * (frames * frames) @ inv_var.T + frames @ (gmm.means * inv_var).T
+    return -0.5 * (frames * frames) @ gmm.inv_var_t + frames @ gmm.scaled_means_t
 
 
 _RAW_FORMS = {"full": lgp_frames_full, "fast": lgp_frames_fast}

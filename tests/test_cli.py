@@ -239,6 +239,18 @@ class TestBadGmmFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {root / 'cut.gmm'}: GMM checkpoint is missing tensor")
 
+    def test_gmms_of_different_widths_are_refused_before_any_feature_file(
+            self, score_fixture, capsys):
+        from lgpnet.gmm import Gmm
+
+        root = score_fixture
+        Gmm(np.full(4, 0.25), np.zeros((4, 3)), np.ones((4, 3))).save(root / "wide.gmm")
+        (root / "feats" / "u1.lgpf").write_bytes(b"garbage")   # never read
+        assert score_gmm_with(root, spoof="wide.gmm") == 3
+        assert capsys.readouterr().err == (f"error: {root / 'wide.gmm'}: 3 values per frame, "
+                                           f"but {root / 'm.gmm'} has 2\n")
+        assert not (root / "out").exists()
+
 
 def extract_lgp_with(root):
     return run("extract-lgp", "--gmm", root / "m.gmm", "--stats", root / "m.stats",
@@ -752,10 +764,8 @@ class TestWorkers:
 
 
     @pytest.fixture
-    def grouped(self, tmp_path, monkeypatch):
-        """A bona fide and a spoof GMM, and 24 utterances of 1 to 90 frames
-        that score in groups of at most 64 frames."""
-        from lgpnet import gmm as gmm_module
+    def short_utterances(self, tmp_path):
+        """A bona fide and a spoof GMM, and 24 utterances of 1 to 90 frames."""
         from lgpnet.frontend import store_features
         from lgpnet.gmm import Gmm
 
@@ -770,14 +780,15 @@ class TestWorkers:
                            rng.normal(size=(length, 3)) * 2.0)
             labels[f"u{i:02d}"] = "bonafide" if i % 2 else "spoof"
         write_protocol(tmp_path / "eval.txt", labels)
-        monkeypatch.setattr(gmm_module, "CHUNK_VALUES", 8 * 64)
         return tmp_path
 
-    def test_grouped_scoring_matches_per_utterance_scores(self, grouped):
+    @staticmethod
+    def assert_scores_are_llr_score(root):
+        """``score-gmm`` with ``--workers 1`` and ``2`` writes the bytes of
+        ``llr_score`` of each utterance, read and scored alone."""
         from lgpnet.frontend import load_features
         from lgpnet.gmm import Gmm, llr_score
 
-        root = grouped
         for workers in (1, 2):
             assert run("score-gmm", "--gmm", root / "a.gmm", "--gmm2", root / "b.gmm",
                        "--features", root / "feats", "--protocol", root / "eval.txt",
@@ -790,10 +801,33 @@ class TestWorkers:
         write_scores(expected, alone)
         assert (root / "w1.eval").read_bytes() == expected.read_bytes()
 
+    def test_short_utterances_score_as_llr_score(self, short_utterances):
+        self.assert_scores_are_llr_score(short_utterances)
+
+    def test_scores_at_an_order_not_a_multiple_of_8_are_llr_score(self, tmp_path):
+        """At M = 500, D = 60, where OpenBLAS can round a row of a product
+        by where it sits in the product, every utterance of a protocol of
+        49-frame and shorter or longer ones scores as it does alone."""
+        from lgpnet.frontend import store_features
+        from test_gmm import clustered_frames, paper_shape_model
+
+        rng = np.random.default_rng(1)
+        frames = clustered_frames(rng, 3000, 60, np.float32)
+        for name in ("a", "b"):
+            paper_shape_model(rng, frames, 500).save(tmp_path / f"{name}.gmm")
+        (tmp_path / "feats").mkdir()
+        labels = {}
+        for i, length in enumerate([49] * 40 + [5, 33, 7, 60]):
+            store_features(tmp_path / "feats" / f"u{i:02d}.lgpf",
+                           clustered_frames(rng, length, 60, np.float32))
+            labels[f"u{i:02d}"] = "bonafide" if i % 2 else "spoof"
+        write_protocol(tmp_path / "eval.txt", labels)
+        self.assert_scores_are_llr_score(tmp_path)
+
     def test_held_memory_flat_in_utterances(self, tmp_path):
-        """Scoring holds one group of frames, however many utterances
-        the protocol has: 8 and 32 utterances of 512 frames at the paper
-        shape are 2 and 8 groups."""
+        """Scoring holds one utterance's frames at a time, however many
+        utterances the protocol has: 8 and 32 utterances of 512 frames at
+        the paper shape."""
         import tracemalloc
 
         from lgpnet.frontend import store_features

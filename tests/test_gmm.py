@@ -76,6 +76,10 @@ class TestMixtureLikelihood:
         with pytest.raises(ValueError):
             toy_gmm.utterance_log_likelihood(np.zeros((0, 3)))
 
+    def test_frame_log_likelihoods_of_no_frames_is_empty(self, toy_gmm):
+        out = toy_gmm.frame_log_likelihoods(np.zeros((0, 3)))
+        assert out.shape == (0,) and out.dtype == np.float64
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_logsumexp_never_overflows(self, values):
@@ -429,29 +433,11 @@ class TestFrameKernel:
 
 
 class TestLlrScores:
-    """Scoring utterances in groups gives each one the bits it gets alone."""
-
     @pytest.fixture(scope="class")
     def models(self):
         rng = np.random.default_rng(19)
         frames = clustered_frames(rng, 3000, 60, np.float32)
         return paper_shape_model(rng, frames, 512), paper_shape_model(rng, frames, 512)
-
-    def test_groups_match_utterances_scored_alone(self, models):
-        genuine, spoof = models
-        rng = np.random.default_rng(23)
-        lengths = [49] * 50 + [1] + [60] * 15 + [2100] + [7, 1, 1, 300, 2, 2, 3, 40]
-        utterances = [clustered_frames(rng, t, 60, np.float32) for t in lengths]
-        groups = gmm_module.utterance_groups(lengths, genuine, spoof)
-        # groups cut at the 2048-frame boundary (41 x 49 = 2009 frames),
-        # around each utterance of one or two frames, and around the one
-        # longer than a group
-        assert groups[:2] == [slice(0, 41), slice(41, 50)]
-        alone = [i for i, t in enumerate(lengths) if t <= 2 or t > 2048]
-        assert all(slice(i, i + 1) in groups for i in alone)
-        assert all(sum(lengths[g]) <= 2048 or g.stop - g.start == 1 for g in groups)
-        scores = gmm_module.llr_scores(genuine, spoof, utterances)
-        assert scores == [llr_score(genuine, spoof, u) for u in utterances]
 
     def test_llr_score_is_the_difference_of_utterance_log_likelihoods(self, models):
         genuine, spoof = models
@@ -464,4 +450,4 @@ class TestLlrScores:
     ])
     def test_a_bad_utterance_is_refused(self, toy_gmm, frames, message):
         with pytest.raises(ValueError, match=message):
-            gmm_module.llr_scores(toy_gmm, toy_gmm, [np.zeros((5, 3)), frames])
+            llr_score(toy_gmm, toy_gmm, frames)
