@@ -153,10 +153,24 @@ def _cmd_extract_lgp(args) -> int:
     return 0
 
 
-def _load_models(args):
-    """Exactly the GMM and stats files given; the model checks that they fit it."""
+def _load_gmms(args) -> list[Gmm]:
+    """The GMMs of ``--gmm`` and, if given, ``--gmm2``, which must have the
+    first one's frame width."""
     gmms = [Gmm.load(f) for f in (args.gmm, args.gmm2) if f is not None]
+    if len(gmms) == 2 and gmms[1].dim != gmms[0].dim:
+        raise FormatError(f"{args.gmm2}: {gmms[1].dim} values per frame, "
+                          f"but {args.gmm} has {gmms[0].dim}")
+    return gmms
+
+
+def _load_models(args):
+    """Exactly the GMM and stats files given, each second file checked
+    against the first; the model checks that they fit it."""
+    gmms = _load_gmms(args)
     stats = [LgpNormStats.load(f) for f in (args.stats, args.stats2) if f is not None]
+    if len(stats) == 2 and stats[1].form != stats[0].form:
+        raise FormatError(f"{args.stats2}: form {stats[1].form!r}, "
+                          f"but {args.stats} has {stats[0].form!r}")
     return gmms, stats
 
 
@@ -174,7 +188,6 @@ def _cmd_train(args) -> int:
         train_cfg = TrainConfig(
             batch_size=run.batch_size, epochs=run.epochs, lr=run.lr, seed=run.seed,
             target_length=run.segment_length,
-            step1_epochs=run.step1_epochs, step2_epochs=run.step2_epochs,
         )
     data = load_dataset(args.protocol, args.features)
     with naming(args.protocol):         # training needs both classes
@@ -212,11 +225,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_score_gmm(args) -> int:
-    genuine = Gmm.load(args.gmm)
-    spoof = Gmm.load(args.gmm2)
-    if spoof.dim != genuine.dim:        # refused before any feature file is read
-        raise FormatError(f"{args.gmm2}: {spoof.dim} values per frame, "
-                          f"but {args.gmm} has {genuine.dim}")
+    genuine, spoof = _load_gmms(args)   # refused before any feature file is read
     return _score_protocol(args, lambda feats: llr_score(genuine, spoof, feats),
                            " (GMM baseline)")
 

@@ -27,6 +27,10 @@ batch-norm ``xhat``, and per residual block the block input, ``xhat1`` and
 is recomputed from its ``xhat`` (``nn.BatchNormReLU``), backward frees
 every cache it uses, and an eval-mode forward keeps nothing.
 
+A checkpoint is checked against the schema its own ``cfg.*`` entries
+imply, which ``_tensor_shapes`` yields name by name: a stored size that the
+weights contradict fails at the first such tensor, before any layer exists.
+
 ``lgpnet score`` does not run these layers: ``ScoringPlan`` folds the same
 checkpoint into float64 conv weights and shifts, scores without caches,
 and ``SpoofModel.score_utterance`` stays as its oracle.
@@ -400,31 +404,33 @@ def read_checkpoint(tensors, gmms: list[Gmm], stats: list[LgpNormStats]
                     ) -> tuple[ClassifierConfig, dict[str, np.ndarray]]:
     """The one check of checkpoint tensors, for ``SpoofModel`` and ``ScoringPlan``.
 
-    Decodes ``cfg.*`` and holds the sizes against the stored weights before
-    anything they size is allocated; checks the GMM/stats against the config
-    and the stored fingerprints; and requires every expected tensor and no
-    other, each at its shape, finite, with no negative running variance.
+    Decodes ``cfg.*``; checks the GMM/stats against the config and the
+    stored fingerprints; and requires every expected tensor and no other,
+    each at its shape, finite, with no negative running variance.  The
+    expected names are walked one at a time, so a corrupt size fails at the
+    first stored tensor that contradicts it, after at most one name more
+    than ``tensors`` holds and before anything it sizes is allocated.
     Returns the config and the parameter tensors by name (no ``cfg.*``
     entries, no fingerprints).  A violation raises FormatError (ValueError
     for GMM/stats that do not fit the config).
     """
     cfg = ClassifierConfig.from_tensors(tensors)
-    _check_sizes(cfg, tensors)
     _check_front_ends(cfg, gmms, stats)
-    shapes = _tensor_shapes(cfg)
-    unexpected = [name for name in tensors if name not in shapes]
-    if unexpected:
-        raise FormatError(f"checkpoint has unexpected tensor {unexpected[0]!r}")
-    for name, shape in shapes.items():
+    expected = {}
+    for name, shape in _tensor_shapes(cfg):
         if name not in tensors:
             raise FormatError(f"checkpoint is missing tensor {name!r}")
         if tensors[name].shape != shape:
             raise FormatError(f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
+        expected[name] = tensors[name]
+    unexpected = [name for name in tensors if name not in expected]
+    if unexpected:
+        raise FormatError(f"checkpoint has unexpected tensor {unexpected[0]!r}")
     for k in range(cfg.paths):
         for name, source in ((f"path{k}.gmm_sha256", gmms[k]), (f"path{k}.stats_sha256", stats[k])):
             if not np.array_equal(tensors[name], _digest_tensor(source)):
                 raise FormatError(f"{name!r} does not match the given GMM/stats file")
-    params = {name: tensors[name] for name in shapes
+    params = {name: arr for name, arr in expected.items()
               if not name.startswith("cfg.") and not name.endswith("_sha256")}
     for name, arr in params.items():
         if not np.isfinite(arr).all():
@@ -434,29 +440,32 @@ def read_checkpoint(tensors, gmms: list[Gmm], stats: list[LgpNormStats]
     return cfg, params
 
 
-def _tensor_shapes(cfg: ClassifierConfig) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every checkpoint tensor of ``cfg``, in the order of
-    ``SpoofModel.to_tensors``."""
+def _tensor_shapes(cfg: ClassifierConfig):
+    """Name and shape of every checkpoint tensor of ``cfg``, yielded in the
+    order of ``SpoofModel.to_tensors``."""
     c = cfg.channels
 
     def conv_bn(conv, bn, in_ch):
-        return {f"{conv}.weight": (c, in_ch, 3),
-                **{f"{bn}.{key}": (c,) for key in ("gamma", "beta", "running_mean", "running_var")}}
+        yield f"{conv}.weight", (c, in_ch, 3)
+        for key in ("gamma", "beta", "running_mean", "running_var"):
+            yield f"{bn}.{key}", (c,)
 
-    shapes = {f"cfg.{f.name}": (1,) for f in fields(cfg)}
+    for f in fields(cfg):
+        yield f"cfg.{f.name}", (1,)
     for k in range(cfg.paths):
-        shapes.update(conv_bn(f"path{k}.stem.conv", f"path{k}.stem.bn", cfg.gmm_order))
+        yield from conv_bn(f"path{k}.stem.conv", f"path{k}.stem.bn", cfg.gmm_order)
         for b in range(cfg.blocks):
             block = f"path{k}.block{b}"
-            shapes.update(conv_bn(f"{block}.conv1", f"{block}.bn1", c))
-            shapes.update(conv_bn(f"{block}.conv2", f"{block}.bn2", c))
+            yield from conv_bn(f"{block}.conv1", f"{block}.bn1", c)
+            yield from conv_bn(f"{block}.conv2", f"{block}.bn2", c)
             if cfg.se_enabled:
                 r = c // cfg.se_reduction
-                shapes.update({f"{block}.se.w1": (r, c), f"{block}.se.b1": (r,),
-                               f"{block}.se.w2": (c, r), f"{block}.se.b2": (c,)})
-        shapes[f"path{k}.gmm_sha256"] = shapes[f"path{k}.stats_sha256"] = (32,)
-    shapes.update({"fc.weight": (2, cfg.paths * c), "fc.bias": (2,)})
-    return shapes
+                yield from ((f"{block}.se.w1", (r, c)), (f"{block}.se.b1", (r,)),
+                            (f"{block}.se.w2", (c, r)), (f"{block}.se.b2", (c,)))
+        yield f"path{k}.gmm_sha256", (32,)
+        yield f"path{k}.stats_sha256", (32,)
+    yield "fc.weight", (2, cfg.paths * c)
+    yield "fc.bias", (2,)
 
 
 def _check_front_ends(cfg: ClassifierConfig, gmms: list[Gmm], stats: list[LgpNormStats]) -> None:
@@ -471,21 +480,6 @@ def _check_front_ends(cfg: ClassifierConfig, gmms: list[Gmm], stats: list[LgpNor
             raise ValueError(f"stats cover {s.order} components but their GMM has {g.order}")
         if s.form != cfg.lgp_form:
             raise ValueError(f"stats use form {s.form!r}, config wants {cfg.lgp_form!r}")
-
-
-def _check_sizes(cfg: ClassifierConfig, tensors) -> None:
-    """Hold ``cfg.channels`` and ``cfg.blocks`` against the stored stem and
-    last-block weights, so a corrupt size fails before any layer is built."""
-    for k in range(cfg.paths):
-        stem, last = f"path{k}.stem.conv.weight", f"path{k}.block{cfg.blocks - 1}.conv1.weight"
-        if stem not in tensors:
-            raise FormatError(f"checkpoint is missing tensor {stem!r}")
-        if tensors[stem].shape[:1] != (cfg.channels,):
-            raise FormatError(f"cfg.channels = {cfg.channels}, but {stem!r} has shape "
-                              f"{tensors[stem].shape}")
-        if last not in tensors:
-            raise FormatError(f"cfg.blocks = {cfg.blocks}, but the checkpoint is missing "
-                              f"tensor {last!r}")
 
 
 def _digest_tensor(source: Gmm | LgpNormStats) -> np.ndarray:

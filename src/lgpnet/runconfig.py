@@ -77,8 +77,6 @@ class RunConfig:
     segment_length: int = 400
     batch_size: int = 32
     epochs: int = 100
-    step1_epochs: int = 0              # 0 means "same as epochs"
-    step2_epochs: int = 0
     lr: float = 1e-4
     seed: int = 0
     workers: int = 1

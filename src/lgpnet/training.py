@@ -1,6 +1,7 @@
 """Training loops: one-path end-to-end, and the two-step scheme for
 two-path models (pretrain each path under a temporary classifier, then
-freeze the paths and fit only the fusion head).
+freeze the paths and fit only the fusion head).  One-path training and
+each step run for ``TrainConfig.epochs`` epochs.
 
 Training holds no stacked copy of its input: each minibatch (B, N, D) and
 each dev utterance's UFM segments (S, N, D) are cut from the loaded features
@@ -34,16 +35,12 @@ class TrainConfig:
     lr: float = 1e-4
     seed: int = 0
     target_length: int = 400
-    step1_epochs: int = 0              # two-step budgets; 0 means epochs
-    step2_epochs: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch size and epochs must be >= 1")
         if not 0.0 < self.lr < np.inf:                 # a NaN fails too
             raise ValueError("learning rate must be positive and finite")
-        if min(self.step1_epochs, self.step2_epochs) < 0:
-            raise ValueError("step1_epochs and step2_epochs must be >= 0")
 
 
 @dataclass
@@ -145,7 +142,7 @@ def _dev_eer(model, path_ids, head, dev_embs, dev: LabeledDataset) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _fit(model: SpoofModel, path_ids, head, train_embs, data: LabeledDataset, dev_embs, dev,
-         cfg: TrainConfig, epochs: int, seed_tag: int, on_epoch) -> TrainResult:
+         cfg: TrainConfig, seed_tag: int, on_epoch) -> TrainResult:
     """Shared minibatch loop; the head and the paths ``path_ids`` of ``model``
     are the trainable state.
 
@@ -167,7 +164,7 @@ def _fit(model: SpoofModel, path_ids, head, train_embs, data: LabeledDataset, de
 
     result = TrainResult(loss_trace=[])
     best = None
-    for epoch in range(epochs):
+    for epoch in range(cfg.epochs):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, seed_tag, epoch]))
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -224,7 +221,7 @@ def train_one_path(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
     """
     if model.cfg.paths != 1:
         raise ValueError("train_one_path expects a one-path model")
-    return _fit(model, [0], model.fc, None, data, None, dev, cfg, cfg.epochs, 0, on_epoch)
+    return _fit(model, [0], model.fc, None, data, None, dev, cfg, 0, on_epoch)
 
 
 def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
@@ -237,8 +234,9 @@ def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
     parameter (batch statistics included, so the paths are bit-identical
     afterwards), and trains only the shared head on the concatenated
     embeddings; the frozen paths run with their step-1 running statistics.
-    Both steps cut their input from the loaded features as they use it; the
-    fused dev EER is that of step 2's best epoch, whose head the model keeps.
+    Step 1 of each path and step 2 run ``cfg.epochs`` epochs each.  Both steps
+    cut their input from the loaded features as they use it; the fused dev
+    EER is that of step 2's best epoch, whose head the model keeps.
     """
     if model.cfg.paths != 2:
         raise ValueError("train_two_step expects a two-path model")
@@ -247,8 +245,7 @@ def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
     path_dev_eers: list[float] = []
     for k in range(model.cfg.paths):
         temp_head = Linear(model.cfg.channels, 2, init="zero")
-        res = _fit(model, [k], temp_head, None, data, None, dev, cfg,
-                   cfg.step1_epochs or cfg.epochs, 1 + k, on_epoch)
+        res = _fit(model, [k], temp_head, None, data, None, dev, cfg, 1 + k, on_epoch)
         step1_results.append(res)
         if res.dev_eer_trace:
             path_dev_eers.append(min(res.dev_eer_trace))
@@ -264,8 +261,7 @@ def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
     dev_embs = None if dev is None else [
         model.embed(segment_ufm(utt.features, UfmConfig(length)), False, every)
         for utt in dev.items]
-    step2 = _fit(model, [], model.fc, train_embs, data, dev_embs, dev, cfg,
-                 cfg.step2_epochs or cfg.epochs, 100, on_epoch)
+    step2 = _fit(model, [], model.fc, train_embs, data, dev_embs, dev, cfg, 100, on_epoch)
 
     dev_eer = min(step2.dev_eer_trace) if dev is not None else float("nan")
     return TwoStepResult(step1=step1_results, step2=step2,

@@ -1,5 +1,6 @@
 """Tensor container bytes built field by field, independent of ``tensorio``,
-so tests can write what the writers refuse (NaNs, odd tensor sets)."""
+so tests can write what the writers refuse (NaNs, odd tensor sets, repeated
+names)."""
 
 import struct
 
@@ -7,8 +8,10 @@ import numpy as np
 
 
 def container_bytes(tensors) -> bytes:
-    blob = [b"LGPN", struct.pack("<HI", 1, len(tensors))]
-    for name, arr in tensors.items():
+    """``tensors`` is a dict, or a list of (name, array) pairs that may repeat a name."""
+    pairs = list(tensors.items()) if isinstance(tensors, dict) else tensors
+    blob = [b"LGPN", struct.pack("<HI", 1, len(pairs))]
+    for name, arr in pairs:
         arr = np.asarray(arr, dtype="<f4")
         blob += [struct.pack("<H", len(name)), name.encode(), struct.pack("<B", arr.ndim),
                  *(struct.pack("<Q", ext) for ext in arr.shape), arr.tobytes()]

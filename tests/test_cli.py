@@ -171,7 +171,8 @@ class TestScoreCheckpoint:
         tensorio.save_tensors(score_fixture / "wide.lgpn", tensors)
         assert score_with(score_fixture, score_fixture / "wide.lgpn") == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {score_fixture / 'wide.lgpn'}: ") and "cfg.channels" in err
+        assert err.startswith(f"error: {score_fixture / 'wide.lgpn'}: tensor "
+                              "'path0.stem.conv.weight' has shape")
         assert "Traceback" not in err
         assert not (score_fixture / "out").exists()
 
@@ -249,6 +250,19 @@ class TestBadGmmFiles:
         assert score_gmm_with(root, spoof="wide.gmm") == 3
         assert capsys.readouterr().err == (f"error: {root / 'wide.gmm'}: 3 values per frame, "
                                            f"but {root / 'm.gmm'} has 2\n")
+        assert not (root / "out").exists()
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([("weights", np.ones(2)), ("weights", np.ones(2))], "duplicate tensor name 'weights'"),
+        ([("weights", np.ones((1,) * 9))], "tensor 'weights' has invalid rank 9"),
+    ], ids=["duplicate-name", "rank-9"])
+    def test_malformed_container_is_named(self, score_fixture, capsys, pairs, message):
+        root = score_fixture
+        (root / "bad.gmm").write_bytes(container_bytes(pairs))
+        assert score_gmm_with(root, genuine="bad.gmm") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {root / 'bad.gmm'}: {message}")
+        assert "Traceback" not in err
         assert not (root / "out").exists()
 
 
@@ -431,6 +445,68 @@ class TestTrainGmmTrace:
         assert len(lines) == 5
 
 
+def write_silent_wav(path, sample_width, rate, frames):
+    import wave
+
+    path.parent.mkdir(exist_ok=True)
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(sample_width)
+        fh.setframerate(rate)
+        fh.writeframes(bytes(sample_width * frames))
+
+
+class TestRefusedInputs:
+    """A value or input file a command cannot use exits 3 with its message,
+    and nothing is written under ``new/``."""
+
+    CASES = {
+        "gen-corpus-dim-0": (
+            lambda root: ("gen-corpus", "--dim", 0, "--out", root / "new"),
+            "dim must be >= 1"),
+        "train-gmm-components-0": (
+            lambda root: ("train-gmm", "--features", root / "feats", "--components", 0,
+                          "--out", root / "new" / "m.gmm"),
+            "component count must be >= 1"),
+        "train-gmm-iters-0": (
+            lambda root: ("train-gmm", "--features", root / "feats", "--components", 2,
+                          "--iters", 0, "--out", root / "new" / "m.gmm"),
+            "iterations must be >= 1"),
+        "train-gmm-empty-list": (
+            lambda root: ("train-gmm", "--features", root / "empty.list", "--components", 2,
+                          "--out", root / "new" / "m.gmm"),
+            "{root}/empty.list: empty feature list"),
+        "extract-lfcc-no-wav": (
+            lambda root: ("extract-lfcc", "--wav-dir", root / "no-wavs", "--out-dir", root / "new"),
+            "{root}/no-wavs: no .wav files found"),
+        "extract-lfcc-8-bit": (
+            lambda root: ("extract-lfcc", "--wav-dir", root / "wav8", "--out-dir", root / "new"),
+            "{root}/wav8/a.wav: expected 16-bit PCM, got 8-bit"),
+        "extract-lfcc-48-khz": (
+            lambda root: ("extract-lfcc", "--wav-dir", root / "wav48", "--out-dir", root / "new"),
+            "{root}/wav48/a.wav: FFT size 512 shorter than the 960-sample window"),
+        "evaluate-empty-scores": (
+            lambda root: ("evaluate", "--scores", root / "empty.scores", "--protocol",
+                          root / "eval.txt", "--out", root / "new" / "metrics.txt"),
+            "{root}/empty.scores: empty score file"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_3_writing_nothing(self, score_fixture, capsys, case):
+        root = score_fixture
+        (root / "empty.list").write_text("\n")
+        (root / "no-wavs").mkdir()
+        write_silent_wav(root / "wav8" / "a.wav", 1, 16000, 3200)
+        write_silent_wav(root / "wav48" / "a.wav", 2, 48000, 9600)
+        (root / "empty.scores").write_text("")
+        argv, message = self.CASES[case]
+        assert run(*argv(root)) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(root=root)}\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not (root / "new").exists()
+
+
 class TestWritersRefuseNonFinite:
     """A value that overflows float32 is refused before its file is opened,
     since the file's reader would refuse it."""
@@ -502,13 +578,16 @@ class TestRunConfig:
 
 
 class TestTrainConfigChecks:
-    """A run config the model or the schedule cannot honour stops ``train``
-    before anything is written."""
+    """A run config line that the parser, the model or the schedule refuses
+    stops ``train`` before anything is written."""
 
     @pytest.mark.parametrize("line,message", [
         ("segment_length = 33", "input length must be even"),
-        ("step1_epochs = -3", "step1_epochs and step2_epochs must be >= 0"),
-        ("step2_epochs = -1", "step1_epochs and step2_epochs must be >= 0"),
+        ("step1_epochs = 2", "unknown key 'step1_epochs' (line 4)"),
+        ("step2_epochs = 2", "unknown key 'step2_epochs' (line 4)"),
+        ("epochs", "expected 'key = value' (line 4)"),
+        ("se_enabled = maybe", "bad value for 'se_enabled': not a boolean: 'maybe' (line 4)"),
+        ("workers = 0", "workers must be >= 1"),
     ])
     def test_train_exits_3_without_model(self, score_fixture, capsys, line, message):
         code = train_with(score_fixture, f"{line}\n")
@@ -618,7 +697,8 @@ class TestModelFrontEnds:
     """The model's own check decides whether the --gmm/--gmm2/--stats/--stats2
     files fit it: the run config's model for ``train``, the checkpoint's for
     ``score``.  A misfit exits 3, names the file that defines the model and
-    writes nothing."""
+    writes nothing.  Before that, a second GMM or stats file unlike the first
+    exits 3 naming the second file."""
 
     @pytest.fixture
     def root(self, score_fixture):
@@ -659,6 +739,32 @@ class TestModelFrontEnds:
         assert capsys.readouterr().err == f"error: {named}: {message}\n"
         assert not output.exists()
 
+    @pytest.mark.parametrize("second, message", [
+        ("--gmm2", "{root}/wide.gmm: 3 values per frame, but {root}/m.gmm has 2"),
+        ("--stats2", "{root}/full.stats: form 'full', but {root}/m.stats has 'fast'"),
+    ], ids=["gmm-width", "stats-form"])
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_second_file_unlike_the_first_exits_3_writing_nothing(self, root, capsys,
+                                                                  command, second, message):
+        # a second file is held against the first before any model is built
+        from lgpnet.gmm import Gmm
+        from lgpnet.lgp import fit_norm_stats
+
+        rng = np.random.default_rng(6)
+        Gmm(np.full(4, 0.25), rng.normal(size=(4, 3)), np.ones((4, 3))).save(root / "wide.gmm")
+        fit_norm_stats(Gmm.load(root / "m.gmm"), rng.normal(size=(200, 2)),
+                       "full").save(root / "full.stats")
+        files = {"--gmm": "m.gmm", "--gmm2": "m.gmm", "--stats": "m.stats", "--stats2": "m.stats",
+                 second: "wide.gmm" if second == "--gmm2" else "full.stats"}
+        flags = [item for flag, name in files.items() for item in (flag, root / name)]
+        if command == "train":
+            code, output = train_with(root, "paths = 2\n", *flags), root / "ckpt"
+        else:
+            code, output = score_with(root, root / "two.lgpn", *flags), root / "out"
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message.format(root=root)}\n"
+        assert not output.exists()
+
     def test_two_path_checkpoint_without_second_pair_exits_3(self, root, capsys):
         assert score_with(root, root / "two.lgpn") == 3
         assert capsys.readouterr().err == (f"error: {root / 'two.lgpn'}: a 2-path model takes "
@@ -693,6 +799,23 @@ class TestTdcfConfig:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err == f"error: {cfg}: costs must be positive and finite\n"
+        assert captured.out == "" and not out.parent.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("p_target = 1.5", "priors must lie in (0, 1)"),
+        ("p_miss_asv = 2", "ASV error rates must lie in [0, 1]"),
+    ], ids=["prior", "asv-rate"])
+    def test_out_of_range_value_exits_3_writing_nothing(self, perfect_fixture, tmp_path, capsys,
+                                                        line, message):
+        scores, proto = perfect_fixture
+        cfg = tmp_path / "tdcf.cfg"
+        cfg.write_text(f"{line}\n")
+        out = tmp_path / "new" / "metrics.txt"
+        code = run("evaluate", "--scores", scores, "--protocol", proto, "--tdcf-config", cfg,
+                   "--out", out)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == f"error: {cfg}: {message}\n"
         assert captured.out == "" and not out.parent.exists()
 
 
@@ -907,6 +1030,16 @@ class TestFuse:
         assert run("fuse", "--dev", scores, "--protocol", proto, "--out", out) == 2
         assert "--out writes the fused eval scores, so it needs --eval" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unequal_dev_and_eval_system_counts_exit_3(self, perfect_fixture, tmp_path, capsys):
+        scores, proto = perfect_fixture
+        out = tmp_path / "new" / "fused.eval"
+        code = run("fuse", "--dev", scores, scores, "--eval", scores, "--protocol", proto,
+                   "--out", out)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "error: dev and eval subsystem counts differ\n"
+        assert captured.out == "" and not out.parent.exists()
 
 
 class TestPipeline:

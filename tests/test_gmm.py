@@ -118,6 +118,13 @@ class TestLlr:
         with pytest.raises(ValueError):
             llr_score(toy_gmm, narrow, np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("frames, message", [
+        (np.zeros((0, 3)), "non-empty"), (np.zeros((4, 2)), r"shape \(4, 2\)"),
+    ])
+    def test_a_bad_utterance_is_refused(self, toy_gmm, frames, message):
+        with pytest.raises(ValueError, match=message):
+            llr_score(toy_gmm, toy_gmm, frames)
+
 
 class TestValidation:
     def test_weights_must_sum_to_one(self):
@@ -430,24 +437,3 @@ class TestFrameKernel:
         x = np.concatenate([x, np.linspace(gmm_module.EXP_ZERO, -3000.0, 100_000)])
         got = np.exp(x)
         assert np.all(got == 0.0) and not np.signbit(got).any()
-
-
-class TestLlrScores:
-    @pytest.fixture(scope="class")
-    def models(self):
-        rng = np.random.default_rng(19)
-        frames = clustered_frames(rng, 3000, 60, np.float32)
-        return paper_shape_model(rng, frames, 512), paper_shape_model(rng, frames, 512)
-
-    def test_llr_score_is_the_difference_of_utterance_log_likelihoods(self, models):
-        genuine, spoof = models
-        frames = clustered_frames(np.random.default_rng(29), 80, 60, np.float32)
-        assert llr_score(genuine, spoof, frames) == (
-            genuine.utterance_log_likelihood(frames) - spoof.utterance_log_likelihood(frames))
-
-    @pytest.mark.parametrize("frames, message", [
-        (np.zeros((0, 3)), "non-empty"), (np.zeros((4, 2)), r"shape \(4, 2\)"),
-    ])
-    def test_a_bad_utterance_is_refused(self, toy_gmm, frames, message):
-        with pytest.raises(ValueError, match=message):
-            llr_score(toy_gmm, toy_gmm, frames)

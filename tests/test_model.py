@@ -470,7 +470,10 @@ class TestCheckpointSchema:
             raise AssertionError("a path was built before the stored sizes were checked")
 
         monkeypatch.setattr("lgpnet.model.PathNetwork", refuse)
-        with pytest.raises(FormatError, match=f"{key} = {value}"):
+        # the first stored tensor that the size contradicts
+        contradicted = {"cfg.channels": "tensor 'path0.stem.conv.weight' has shape",
+                        "cfg.blocks": "missing tensor 'path0.block2.conv1.weight'"}
+        with pytest.raises(FormatError, match=contradicted[key]):
             self.load(desk_model, tensors)
 
     def test_unexpected_tensor_refused(self, desk_model):
@@ -581,7 +584,7 @@ class TestReadCheckpoint:
         gmms = [make_gmm(8, 4, 5 + k) for k in range(cfg.paths)]
         stats = [fit_norm_stats(g, rng.normal(size=(300, 4)), "fast") for g in gmms]
         live = SpoofModel(cfg, gmms, stats).to_tensors()
-        assert _tensor_shapes(cfg) == {name: arr.shape for name, arr in live.items()}
+        assert dict(_tensor_shapes(cfg)) == {name: arr.shape for name, arr in live.items()}
 
     @pytest.mark.parametrize("name, value, message", [
         ("path0.block0.conv1.weight", np.nan, "non-finite"),

@@ -191,11 +191,6 @@ class TestOnePath:
         with pytest.raises(ValueError):
             train_one_path(model, data, TrainConfig(target_length=8))
 
-    @pytest.mark.parametrize("budget", ["step1_epochs", "step2_epochs"])
-    def test_negative_step_budget_rejected(self, budget):
-        with pytest.raises(ValueError, match="step"):
-            TrainConfig(target_length=8, **{budget: -3})
-
     def test_length_mismatch_rejected(self, rng):
         model = build_one_path(rng)
         data = separable_dataset(rng, n_per_class=2)
@@ -305,15 +300,6 @@ class TestTwoStep:
         finally:
             tracemalloc.stop()
         assert peak < n * order * length * 8
-
-    def test_step_budget_split_configurable(self, rng):
-        model = build_two_path(rng, seed=3)
-        data = separable_dataset(rng, n_per_class=4)
-        cfg = TrainConfig(batch_size=4, epochs=5, step1_epochs=2, step2_epochs=3,
-                          lr=1e-3, seed=3, target_length=8)
-        result = train_two_step(model, data, cfg)
-        assert all(len(r.loss_trace) == 2 for r in result.step1)
-        assert len(result.step2.loss_trace) == 3
 
 
 class TestHeldInputIsPerBatch:
