@@ -200,18 +200,29 @@ def _cmd_train(args) -> int:
 
     out = Path(args.out)
     write_flat_config(run, out / "resolved-config.cfg")
-    lines = []
+    fits, labels = [], ["path 0 ", "path 1 ", "step 2 "] if run.paths == 2 else [""]
+
+    def write_log():
+        text = "".join(line + "\n" for lines in fits for line in lines)
+        tensorio.write_file(out / "metrics.log", text.encode("utf-8"))
 
     def log_epoch(epoch, result):
+        if epoch == 0:                  # a new fit: one list of lines each
+            fits.append([])
         eer = result.dev_eer_trace[-1] if result.dev_eer_trace else float("nan")
-        line = f"epoch {epoch + 1} loss {result.loss_trace[-1]:.6f} dev_eer {eer:.4f}"
+        line = (f"{labels[len(fits) - 1]}epoch {epoch + 1} "
+                f"loss {result.loss_trace[-1]:.6f} dev_eer {eer:.4f}")
         print(line)
-        lines.append(line + "\n")
-        # the whole log, rewritten after every epoch: live, and never torn
-        tensorio.write_file(out / "metrics.log", "".join(lines).encode("utf-8"))
+        fits[-1].append(line)
+        write_log()     # the whole log, rewritten after every epoch: live, and never torn
 
     fit = train_one_path if run.paths == 1 else train_two_step
-    fit(model, data, train_cfg, dev, on_epoch=log_epoch)
+    result = fit(model, data, train_cfg, dev, on_epoch=log_epoch)
+    results = [result] if run.paths == 1 else [*result.step1, result.step2]
+    for lines, res in zip(fits, results):
+        if res.best_epoch is not None:      # the epoch whose state model.lgpn holds
+            lines[res.best_epoch] += " kept"
+    write_log()
     model.save(out / "model.lgpn")
     print(f"saved model to {out / 'model.lgpn'}")
     return 0

@@ -33,7 +33,8 @@ weights contradict fails at the first such tensor, before any layer exists.
 
 ``lgpnet score`` does not run these layers: ``ScoringPlan`` folds the same
 checkpoint into float64 conv weights and shifts, scores without caches,
-and ``SpoofModel.score_utterance`` stays as its oracle.
+runs the frames that overlapping segments share once, and
+``SpoofModel.score_utterance`` stays as its oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import FormatError, NonFiniteMapError, naming
 from .gmm import Gmm
 from .lgp import LgpNormStats, extract_lgp
 from .nn import (BatchNorm1d, BatchNormReLU, Conv1d, Linear, MaxOverTime, SEBlock, gutter_conv,
-                 interior, sigmoid, to_gutter, zero_gutters)
+                 interior, sigmoid, zero_gutters)
 
 BONA_FIDE, SPOOF = 0, 1
 LABEL_NAMES = {"bonafide": BONA_FIDE, "spoof": SPOOF}
@@ -304,12 +305,14 @@ class ScoringPlan:
         s = gamma / sqrt(running_var + eps),  W' = W s,  b' = beta - running_mean s
 
     (cast before fold: ``running_var + eps`` in float32 moves scores by
-    ~1e-6 relative).  A segment batch then runs the conv kernel of ``Conv1d``
-    (``nn.gutter_conv``), the shift ``b'`` and an in-place ReLU, the SE gate and
-    the in-place residual add, max over time and the head, and keeps nothing.
-    Activations stay in one zero-gutter layout from the stem to the
-    pooling, so no layer copies or pads its input.  Scoring writes no
-    attribute, so ``--workers`` threads share one plan.
+    ~1e-6 relative).  Each path makes the LGP map of the cyclically extended
+    utterance once; rows cut from it (one per segment, or the whole utterance
+    and its segment edges, see ``_embed``) run the conv kernel of ``Conv1d``
+    (``nn.gutter_conv``), the shift ``b'`` and an in-place ReLU, the SE gate
+    and the in-place residual add; each segment's max over time goes to the
+    head, and nothing is kept.  Activations stay in one zero-gutter layout
+    from the stem to the pooling, so no layer copies or pads its input.
+    Scoring writes no attribute, so ``--workers`` threads share one plan.
     ``SpoofModel.score_utterance`` is its float64 oracle.
     """
 
@@ -340,26 +343,60 @@ class ScoringPlan:
 
     def score_utterance(self, feats: np.ndarray) -> float:
         """Mean detection score over all overlap segments of an utterance."""
-        segments = segment_ufm(feats, UfmConfig(self.cfg.input_length))  # (S, N, D)
-        emb = np.concatenate([self._embed(k, segments) for k in range(self.cfg.paths)], axis=1)
+        feats, dim = np.asarray(feats), self.gmms[0].dim
+        if feats.ndim == 2 and feats.shape[1] != dim:    # the utterance's shape, not L frames'
+            raise ValueError(f"frames have shape {feats.shape}, expected (T, {dim})")
+        frames = _cyclic_extension(feats, self.cfg.input_length)
+        emb = np.concatenate([self._embed(k, frames) for k in range(self.cfg.paths)], axis=1)
         weight, bias = self.head
         logits = emb @ weight.T + bias
         return float((logits[:, BONA_FIDE] - logits[:, SPOOF]).mean())
 
-    def _embed(self, k: int, segments: np.ndarray) -> np.ndarray:
-        """(S, N, D) segments -> (S, channels) embeddings under path ``k``."""
+    def _embed(self, k: int, frames: np.ndarray) -> np.ndarray:
+        """(L, D) extended frames -> (S, channels) segment embeddings under path ``k``.
+
+        A segment's last activations equal those of the whole row of L frames
+        except within the reach R of its edges, where the window of 2R frames
+        at each inner edge holds them.  The row and the windows run where they
+        are fewer conv columns than one row per segment, and never with SE,
+        whose gate is a mean over one segment."""
+        n, reach = self.cfg.input_length, 1 + 2 * self.cfg.blocks
+        lgp = extract_lgp(self.gmms[k], self.stats[k], frames)         # (M, L)
+        finite = np.isfinite(lgp).all(axis=0)
+        if not finite.all():            # the first segment that holds the first such frame
+            first = int(np.argmin(finite))
+            raise NonFiniteMapError(f"non-finite LGP map under path {k}",
+                                    max(0, (first - n) // (n // 2) + 1))
+        starts = np.arange(0, lgp.shape[1] - n + 1, n // 2)
+        inner = len(starts) - 1
+        cuts = [(starts[:1], lgp.shape[1]),
+                (np.concatenate([starts[1:], starts[:-1] + n - 2 * reach]), 2 * reach)]
+        if self.cfg.se_enabled or sum(len(a) * (w + 2) for a, w in cuts) >= len(starts) * (n + 2):
+            cuts = [(starts, n)]
+        out = [self._run(k, lgp, a, w) for a, w in cuts]
+        if len(out) == 1:
+            return out[0].max(axis=2).T
+        row, windows = out
+        seg = row[:, 0, starts[:, None] + np.arange(n)]                 # (C, S, N)
+        seg[:, 1:, :reach] = windows[:, :inner, :reach]
+        seg[:, :-1, n - reach:] = windows[:, inner:, reach:]
+        return seg.max(axis=2).T
+
+    def _run(self, k: int, lgp: np.ndarray, starts: np.ndarray, t: int) -> np.ndarray:
+        """The last activations (C, B, t) of path ``k`` over the frames
+        [a, a + t) of the LGP map for each of the B starts a, each in its own
+        row of zero-gutter buffers, whose gutters the SE gate and the residual
+        add leave at zero."""
+        h = np.zeros((lgp.shape[0], len(starts), t + 2))
+        h[:, :, 1:-1] = lgp[:, starts[:, None] + np.arange(t)]
         stem, blocks = self.paths[k]
-        n = self.cfg.input_length
-        # (C, S, N + 2) buffers with zero gutters, which the SE gate and the
-        # residual add keep at zero
-        h = _lgp_maps(self.gmms[k], self.stats[k], segments, k)
-        h = _conv_bn_relu(to_gutter(h, n + 2), *stem, n)
+        h = _conv_bn_relu(h, *stem, t)
         for conv1, conv2, se in blocks:
-            g = _conv_bn_relu(_conv_bn_relu(h, *conv1, n), *conv2, n)
+            g = _conv_bn_relu(_conv_bn_relu(h, *conv1, t), *conv2, t)
             if se is not None:
-                g *= _se_gate(interior(g, n), *se).T[:, :, None]
+                g *= _se_gate(interior(g, t), *se).T[:, :, None]
             h += g
-        return interior(h, n).max(axis=2)
+        return h[:, :, 1:-1]
 
 
 def _fold_bn(t: dict[str, np.ndarray], conv: str, bn: str) -> tuple[np.ndarray, np.ndarray]:
@@ -487,6 +524,16 @@ def _digest_tensor(source: Gmm | LgpNormStats) -> np.ndarray:
     return np.frombuffer(digest, dtype=np.uint8).astype(np.float64)
 
 
+def _cyclic_extension(feats: np.ndarray, n: int) -> np.ndarray:
+    """An utterance extended by cyclic repetition to the least multiple L of
+    ``n`` with L >= T; (L, D)."""
+    feats = np.asarray(feats)
+    if feats.ndim != 2 or feats.shape[0] == 0:
+        raise ValueError("features must be a non-empty (T, D) matrix")
+    t = feats.shape[0]
+    return feats[np.arange(-(-t // n) * n) % t]
+
+
 def segment_ufm(feats: np.ndarray, cfg: UfmConfig) -> np.ndarray:
     """Cut an utterance into half-overlapping fixed-length segments; (S, N, D).
 
@@ -494,11 +541,7 @@ def segment_ufm(feats: np.ndarray, cfg: UfmConfig) -> np.ndarray:
     multiple L of N with L >= T, then segments start at 0, N/2, ..., L - N,
     giving exactly S = 2L/N - 1 of them.
     """
-    feats = np.asarray(feats)
-    if feats.ndim != 2 or feats.shape[0] == 0:
-        raise ValueError("features must be a non-empty (T, D) matrix")
     n = cfg.segment_length
-    t = feats.shape[0]
-    length = -(-t // n) * n
-    starts = np.arange(0, length - n + 1, n // 2)
-    return feats[(starts[:, None] + np.arange(n)) % t]
+    frames = _cyclic_extension(feats, n)
+    starts = np.arange(0, len(frames) - n + 1, n // 2)
+    return frames[starts[:, None] + np.arange(n)]

@@ -283,7 +283,7 @@ class TestPerFileErrorsNameTheFile:
 
     @pytest.mark.parametrize("command, output, message", [
         (lambda root: score_with(root, root / "model.lgpn"), "out",
-         "frames have shape (16, 3), expected (T, 2)"),
+         "frames have shape (20, 3), expected (T, 2)"),
         (score_gmm_with, "out", "frames have shape (20, 3), expected (T, 2)"),
         (extract_lgp_with, "lgp", "frames have shape (20, 3), expected (T, 2)"),
     ], ids=["score", "score-gmm", "extract-lgp"])
@@ -639,6 +639,37 @@ class TestDivergedTraining:
         assert f"tensor '{tensor}' has a value that is not finite as float32" in err
         assert "Traceback" not in err
         assert not (train_fixture / "ckpt" / "model.lgpn").exists()
+
+
+class TestMetricsLog:
+    """``metrics.log`` names the fit of each epoch with two paths, and marks
+    the epoch of each fit whose state ``model.lgpn`` holds."""
+
+    @pytest.mark.parametrize("paths, fits", [
+        (1, [""]), (2, ["path 0 ", "path 1 ", "step 2 "]),
+    ], ids=["one-path", "two-path"])
+    def test_fits_in_order_each_with_one_kept_epoch(self, train_fixture, capsys, paths, fits):
+        root = train_fixture
+        write_protocol(root / "dev.txt", {"t0": "spoof", "t1": "bonafide", "t2": "spoof",
+                                          "t3": "bonafide"})
+        files = ["--gmm", root / "m.gmm", "--stats", root / "m.stats"]
+        if paths == 2:
+            files += ["--gmm2", root / "m.gmm", "--stats2", root / "m.stats"]
+        code = train_with(root, f"paths = {paths}\nsegment_length = 16\nbatch_size = 2\n"
+                          "epochs = 3\n", *files, "--dev-protocol", root / "dev.txt",
+                          protocol="train.txt")
+        assert code == 0
+        lines = (root / "ckpt" / "metrics.log").read_text().splitlines()
+        assert len(lines) == 3 * len(fits)
+        printed = [line for line in capsys.readouterr().out.splitlines() if " loss " in line]
+        assert printed == [line.removesuffix(" kept") for line in lines]
+        for k, fit in enumerate(fits):
+            own = lines[3 * k : 3 * k + 3]
+            assert [line.split(" loss ")[0] for line in printed[3 * k : 3 * k + 3]] == [
+                f"{fit}epoch {e}" for e in (1, 2, 3)]
+            eers = [float(line.split("dev_eer ")[1].split()[0]) for line in own]
+            assert [line.endswith(" kept") for line in own] == [
+                e == eers.index(min(eers)) for e in range(3)]
 
 
 class TestOneClassTrials:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lgpnet import tensorio
 from lgpnet.errors import FormatError, NonFiniteMapError
 from lgpnet.gmm import Gmm
-from lgpnet.lgp import fit_norm_stats
+from lgpnet.lgp import extract_lgp, fit_norm_stats
 from lgpnet.model import (
     ClassifierConfig,
     PathNetwork,
@@ -21,13 +21,14 @@ from lgpnet.model import (
     segment_ufm,
 )
 from fdcheck import assert_gradients_match
-from lgpnet.nn import BatchNorm1d, Conv1d, Linear, ReLU, SEBlock, softmax_cross_entropy
+from lgpnet.nn import (BatchNorm1d, Conv1d, Linear, ReLU, SEBlock, gutter_conv,
+                       softmax_cross_entropy)
 
 
-def desk_config(paths=1, se=False):
+def desk_config(paths=1, se=False, blocks=2, input_length=32):
     return ClassifierConfig(
-        gmm_order=8, channels=16, blocks=2, se_enabled=se, se_reduction=4,
-        input_length=32, paths=paths, lgp_form="fast",
+        gmm_order=8, channels=16, blocks=blocks, se_enabled=se, se_reduction=4,
+        input_length=input_length, paths=paths, lgp_form="fast",
     )
 
 
@@ -514,30 +515,71 @@ def load_plan(path, gmms, stats):
 
 MODEL_KINDS = {"one-path": dict(), "two-path": dict(paths=2), "se": dict(se=True)}
 
+# At N = 64 with 2 blocks (reach R = 5) the plan runs the whole row and the
+# segment edge windows.  At N = 32 that would be more conv columns than the
+# segments, and with 8 blocks 2R >= N: both score one piece per segment, as
+# SE models do.
+PLAN_KINDS = {"one-path": dict(input_length=64), "two-path": dict(paths=2, input_length=64),
+              "se": dict(se=True, input_length=64), "short-segments": dict(),
+              "wide-reach": dict(blocks=8)}
+
 
 class TestScoringPlan:
     """The plan against its float64 oracle, ``SpoofModel.score_utterance``."""
 
-    @pytest.fixture(params=list(MODEL_KINDS))
-    def checkpoint(self, request, rng, tmp_path):
-        cfg = desk_config(**MODEL_KINDS[request.param])
+    @staticmethod
+    def build(kind, rng, tmp_path):
+        cfg = desk_config(**PLAN_KINDS[kind])
         gmms = [make_gmm(8, 4, 5 + k) for k in range(cfg.paths)]
         stats = [fit_norm_stats(g, rng.normal(size=(300, 4)), "fast") for g in gmms]
         model = SpoofModel(cfg, gmms, stats, seed=3)
         return seeded_checkpoint(model, rng, tmp_path / "model.lgpn"), gmms, stats
 
+    @pytest.fixture(params=list(PLAN_KINDS))
+    def checkpoint(self, request, rng, tmp_path):
+        return self.build(request.param, rng, tmp_path)
+
     def test_matches_oracle_after_round_trip(self, checkpoint, rng):
         path, gmms, stats = checkpoint
         oracle = SpoofModel.load(path, gmms, stats)
         plan = load_plan(path, gmms, stats)
-        worst = 0.0
-        for length, segments in ((32, 1), (50, 3), (96, 5)):
+        n = oracle.cfg.input_length
+        worst = (0.0, 0)
+        # one frame, fewer than N/2 (cyclic repeat), exact multiples of N, S = 1 ... 9
+        for length, segments in ((1, 1), (n // 2 - 1, 1), (n, 1), (n + 1, 3), (2 * n, 3),
+                                 (2 * n + 5, 5), (3 * n, 5), (4 * n - 7, 7), (5 * n, 9)):
             feats = rng.normal(size=(length, 4))
-            assert len(segment_ufm(feats, UfmConfig(32))) == segments
+            assert len(segment_ufm(feats, UfmConfig(n))) == segments
             want = oracle.score_utterance(feats)
-            worst = max(worst, abs(plan.score_utterance(feats) - want) / abs(want))
-        assert worst <= 1e-9, f"max relative |dscore| {worst:.3g}"
-        print(f"max relative |dscore| {worst:.3g}")
+            worst = max(worst, (abs(plan.score_utterance(feats) - want) / abs(want), length))
+        print(f"max relative |dscore| {worst[0]:.3g}, at T = {worst[1]}")
+        assert worst[0] <= 1e-9, f"max relative |dscore| {worst[0]:.3g} at T = {worst[1]}"
+
+    @pytest.mark.parametrize("kind, length, frames, columns", [
+        ("one-path", 160, 192, (192 + 2) + 2 * 4 * (2 * 5 + 2)),    # the row, 8 edge windows
+        ("se", 160, 192, 5 * (64 + 2)),                              # the 5 segments
+        ("short-segments", 70, 96, 5 * (32 + 2)),
+    ], ids=["one-path", "se", "short-segments"])
+    def test_work_of_a_5_segment_utterance(self, kind, length, frames, columns, rng, tmp_path,
+                                           monkeypatch):
+        """Every conv's columns, and the frames of each ``extract_lgp`` call."""
+        path, gmms, stats = self.build(kind, rng, tmp_path)
+        plan = load_plan(path, gmms, stats)
+        seen, extracted = {}, []
+
+        def conv(xbuf, taps):
+            seen[id(taps)] = seen.get(id(taps), 0) + xbuf.shape[1] * xbuf.shape[2]
+            return gutter_conv(xbuf, taps)
+
+        def extract(gmm, stats, x):
+            extracted.append(len(x))
+            return extract_lgp(gmm, stats, x)
+
+        monkeypatch.setattr("lgpnet.model.gutter_conv", conv)
+        monkeypatch.setattr("lgpnet.model.extract_lgp", extract)
+        plan.score_utterance(rng.normal(size=(length, 4)))
+        assert extracted == [frames]
+        assert list(seen.values()) == [columns] * (1 + 2 * plan.cfg.blocks)
 
     def test_builds_no_layer(self, checkpoint, monkeypatch):
         path, gmms, stats = checkpoint
@@ -556,6 +598,20 @@ class TestScoringPlan:
         feats = rng.normal(size=(70, 4))
         feats[40, 0] = 1e300        # frame 40 lies in the segments at 16 and 32
         with pytest.raises(NonFiniteMapError, match="path 0 .batch row 1."):
+            plan.score_utterance(feats)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("length, frame, row", [
+        (20, 5, 0),     # frame 5 sits at 5 and, repeated, at 25 of the one segment
+        (90, 85, 4),    # only the last of 5 segments (at 64) holds frame 85
+    ], ids=["cyclic-repeat", "last-segment"])
+    def test_overflowing_frame_names_its_first_segment(self, desk_model, rng, tmp_path,
+                                                       length, frame, row):
+        desk_model.save(tmp_path / "model.lgpn")
+        plan = load_plan(tmp_path / "model.lgpn", desk_model.gmms, desk_model.stats)
+        feats = rng.normal(size=(length, 4))
+        feats[frame, 0] = 1e300
+        with pytest.raises(NonFiniteMapError, match=f"path 0 .batch row {row}."):
             plan.score_utterance(feats)
 
     def test_keeps_no_activation_after_scoring(self, rng, tmp_path):
