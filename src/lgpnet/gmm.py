@@ -226,6 +226,13 @@ def llr_score(gmm_genuine: Gmm, gmm_spoof: Gmm, frames: np.ndarray) -> float:
     return gmm_genuine.utterance_log_likelihood(frames) - gmm_spoof.utterance_log_likelihood(frames)
 
 
+def _chunk_slices(frames: np.ndarray, order: int) -> list[slice]:
+    """The rows of each :func:`frame_chunks` block, the largest first."""
+    n, d = frames.shape
+    step = max(1, CHUNK_VALUES // max(order, d))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
 def frame_chunks(frames: np.ndarray, order: int):
     """The rows of ``frames`` as consecutive float64 blocks, in order.
 
@@ -234,10 +241,7 @@ def frame_chunks(frames: np.ndarray, order: int):
     one), so a pass that makes a few (rows, order) arrays per block holds
     O(CHUNK_VALUES) values however many frames there are.
     """
-    n, d = frames.shape
-    step = max(1, CHUNK_VALUES // max(order, d))
-    for start in range(0, n, step):
-        rows = slice(start, min(start + step, n))
+    for rows in _chunk_slices(frames, order):
         yield rows, np.asarray(frames[rows], dtype=np.float64)
 
 
@@ -270,11 +274,21 @@ def _kmeanspp_means(frames: np.ndarray, m: int, rng: np.random.Generator) -> np.
     """k-means++-style seeding: spread initial means over the data.
 
     The squared distance to a new mean c is ||x||^2 - 2 x.c + ||c||^2,
-    clamped at 0, taken block by block.
+    clamped at 0, taken block by block.  Each of the M + 1 passes copies
+    the blocks into one float64 buffer, rather than casting each anew.
     """
     n = frames.shape[0]
+    chunks = _chunk_slices(frames, m)
+    buffer = np.empty((chunks[0].stop, frames.shape[1]))
+
+    def block(rows):
+        x = buffer[: rows.stop - rows.start]
+        x[...] = frames[rows]
+        return x
+
     sq_norms = np.empty(n)
-    for rows, x in frame_chunks(frames, m):
+    for rows in chunks:
+        x = block(rows)
         sq_norms[rows] = np.einsum("ij,ij->i", x, x)
     chosen = np.empty((m, frames.shape[1]))
     d2 = np.full(n, np.inf)
@@ -286,8 +300,8 @@ def _kmeanspp_means(frames: np.ndarray, m: int, rng: np.random.Generator) -> np.
         chosen[j] = frames[pick]
         c = chosen[j]
         c_norm = c @ c
-        for rows, x in frame_chunks(frames, m):
-            dist = sq_norms[rows] - 2.0 * (x @ c) + c_norm
+        for rows in chunks:
+            dist = sq_norms[rows] - 2.0 * (block(rows) @ c) + c_norm
             np.minimum(d2[rows], np.maximum(dist, 0.0), out=d2[rows])
     return chosen
 

@@ -19,11 +19,12 @@ is the one map from them to the head input, for training and scoring alike:
 each path derives its LGP maps (B, M, N) from the segments under its own GMM
 inside the call, so no LGP map is kept between batches.
 
-A train-mode forward keeps, per path, the LGP maps (B, M, N) and the stem's
-batch-norm ``xhat``, and per residual block the block input, ``xhat1`` and
-``xhat2`` (B, C, N) (plus the SE input with SE on): (3 * blocks + 1) * B*C*N
-+ B*M*N float64 values, each with two zero gutter frames per row (the
-``nn`` layout in which a conv reads its input in place).  Each ReLU output
+A train-mode forward runs the paths in float32 (``SpoofModel.embed``) and
+keeps, per path, the LGP maps (B, M, N) and the stem's batch-norm ``xhat``,
+and per residual block the block input, ``xhat1`` and ``xhat2`` (B, C, N)
+(plus the SE input with SE on): (3 * blocks + 1) * B*C*N + B*M*N values of
+4 bytes, each with two zero gutter frames per row (the ``nn`` layout in
+which a conv reads its input in place).  Each ReLU output
 is recomputed from its ``xhat`` (``nn.BatchNormReLU``), backward frees
 every cache it uses, and an eval-mode forward keeps nothing.
 
@@ -239,9 +240,18 @@ class SpoofModel:
         segments under its own GMM, embeds them and drops them, so no LGP map
         outlives the call.  A map that is not finite (overflow from finite
         features) raises NonFiniteMapError with its batch row.
+
+        This is the one place that picks the precision: a train-mode call
+        hands the paths float32 maps, and every layer computes in its input's
+        dtype, so the paths' activations and GEMMs run in float32 under
+        float64 parameters, gradients and running statistics (mixed-precision
+        training, Micikevicius et al., ICLR 2018).  An eval-mode call runs in
+        float64 throughout.  The float32 embeddings give float64 logits.
         """
+        dtype = np.float32 if training else np.float64
         return np.concatenate([
-            self.paths[k].forward(_lgp_maps(self.gmms[k], self.stats[k], segments, k), training)
+            self.paths[k].forward(_lgp_maps(self.gmms[k], self.stats[k], segments, k, dtype),
+                                  training)
             for k in path_ids], axis=1)
 
     def forward_model(self, feats: np.ndarray) -> tuple[np.ndarray, float]:
@@ -421,13 +431,15 @@ def _se_gate(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
     return sigmoid(inner @ w2.T + b2)
 
 
-def _lgp_maps(gmm: Gmm, stats: LgpNormStats, segments: np.ndarray, k: int) -> np.ndarray:
+def _lgp_maps(gmm: Gmm, stats: LgpNormStats, segments: np.ndarray, k: int,
+              dtype) -> np.ndarray:
     """Normalized LGP maps (B, M, N) of (B, N, D) segments, as the interior of
-    the zero-gutter buffer (M, B, N + 2) that the stem conv reads in place; a
-    map that is not finite (overflow from finite features) raises
-    NonFiniteMapError."""
+    the zero-gutter buffer (M, B, N + 2) of ``dtype`` that the stem conv reads
+    in place.  ``extract_lgp`` works in float64; the check runs on the buffer,
+    so a map that is not finite there (overflow from finite features, or a
+    float64 value beyond float32's range) raises NonFiniteMapError."""
     n = segments.shape[1]
-    buf = np.zeros((gmm.order, len(segments), n + 2))
+    buf = np.zeros((gmm.order, len(segments), n + 2), dtype)
     for i, seg in enumerate(segments):
         buf[:, i, 1:-1] = extract_lgp(gmm, stats, seg)
     lgp = interior(buf, n)

@@ -16,7 +16,15 @@ Stateful layers also list their current arrays by name in
 ``named_tensors``; checkpoints and training snapshots are built from it.
 
 Every layer takes a minibatch: sequences are ``(batch, channels, time)``
-and feature vectors ``(batch, features)``.  Parameters are float64.
+and feature vectors ``(batch, features)``.  Parameters, their gradients
+and batch norm's running statistics are float64.  A sequence layer
+computes in its input's dtype: it allocates its buffers in that dtype and
+casts its weights or per-channel vectors to it at the call, so float32
+input runs its GEMMs and elementwise passes in float32 (each float32
+gradient product is added into the float64 ``grad``), and float64 input
+runs the float64 arithmetic.  :class:`Linear`, the head, computes in
+float64 on either.
+
 Behind that shape, :class:`Conv1d` and batch norm keep sequences
 channel-major in zero-gutter buffers, where a convolution is one GEMM per
 kernel tap (:func:`gutter_conv`), and hand each other those buffers as
@@ -109,7 +117,7 @@ def to_gutter(x: np.ndarray, width: int) -> np.ndarray:
     ``x``: the buffer ``x`` already is the interior of, or else a new copy."""
     buf = _gutter_of(x)
     if buf is None or buf.shape[2] != width:
-        buf = zero_gutters(np.empty((x.shape[1], x.shape[0], width)), x.shape[2])
+        buf = zero_gutters(np.empty((x.shape[1], x.shape[0], width), x.dtype), x.shape[2])
         interior(buf, x.shape[2])[...] = x
     return buf
 
@@ -133,10 +141,10 @@ def _tap_sum(taps: np.ndarray, src: np.ndarray, out: np.ndarray, first: int) -> 
 def gutter_conv(xbuf: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Kernel-k convolution of a zero-gutter buffer (C, B, W) by ``taps``
     (the weight as (k, O, C)): a new zero-gutter buffer (O, B, W) holding
-    the W - k + 1 output frames."""
+    the W - k + 1 output frames, in the dtype of ``xbuf``."""
     k, out_ch, in_ch = taps.shape
     _, batch, width = xbuf.shape
-    ybuf = np.empty((out_ch, batch, width))
+    ybuf = np.empty((out_ch, batch, width), xbuf.dtype)
     _tap_sum(taps, xbuf.reshape(in_ch, -1), ybuf.reshape(out_ch, -1), (k - 1) // 2)
     return zero_gutters(ybuf, width - k + 1)       # and the sums that straddle two rows
 
@@ -191,7 +199,7 @@ class Conv1d:
             raise ValueError(f"time extent {t_in} too short for kernel {k} with padding {self.padding}")
         xbuf = to_gutter(x, width)
         self._cache = xbuf if self.input_source is None else None
-        ybuf = gutter_conv(xbuf, self.weight.data.transpose(2, 0, 1).copy())
+        ybuf = gutter_conv(xbuf, self.weight.data.transpose(2, 0, 1).astype(xbuf.dtype, order="C"))
         return interior(ybuf, width - k + 1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -219,8 +227,8 @@ class Conv1d:
         the flipped, transposed kernel.  It needs only the weights."""
         out_ch, in_ch, k = self.weight.shape
         gbuf = to_gutter(grad_out, grad_out.shape[2] + k - 1)
-        dbuf = np.empty((in_ch,) + gbuf.shape[1:])
-        taps = self.weight.data[:, :, ::-1].transpose(2, 1, 0).copy()
+        dbuf = np.empty((in_ch,) + gbuf.shape[1:], gbuf.dtype)
+        taps = self.weight.data[:, :, ::-1].transpose(2, 1, 0).astype(gbuf.dtype, order="C")
         _tap_sum(taps, gbuf.reshape(out_ch, -1), dbuf.reshape(in_ch, -1), k - 1 - (k - 1) // 2)
         t_in = dbuf.shape[2] - 2 * self.padding
         return interior(zero_gutters(dbuf, t_in), t_in)
@@ -266,7 +274,7 @@ class BatchNorm1d:
         src = _gutter_of(x)
         if src is None:
             src = x.transpose(1, 0, 2)
-        xhat = np.empty((c, b, src.shape[2]))
+        xhat = np.empty((c, b, src.shape[2]), src.dtype)
         if training:
             n = b * t
             if n < 2:
@@ -279,8 +287,9 @@ class BatchNorm1d:
             self.running_mean = (1 - m) * self.running_mean + m * mean
             self.running_var = (1 - m) * self.running_var + m * var
         else:
-            zero_gutters(np.subtract(src, self.running_mean[:, None, None], out=xhat), t)
-            var = self.running_var
+            mean = self.running_mean.astype(src.dtype, copy=False)
+            zero_gutters(np.subtract(src, mean[:, None, None], out=xhat), t)
+            var = self.running_var.astype(src.dtype, copy=False)
         inv_std = 1.0 / np.sqrt(var + self.EPSILON)
         xhat *= inv_std[:, None, None]
         self._cache = (interior(xhat, t), inv_std, training)
@@ -297,7 +306,7 @@ class BatchNorm1d:
         sum_dyx = np.einsum("ij,ij->i", dy, xhat)
         self.gamma.grad += sum_dyx
         self.beta.grad += sum_dy
-        scale = self.gamma.data * inv_std
+        scale = self.gamma.data.astype(xhat.dtype, copy=False) * inv_std
         dx = dy * scale[:, None]
         if training:
             # Through the batch statistics: with g = gamma * dy, sum(g) =
@@ -312,8 +321,9 @@ class BatchNorm1d:
 
     def _affine(self, xhat: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """``gamma * xhat + beta`` of channel-major ``xhat``, into ``out`` when given."""
-        out = np.multiply(self.gamma.data[:, None, None], xhat, out=out)
-        out += self.beta.data[:, None, None]
+        gamma, beta = (p.data.astype(xhat.dtype, copy=False) for p in (self.gamma, self.beta))
+        out = np.multiply(gamma[:, None, None], xhat, out=out)
+        out += beta[:, None, None]
         return out
 
 
@@ -364,7 +374,7 @@ class BatchNormReLU(BatchNorm1d):
         zero-gutter buffer."""
         xhat = self._cache[0]
         b, c, t = xhat.shape
-        buf = zero_gutters(np.empty((c, b, t + 2 * padding)), t)
+        buf = zero_gutters(np.empty((c, b, t + 2 * padding), xhat.dtype), t)
         self._affine(xhat.transpose(1, 0, 2), _frames(buf, t))
         return _relu_in_place(buf).transpose(1, 0, 2)
 
@@ -413,10 +423,11 @@ class SEBlock:
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.w1.shape[1]:
             raise ValueError("channel count mismatch")
+        w1, b1, w2, b2 = (p.data.astype(x.dtype, copy=False) for p in self.parameters())
         z = x.mean(axis=2)                                    # (B, C)
-        pre1 = z @ self.w1.data.T + self.b1.data              # (B, C/r)
+        pre1 = z @ w1.T + b1                                  # (B, C/r)
         h = np.maximum(pre1, 0.0)
-        pre2 = h @ self.w2.data.T + self.b2.data              # (B, C)
+        pre2 = h @ w2.T + b2                                  # (B, C)
         s = sigmoid(pre2)
         self._cache = (x, z, pre1, h, s)
         return x * s[:, :, None]
@@ -430,11 +441,11 @@ class SEBlock:
         grad_pre2 = grad_s * s * (1.0 - s)
         self.w2.grad += grad_pre2.T @ h
         self.b2.grad += grad_pre2.sum(axis=0)
-        grad_h = grad_pre2 @ self.w2.data
+        grad_h = grad_pre2 @ self.w2.data.astype(x.dtype, copy=False)
         grad_pre1 = np.where(pre1 > 0, grad_h, 0.0)
         self.w1.grad += grad_pre1.T @ z
         self.b1.grad += grad_pre1.sum(axis=0)
-        grad_z = grad_pre1 @ self.w1.data
+        grad_z = grad_pre1 @ self.w1.data.astype(x.dtype, copy=False)
         grad_x += grad_z[:, :, None] / t
         return grad_x
 
@@ -453,13 +464,13 @@ class MaxOverTime:
         if x.shape[2] < 1:
             raise ValueError("time axis is empty")
         idx = x.argmax(axis=2)                                # first occurrence on ties
-        self._cache = (x.shape, idx)
+        self._cache = (x.shape, x.dtype, idx)
         return np.take_along_axis(x, idx[:, :, None], axis=2)[:, :, 0]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        shape, idx = self._cache
+        shape, dtype, idx = self._cache
         self._cache = None
-        grad_x = np.zeros(shape)
+        grad_x = np.zeros(shape, dtype)
         np.put_along_axis(grad_x, idx[:, :, None], grad_out[:, :, None], axis=2)
         return grad_x
 

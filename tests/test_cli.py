@@ -628,7 +628,8 @@ class TestDivergedTraining:
     @pytest.mark.parametrize("lr, tensor", [
         ("1e300", "head.weight"),
         # parameters stay finite, a batch-norm running variance does not
-        ("1e30", "path0.stem.bn.running_var"),
+        # (from lr 1e18 on, float32 steps overflow the stem conv's weight)
+        ("1e12", "path0.block0.bn1.running_var"),
     ])
     def test_exits_4_without_a_model(self, train_fixture, capsys, lr, tensor):
         code = train_with(train_fixture, f"segment_length = 16\nbatch_size = 2\nepochs = 2\n"

@@ -660,3 +660,136 @@ class TestReadCheckpoint:
         cfg, params = read_checkpoint(tensors, desk_model.gmms, desk_model.stats)
         assert cfg == desk_model.cfg
         assert not any(name.startswith("cfg.") or name.endswith("_sha256") for name in params)
+
+
+class TestMixedPrecisionStep:
+    """A train-mode ``embed`` runs the paths in float32 (every layer computes
+    in its input's dtype); parameters, gradients, running statistics and the
+    head stay float64."""
+
+    @staticmethod
+    def build(kind, rng, **overrides):
+        cfg = desk_config(**MODEL_KINDS[kind], **overrides)
+        gmms = [make_gmm(8, 4, 5 + k) for k in range(cfg.paths)]
+        stats = [fit_norm_stats(g, rng.normal(size=(300, 4)), "fast") for g in gmms]
+        model = SpoofModel(cfg, gmms, stats, seed=3)
+        # a zero head would give every path a zero gradient
+        model.fc.weight.data[...] = rng.normal(size=model.fc.weight.shape)
+        return model
+
+    @staticmethod
+    def step(model, segments):
+        """One training step's forward and backward, as ``training._fit``
+        runs it; returns the embeddings, the logits and the loss."""
+        paths, c = range(model.cfg.paths), model.cfg.channels
+        emb = model.embed(segments, True, paths)
+        logits = model.fc.forward(emb)
+        loss, grad_logits = softmax_cross_entropy(logits, np.arange(len(segments)) % 2)
+        grad_emb = model.fc.backward(grad_logits)
+        for k in paths:
+            model.paths[k].backward_params(grad_emb[:, k * c : (k + 1) * c])
+        return emb, logits, loss
+
+    @pytest.mark.parametrize("kind", list(MODEL_KINDS))
+    def test_every_conv_and_batch_norm_runs_in_float32(self, kind, rng):
+        model = self.build(kind, rng)
+        seen = []
+
+        def record(layer, name):
+            method = getattr(layer, name)
+
+            def recorded(*args):
+                out = method(*args)
+                seen.append((type(layer).__name__, name, args[0].dtype,
+                             None if out is None else out.dtype))
+                return out
+            setattr(layer, name, recorded)
+
+        units = [layer for path in model.paths for _, layer in path._named_layers()
+                 if isinstance(layer, (Conv1d, BatchNorm1d))]
+        for layer in units:
+            for name in ("forward", "backward", "backward_params"):
+                if hasattr(layer, name):
+                    record(layer, name)
+        emb, logits, _ = self.step(model, rng.normal(size=(4, model.cfg.input_length, 4)))
+        # forward and backward of every unit, and the stem convs' weight gradients
+        assert len(seen) >= 2 * len(units)
+        promoted = [call for call in seen if set(call[2:]) - {None, np.dtype(np.float32)}]
+        assert not promoted, promoted
+        assert emb.dtype == np.float32
+        assert logits.dtype == np.float64
+        for p in model.fc.parameters() + [p for path in model.paths for p in path.parameters()]:
+            assert p.data.dtype == p.grad.dtype == np.float64
+        for path in model.paths:
+            for bn in path.batchnorms():
+                assert bn.running_mean.dtype == bn.running_var.dtype == np.float64
+
+    @pytest.mark.parametrize("kind", list(MODEL_KINDS))
+    def test_forward_holds_the_counted_tensors_at_four_bytes_a_value(self, kind, rng):
+        model = self.build(kind, rng, input_length=64)
+        cfg, batch = model.cfg, 8
+        segments = rng.normal(size=(batch, cfg.input_length, 4))
+        self.step(model, segments)                   # warm up numpy's own caches
+        row = batch * (cfg.input_length + 2)         # two zero gutter frames a row
+        # per path: the LGP maps, the stem xhat, per block its input and two
+        # xhat, and with SE each block's SE input
+        tensors = (3 * cfg.blocks + 1 + cfg.blocks * cfg.se_enabled) * cfg.channels
+        bound = cfg.paths * (tensors + cfg.gmm_order) * row * 4
+        slack = cfg.channels * row * 4               # per-channel vectors, pooling indices
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model.embed(segments, True, range(cfg.paths))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        print(f"{kind}: {kept} bytes kept after forward, bound {bound}")
+        assert kept <= bound + slack, f"{kept} bytes kept, bound {bound}"
+
+    @pytest.mark.parametrize("se", [False, True], ids=["resnet", "se"])
+    def test_one_step_drifts_within_the_gamma_bound(self, se, rng):
+        """The float32 step against the float64 one: on float64 maps every
+        layer runs today's float64 arithmetic, so ``_lgp_maps`` in float64 and
+        a train-mode path forward are the oracle.  Bounds from Higham's
+        gamma_n = n u / (1 - n u), u = 2^-24 (see CHANGES.md)."""
+        from lgpnet.model import _lgp_maps
+
+        model = self.build("se" if se else "one-path", rng)
+        twin = copy.deepcopy(model)
+        cfg, batch = model.cfg, 4
+        segments = rng.normal(size=(batch, cfg.input_length, 4))
+        emb32, _, loss32 = self.step(model, segments)
+        path = twin.paths[0]
+        emb64 = path.forward(_lgp_maps(twin.gmms[0], twin.stats[0], segments, 0, np.float64), True)
+        loss64, grad_logits = softmax_cross_entropy(twin.fc.forward(emb64), np.arange(batch) % 2)
+        path.backward_params(twin.fc.backward(grad_logits))
+        assert emb64.dtype == np.float64 and emb32.dtype == np.float32
+
+        u, c, n = 2.0 ** -24, cfg.channels, cfg.input_length
+
+        def gamma(terms):
+            return terms * u / (1 - terms * u)
+
+        delta = u + gamma(3 * max(c, cfg.gmm_order)) + 2 * gamma(batch * n)
+        eps_f = (1 + 2 * cfg.blocks) * delta + se * cfg.blocks * (gamma(n) + gamma(c))
+        eps_b = 2 * eps_f + gamma(batch * n)
+        ratios = {"loss": abs(loss32 - loss64) / (
+            2 * eps_f * (np.abs(twin.fc.weight.data) @ np.abs(emb64).T).max())}
+        m = BatchNorm1d.MOMENTUM
+        layers = [("fc", model.fc, twin.fc)] + [
+            (name, a, b) for (name, a), (_, b) in zip(model.paths[0]._named_layers(),
+                                                      path._named_layers())]
+        for name, a, b in layers:
+            for key, p32, p64 in zip(a.named_tensors(), a.parameters(), b.parameters()):
+                ratios[f"{name}.{key} grad"] = (np.abs(p32.grad - p64.grad).max()
+                                                / (eps_b * np.abs(p64.grad).max()))
+            if isinstance(a, BatchNorm1d):
+                # the batch's second moment E[x^2] per channel, from one update of (0, 1)
+                second = ((b.running_var - (1 - m)) / m + (b.running_mean / m) ** 2).max()
+                ratios[f"{name}.running_mean"] = (np.abs(a.running_mean - b.running_mean).max()
+                                                  / (m * eps_f * np.sqrt(second)))
+                ratios[f"{name}.running_var"] = (np.abs(a.running_var - b.running_var).max()
+                                                 / (2 * m * eps_f * second))
+        print(f"eps_f {eps_f:.3g}, eps_b {eps_b:.3g}; largest drift/bound "
+              + ", ".join(f"{k} {v:.3g}" for k, v in sorted(ratios.items(), key=lambda kv: -kv[1])[:4]))
+        assert all(np.isfinite(v) and v <= 1.0 for v in ratios.values()), ratios

@@ -7,7 +7,7 @@ import pytest
 from lgpnet.errors import TrainingDivergedError
 from lgpnet.evaluation import eer_from_scores
 from lgpnet.gmm import Gmm
-from lgpnet.lgp import fit_norm_stats
+from lgpnet.lgp import extract_lgp, fit_norm_stats
 from lgpnet.model import BONA_FIDE, SPOOF, ClassifierConfig, SpoofModel, UfmConfig, segment_ufm
 from lgpnet.training import (
     LabeledDataset,
@@ -139,6 +139,19 @@ class TestOnePath:
         poisoned.items[0].features[0, 0] = 1e300   # squares to +inf in the LGP map
         cfg = TrainConfig(batch_size=4, epochs=2, lr=1e-3, seed=0, target_length=8)
         with pytest.raises(TrainingDivergedError, match="train_b0"):
+            train_one_path(model, poisoned, cfg)
+
+    def test_map_beyond_float32_aborts_with_diagnostics(self, rng):
+        # finite in float64, as eval mode takes it, but not in the float32
+        # maps a training step runs on
+        model = build_one_path(rng)
+        poisoned = separable_dataset(rng, n_per_class=2)
+        poisoned.items[1].features[2, 0] = 1e25
+        lgp = extract_lgp(model.gmms[0], model.stats[0], poisoned.items[1].features)
+        assert np.isfinite(lgp).all() and np.abs(lgp).max() > np.finfo(np.float32).max
+        cfg = TrainConfig(batch_size=4, epochs=2, lr=1e-3, seed=0, target_length=8)
+        with pytest.raises(TrainingDivergedError,
+                           match="^non-finite feature map for utterance 'train_s0'$"):
             train_one_path(model, poisoned, cfg)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
