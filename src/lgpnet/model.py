@@ -33,9 +33,10 @@ imply, which ``_tensor_shapes`` yields name by name: a stored size that the
 weights contradict fails at the first such tensor, before any layer exists.
 
 ``lgpnet score`` does not run these layers: ``ScoringPlan`` folds the same
-checkpoint into float64 conv weights and shifts, scores without caches,
-runs the frames that overlapping segments share once, and
-``SpoofModel.score_utterance`` stays as its oracle.
+checkpoint into float64 conv weights and shifts and scores without caches.
+It runs one period of the cyclic extension, the frames that overlapping
+segments share once, and patches that grow one frame per conv at the
+segment edges; ``SpoofModel.score_utterance`` stays as its oracle.
 """
 
 from __future__ import annotations
@@ -309,15 +310,17 @@ class ScoringPlan:
     """Frozen float64 inference of a checkpoint: what ``lgpnet score`` runs.
 
     Built straight from checkpoint tensors, so no layer and no random init
-    exists.  Every tensor is cast to float64 first, and then each eval-mode
-    batch norm is folded into the (bias-free) conv before it:
+    exists.  Each eval-mode batch norm is folded into the (bias-free) conv
+    before it, every tensor cast to float64 as it is folded:
 
         s = gamma / sqrt(running_var + eps),  W' = W s,  b' = beta - running_mean s
 
     (cast before fold: ``running_var + eps`` in float32 moves scores by
-    ~1e-6 relative).  Each path makes the LGP map of the cyclically extended
-    utterance once; rows cut from it (one per segment, or the whole utterance
-    and its segment edges, see ``_embed``) run the conv kernel of ``Conv1d``
+    ~1e-6 relative), so the build holds one float64 copy of the weights.
+    Each path makes the LGP map of the cyclically extended utterance once,
+    over one period of it where segments share frames (see ``_embed``).
+    Its rows, one per segment or one for the whole utterance with patches at
+    the segment edges, run the conv kernel of ``Conv1d``
     (``nn.gutter_conv``), the shift ``b'`` and an in-place ReLU, the SE gate
     and the in-place residual add; each segment's max over time goes to the
     head, and nothing is kept.  Activations stay in one zero-gutter layout
@@ -333,18 +336,19 @@ class ScoringPlan:
         self.cfg = cfg
         self.gmms = list(gmms)
         self.stats = list(stats)
-        t = {name: arr.astype(np.float64) for name, arr in params.items()}
         self.paths = []
         for k in range(cfg.paths):
             blocks = []
             for b in range(cfg.blocks):
                 name = f"path{k}.block{b}"
-                se = (tuple(t[f"{name}.se.{key}"] for key in ("w1", "b1", "w2", "b2"))
+                se = (tuple(params[f"{name}.se.{key}"].astype(np.float64)
+                            for key in ("w1", "b1", "w2", "b2"))
                       if cfg.se_enabled else None)
-                blocks.append((_fold_bn(t, f"{name}.conv1", f"{name}.bn1"),
-                               _fold_bn(t, f"{name}.conv2", f"{name}.bn2"), se))
-            self.paths.append((_fold_bn(t, f"path{k}.stem.conv", f"path{k}.stem.bn"), blocks))
-        self.head = (t["fc.weight"], t["fc.bias"])
+                blocks.append((_fold_bn(params, f"{name}.conv1", f"{name}.bn1"),
+                               _fold_bn(params, f"{name}.conv2", f"{name}.bn2"), se))
+            self.paths.append((_fold_bn(params, f"path{k}.stem.conv", f"path{k}.stem.bn"),
+                               blocks))
+        self.head = (params["fc.weight"].astype(np.float64), params["fc.bias"].astype(np.float64))
 
     @classmethod
     def from_tensors(cls, tensors, gmms: list[Gmm], stats: list[LgpNormStats]) -> "ScoringPlan":
@@ -357,65 +361,128 @@ class ScoringPlan:
         if feats.ndim == 2 and feats.shape[1] != dim:    # the utterance's shape, not L frames'
             raise ValueError(f"frames have shape {feats.shape}, expected (T, {dim})")
         frames = _cyclic_extension(feats, self.cfg.input_length)
-        emb = np.concatenate([self._embed(k, frames) for k in range(self.cfg.paths)], axis=1)
+        emb = np.concatenate([self._embed(k, frames, len(feats)) for k in range(self.cfg.paths)],
+                             axis=1)
         weight, bias = self.head
         logits = emb @ weight.T + bias
         return float((logits[:, BONA_FIDE] - logits[:, SPOOF]).mean())
 
-    def _embed(self, k: int, frames: np.ndarray) -> np.ndarray:
-        """(L, D) extended frames -> (S, channels) segment embeddings under path ``k``.
+    def _embed(self, k: int, frames: np.ndarray, t: int) -> np.ndarray:
+        """(L, D) extended frames of a T-frame utterance -> (S, channels)
+        segment embeddings under path ``k``.
 
-        A segment's last activations equal those of the whole row of L frames
-        except within the reach R of its edges, where the window of 2R frames
-        at each inner edge holds them.  The row and the windows run where they
-        are fewer conv columns than one row per segment, and never with SE,
-        whose gate is a mean over one segment."""
+        Every conv reaches one frame each way, so after conv l a segment's
+        activations equal those of the whole L-frame row (zero-padded at 0
+        and L) except within l frames of its inner edges, and the row's
+        frame p equals its frame p - T except within l frames of 0 or L:
+        both see the same frames, a period apart.  So the row covers only
+        the first U = min(L, T + 2R) frames, R = 1 + 2 * blocks the reach,
+        and frame p of the L-frame row is its frame q(p): p for p < T + R,
+        and R + (p - R) mod T after.  Patches at the inner segment starts,
+        at the inner segment ends, and at L when U < L hold the frames next
+        to their edges that differ from the row (``_run``).  A segment is
+        the row read through q with its patches laid over it.
+
+        This cut runs where its conv columns, U + 2 per conv for the row and
+        l + 2 at conv l for each patch, are fewer than S(N + 2) per conv for
+        one row per segment, and never with SE, whose gate is a mean over
+        one segment; otherwise each segment is its own row of the L-frame
+        map.  A map that is not finite names the first segment that holds
+        its first non-finite frame, which lies within the first T frames."""
         n, reach = self.cfg.input_length, 1 + 2 * self.cfg.blocks
-        lgp = extract_lgp(self.gmms[k], self.stats[k], frames)         # (M, L)
+        length = len(frames)
+        starts = np.arange(0, length - n + 1, n // 2)
+        u = min(length, t + 2 * reach)
+        # patches at inner segment starts; at inner segment ends, and at L when U < L
+        left, right = starts[1:], starts[:-1 if u == length else None] + n
+        columns = reach * (u + 2) + (len(left) + len(right)) * reach * (reach + 5) // 2
+        cut = not self.cfg.se_enabled and columns < reach * len(starts) * (n + 2)
+        lgp = extract_lgp(self.gmms[k], self.stats[k], frames[:u] if cut else frames)
         finite = np.isfinite(lgp).all(axis=0)
         if not finite.all():            # the first segment that holds the first such frame
             first = int(np.argmin(finite))
             raise NonFiniteMapError(f"non-finite LGP map under path {k}",
                                     max(0, (first - n) // (n // 2) + 1))
-        starts = np.arange(0, lgp.shape[1] - n + 1, n // 2)
-        inner = len(starts) - 1
-        cuts = [(starts[:1], lgp.shape[1]),
-                (np.concatenate([starts[1:], starts[:-1] + n - 2 * reach]), 2 * reach)]
-        if self.cfg.se_enabled or sum(len(a) * (w + 2) for a, w in cuts) >= len(starts) * (n + 2):
-            cuts = [(starts, n)]
-        out = [self._run(k, lgp, a, w) for a, w in cuts]
-        if len(out) == 1:
-            return out[0].max(axis=2).T
-        row, windows = out
-        seg = row[:, 0, starts[:, None] + np.arange(n)]                 # (C, S, N)
-        seg[:, 1:, :reach] = windows[:, :inner, :reach]
-        seg[:, :-1, n - reach:] = windows[:, inner:, reach:]
+        if not cut:
+            return self._run(k, lgp, starts, n, np.zeros((reach, 0, 2), int), 0)[0].max(axis=2).T
+        q = np.arange(length)
+        if u < length:
+            q[t + reach:] = reach + (q[t + reach:] - reach) % t
+        # the two row frames each patch reads at conv l = 1 ... R: (R, P, 2)
+        l = np.arange(1, reach + 1)[:, None, None]
+        reads = q[np.concatenate([left[:, None] + l - 1, right[:, None] - l - 1], axis=1)
+                  + np.arange(2)]
+        row, patches = self._run(k, lgp, starts[:1], u, reads, len(left))
+        seg = row[:, 0, q[starts[:, None] + np.arange(n)]]              # (C, S, N)
+        seg[:, 1:, :reach] = patches[:, :len(left)]
+        seg[:, :len(right), n - reach:] = patches[:, len(left):]
         return seg.max(axis=2).T
 
-    def _run(self, k: int, lgp: np.ndarray, starts: np.ndarray, t: int) -> np.ndarray:
+    def _run(self, k: int, lgp: np.ndarray, starts: np.ndarray, t: int, reads: np.ndarray,
+             left: int) -> tuple[np.ndarray, np.ndarray]:
         """The last activations (C, B, t) of path ``k`` over the frames
         [a, a + t) of the LGP map for each of the B starts a, each in its own
         row of zero-gutter buffers, whose gutters the SE gate and the residual
-        add leave at zero."""
+        add leave at zero; and those (C, P, R) of the edge patches of row 0.
+
+        The first ``left`` patches sit at segment starts and the rest at
+        segment ends.  After conv l a patch holds the l frames next to its
+        edge: its conv input is the zero pad beyond the edge, its own l - 1
+        frames, and the two row frames ``reads[l - 1]`` of conv l - 1, so
+        it grows one frame per conv in lock step with the row, l + 2
+        columns at conv l.  A block's residual adds the patch's block input
+        and two row frames, read into its conv input before the row adds in
+        place.  SE runs only with no patches, ``reads`` of shape (R, 0, 2)."""
         h = np.zeros((lgp.shape[0], len(starts), t + 2))
         h[:, :, 1:-1] = lgp[:, starts[:, None] + np.arange(t)]
+        p = np.zeros((lgp.shape[0], reads.shape[1], 2))               # no frames yet
+
+        def unit(h, p, conv):
+            """The rows and the patches, one frame wider, through a conv-BN-ReLU
+            unit; and the patches' conv input."""
+            x = _widen(p, h[:, 0], reads[p.shape[2] - 2], left)
+            return _conv_bn_relu(h, *conv, t), _conv_bn_relu(x, *conv, x.shape[2] - 2), x
+
         stem, blocks = self.paths[k]
-        h = _conv_bn_relu(h, *stem, t)
+        h, p, _ = unit(h, p, stem)
         for conv1, conv2, se in blocks:
-            g = _conv_bn_relu(_conv_bn_relu(h, *conv1, t), *conv2, t)
+            g, p2, x = unit(h, p, conv1)
+            g, p2, _ = unit(g, p2, conv2)
             if se is not None:
                 g *= _se_gate(interior(g, t), *se).T[:, :, None]
+            p2[:, :left, 1:-1] += x[:, :left, 1:]
+            p2[:, left:, 1:-1] += x[:, left:, :-1]
             h += g
-        return h[:, :, 1:-1]
+            p = p2
+        return h[:, :, 1:-1], p[:, :, 1:-1]
 
 
 def _fold_bn(t: dict[str, np.ndarray], conv: str, bn: str) -> tuple[np.ndarray, np.ndarray]:
-    """Taps (k, out, in), as ``nn.gutter_conv`` takes them, and per-channel
-    shift of conv ``conv`` followed by eval-mode batch norm ``bn``."""
-    s = t[f"{bn}.gamma"] / np.sqrt(t[f"{bn}.running_var"] + BatchNorm1d.EPSILON)
-    weight = t[f"{conv}.weight"] * s[:, None, None]
-    shift = t[f"{bn}.beta"] - t[f"{bn}.running_mean"] * s
-    return weight.transpose(2, 0, 1).copy(), shift
+    """Float64 taps (k, out, in), as ``nn.gutter_conv`` takes them, and
+    per-channel shift of conv ``conv`` followed by eval-mode batch norm
+    ``bn``.  The weight is cast as it is scaled, so the taps are the only
+    float64 array as large as it."""
+    gamma, beta, mean, var = (t[f"{bn}.{key}"].astype(np.float64)
+                              for key in ("gamma", "beta", "running_mean", "running_var"))
+    s = gamma / np.sqrt(var + BatchNorm1d.EPSILON)
+    taps = np.multiply(t[f"{conv}.weight"].transpose(2, 0, 1), s[:, None],
+                       dtype=np.float64, order="C")
+    return taps, beta - mean * s
+
+
+def _widen(p: np.ndarray, row: np.ndarray, near: np.ndarray, left: int) -> np.ndarray:
+    """The conv input (C, P, w + 1) of the zero-gutter edge patches ``p``
+    (C, P, w): each patch with the zero pad beyond its edge and, on its
+    inner side, its two frames ``near`` (P, 2) of the zero-gutter ``row``
+    (C, W).  The first ``left`` patches sit at segment starts, pad first;
+    the rest at segment ends, pad last."""
+    x = np.empty(p.shape[:2] + (p.shape[2] + 1,))
+    frames = row[:, 1 + near]                                         # (C, P, 2)
+    x[:, :left, :-2] = p[:, :left, :-1]
+    x[:, :left, -2:] = frames[:, :left]
+    x[:, left:, :2] = frames[:, left:]
+    x[:, left:, 2:] = p[:, left:, 1:]
+    return x
 
 
 def _conv_bn_relu(xbuf: np.ndarray, taps, shift, t: int) -> np.ndarray:

@@ -1012,35 +1012,51 @@ class TestWorkers:
               f"32 utterances {peaks[1] / 2**20:.2f} MiB")
         assert peaks[1] <= 1.05 * peaks[0]
 
-    def test_parallel_network_scoring_matches_serial(self, tmp_path):
+    @staticmethod
+    def assert_network_scores_match_serial(root, rng, lengths, **cfg):
+        """``score`` of a random checkpoint of ``cfg`` writes the same bytes
+        with ``--workers 1`` and ``2``, and a distinct score per utterance."""
         from lgpnet.frontend import store_features
         from lgpnet.gmm import Gmm
         from lgpnet.lgp import fit_norm_stats
         from lgpnet.model import ClassifierConfig, SpoofModel
 
-        rng = np.random.default_rng(11)
         gmm = Gmm(np.full(4, 0.25), rng.normal(size=(4, 2)), rng.uniform(0.5, 1.5, size=(4, 2)))
         stats = fit_norm_stats(gmm, rng.normal(size=(200, 2)), "fast")
-        gmm.save(tmp_path / "m.gmm")
-        stats.save(tmp_path / "m.stats")
-        model = SpoofModel(ClassifierConfig(gmm_order=4, channels=8, blocks=2, se_enabled=True,
-                                            se_reduction=2, input_length=16), [gmm], [stats])
+        gmm.save(root / "m.gmm")
+        stats.save(root / "m.stats")
+        model = SpoofModel(ClassifierConfig(gmm_order=4, channels=8, blocks=2, **cfg),
+                           [gmm], [stats])
         model.fc.weight.data[...] = rng.normal(size=model.fc.weight.shape)
-        model.save(tmp_path / "model.lgpn")
-        (tmp_path / "feats").mkdir()
+        model.save(root / "model.lgpn")
+        (root / "feats").mkdir()
         labels = {}
-        for i, length in enumerate(rng.integers(5, 60, size=16)):
-            store_features(tmp_path / "feats" / f"u{i}.lgpf", rng.normal(size=(length, 2)))
+        for i, length in enumerate(lengths):
+            store_features(root / "feats" / f"u{i}.lgpf", rng.normal(size=(length, 2)))
             labels[f"u{i}"] = "bonafide" if i % 2 else "spoof"
-        write_protocol(tmp_path / "eval.txt", labels)
+        write_protocol(root / "eval.txt", labels)
         for workers in (1, 2):
-            assert run("score", "--model", tmp_path / "model.lgpn", "--features", tmp_path / "feats",
-                       "--protocol", tmp_path / "eval.txt", "--gmm", tmp_path / "m.gmm",
-                       "--stats", tmp_path / "m.stats", "--workers", workers,
-                       "--out", tmp_path / f"w{workers}.eval") == 0
-        serial = read_scores(tmp_path / "w1.eval")
+            assert run("score", "--model", root / "model.lgpn", "--features", root / "feats",
+                       "--protocol", root / "eval.txt", "--gmm", root / "m.gmm",
+                       "--stats", root / "m.stats", "--workers", workers,
+                       "--out", root / f"w{workers}.eval") == 0
+        serial = read_scores(root / "w1.eval")
         assert len(set(serial.values())) == len(labels)
-        assert (tmp_path / "w1.eval").read_bytes() == (tmp_path / "w2.eval").read_bytes()
+        assert (root / "w1.eval").read_bytes() == (root / "w2.eval").read_bytes()
+
+    def test_parallel_network_scoring_matches_serial(self, tmp_path):
+        rng = np.random.default_rng(11)
+        self.assert_network_scores_match_serial(
+            tmp_path, rng, rng.integers(5, 60, size=16),
+            se_enabled=True, se_reduction=2, input_length=16)
+
+    def test_parallel_shared_frame_scoring_matches_serial(self, tmp_path):
+        """Without SE, at N = 64 and 2 blocks, utterances of 5 to 200 frames
+        run the one-period row, its edge patches and the q map."""
+        rng = np.random.default_rng(14)
+        self.assert_network_scores_match_serial(
+            tmp_path, rng, [5, 48, 64, 65, 130, 200, *rng.integers(5, 201, size=10)],
+            input_length=64)
 
     @pytest.mark.parametrize("command", [
         ["extract-lfcc", "--wav-dir", "w", "--out-dir", "o"],

@@ -515,13 +515,14 @@ def load_plan(path, gmms, stats):
 
 MODEL_KINDS = {"one-path": dict(), "two-path": dict(paths=2), "se": dict(se=True)}
 
-# At N = 64 with 2 blocks (reach R = 5) the plan runs the whole row and the
-# segment edge windows.  At N = 32 that would be more conv columns than the
-# segments, and with 8 blocks 2R >= N: both score one piece per segment, as
-# SE models do.
+# With 2 blocks (reach R = 5) the plan runs one row of at most T + 2R
+# frames and patches at the segment edges wherever S > 1, and, at N = 64
+# (one-path, two-path), also for a 1-segment utterance of T < 49 frames;
+# with 1 block (R = 3) at N = 32, for T < 22.  SE models, and 8 blocks,
+# where 2R >= N, score one row per segment.
 PLAN_KINDS = {"one-path": dict(input_length=64), "two-path": dict(paths=2, input_length=64),
               "se": dict(se=True, input_length=64), "short-segments": dict(),
-              "wide-reach": dict(blocks=8)}
+              "one-block": dict(blocks=1), "wide-reach": dict(blocks=8)}
 
 
 class TestScoringPlan:
@@ -555,14 +556,16 @@ class TestScoringPlan:
         print(f"max relative |dscore| {worst[0]:.3g}, at T = {worst[1]}")
         assert worst[0] <= 1e-9, f"max relative |dscore| {worst[0]:.3g} at T = {worst[1]}"
 
-    @pytest.mark.parametrize("kind, length, frames, columns", [
-        ("one-path", 160, 192, (192 + 2) + 2 * 4 * (2 * 5 + 2)),    # the row, 8 edge windows
-        ("se", 160, 192, 5 * (64 + 2)),                              # the 5 segments
-        ("short-segments", 70, 96, 5 * (32 + 2)),
-    ], ids=["one-path", "se", "short-segments"])
-    def test_work_of_a_5_segment_utterance(self, kind, length, frames, columns, rng, tmp_path,
-                                           monkeypatch):
-        """Every conv's columns, and the frames of each ``extract_lgp`` call."""
+    @pytest.mark.parametrize("kind, length, frames, row, patches", [
+        ("one-path", 160, 170, 170 + 2, 2 * 4 + 1),     # U = T + 2R; inner edges, and L
+        ("se", 160, 192, 5 * (64 + 2), 0),              # the 5 segments
+        ("short-segments", 70, 80, 80 + 2, 2 * 4 + 1),
+        ("one-path", 40, 50, 50 + 2, 1),                # 1 segment: the row and L's patch
+    ], ids=["one-path", "se", "short-segments", "one-segment"])
+    def test_work_of_a_5_segment_utterance(self, kind, length, frames, row, patches, rng,
+                                           tmp_path, monkeypatch):
+        """Every conv's columns, and the frames of each ``extract_lgp`` call:
+        at conv l each patch runs l + 2 columns beside the row."""
         path, gmms, stats = self.build(kind, rng, tmp_path)
         plan = load_plan(path, gmms, stats)
         seen, extracted = {}, []
@@ -579,7 +582,58 @@ class TestScoringPlan:
         monkeypatch.setattr("lgpnet.model.extract_lgp", extract)
         plan.score_utterance(rng.normal(size=(length, 4)))
         assert extracted == [frames]
-        assert list(seen.values()) == [columns] * (1 + 2 * plan.cfg.blocks)
+        convs = range(1, 2 + 2 * plan.cfg.blocks)
+        assert list(seen.values()) == [row + patches * (l + 2) for l in convs]
+
+    @pytest.fixture(scope="class", params=list(PLAN_KINDS))
+    def frozen(self, request, tmp_path_factory):
+        """The oracle and the plan of one seeded checkpoint of each kind, built
+        once for every drawn length, and the worst relative difference yet."""
+        kind = request.param
+        rng = np.random.default_rng(list(PLAN_KINDS).index(kind))
+        path, gmms, stats = self.build(kind, rng, tmp_path_factory.mktemp(kind))
+        return SpoofModel.load(path, gmms, stats), load_plan(path, gmms, stats), [0.0, 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_length_matches_oracle(self, frozen, data):
+        """T from 1 to 6N, with T < R, multiples of N, and both sides of
+        T + 2R = L (where the row stops covering all L frames) drawn often."""
+        oracle, plan, worst = frozen
+        n, reach = plan.cfg.input_length, 1 + 2 * plan.cfg.blocks
+        t = data.draw(st.one_of(
+            st.integers(1, reach - 1),
+            st.integers(1, 6).map(lambda m: m * n),
+            st.tuples(st.integers(1, 6), st.integers(2 * reach, 2 * reach + 1))
+              .map(lambda a: a[0] * n - a[1]).filter(lambda t: t >= 1),
+            st.integers(1, 6 * n)), label="T")
+        feats = np.random.default_rng(t).normal(size=(t, 4))
+        want = oracle.score_utterance(feats)
+        rel = abs(plan.score_utterance(feats) - want) / abs(want)
+        if rel > worst[0]:
+            worst[:] = rel, t
+            print(f"worst relative |dscore| so far {rel:.3g}, at T = {t}")
+        assert rel <= 1e-9, f"relative |dscore| {rel:.3g} at T = {t}"
+
+    def test_build_holds_one_float64_copy(self, rng, tmp_path):
+        """The traced peak of building a plan from float32 checkpoint tensors
+        stays under 1.5 times the float64 arrays it folds them into."""
+        cfg = ClassifierConfig(gmm_order=8, channels=128, blocks=2, input_length=64)
+        gmm = make_gmm(8, 4, 5)
+        stats = fit_norm_stats(gmm, rng.normal(size=(300, 4)), "fast")
+        path = seeded_checkpoint(SpoofModel(cfg, [gmm], [stats]), rng, tmp_path / "m.lgpn")
+        tensors = tensorio.load_tensors(path)
+        tracemalloc.start()
+        try:
+            plan = ScoringPlan.from_tensors(tensors, [gmm], [stats])
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        folded = sum(arr.nbytes for (stem, blocks) in plan.paths
+                     for unit in (stem, *(u for block in blocks for u in block[:2]))
+                     for arr in unit) + sum(arr.nbytes for arr in plan.head)
+        print(f"folded {folded} bytes, traced peak {peak} ({peak / folded:.2f}x), held {held}")
+        assert peak < 1.5 * folded
 
     def test_builds_no_layer(self, checkpoint, monkeypatch):
         path, gmms, stats = checkpoint
