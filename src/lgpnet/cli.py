@@ -189,12 +189,12 @@ def _cmd_train(args) -> int:
             batch_size=run.batch_size, epochs=run.epochs, lr=run.lr, seed=run.seed,
             target_length=run.segment_length,
         )
-    data = load_dataset(args.protocol, args.features)
+    data = load_dataset(args.protocol, args.features, gmms[0].dim)
     with naming(args.protocol):         # training needs both classes
         both_classes([u.label == BONA_FIDE for u in data.items], "the training set")
     dev = None
     if args.dev_protocol:
-        dev = load_dataset(args.dev_protocol, args.features)
+        dev = load_dataset(args.dev_protocol, args.features, gmms[0].dim)
         with naming(args.dev_protocol):     # a dev EER needs both classes
             both_classes([u.label == BONA_FIDE for u in dev.items], "the dev set")
 

@@ -15,9 +15,9 @@ detection score is the bona fide logit minus the spoof logit (class 0 is
 bona fide throughout).
 
 The model's input is raw feature segments (B, N, D).  ``SpoofModel.embed``
-is the one map from them to the head input, for training and scoring alike:
-each path derives its LGP maps (B, M, N) from the segments under its own GMM
-inside the call, so no LGP map is kept between batches.
+maps them to the head input in a training step (and for the eval-mode
+oracle): each path derives its LGP maps (B, M, N) from the segments under
+its own GMM inside the call, so no LGP map is kept between batches.
 
 A train-mode forward runs the paths in float32 (``SpoofModel.embed``) and
 keeps, per path, the LGP maps (B, M, N) and the stem's batch-norm ``xhat``,
@@ -32,11 +32,11 @@ A checkpoint is checked against the schema its own ``cfg.*`` entries
 imply, which ``_tensor_shapes`` yields name by name: a stored size that the
 weights contradict fails at the first such tensor, before any layer exists.
 
-``lgpnet score`` does not run these layers: ``ScoringPlan`` folds the same
-checkpoint into float64 conv weights and shifts and scores without caches.
-It runs one period of the cyclic extension, the frames that overlapping
-segments share once, and patches that grow one frame per conv at the
-segment edges; ``SpoofModel.score_utterance`` stays as its oracle.
+No frozen-model forward runs these layers: ``ScoringPlan`` folds a
+checkpoint (``lgpnet score``) or the live tensors (training's dev EER and
+step-2 embeddings) into float64 conv weights and shifts, and runs one period
+of the cyclic extension, the frames that overlapping segments share once, and
+edge patches that grow one frame per conv; the eval-mode layers are its oracle.
 """
 
 from __future__ import annotations
@@ -246,8 +246,9 @@ class SpoofModel:
         hands the paths float32 maps, and every layer computes in its input's
         dtype, so the paths' activations and GEMMs run in float32 under
         float64 parameters, gradients and running statistics (mixed-precision
-        training, Micikevicius et al., ICLR 2018).  An eval-mode call runs in
-        float64 throughout.  The float32 embeddings give float64 logits.
+        training, Micikevicius et al., ICLR 2018).  An eval-mode call, which
+        only the oracles make, runs in float64.  Float32 embeddings give
+        float64 logits.
         """
         dtype = np.float32 if training else np.float64
         return np.concatenate([
@@ -307,9 +308,10 @@ class SpoofModel:
 
 
 class ScoringPlan:
-    """Frozen float64 inference of a checkpoint: what ``lgpnet score`` runs.
+    """Frozen float64 inference of a checkpoint (``lgpnet score``) or of a
+    model's live tensors (training's dev EER and step-2 embeddings).
 
-    Built straight from checkpoint tensors, so no layer and no random init
+    Built straight from named tensors, so no layer and no random init
     exists.  Each eval-mode batch norm is folded into the (bias-free) conv
     before it, every tensor cast to float64 as it is folded:
 
@@ -326,7 +328,7 @@ class ScoringPlan:
     head, and nothing is kept.  Activations stay in one zero-gutter layout
     from the stem to the pooling, so no layer copies or pads its input.
     Scoring writes no attribute, so ``--workers`` threads share one plan.
-    ``SpoofModel.score_utterance`` is its float64 oracle.
+    The eval-mode layers of ``SpoofModel`` are its float64 oracle.
     """
 
     def __init__(self, cfg: ClassifierConfig, gmms: list[Gmm], stats: list[LgpNormStats],
@@ -355,16 +357,19 @@ class ScoringPlan:
         cfg, params = read_checkpoint(tensors, gmms, stats)
         return cls(cfg, gmms, stats, params)
 
-    def score_utterance(self, feats: np.ndarray) -> float:
-        """Mean detection score over all overlap segments of an utterance."""
+    def embed(self, feats: np.ndarray, path_ids) -> np.ndarray:
+        """Head input (S, len(path_ids) * channels) of an utterance's S overlap
+        segments under the paths ``path_ids``, as ``SpoofModel.embed`` in eval mode."""
         feats, dim = np.asarray(feats), self.gmms[0].dim
         if feats.ndim == 2 and feats.shape[1] != dim:    # the utterance's shape, not L frames'
             raise ValueError(f"frames have shape {feats.shape}, expected (T, {dim})")
         frames = _cyclic_extension(feats, self.cfg.input_length)
-        emb = np.concatenate([self._embed(k, frames, len(feats)) for k in range(self.cfg.paths)],
-                             axis=1)
+        return np.concatenate([self._embed(k, frames, len(feats)) for k in path_ids], axis=1)
+
+    def score_utterance(self, feats: np.ndarray) -> float:
+        """Mean detection score over all overlap segments of an utterance."""
         weight, bias = self.head
-        logits = emb @ weight.T + bias
+        logits = self.embed(feats, range(self.cfg.paths)) @ weight.T + bias
         return float((logits[:, BONA_FIDE] - logits[:, SPOOF]).mean())
 
     def _embed(self, k: int, frames: np.ndarray, t: int) -> np.ndarray:

@@ -3,10 +3,10 @@ two-path models (pretrain each path under a temporary classifier, then
 freeze the paths and fit only the fusion head).  One-path training and
 each step run for ``TrainConfig.epochs`` epochs.
 
-Training holds no stacked copy of its input: each minibatch (B, N, D) and
-each dev utterance's UFM segments (S, N, D) are cut from the loaded features
-when used.  ``SpoofModel.embed`` derives each path's LGP maps from them
-inside the forward pass and drops them, so no LGP map outlives its batch.
+Training holds no stacked copy of its input: each minibatch (B, N, D) is
+cut from the loaded features when used, and no LGP map outlives its batch.
+The dev EER and step 2's embeddings run a ``ScoringPlan`` of the live
+tensors, the engine of ``lgpnet score``, built for each use and dropped.
 
 Everything is deterministic given the config seed: weight init, epoch
 shuffles, and batch reductions all flow from seeded generators, so two
@@ -21,10 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import tensorio
-from .errors import NonFiniteMapError, TrainingDivergedError
+from .errors import NonFiniteMapError, TrainingDivergedError, naming
 from .evaluation import eer_from_scores, read_protocol
 from .frontend import fix_length, load_features
-from .model import BONA_FIDE, LABEL_NAMES, SpoofModel, UfmConfig, segment_ufm
+from .model import BONA_FIDE, LABEL_NAMES, ScoringPlan, SpoofModel
 from .nn import Adam, Linear, softmax_cross_entropy
 
 
@@ -69,16 +69,21 @@ class LabeledDataset:
         return np.array([u.label for u in self.items], dtype=np.int64)
 
 
-def load_dataset(protocol_path, features_dir) -> LabeledDataset:
+def load_dataset(protocol_path, features_dir, dim: int) -> LabeledDataset:
     """Materialize a dataset from a protocol file and a feature directory.
 
-    Feature files are looked up as ``<features_dir>/<utt_id>.lgpf``.
+    Feature files are looked up as ``<features_dir>/<utt_id>.lgpf``, each
+    (T >= 1, ``dim``); any other is a ValueError naming it.
     """
     labels = read_protocol(protocol_path)
     features_dir = Path(features_dir)
     items = []
     for utt_id, label in labels.items():
-        feats = load_features(features_dir / f"{utt_id}.lgpf")
+        path = features_dir / f"{utt_id}.lgpf"
+        with naming(path):
+            feats = load_features(path)
+            if feats.shape[0] == 0 or feats.shape[1] != dim:
+                raise ValueError(f"frames have shape {feats.shape}, expected (T >= 1, {dim})")
         items.append(LabeledUtterance(utt_id, feats, LABEL_NAMES[label]))
     return LabeledDataset(items=items)
 
@@ -110,31 +115,38 @@ def paths_state(paths) -> list[np.ndarray]:
 # -- internals ----------------------------------------------------------------
 
 
-def _batch(data: LabeledDataset, idx, length: int) -> np.ndarray:
-    """Training utterances ``idx``, each fixed to ``length`` frames: (B, N, D)."""
-    return np.stack([fix_length(data.items[i].features, length) for i in idx])
-
-
-def _embed(model: SpoofModel, path_ids, x: np.ndarray, training: bool, ids) -> np.ndarray:
-    """Head input of the rows ``x``: raw segments the paths ``path_ids``
-    embed or, with no paths, embeddings already.  ``ids[i]`` is the
-    utterance of row ``i``, named when its LGP map is not finite."""
-    if not path_ids:
-        return x
+def _embed(model: SpoofModel, path_ids, data: LabeledDataset, idx, length: int) -> np.ndarray:
+    """Train-mode head input of the training utterances ``idx``, each fixed
+    to ``length`` frames; one whose LGP map is not finite is named."""
+    x = np.stack([fix_length(data.items[i].features, length) for i in idx])
     try:
-        return model.embed(x, training, path_ids)
+        return model.embed(x, True, path_ids)
     except NonFiniteMapError as exc:
         raise TrainingDivergedError(
-            f"non-finite feature map for utterance {ids[exc.row]!r}") from None
+            f"non-finite feature map for utterance {data.items[idx[exc.row]].utt_id!r}") from None
 
 
-def _dev_eer(model, path_ids, head, dev_embs, dev: LabeledDataset) -> float:
-    """Dev EER of ``head``; with paths, each utterance is cut when it is scored."""
-    ufm = UfmConfig(model.cfg.input_length)
+def _plan_embeds(plan: ScoringPlan, path_ids, data: LabeledDataset, length) -> list[np.ndarray]:
+    """Head input of each utterance of ``data`` under the paths ``path_ids``:
+    of its overlap segments or, with a ``length``, of its one segment of the
+    first ``length`` frames of its cyclic extension (``fix_length``)."""
+    embs = []
+    for utt in data.items:
+        feats = utt.features if length is None else fix_length(utt.features, length)
+        try:
+            embs.append(plan.embed(feats, path_ids))
+        except NonFiniteMapError:
+            raise TrainingDivergedError(
+                f"non-finite feature map for utterance {utt.utt_id!r}") from None
+    return embs
+
+
+def _dev_eer(head, dev_embs, dev: LabeledDataset) -> float:
+    """Dev EER of ``head``: a dev utterance scores the mean over its segments,
+    its rows of ``dev_embs``, of the bona fide minus the spoof logit."""
     scores = np.empty(len(dev))
-    for i, utt in enumerate(dev.items):
-        x = segment_ufm(utt.features, ufm) if path_ids else dev_embs[i]
-        logits = head.forward(_embed(model, path_ids, x, False, [utt.utt_id] * len(x)))
+    for i, emb in enumerate(dev_embs):
+        logits = head.forward(emb)
         scores[i] = (logits[:, 0] - logits[:, 1]).mean()
     labels = dev.labels()
     return eer_from_scores(scores[labels == BONA_FIDE], scores[labels != BONA_FIDE])[0]
@@ -146,8 +158,9 @@ def _fit(model: SpoofModel, path_ids, head, train_embs, data: LabeledDataset, de
     """Shared minibatch loop; the head and the paths ``path_ids`` of ``model``
     are the trainable state.
 
-    With paths, each minibatch is cut from ``data`` when it is used.  With
-    none (step 2), the head is fitted on ``train_embs``, one row per training
+    With paths, each minibatch is cut from ``data`` when it is used, and a
+    plan of the live tensors embeds the dev set after each epoch.  With none
+    (step 2), the head is fitted on ``train_embs``, one row per training
     utterance, and ``dev_embs``, one stack per dev utterance.  With a dev set,
     the best dev-EER epoch's state is copied back in place at the end.  The
     loss and the per-epoch checks catch overflow, so NumPy does not warn of it.
@@ -159,7 +172,6 @@ def _fit(model: SpoofModel, path_ids, head, train_embs, data: LabeledDataset, de
     params = [p for module in modules for p in module.parameters()]
     opt = Adam(params, lr=cfg.lr)
     labels = data.labels()
-    ids = np.array([utt.utt_id for utt in data.items], dtype=object)
     n = labels.shape[0]
 
     result = TrainResult(loss_trace=[])
@@ -170,8 +182,11 @@ def _fit(model: SpoofModel, path_ids, head, train_embs, data: LabeledDataset, de
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            x = _batch(data, idx, cfg.target_length) if path_ids else train_embs[idx]
-            logits = head.forward(_embed(model, path_ids, x, True, ids[idx]))
+            if path_ids:
+                x = _embed(model, path_ids, data, idx, cfg.target_length)
+            else:
+                x = train_embs[idx]
+            logits = head.forward(x)
             loss, grad_logits = softmax_cross_entropy(logits, labels[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
@@ -194,7 +209,10 @@ def _fit(model: SpoofModel, path_ids, head, train_embs, data: LabeledDataset, de
             raise TrainingDivergedError(f"after epoch {epoch}: {exc}") from None
 
         if dev is not None:
-            eer = _dev_eer(model, path_ids, head, dev_embs, dev)
+            if path_ids:        # a plan of this epoch's tensors, dropped once it has run
+                dev_embs = _plan_embeds(ScoringPlan(model.cfg, model.gmms, model.stats,
+                                                    model.to_tensors()), path_ids, dev, None)
+            eer = _dev_eer(head, dev_embs, dev)
             result.dev_eer_trace.append(eer)
             if best is None or eer < best[0]:
                 best = (eer, epoch, paths_state(modules))
@@ -234,9 +252,9 @@ def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
     parameter (batch statistics included, so the paths are bit-identical
     afterwards), and trains only the shared head on the concatenated
     embeddings; the frozen paths run with their step-1 running statistics.
-    Step 1 of each path and step 2 run ``cfg.epochs`` epochs each.  Both steps
-    cut their input from the loaded features as they use it; the fused dev
-    EER is that of step 2's best epoch, whose head the model keeps.
+    Step 1 of each path and step 2 run ``cfg.epochs`` epochs each.  One plan
+    of the frozen paths embeds step 2's inputs once; the fused dev EER is
+    that of step 2's best epoch, whose head the model keeps.
     """
     if model.cfg.paths != 2:
         raise ValueError("train_two_step expects a two-path model")
@@ -252,15 +270,12 @@ def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
 
     frozen_state = paths_state(model.paths)
 
-    # Step 2: the frozen paths embed each input once, batch by batch; fit only the head.
-    every, length = range(model.cfg.paths), model.cfg.input_length
-    rows = range(len(data))
-    train_embs = np.concatenate([
-        model.embed(_batch(data, rows[start : start + cfg.batch_size], length), False, every)
-        for start in rows[:: cfg.batch_size]])
-    dev_embs = None if dev is None else [
-        model.embed(segment_ufm(utt.features, UfmConfig(length)), False, every)
-        for utt in dev.items]
+    # Step 2: one plan of the frozen paths embeds each input once; fit only the head.
+    plan = ScoringPlan(model.cfg, model.gmms, model.stats, model.to_tensors())
+    every = range(model.cfg.paths)
+    train_embs = np.concatenate(_plan_embeds(plan, every, data, model.cfg.input_length))
+    dev_embs = None if dev is None else _plan_embeds(plan, every, dev, None)
+    del plan
     step2 = _fit(model, [], model.fc, train_embs, data, dev_embs, dev, cfg, 100, on_epoch)
 
     dev_eer = min(step2.dev_eer_trace) if dev is not None else float("nan")

@@ -673,6 +673,32 @@ class TestMetricsLog:
                 e == eers.index(min(eers)) for e in range(3)]
 
 
+class TestBadTrainingFeatures:
+    """A train or dev feature file with no frames, or with frames not as wide
+    as the GMM's, is refused when the datasets load: exit 3 naming the
+    file, before anything is written."""
+
+    @pytest.mark.parametrize("shape", [(0, 2), (20, 3)], ids=["no-frames", "too-wide"])
+    @pytest.mark.parametrize("partition", ["train", "dev"])
+    def test_exits_3_naming_the_file(self, train_fixture, capsys, partition, shape):
+        from lgpnet.frontend import store_features
+
+        root = train_fixture
+        bad = root / "feats" / f"{partition}-bad.lgpf"
+        store_features(bad, np.ones(shape))
+        labels = {"t0": "spoof", "t1": "bonafide", f"{partition}-bad": "bonafide"}
+        write_protocol(root / f"{partition}.txt", labels)
+        write_protocol(root / "dev-ok.txt", {"t2": "spoof", "t3": "bonafide"})
+        dev = root / ("dev.txt" if partition == "dev" else "dev-ok.txt")
+        code = train_with(root, "segment_length = 16\n", "--gmm", root / "m.gmm",
+                          "--stats", root / "m.stats", "--dev-protocol", dev,
+                          protocol="train.txt")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {bad}: frames have shape {shape}, expected (T >= 1, 2)\n")
+        assert not (root / "ckpt").exists()
+
+
 class TestOneClassTrials:
     """A dev set or a score file whose trials are all of one class has no
     EER: each command refuses it naming its files, before writing anything."""

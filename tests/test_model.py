@@ -521,8 +521,20 @@ MODEL_KINDS = {"one-path": dict(), "two-path": dict(paths=2), "se": dict(se=True
 # with 1 block (R = 3) at N = 32, for T < 22.  SE models, and 8 blocks,
 # where 2R >= N, score one row per segment.
 PLAN_KINDS = {"one-path": dict(input_length=64), "two-path": dict(paths=2, input_length=64),
-              "se": dict(se=True, input_length=64), "short-segments": dict(),
-              "one-block": dict(blocks=1), "wide-reach": dict(blocks=8)}
+              "se": dict(se=True, input_length=64),
+              "two-path-se": dict(paths=2, se=True, input_length=64),
+              "short-segments": dict(), "one-block": dict(blocks=1), "wide-reach": dict(blocks=8)}
+
+
+def utterance_lengths(n, reach, most):
+    """T from 1 to ``most`` * N, with T < R, multiples of N, and both sides of
+    T + 2R = L (where the plan's row stops covering all L frames) drawn often."""
+    return st.one_of(
+        st.integers(1, reach - 1),
+        st.integers(1, most).map(lambda m: m * n),
+        st.tuples(st.integers(1, most), st.integers(2 * reach, 2 * reach + 1))
+          .map(lambda a: a[0] * n - a[1]).filter(lambda t: t >= 1),
+        st.integers(1, most * n))
 
 
 class TestScoringPlan:
@@ -587,33 +599,51 @@ class TestScoringPlan:
 
     @pytest.fixture(scope="class", params=list(PLAN_KINDS))
     def frozen(self, request, tmp_path_factory):
-        """The oracle and the plan of one seeded checkpoint of each kind, built
-        once for every drawn length, and the worst relative difference yet."""
+        """The oracle, the plan of one seeded checkpoint of each kind and the
+        plan of the oracle's live tensors, as training builds it, built once
+        for every drawn length; and the worst relative differences yet."""
         kind = request.param
         rng = np.random.default_rng(list(PLAN_KINDS).index(kind))
         path, gmms, stats = self.build(kind, rng, tmp_path_factory.mktemp(kind))
-        return SpoofModel.load(path, gmms, stats), load_plan(path, gmms, stats), [0.0, 0]
+        oracle = SpoofModel.load(path, gmms, stats)
+        live = ScoringPlan(oracle.cfg, oracle.gmms, oracle.stats, oracle.to_tensors())
+        return oracle, load_plan(path, gmms, stats), live, {"score": [0.0, 0], "embed": [0.0, 0]}
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_any_length_matches_oracle(self, frozen, data):
-        """T from 1 to 6N, with T < R, multiples of N, and both sides of
-        T + 2R = L (where the row stops covering all L frames) drawn often."""
-        oracle, plan, worst = frozen
-        n, reach = plan.cfg.input_length, 1 + 2 * plan.cfg.blocks
-        t = data.draw(st.one_of(
-            st.integers(1, reach - 1),
-            st.integers(1, 6).map(lambda m: m * n),
-            st.tuples(st.integers(1, 6), st.integers(2 * reach, 2 * reach + 1))
-              .map(lambda a: a[0] * n - a[1]).filter(lambda t: t >= 1),
-            st.integers(1, 6 * n)), label="T")
+        """T from 1 to 6N."""
+        oracle, plan, _, worst = frozen
+        t = data.draw(utterance_lengths(plan.cfg.input_length, 1 + 2 * plan.cfg.blocks, 6),
+                      label="T")
         feats = np.random.default_rng(t).normal(size=(t, 4))
         want = oracle.score_utterance(feats)
         rel = abs(plan.score_utterance(feats) - want) / abs(want)
-        if rel > worst[0]:
-            worst[:] = rel, t
+        if rel > worst["score"][0]:
+            worst["score"][:] = rel, t
             print(f"worst relative |dscore| so far {rel:.3g}, at T = {t}")
         assert rel <= 1e-9, f"relative |dscore| {rel:.3g} at T = {t}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_embed_matches_the_eval_layers(self, frozen, data):
+        """The live-tensor plan's head input of every path set, T from 1 to
+        5N, against the eval-mode layers over the ``segment_ufm`` segments."""
+        oracle, _, live, worst = frozen
+        n = live.cfg.input_length
+        t = data.draw(utterance_lengths(n, 1 + 2 * live.cfg.blocks, 5), label="T")
+        ids = data.draw(st.sampled_from([[0], [1], [0, 1]][:2 * live.cfg.paths - 1]),
+                        label="paths")
+        feats = np.random.default_rng(t).normal(size=(t, 4))
+        segments = segment_ufm(feats, UfmConfig(n))
+        want = oracle.embed(segments, False, ids)
+        got = live.embed(feats, ids)
+        assert got.shape == want.shape == (len(segments), len(ids) * live.cfg.channels)
+        rel = np.abs(got - want).max() / np.abs(want).max()
+        if rel > worst["embed"][0]:
+            worst["embed"][:] = rel, t
+            print(f"worst relative |dembedding| so far {rel:.3g}, at T = {t}, paths {ids}")
+        assert rel <= 1e-9, f"relative |dembedding| {rel:.3g} at T = {t}, paths {ids}"
 
     def test_build_holds_one_float64_copy(self, rng, tmp_path):
         """The traced peak of building a plan from float32 checkpoint tensors

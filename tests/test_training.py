@@ -106,6 +106,33 @@ class TestOnePath:
         assert len(result.dev_eer_trace) == 4
         assert result.best_epoch == int(np.argmin(result.dev_eer_trace))
 
+    @pytest.mark.parametrize("se", [False, True], ids=["plain", "se"])
+    def test_dev_eer_of_every_epoch_is_the_oracles(self, se):
+        """The dev EER, which a plan of the live tensors scores, equals that of
+        the eval-mode layers (``SpoofModel.score_utterance``) after every
+        epoch, on a noisy dev set of 1 to 5N frames whose EER stays above 0."""
+        rng = np.random.default_rng(4)
+        gmm = make_gmm(1)
+        stats = fit_norm_stats(gmm, rng.normal(scale=2.0, size=(400, 2)), "fast")
+        cfg = dataclasses.replace(tiny_config(), se_enabled=se, input_length=32)
+        model = SpoofModel(cfg, [gmm], [stats], seed=0)
+        data = separable_dataset(rng, n_per_class=6)
+        dev = LabeledDataset([
+            LabeledUtterance(f"dev{i}", rng.normal(loc=0.5 - (i % 2), scale=3.0,
+                                                   size=(1 + 13 * i % 160, 2)), i % 2)
+            for i in range(24)], "dev")
+        labels, eers = dev.labels(), []
+
+        def oracle(epoch, result):
+            scores = np.array([model.score_utterance(utt.features) for utt in dev.items])
+            eers.append(eer_from_scores(scores[labels == BONA_FIDE], scores[labels == SPOOF])[0])
+
+        train_cfg = TrainConfig(batch_size=4, epochs=4, lr=1e-2, seed=1, target_length=32)
+        result = train_one_path(model, data, train_cfg, dev, on_epoch=oracle)
+        print(f"dev EER per epoch {result.dev_eer_trace}")
+        assert result.dev_eer_trace == eers
+        assert min(eers) > 0.0
+
     def test_best_epoch_restore_is_bit_exact(self, rng, monkeypatch):
         from lgpnet import training as training_mod
 
@@ -316,9 +343,10 @@ class TestTwoStep:
 
 
 class TestHeldInputIsPerBatch:
-    """Training cuts each minibatch, and each dev utterance's segments, when
-    it uses them: what it holds does not grow with the number of utterances,
-    save the step-2 embeddings (2C values per row against N·D raw ones)."""
+    """Training cuts each minibatch when it uses it, and a plan of the live
+    tensors embeds each dev utterance on its own: what training holds does
+    not grow with the number of utterances, save the step-2 embeddings (2C
+    values per row against N·D raw ones)."""
 
     LENGTH, DIM = 64, 20
 
@@ -359,8 +387,8 @@ class TestHeldInputIsPerBatch:
 
 
 class TestNoCacheAfterTraining:
-    """Dev EER, the step-2 embedding and best-epoch restore run eval-mode
-    forwards, and backward frees the rest: no path layer keeps a cache."""
+    """Dev EER and the step-2 embedding run a plan, not the layers, and
+    backward frees every cache: no path layer keeps one after training."""
 
     @staticmethod
     def cached_layers(model):
