@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Size of the package: line count of ``src/`` and its settable values.
+"""Size of the package: line count of ``src/``, file by file, and its settable values.
 
 A settable value is anything a caller can set without editing the code:
 an argparse option (one per ``add_argument`` call), a dataclass field, or
@@ -44,11 +44,14 @@ def settable_values(tree: ast.AST) -> Counter:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", nargs="?", default=Path(__file__).resolve().parent.parent / "src")
-    files = sorted(Path(parser.parse_args(argv).src).rglob("*.py"))
+    root = Path(parser.parse_args(argv).src)
+    files = sorted(root.rglob("*.py"))
     lines, totals = 0, Counter()
     for path in files:
         text = path.read_text(encoding="utf-8")
-        lines += len(text.splitlines())
+        count = len(text.splitlines())
+        print(f"{count:6,}  {path.relative_to(root)}")
+        lines += count
         totals.update(settable_values(ast.parse(text, str(path))))
     print(f"lines {lines:,} in {len(files)} files")
     detail = ", ".join(f"{key} {value}" for key, value in totals.items())

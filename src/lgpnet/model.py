@@ -34,9 +34,10 @@ weights contradict fails at the first such tensor, before any layer exists.
 
 No frozen-model forward runs these layers: ``ScoringPlan`` folds a
 checkpoint (``lgpnet score``) or the live tensors (training's dev EER and
-step-2 embeddings) into float64 conv weights and shifts, and runs one period
-of the cyclic extension, the frames that overlapping segments share once, and
-edge patches that grow one frame per conv; the eval-mode layers are its oracle.
+step-2 embeddings) into float64 conv weights and shifts, maps each path's T
+frames once, and runs one period of their cyclic extension, the frames that
+overlapping segments share once, and edge patches that grow one frame per
+conv; the eval-mode layers, over ``segment_ufm``'s segments, are its oracle.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import numpy as np
 
 from . import tensorio
 from .errors import FormatError, NonFiniteMapError, naming
+from .frontend import fix_length
 from .gmm import Gmm
 from .lgp import LgpNormStats, extract_lgp
 from .nn import (BatchNorm1d, BatchNormReLU, Conv1d, Linear, MaxOverTime, SEBlock, gutter_conv,
@@ -57,6 +59,11 @@ LABEL_NAMES = {"bonafide": BONA_FIDE, "spoof": SPOOF}
 
 # Checkpoints store these config fields as an index into their choices.
 _CFG_CHOICES = {"se_enabled": (False, True), "lgp_form": ("full", "fast")}
+
+# The largest sizes a config may ask for.  The paper's segments are 400 and
+# 1,000 frames, and its two-path model holds about 2 x 10.2M conv weights.
+MAX_INPUT_LENGTH = 2 ** 16
+MAX_CONV_WEIGHTS = 2 ** 27
 
 
 @dataclass
@@ -75,6 +82,8 @@ class ClassifierConfig:
             raise ValueError("gmm_order, channels and blocks must be >= 1")
         if self.input_length < 2 or self.input_length % 2 != 0:
             raise ValueError("input length must be even and >= 2 (segments hop N/2)")
+        if self.input_length > MAX_INPUT_LENGTH:
+            raise ValueError(f"input length {self.input_length} is more than {MAX_INPUT_LENGTH}")
         if self.paths not in (1, 2):
             raise ValueError("paths must be 1 or 2")
         if self.se_enabled and (self.se_reduction < 1 or self.channels % self.se_reduction != 0):
@@ -222,6 +231,10 @@ class SpoofModel:
     def __init__(self, cfg: ClassifierConfig, gmms: list[Gmm], stats: list[LgpNormStats],
                  seed: int = 0):
         _check_front_ends(cfg, gmms, stats)
+        weights = cfg.paths * 3 * cfg.channels * (cfg.gmm_order + 2 * cfg.blocks * cfg.channels)
+        if weights > MAX_CONV_WEIGHTS:
+            raise ValueError(f"channels and blocks make {weights} conv weights, "
+                             f"more than {MAX_CONV_WEIGHTS}")
         self.cfg = cfg
         self.gmms = list(gmms)
         self.stats = list(stats)
@@ -319,8 +332,8 @@ class ScoringPlan:
 
     (cast before fold: ``running_var + eps`` in float32 moves scores by
     ~1e-6 relative), so the build holds one float64 copy of the weights.
-    Each path makes the LGP map of the cyclically extended utterance once,
-    over one period of it where segments share frames (see ``_embed``).
+    Each path makes the LGP map of the utterance's T frames once, and
+    reads every frame of the cyclic extension from it modulo T (``_run``).
     Its rows, one per segment or one for the whole utterance with patches at
     the segment edges, run the conv kernel of ``Conv1d``
     (``nn.gutter_conv``), the shift ``b'`` and an in-place ReLU, the SE gate
@@ -360,11 +373,10 @@ class ScoringPlan:
     def embed(self, feats: np.ndarray, path_ids) -> np.ndarray:
         """Head input (S, len(path_ids) * channels) of an utterance's S overlap
         segments under the paths ``path_ids``, as ``SpoofModel.embed`` in eval mode."""
-        feats, dim = np.asarray(feats), self.gmms[0].dim
-        if feats.ndim == 2 and feats.shape[1] != dim:    # the utterance's shape, not L frames'
-            raise ValueError(f"frames have shape {feats.shape}, expected (T, {dim})")
-        frames = _cyclic_extension(feats, self.cfg.input_length)
-        return np.concatenate([self._embed(k, frames, len(feats)) for k in path_ids], axis=1)
+        feats = np.asarray(feats)
+        if feats.ndim != 2 or feats.shape[0] == 0:
+            raise ValueError("features must be a non-empty (T, D) matrix")
+        return np.concatenate([self._embed(k, feats) for k in path_ids], axis=1)
 
     def score_utterance(self, feats: np.ndarray) -> float:
         """Mean detection score over all overlap segments of an utterance."""
@@ -372,9 +384,13 @@ class ScoringPlan:
         logits = self.embed(feats, range(self.cfg.paths)) @ weight.T + bias
         return float((logits[:, BONA_FIDE] - logits[:, SPOOF]).mean())
 
-    def _embed(self, k: int, frames: np.ndarray, t: int) -> np.ndarray:
-        """(L, D) extended frames of a T-frame utterance -> (S, channels)
-        segment embeddings under path ``k``.
+    def _embed(self, k: int, feats: np.ndarray) -> np.ndarray:
+        """(T, D) frames of an utterance -> (S, channels) segment embeddings
+        under path ``k``.
+
+        The segments cut the cyclic extension to L = N ceil(T / N) frames,
+        whose frame p is frame p mod T: the path maps the T frames once, and
+        every row reads that (M, T) LGP map modulo T.
 
         Every conv reaches one frame each way, so after conv l a segment's
         activations equal those of the whole L-frame row (zero-padded at 0
@@ -391,18 +407,18 @@ class ScoringPlan:
         This cut runs where its conv columns, U + 2 per conv for the row and
         l + 2 at conv l for each patch, are fewer than S(N + 2) per conv for
         one row per segment, and never with SE, whose gate is a mean over
-        one segment; otherwise each segment is its own row of the L-frame
-        map.  A map that is not finite names the first segment that holds
-        its first non-finite frame, which lies within the first T frames."""
-        n, reach = self.cfg.input_length, 1 + 2 * self.cfg.blocks
-        length = len(frames)
+        one segment; otherwise each segment is its own row.  A map that is
+        not finite names the first segment that holds its first non-finite
+        frame."""
+        n, reach, t = self.cfg.input_length, 1 + 2 * self.cfg.blocks, len(feats)
+        length = -(-t // n) * n
         starts = np.arange(0, length - n + 1, n // 2)
         u = min(length, t + 2 * reach)
         # patches at inner segment starts; at inner segment ends, and at L when U < L
         left, right = starts[1:], starts[:-1 if u == length else None] + n
         columns = reach * (u + 2) + (len(left) + len(right)) * reach * (reach + 5) // 2
         cut = not self.cfg.se_enabled and columns < reach * len(starts) * (n + 2)
-        lgp = extract_lgp(self.gmms[k], self.stats[k], frames[:u] if cut else frames)
+        lgp = extract_lgp(self.gmms[k], self.stats[k], feats)
         finite = np.isfinite(lgp).all(axis=0)
         if not finite.all():            # the first segment that holds the first such frame
             first = int(np.argmin(finite))
@@ -426,7 +442,8 @@ class ScoringPlan:
     def _run(self, k: int, lgp: np.ndarray, starts: np.ndarray, t: int, reads: np.ndarray,
              left: int) -> tuple[np.ndarray, np.ndarray]:
         """The last activations (C, B, t) of path ``k`` over the frames
-        [a, a + t) of the LGP map for each of the B starts a, each in its own
+        [a, a + t) of the cyclic extension for each of the B starts a, frame
+        p being column p mod T of the (M, T) LGP map ``lgp``, each in its own
         row of zero-gutter buffers, whose gutters the SE gate and the residual
         add leave at zero; and those (C, P, R) of the edge patches of row 0.
 
@@ -439,7 +456,7 @@ class ScoringPlan:
         and two row frames, read into its conv input before the row adds in
         place.  SE runs only with no patches, ``reads`` of shape (R, 0, 2)."""
         h = np.zeros((lgp.shape[0], len(starts), t + 2))
-        h[:, :, 1:-1] = lgp[:, starts[:, None] + np.arange(t)]
+        h[:, :, 1:-1] = lgp[:, (starts[:, None] + np.arange(t)) % lgp.shape[1]]
         p = np.zeros((lgp.shape[0], reads.shape[1], 2))               # no frames yet
 
         def unit(h, p, conv):
@@ -608,24 +625,15 @@ def _digest_tensor(source: Gmm | LgpNormStats) -> np.ndarray:
     return np.frombuffer(digest, dtype=np.uint8).astype(np.float64)
 
 
-def _cyclic_extension(feats: np.ndarray, n: int) -> np.ndarray:
-    """An utterance extended by cyclic repetition to the least multiple L of
-    ``n`` with L >= T; (L, D)."""
-    feats = np.asarray(feats)
-    if feats.ndim != 2 or feats.shape[0] == 0:
-        raise ValueError("features must be a non-empty (T, D) matrix")
-    t = feats.shape[0]
-    return feats[np.arange(-(-t // n) * n) % t]
-
-
 def segment_ufm(feats: np.ndarray, cfg: UfmConfig) -> np.ndarray:
     """Cut an utterance into half-overlapping fixed-length segments; (S, N, D).
 
-    The utterance is first extended by cyclic repetition to the least
-    multiple L of N with L >= T, then segments start at 0, N/2, ..., L - N,
-    giving exactly S = 2L/N - 1 of them.
+    The utterance is first extended cyclically (``fix_length``) to the
+    least multiple L of N with L >= T, then segments start at 0, N/2, ...,
+    L - N, giving exactly S = 2L/N - 1 of them.
     """
     n = cfg.segment_length
-    frames = _cyclic_extension(feats, n)
+    t = len(feats) if np.ndim(feats) else 0      # fix_length refuses all but a (T >= 1, D) matrix
+    frames = fix_length(feats, -(-t // n) * n)
     starts = np.arange(0, len(frames) - n + 1, n // 2)
     return frames[starts[:, None] + np.arange(n)]

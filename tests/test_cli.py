@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -110,11 +111,12 @@ def score_with(root, model, *files):
                "--out", root / "out" / "scores.eval")
 
 
-def train_with(root, config, *files, protocol="eval.txt"):
+def train_with(root, config, *files, protocol="eval.txt", sizes="channels = 8\nblocks = 1\n"):
     """``lgpnet train`` of a tiny one-path run into ``root/ckpt``: ``config``
-    adds run keys, ``files`` replaces the default --gmm/--stats flags."""
+    adds run keys, ``sizes`` replaces the width and depth, and ``files``
+    replaces the default --gmm/--stats flags."""
     cfg = root / "run.cfg"
-    cfg.write_text(f"gmm_order = 4\nchannels = 8\nblocks = 1\n{config}")
+    cfg.write_text(f"gmm_order = 4\n{sizes}{config}")
     files = files or ("--gmm", root / "m.gmm", "--stats", root / "m.stats")
     return run("train", "--config", cfg, "--features", root / "feats",
                "--protocol", root / protocol, *files, "--out", root / "ckpt")
@@ -175,6 +177,27 @@ class TestScoreCheckpoint:
                               "'path0.stem.conv.weight' has shape")
         assert "Traceback" not in err
         assert not (score_fixture / "out").exists()
+
+    def test_oversized_input_length_exits_3(self, score_fixture, capsys):
+        """No stored tensor bounds N, so the config refuses it itself, before
+        anything it sizes is allocated."""
+        from lgpnet import tensorio
+
+        tensors = tensorio.load_tensors(score_fixture / "model.lgpn")
+        tensors["cfg.input_length"] = np.array([2.0**30], dtype=np.float32)
+        tensorio.save_tensors(score_fixture / "long.lgpn", tensors)
+        tracemalloc.start()
+        try:
+            code = score_with(score_fixture, score_fixture / "long.lgpn")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == (f"error: {score_fixture / 'long.lgpn'}: checkpoint config: "
+                       "input length 1073741824 is more than 65536\n")
+        assert not (score_fixture / "out").exists()
+        assert peak < 4 * 2**20, f"traced peak {peak} bytes"
 
 
 class TestNonFiniteFeatures:
@@ -583,6 +606,7 @@ class TestTrainConfigChecks:
 
     @pytest.mark.parametrize("line,message", [
         ("segment_length = 33", "input length must be even"),
+        ("segment_length = 65538", "input length 65538 is more than 65536"),
         ("step1_epochs = 2", "unknown key 'step1_epochs' (line 4)"),
         ("step2_epochs = 2", "unknown key 'step2_epochs' (line 4)"),
         ("epochs", "expected 'key = value' (line 4)"),
@@ -595,6 +619,17 @@ class TestTrainConfigChecks:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {score_fixture / 'run.cfg'}: ") and message in err
         assert "Traceback" not in err
+        assert not (score_fixture / "ckpt").exists()
+
+    @pytest.mark.parametrize("sizes", [
+        "channels = 1099511627776\nblocks = 1\n", "channels = 8\nblocks = 1099511627776\n",
+    ], ids=["channels", "blocks"])
+    def test_oversized_model_exits_3_writing_nothing(self, score_fixture, capsys, sizes):
+        """The conv weights are counted before any layer is built."""
+        assert train_with(score_fixture, "", sizes=sizes) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {score_fixture / 'run.cfg'}: channels and blocks make ")
+        assert "conv weights, more than 134217728\n" in err and "Traceback" not in err
         assert not (score_fixture / "ckpt").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

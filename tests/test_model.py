@@ -569,15 +569,16 @@ class TestScoringPlan:
         assert worst[0] <= 1e-9, f"max relative |dscore| {worst[0]:.3g} at T = {worst[1]}"
 
     @pytest.mark.parametrize("kind, length, frames, row, patches", [
-        ("one-path", 160, 170, 170 + 2, 2 * 4 + 1),     # U = T + 2R; inner edges, and L
-        ("se", 160, 192, 5 * (64 + 2), 0),              # the 5 segments
-        ("short-segments", 70, 80, 80 + 2, 2 * 4 + 1),
-        ("one-path", 40, 50, 50 + 2, 1),                # 1 segment: the row and L's patch
+        ("one-path", 160, 160, 170 + 2, 2 * 4 + 1),     # U = T + 2R; inner edges, and L
+        ("se", 160, 160, 5 * (64 + 2), 0),              # the 5 segments
+        ("short-segments", 70, 70, 80 + 2, 2 * 4 + 1),
+        ("one-path", 40, 40, 50 + 2, 1),                # 1 segment: the row and L's patch
     ], ids=["one-path", "se", "short-segments", "one-segment"])
     def test_work_of_a_5_segment_utterance(self, kind, length, frames, row, patches, rng,
                                            tmp_path, monkeypatch):
-        """Every conv's columns, and the frames of each ``extract_lgp`` call:
-        at conv l each patch runs l + 2 columns beside the row."""
+        """Every conv's columns, and the frames of each ``extract_lgp`` call,
+        the utterance's own T: at conv l each patch runs l + 2 columns beside
+        the row."""
         path, gmms, stats = self.build(kind, rng, tmp_path)
         plan = load_plan(path, gmms, stats)
         seen, extracted = {}, []
@@ -674,6 +675,13 @@ class TestScoringPlan:
         for layer in (PathNetwork, Conv1d, BatchNorm1d, SEBlock, Linear):
             monkeypatch.setattr(layer, "__init__", refuse)
         load_plan(path, gmms, stats)
+
+    @pytest.mark.parametrize("feats", [np.zeros((0, 4)), np.zeros(4)], ids=["empty", "1-D"])
+    def test_refuses_what_is_not_an_utterance(self, desk_model, tmp_path, feats):
+        desk_model.save(tmp_path / "model.lgpn")
+        plan = load_plan(tmp_path / "model.lgpn", desk_model.gmms, desk_model.stats)
+        with pytest.raises(ValueError, match=r"features must be a non-empty \(T, D\) matrix"):
+            plan.score_utterance(feats)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_lgp_map_refused_with_its_segment(self, desk_model, rng, tmp_path):
