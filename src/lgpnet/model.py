@@ -36,8 +36,9 @@ No frozen-model forward runs these layers: ``ScoringPlan`` folds a
 checkpoint (``lgpnet score``) or the live tensors (training's dev EER and
 step-2 embeddings) into float64 conv weights and shifts, maps each path's T
 frames once, and runs one period of their cyclic extension, the frames that
-overlapping segments share once, and edge patches that grow one frame per
-conv; the eval-mode layers, over ``segment_ufm``'s segments, are its oracle.
+overlapping segments share once, and, in slots of the same buffer, edge
+patches that grow one frame per conv, so each conv is one ``gutter_conv``
+call; the eval-mode layers, over ``segment_ufm``'s segments, are its oracle.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .frontend import fix_length
 from .gmm import Gmm
 from .lgp import LgpNormStats, extract_lgp
 from .nn import (BatchNorm1d, BatchNormReLU, Conv1d, Linear, MaxOverTime, SEBlock, gutter_conv,
-                 interior, sigmoid, zero_gutters)
+                 interior, sigmoid)
 
 BONA_FIDE, SPOOF = 0, 1
 LABEL_NAMES = {"bonafide": BONA_FIDE, "spoof": SPOOF}
@@ -334,12 +335,14 @@ class ScoringPlan:
     ~1e-6 relative), so the build holds one float64 copy of the weights.
     Each path makes the LGP map of the utterance's T frames once, and
     reads every frame of the cyclic extension from it modulo T (``_run``).
-    Its rows, one per segment or one for the whole utterance with patches at
-    the segment edges, run the conv kernel of ``Conv1d``
-    (``nn.gutter_conv``), the shift ``b'`` and an in-place ReLU, the SE gate
-    and the in-place residual add; each segment's max over time goes to the
-    head, and nothing is kept.  Activations stay in one zero-gutter layout
-    from the stem to the pooling, so no layer copies or pads its input.
+    Its rows, one per segment or one for the whole utterance with a slot
+    per edge patch at the segment edges, share one zero-gutter buffer per
+    path, over which run the conv kernel of ``Conv1d`` (``nn.gutter_conv``),
+    the shift ``b'`` and an in-place ReLU, the SE gate and the in-place
+    residual add; each segment's max over time goes to the head, and nothing
+    is kept.
+    Activations stay in that buffer's layout from the stem to the pooling,
+    so no layer copies or pads its input.
     Scoring writes no attribute, so ``--workers`` threads share one plan.
     The eval-mode layers of ``SpoofModel`` are its float64 oracle.
     """
@@ -401,23 +404,25 @@ class ScoringPlan:
         and frame p of the L-frame row is its frame q(p): p for p < T + R,
         and R + (p - R) mod T after.  Patches at the inner segment starts,
         at the inner segment ends, and at L when U < L hold the frames next
-        to their edges that differ from the row (``_run``).  A segment is
-        the row read through q with its patches laid over it.
+        to their edges that differ from the row, each in a slot of R + 1
+        frames beside the row (``_run``).  A segment is the row read through
+        q with its patches laid over it.
 
-        This cut runs where its conv columns, U + 2 per conv for the row and
-        l + 2 at conv l for each patch, are fewer than S(N + 2) per conv for
-        one row per segment, and never with SE, whose gate is a mean over
-        one segment; otherwise each segment is its own row.  A map that is
-        not finite names the first segment that holds its first non-finite
-        frame."""
+        This cut runs where its conv columns, U + 2 for the row and R + 3
+        for each patch's slot, are fewer than S(N + 2) for one row per
+        segment, and never with SE, whose gate is a mean over one segment;
+        otherwise each segment is its own row.  The rule takes the cut only
+        where N >= 2R, so no patch reaches its segment's far edge.  A map
+        that is not finite names the first segment that holds its first
+        non-finite frame."""
         n, reach, t = self.cfg.input_length, 1 + 2 * self.cfg.blocks, len(feats)
         length = -(-t // n) * n
         starts = np.arange(0, length - n + 1, n // 2)
         u = min(length, t + 2 * reach)
         # patches at inner segment starts; at inner segment ends, and at L when U < L
         left, right = starts[1:], starts[:-1 if u == length else None] + n
-        columns = reach * (u + 2) + (len(left) + len(right)) * reach * (reach + 5) // 2
-        cut = not self.cfg.se_enabled and columns < reach * len(starts) * (n + 2)
+        columns = u + 2 + (len(left) + len(right)) * (reach + 3)
+        cut = not self.cfg.se_enabled and columns < len(starts) * (n + 2)
         lgp = extract_lgp(self.gmms[k], self.stats[k], feats)
         finite = np.isfinite(lgp).all(axis=0)
         if not finite.all():            # the first segment that holds the first such frame
@@ -433,50 +438,60 @@ class ScoringPlan:
         l = np.arange(1, reach + 1)[:, None, None]
         reads = q[np.concatenate([left[:, None] + l - 1, right[:, None] - l - 1], axis=1)
                   + np.arange(2)]
-        row, patches = self._run(k, lgp, starts[:1], u, reads, len(left))
+        row, slots = self._run(k, lgp, starts[:1], u, reads, len(left))
         seg = row[:, 0, q[starts[:, None] + np.arange(n)]]              # (C, S, N)
-        seg[:, 1:, :reach] = patches[:, :len(left)]
-        seg[:, :len(right), n - reach:] = patches[:, len(left):]
+        seg[:, 1:, :reach] = slots[:, :len(left), :-1]
+        seg[:, :len(right), n - reach:] = slots[:, len(left):, 1:]
         return seg.max(axis=2).T
 
     def _run(self, k: int, lgp: np.ndarray, starts: np.ndarray, t: int, reads: np.ndarray,
              left: int) -> tuple[np.ndarray, np.ndarray]:
         """The last activations (C, B, t) of path ``k`` over the frames
         [a, a + t) of the cyclic extension for each of the B starts a, frame
-        p being column p mod T of the (M, T) LGP map ``lgp``, each in its own
-        row of zero-gutter buffers, whose gutters the SE gate and the residual
-        add leave at zero; and those (C, P, R) of the edge patches of row 0.
+        p being column p mod T of the (M, T) LGP map ``lgp``; and those
+        (C, P, R + 1) of the slots of row 0's P edge patches.
 
-        The first ``left`` patches sit at segment starts and the rest at
-        segment ends.  After conv l a patch holds the l frames next to its
-        edge: its conv input is the zero pad beyond the edge, its own l - 1
-        frames, and the two row frames ``reads[l - 1]`` of conv l - 1, so
-        it grows one frame per conv in lock step with the row, l + 2
-        columns at conv l.  A block's residual adds the patch's block input
-        and two row frames, read into its conv input before the row adds in
-        place.  SE runs only with no patches, ``reads`` of shape (R, 0, 2)."""
-        h = np.zeros((lgp.shape[0], len(starts), t + 2))
-        h[:, :, 1:-1] = lgp[:, (starts[:, None] + np.arange(t)) % lgp.shape[1]]
-        p = np.zeros((lgp.shape[0], reads.shape[1], 2))               # no frames yet
+        Every unit runs over one flat zero-gutter buffer: the B rows of
+        t + 2 columns, then P slots of R + 3.  The first ``left`` patches
+        sit at segment starts, their pad the slot's first gutter, and the
+        rest at segment ends, their pad its last.  After conv l a patch
+        holds the l frames next to its edge: before conv l each slot takes
+        a copy of the two row frames ``reads[l - 1]`` of conv l - 1 beside
+        the patch's l - 1 frames, so the patch grows one frame per conv in
+        the row's GEMMs, and a block's residual add finds the patch's block
+        input in place.  Slot frames beyond those are never read.  Every
+        unit zeroes every gutter again, and SE runs only with no patches,
+        ``reads`` of shape (R, 0, 2)."""
+        reach, p = reads.shape[:2]
+        edges = np.cumsum([0] + [t + 2] * len(starts) + [reach + 3] * p)
+        gutters = np.r_[edges[:-1], edges[1:] - 1]         # each row's and slot's first and last
+        rows = edges[:len(starts), None] + 1 + np.arange(t)
+        slots = edges[len(starts):-1, None] + np.arange(1, reach + 2)      # (P, R + 1)
+        # where conv l copies the row frames: after a start patch's l - 1 frames, before an end's
+        l = np.arange(1, reach + 1)[:, None, None]
+        into = edges[len(starts):-1, None] + np.arange(2) + np.where(
+            np.arange(p)[:, None] < left, l, reach + 1 - l)               # (R, P, 2)
+        h = np.zeros((lgp.shape[0], 1, edges[-1]))
+        h[:, 0, rows] = lgp[:, (starts[:, None] + np.arange(t)) % lgp.shape[1]]
 
-        def unit(h, p, conv):
-            """The rows and the patches, one frame wider, through a conv-BN-ReLU
-            unit; and the patches' conv input."""
-            x = _widen(p, h[:, 0], reads[p.shape[2] - 2], left)
-            return _conv_bn_relu(h, *conv, t), _conv_bn_relu(x, *conv, x.shape[2] - 2), x
+        def unit(h, i, taps, shift):
+            """Conv i + 1, its shift and its ReLU over the whole buffer."""
+            h[:, 0, into[i]] = h[:, 0, 1 + reads[i]]
+            g = gutter_conv(h, taps)
+            g += shift[:, None, None]
+            np.maximum(g, 0.0, out=g)
+            g[:, 0, gutters] = 0.0
+            return g
 
         stem, blocks = self.paths[k]
-        h, p, _ = unit(h, p, stem)
-        for conv1, conv2, se in blocks:
-            g, p2, x = unit(h, p, conv1)
-            g, p2, _ = unit(g, p2, conv2)
-            if se is not None:
-                g *= _se_gate(interior(g, t), *se).T[:, :, None]
-            p2[:, :left, 1:-1] += x[:, :left, 1:]
-            p2[:, left:, 1:-1] += x[:, left:, :-1]
+        h = unit(h, 0, *stem)
+        for b, (conv1, conv2, se) in enumerate(blocks):
+            g = unit(unit(h, 2 * b + 1, *conv1), 2 * b + 2, *conv2)
+            if se is not None:                          # the rows fill the buffer
+                by_row = g.reshape(g.shape[0], len(starts), t + 2)
+                by_row *= _se_gate(interior(by_row, t), *se).T[:, :, None]
             h += g
-            p = p2
-        return h[:, :, 1:-1], p[:, :, 1:-1]
+        return h[:, 0, rows], h[:, 0, slots]
 
 
 def _fold_bn(t: dict[str, np.ndarray], conv: str, bn: str) -> tuple[np.ndarray, np.ndarray]:
@@ -490,28 +505,6 @@ def _fold_bn(t: dict[str, np.ndarray], conv: str, bn: str) -> tuple[np.ndarray, 
     taps = np.multiply(t[f"{conv}.weight"].transpose(2, 0, 1), s[:, None],
                        dtype=np.float64, order="C")
     return taps, beta - mean * s
-
-
-def _widen(p: np.ndarray, row: np.ndarray, near: np.ndarray, left: int) -> np.ndarray:
-    """The conv input (C, P, w + 1) of the zero-gutter edge patches ``p``
-    (C, P, w): each patch with the zero pad beyond its edge and, on its
-    inner side, its two frames ``near`` (P, 2) of the zero-gutter ``row``
-    (C, W).  The first ``left`` patches sit at segment starts, pad first;
-    the rest at segment ends, pad last."""
-    x = np.empty(p.shape[:2] + (p.shape[2] + 1,))
-    frames = row[:, 1 + near]                                         # (C, P, 2)
-    x[:, :left, :-2] = p[:, :left, :-1]
-    x[:, :left, -2:] = frames[:, :left]
-    x[:, left:, :2] = frames[:, left:]
-    x[:, left:, 2:] = p[:, left:, 1:]
-    return x
-
-
-def _conv_bn_relu(xbuf: np.ndarray, taps, shift, t: int) -> np.ndarray:
-    """``relu(conv + shift)`` over a whole zero-gutter buffer: a new one of ``t`` frames."""
-    h = gutter_conv(xbuf, taps)
-    h += shift[:, None, None]
-    return zero_gutters(np.maximum(h, 0.0, out=h), t)
 
 
 def _se_gate(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:

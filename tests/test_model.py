@@ -568,23 +568,25 @@ class TestScoringPlan:
         print(f"max relative |dscore| {worst[0]:.3g}, at T = {worst[1]}")
         assert worst[0] <= 1e-9, f"max relative |dscore| {worst[0]:.3g} at T = {worst[1]}"
 
-    @pytest.mark.parametrize("kind, length, frames, row, patches", [
-        ("one-path", 160, 160, 170 + 2, 2 * 4 + 1),     # U = T + 2R; inner edges, and L
-        ("se", 160, 160, 5 * (64 + 2), 0),              # the 5 segments
-        ("short-segments", 70, 70, 80 + 2, 2 * 4 + 1),
-        ("one-path", 40, 40, 50 + 2, 1),                # 1 segment: the row and L's patch
-    ], ids=["one-path", "se", "short-segments", "one-segment"])
-    def test_work_of_a_5_segment_utterance(self, kind, length, frames, row, patches, rng,
+    @pytest.mark.parametrize("kind, length, frames, columns", [
+        ("one-path", 160, 160, 170 + 2 + 9 * 8),        # U = T + 2R; slots at inner edges, and L
+        ("se", 160, 160, 5 * (64 + 2)),                 # the 5 segments
+        ("short-segments", 70, 70, 80 + 2 + 9 * 8),
+        ("one-path", 40, 40, 50 + 2 + 8),               # 1 segment: the row and L's slot
+        ("one-path", 45, 45, 55 + 2 + 8),               # 65 < 66: the last T that takes the cut
+        ("one-path", 46, 46, 64 + 2),                   # 66 = 66: one row per segment
+    ], ids=["one-path", "se", "short-segments", "one-segment", "last-cut", "first-uncut"])
+    def test_work_of_a_5_segment_utterance(self, kind, length, frames, columns, rng,
                                            tmp_path, monkeypatch):
-        """Every conv's columns, and the frames of each ``extract_lgp`` call,
-        the utterance's own T: at conv l each patch runs l + 2 columns beside
-        the row."""
+        """The frames of each ``extract_lgp`` call, the utterance's own T,
+        and one ``gutter_conv`` call per conv: the row (or the segment rows)
+        and R + 3 columns for each edge patch's slot."""
         path, gmms, stats = self.build(kind, rng, tmp_path)
         plan = load_plan(path, gmms, stats)
-        seen, extracted = {}, []
+        seen, extracted = [], []
 
         def conv(xbuf, taps):
-            seen[id(taps)] = seen.get(id(taps), 0) + xbuf.shape[1] * xbuf.shape[2]
+            seen.append((id(taps), xbuf.shape[1] * xbuf.shape[2]))
             return gutter_conv(xbuf, taps)
 
         def extract(gmm, stats, x):
@@ -595,8 +597,9 @@ class TestScoringPlan:
         monkeypatch.setattr("lgpnet.model.extract_lgp", extract)
         plan.score_utterance(rng.normal(size=(length, 4)))
         assert extracted == [frames]
-        convs = range(1, 2 + 2 * plan.cfg.blocks)
-        assert list(seen.values()) == [row + patches * (l + 2) for l in convs]
+        convs = 1 + 2 * plan.cfg.blocks
+        assert len({taps for taps, _ in seen}) == convs
+        assert [width for _, width in seen] == [columns] * convs
 
     @pytest.fixture(scope="class", params=list(PLAN_KINDS))
     def frozen(self, request, tmp_path_factory):
