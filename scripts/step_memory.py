@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Memory of one training step, measured in this process.
+
+Builds the one-path model a run config describes (a two-path config's
+step-1 fits have its shape), takes the protocol's first batch of
+utterances and runs one Adam step through ``training._fit`` under
+``tracemalloc``.  It prints the traced peak and the layer call that was
+running when it was reached, ``ru_maxrss``, the bytes each layer's cache
+holds after the train-mode forward, and the ``nn.to_gutter`` calls that
+copied their input.  Layers are wrapped in this process, so the step runs
+unchanged:
+
+    python scripts/step_memory.py run.cfg data/feats data/train.txt \\
+        --gmm pooled.gmm --stats pooled.stats
+"""
+
+import argparse
+import resource
+import sys
+import tracemalloc
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np
+
+from lgpnet import nn, training
+from lgpnet.gmm import Gmm
+from lgpnet.lgp import LgpNormStats
+from lgpnet.model import ClassifierConfig, SpoofModel
+from lgpnet.runconfig import RunConfig, read_flat_config
+
+MIB = 2.0 ** 20
+
+
+def _owners(obj, seen: dict) -> None:
+    """Every array ``obj`` holds (through tuples), by the array that owns its memory."""
+    if isinstance(obj, tuple):
+        for item in obj:
+            _owners(item, seen)
+    elif isinstance(obj, np.ndarray):
+        owner = obj if obj.base is None else obj.base
+        seen.setdefault(id(owner), owner)
+
+
+class Probe:
+    """Wraps layer calls to find the one running at the traced peak."""
+
+    def __init__(self):
+        self.stack, self.peak, self.where = ["step"], 0, "step"
+
+    def _note(self) -> None:
+        peak = tracemalloc.get_traced_memory()[1]
+        if peak > self.peak:
+            self.peak, self.where = peak, self.stack[-1]
+
+    def wrap(self, name: str, obj, method: str) -> None:
+        inner = getattr(obj, method)
+
+        def call(*args, **kwargs):
+            self._note()
+            self.stack.append(f"{name}.{method}")
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                self._note()
+                self.stack.pop()
+
+        setattr(obj, method, call)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("config", type=Path)
+    parser.add_argument("features", type=Path)
+    parser.add_argument("protocol", type=Path)
+    parser.add_argument("--gmm", required=True)
+    parser.add_argument("--stats", required=True)
+    args = parser.parse_args(argv)
+    run = read_flat_config(RunConfig, args.config)
+    gmm, stats = Gmm.load(args.gmm), LgpNormStats.load(args.stats)
+    data = training.load_dataset(args.protocol, args.features, gmm.dim)
+    data = training.LabeledDataset(data.items[: run.batch_size])
+    cfg = ClassifierConfig(gmm_order=run.gmm_order, channels=run.channels, blocks=run.blocks,
+                           se_enabled=run.se_enabled, se_reduction=run.se_reduction,
+                           input_length=run.segment_length, lgp_form=stats.form)
+    train_cfg = training.TrainConfig(batch_size=run.batch_size, epochs=1, lr=run.lr,
+                                     seed=run.seed, target_length=run.segment_length)
+    batch, full = len(data), len(data) * cfg.channels * cfg.input_length
+
+    probe, held, copies = Probe(), {}, []
+    tracemalloc.start()
+    model = SpoofModel(cfg, [gmm], [stats], seed=run.seed)
+    path = model.paths[0]
+    layers = list(path._named_layers()) + [("pool", path.pool)]
+    blocks = [(f"block{b}", block) for b, block in enumerate(path.blocks)]
+    for name, layer in layers + blocks + [("head", model.fc)]:
+        for method in ("forward", "backward", "backward_params", "backward_input",
+                       "padded_output"):
+            if hasattr(layer, method):
+                probe.wrap(name, layer, method)
+    probe.wrap("adam", nn.Adam, "step")
+
+    forward = path.forward
+
+    def forward_and_count(lgp, is_training):
+        emb = forward(lgp, is_training)
+        seen = set()
+        for name, layer in layers:
+            owners = {}
+            _owners(layer._cache, owners)
+            fresh = [arr for key, arr in owners.items() if key not in seen]
+            seen.update(owners)
+            held[name] = (sum(arr.nbytes for arr in fresh), [arr.shape for arr in fresh])
+        return emb
+
+    path.forward = forward_and_count
+    to_gutter = nn.to_gutter
+
+    def counted(x, width):
+        buf = to_gutter(x, width)
+        if buf is not x.base:
+            copies.append((probe.stack[-1], x.shape, x.size >= full))
+        return buf
+
+    nn.to_gutter = counted
+    try:
+        training._fit(model, [0], model.fc, None, data, None, None, train_cfg, 0, None)
+        probe._note()
+    finally:
+        tracemalloc.stop()
+        nn.to_gutter = to_gutter
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+    print(f"shape: order {cfg.gmm_order}, {cfg.channels} channels, {cfg.blocks} blocks, "
+          f"SE {'on' if cfg.se_enabled else 'off'}, N {cfg.input_length}, batch {batch}")
+    print(f"traced peak {probe.peak / MIB:.1f} MiB, during {probe.where}")
+    print(f"ru_maxrss {maxrss:.1f} MB")
+    print("held by each layer after the train-mode forward:")
+    for name, (nbytes, shapes) in held.items():
+        if nbytes:
+            print(f"  {name:<14} {nbytes / MIB:9.1f} MiB  {', '.join(map(str, shapes))}")
+    print(f"  {'total':<14} {sum(v[0] for v in held.values()) / MIB:9.1f} MiB")
+    print(f"full-size to_gutter copies: {sum(big for *_, big in copies)}")
+    for where, shape, big in copies:
+        print(f"  {'full' if big else 'small'} copy of {shape} in {where}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

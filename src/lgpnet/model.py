@@ -21,12 +21,13 @@ its own GMM inside the call, so no LGP map is kept between batches.
 
 A train-mode forward runs the paths in float32 (``SpoofModel.embed``) and
 keeps, per path, the LGP maps (B, M, N) and the stem's batch-norm ``xhat``,
-and per residual block the block input, ``xhat1`` and ``xhat2`` (B, C, N)
-(plus the SE input with SE on): (3 * blocks + 1) * B*C*N + B*M*N values of
-4 bytes, each with two zero gutter frames per row (the ``nn`` layout in
-which a conv reads its input in place).  Each ReLU output
-is recomputed from its ``xhat`` (``nn.BatchNormReLU``), backward frees
-every cache it uses, and an eval-mode forward keeps nothing.
+per residual block ``xhat1`` and ``xhat2`` (B, C, N) (plus the SE input
+with SE on), and the inputs of blocks 2, 4, ...: at 6 blocks
+15 * B*C*N + B*M*N values of 4 bytes, each with two zero gutter frames per
+row (the ``nn`` layout in which a conv reads its input in place).  Each
+ReLU output is recomputed from its ``xhat`` (``nn.BatchNormReLU``), the
+other block inputs from the stem or the block before (``PathNetwork``),
+backward frees every cache it uses, and an eval-mode forward keeps nothing.
 
 A checkpoint is checked against the schema its own ``cfg.*`` entries
 imply, which ``_tensor_shapes`` yields name by name: a stored size that the
@@ -132,7 +133,12 @@ class UfmConfig:
 
 
 class ResBlock:
-    """Residual unit: out = x + [SE](ReLU(BN(conv(ReLU(BN(conv(x)))))))."""
+    """Residual unit: out = x + [SE](ReLU(BN(conv(ReLU(BN(conv(x))))))).
+
+    conv2 keeps no input: backward takes it rebuilt from bn1's ``xhat``.
+    ``padded_output`` rebuilds the block's last train-mode output, so the
+    next block's conv1 need not keep it either (``PathNetwork``).
+    """
 
     def __init__(self, channels, se_enabled, se_reduction, rng):
         self.conv1 = Conv1d(channels, channels, 3, padding=1, rng=rng)
@@ -140,7 +146,6 @@ class ResBlock:
         self.conv2 = Conv1d(channels, channels, 3, padding=1, rng=rng)
         self.bn2 = BatchNormReLU(channels)
         self.se = SEBlock(channels, se_reduction, rng=rng) if se_enabled else None
-        # conv2 keeps no input: backward takes it rebuilt from bn1's xhat
         self.conv2.input_source = self.bn1
 
     def forward(self, x, training):
@@ -160,9 +165,32 @@ class ResBlock:
         g += grad_out
         return g
 
+    def padded_output(self, padding):
+        """The last train-mode output, rebuilt bit for bit inside ``padding``
+        zero frames at each end of the time axis, as
+        ``BatchNormReLU.padded_output`` gives it: bn2's rebuilt output, times
+        SE's cached gate, plus the block input (conv1's kept or rebuilt one),
+        in the forward's order.  It reads the caches that backward spends,
+        so it runs before this block's backward."""
+        out = self.bn2.padded_output(padding)
+        t = out.shape[2] - 2 * padding
+        h = out[:, :, padding : padding + t]
+        if self.se is not None:
+            gate = self.se._cache[-1]
+            h *= gate[:, :, None]
+        h += interior(self.conv1.padded_input(), t)
+        return out
+
 
 class PathNetwork:
-    """One classifier path: LGP maps (B, order, N) -> embeddings (B, channels)."""
+    """One classifier path: LGP maps (B, order, N) -> embeddings (B, channels).
+
+    Block 0's conv1 rebuilds its input from the stem's batch norm, and each
+    odd block's conv1 from the block before it (``ResBlock.padded_output``),
+    which needs that block's own input: kept by its conv1 (blocks 2, 4, ...)
+    or rebuilt from the stem (block 0).  So only blocks 2, 4, ... keep their
+    inputs, and no rebuild reaches back further than one block.
+    """
 
     def __init__(self, cfg: ClassifierConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -173,6 +201,9 @@ class PathNetwork:
             for _ in range(cfg.blocks)
         ]
         self.pool = MaxOverTime()
+        self.blocks[0].conv1.input_source = self.bn
+        for b in range(1, cfg.blocks, 2):
+            self.blocks[b].conv1.input_source = self.blocks[b - 1]
 
     def parameters(self):
         return [p for _, layer in self._named_layers() for p in layer.parameters()]
@@ -350,12 +381,17 @@ class ScoringPlan:
     def __init__(self, cfg: ClassifierConfig, gmms: list[Gmm], stats: list[LgpNormStats],
                  params: dict[str, np.ndarray]):
         """``params`` are checked parameter tensors by checkpoint name, as
-        :func:`read_checkpoint` returns them."""
+        :func:`read_checkpoint` returns them.  Only the paths whose tensors
+        they hold are folded (``self.paths`` holds None for the others), and
+        only those can be embedded."""
         self.cfg = cfg
         self.gmms = list(gmms)
         self.stats = list(stats)
         self.paths = []
         for k in range(cfg.paths):
+            if f"path{k}.stem.conv.weight" not in params:
+                self.paths.append(None)
+                continue
             blocks = []
             for b in range(cfg.blocks):
                 name = f"path{k}.block{b}"

@@ -2,9 +2,10 @@
 
 Every layer keeps in ``_cache`` only what its backward pass cannot rebuild,
 and ``backward`` clears it once used, so no activation outlives its step.
-Trainable tensors are :class:`Parameter` objects.  There is no autodiff
-graph: ``backward`` consumes the gradient of the loss with respect to the
-layer output and returns the gradient with respect to the layer input,
+Trainable tensors are :class:`Parameter` objects, whose gradients exist
+only from backward to :class:`Adam`'s update.  There is no autodiff graph:
+``backward`` consumes the gradient of the loss with respect to the layer
+output and returns the gradient with respect to the layer input,
 accumulating parameter gradients on the way.
 
 :class:`BatchNormReLU` is batch norm and ReLU in one unit that keeps only
@@ -28,7 +29,8 @@ float64 on either.
 Behind that shape, :class:`Conv1d` and batch norm keep sequences
 channel-major in zero-gutter buffers, where a convolution is one GEMM per
 kernel tap (:func:`gutter_conv`), and hand each other those buffers as
-``(batch, channels, time)`` views; any other array is copied in.
+``(batch, channels, time)`` views, activations forward and gradients
+backward (:class:`MaxOverTime` too); any other array is copied in.
 """
 
 from __future__ import annotations
@@ -37,16 +39,32 @@ import numpy as np
 
 
 class Parameter:
-    """A trainable array paired with its accumulated gradient."""
+    """A trainable array paired with its accumulated gradient.
 
-    __slots__ = ("data", "grad")
+    The gradient holds no memory until it is first read: ``grad`` then makes
+    it from zeros, so the first accumulation ``p.grad += v`` stores 0.0 + v.
+    ``zero_grad`` releases it, and :class:`Adam` does so after each update,
+    so a gradient lives only from backward to the update.
+    """
+
+    __slots__ = ("data", "_grad")
 
     def __init__(self, data: np.ndarray):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self._grad = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        self._grad = None
 
     @property
     def shape(self):
@@ -167,7 +185,8 @@ class Conv1d:
 
     Forward keeps the padded input buffer.  With ``input_source`` set (to a
     layer with ``padded_output(padding)`` that rebuilds this conv's input),
-    forward keeps nothing and backward asks the source for it instead.
+    forward keeps nothing and backward asks the source for it instead
+    (``padded_input``).
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, padding: int = 0,
@@ -208,10 +227,7 @@ class Conv1d:
 
     def backward_params(self, grad_out: np.ndarray) -> None:
         """Accumulate the weight gradient, and drop the input."""
-        if self.input_source is None:
-            xbuf = self._cache
-        else:
-            xbuf = self.input_source.padded_output(self.padding).transpose(1, 0, 2)
+        xbuf = self.padded_input()
         self._cache = None
         k = self.weight.shape[2]
         gbuf = to_gutter(grad_out, grad_out.shape[2] + k - 1)
@@ -221,6 +237,13 @@ class Conv1d:
             s = j - first
             lo, hi = max(0, -s), n - max(0, s)
             self.weight.grad[:, :, j] += g[:, lo:hi] @ x[:, lo + s : hi + s].T
+
+    def padded_input(self) -> np.ndarray:
+        """The last train-mode input as its padded zero-gutter buffer (C, B, W):
+        the one forward kept, or the one ``input_source`` rebuilds."""
+        if self.input_source is None:
+            return self._cache
+        return self.input_source.padded_output(self.padding).transpose(1, 0, 2)
 
     def backward_input(self, grad_out: np.ndarray) -> np.ndarray:
         """Gradient with respect to the forward input: the forward pass of
@@ -245,7 +268,8 @@ class BatchNorm1d:
     The work runs on channel-major buffers, so every statistic is a row
     reduction.  When the input is the interior of a zero-gutter buffer (a
     conv output), ``xhat``, the output and the input gradient are buffers of
-    the same width, and the conv that reads either needs no copy.
+    the same width, and the conv that reads the output forward, or the
+    gradient backward, needs no copy.
     """
 
     MOMENTUM = 0.1
@@ -300,24 +324,24 @@ class BatchNorm1d:
         self._cache = None
         t, xhat = xhat.shape[2], xhat.base
         c, b, width = xhat.shape
-        dy = to_gutter(grad_out, width).reshape(c, -1)
-        xhat = xhat.reshape(c, -1)
-        sum_dy = dy.sum(axis=1)
-        sum_dyx = np.einsum("ij,ij->i", dy, xhat)
+        dy = to_gutter(grad_out, width)
+        flat = dy.reshape(c, -1)
+        sum_dy = flat.sum(axis=1)
+        sum_dyx = np.einsum("ij,ij->i", flat, xhat.reshape(c, -1))
         self.gamma.grad += sum_dyx
         self.beta.grad += sum_dy
         scale = self.gamma.data.astype(xhat.dtype, copy=False) * inv_std
-        dx = dy * scale[:, None]
+        dx = dy * scale[:, None, None]          # a (C, B, W) buffer the conv reads in place
         if training:
             # Through the batch statistics: with g = gamma * dy, sum(g) =
             # gamma sum(dy) and sum(g xhat) = gamma sum(dy xhat), so
             # dx = scale * (dy - (sum(dy) + xhat * sum(dy xhat)) / n).
             # xhat is spent, so it holds the correction.
             n = b * t
-            xhat *= (scale * sum_dyx / n)[:, None]
-            xhat += (scale * sum_dy / n)[:, None]
+            xhat *= (scale * sum_dyx / n)[:, None, None]
+            xhat += (scale * sum_dy / n)[:, None, None]
             dx -= xhat
-        return interior(zero_gutters(dx.reshape(c, b, width), t), t)
+        return interior(zero_gutters(dx, t), t)
 
     def _affine(self, xhat: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """``gamma * xhat + beta`` of channel-major ``xhat``, into ``out`` when given."""
@@ -454,7 +478,9 @@ class MaxOverTime:
     """Per-channel maximum over the time axis: (B, C, T) -> (B, C).
 
     Backward routes the gradient to the first argmax position of each
-    channel, which keeps training deterministic under ties.
+    channel, which keeps training deterministic under ties.  When the input
+    is the interior of a zero-gutter buffer, the gradient is the interior of
+    a zero buffer as wide, which the layer before reads in place.
     """
 
     def __init__(self):
@@ -464,13 +490,17 @@ class MaxOverTime:
         if x.shape[2] < 1:
             raise ValueError("time axis is empty")
         idx = x.argmax(axis=2)                                # first occurrence on ties
-        self._cache = (x.shape, x.dtype, idx)
+        buf = _gutter_of(x)
+        self._cache = (x.shape, x.dtype, idx, None if buf is None else buf.shape[2])
         return np.take_along_axis(x, idx[:, :, None], axis=2)[:, :, 0]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        shape, dtype, idx = self._cache
+        (b, c, t), dtype, idx, width = self._cache
         self._cache = None
-        grad_x = np.zeros(shape, dtype)
+        if width is None:
+            grad_x = np.zeros((b, c, t), dtype)
+        else:
+            grad_x = interior(np.zeros((c, b, width), dtype), t)
         np.put_along_axis(grad_x, idx[:, :, None], grad_out[:, :, None], axis=2)
         return grad_x
 
@@ -544,7 +574,10 @@ class Adam:
 
     update: m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2
             step = lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
-    with b1 = ``BETA1``, b2 = ``BETA2`` and eps = ``EPSILON``.
+    with b1 = ``BETA1``, b2 = ``BETA2`` and eps = ``EPSILON``.  ``step``
+    releases each gradient once its parameter is updated, and ``zero_grad``
+    releases them all, so between steps only the moments ``m`` and ``v``
+    stay beside the parameters.
     """
 
     BETA1 = 0.9
@@ -569,6 +602,7 @@ class Adam:
             v *= self.BETA2
             v += (1.0 - self.BETA2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPSILON)
+            p.zero_grad()
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -126,6 +126,14 @@ def _embed(model: SpoofModel, path_ids, data: LabeledDataset, idx, length: int) 
             f"non-finite feature map for utterance {data.items[idx[exc.row]].utt_id!r}") from None
 
 
+def _live_plan(model: SpoofModel, path_ids) -> ScoringPlan:
+    """A plan of the model's live tensors that folds only the paths ``path_ids``."""
+    skip = tuple(f"path{k}." for k in range(model.cfg.paths) if k not in path_ids)
+    return ScoringPlan(model.cfg, model.gmms, model.stats,
+                       {name: arr for name, arr in model.to_tensors().items()
+                        if not name.startswith(skip)})
+
+
 def _plan_embeds(plan: ScoringPlan, path_ids, data: LabeledDataset, length) -> list[np.ndarray]:
     """Head input of each utterance of ``data`` under the paths ``path_ids``:
     of its overlap segments or, with a ``length``, of its one segment of the
@@ -210,8 +218,7 @@ def _fit(model: SpoofModel, path_ids, head, train_embs, data: LabeledDataset, de
 
         if dev is not None:
             if path_ids:        # a plan of this epoch's tensors, dropped once it has run
-                dev_embs = _plan_embeds(ScoringPlan(model.cfg, model.gmms, model.stats,
-                                                    model.to_tensors()), path_ids, dev, None)
+                dev_embs = _plan_embeds(_live_plan(model, path_ids), path_ids, dev, None)
             eer = _dev_eer(head, dev_embs, dev)
             result.dev_eer_trace.append(eer)
             if best is None or eer < best[0]:
@@ -271,8 +278,8 @@ def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
     frozen_state = paths_state(model.paths)
 
     # Step 2: one plan of the frozen paths embeds each input once; fit only the head.
-    plan = ScoringPlan(model.cfg, model.gmms, model.stats, model.to_tensors())
     every = range(model.cfg.paths)
+    plan = _live_plan(model, every)
     train_embs = np.concatenate(_plan_embeds(plan, every, data, model.cfg.input_length))
     dev_embs = None if dev is None else _plan_embeds(plan, every, dev, None)
     del plan

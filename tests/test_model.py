@@ -21,7 +21,7 @@ from lgpnet.model import (
     segment_ufm,
 )
 from fdcheck import assert_gradients_match
-from lgpnet.nn import (BatchNorm1d, Conv1d, Linear, ReLU, SEBlock, gutter_conv,
+from lgpnet.nn import (Adam, BatchNorm1d, Conv1d, Linear, ReLU, SEBlock, gutter_conv,
                        softmax_cross_entropy)
 
 
@@ -221,6 +221,87 @@ class TestLeanTrainingStep:
         assert after_forward <= bound + slack, f"{after_forward} bytes kept, bound {bound}"
         assert after_backward <= slack, f"{after_backward} bytes kept after backward"
         assert all(layer._cache is None for layer in path.layers())
+
+
+def _byte_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestRebuiltBlockInputs:
+    """Block 0's and each odd block's conv1 rebuild their input (from the
+    stem's batch norm, from the block before); the same path with every
+    conv keeping its input is the oracle."""
+
+    @staticmethod
+    def twins(cfg, seed):
+        """The same seeded path twice; the second keeps every conv input."""
+        pair = []
+        for _ in range(2):
+            rng = np.random.default_rng(seed)
+            pair.append(TestLeanTrainingStep.seeded_path(cfg, rng))
+        for _, layer in pair[1]._named_layers():
+            if isinstance(layer, Conv1d):
+                layer.input_source = None
+        return pair
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("se", [False, True], ids=["resnet", "se"])
+    def test_step_equals_the_all_cached_oracle_byte_for_byte(self, se, blocks, dtype):
+        cfg = ClassifierConfig(gmm_order=6, channels=8, blocks=blocks, se_enabled=se,
+                               se_reduction=4, input_length=10)
+        path, oracle = self.twins(cfg, 10 * blocks + se)
+        assert [b.conv1.input_source is not None for b in path.blocks] == [
+            b == 0 or b % 2 == 1 for b in range(blocks)]
+        rng = np.random.default_rng(blocks)
+        x = rng.normal(size=(3, 6, 10)).astype(dtype)
+        grad_emb = rng.normal(size=(3, 8)).astype(dtype)
+        runs = [(net.forward(x.copy(), training=True), net.backward(grad_emb.copy()))
+                for net in (path, oracle)]
+        assert _byte_equal(runs[0][0], runs[1][0])          # embeddings
+        assert _byte_equal(runs[0][1], runs[1][1])          # LGP-map gradients
+        for got, want in zip(path._named_layers(), oracle._named_layers()):
+            for p, q in zip(got[1].parameters(), want[1].parameters()):
+                assert _byte_equal(p.grad, q.grad), got[0]
+            for key, arr in got[1].named_tensors().items():
+                assert _byte_equal(arr, want[1].named_tensors()[key]), f"{got[0]}.{key}"
+        assert all(layer._cache is None for net in (path, oracle) for layer in net.layers())
+        for net in (path, oracle):
+            Adam(net.parameters(), lr=1e-2).step()
+            assert all(p._grad is None for p in net.parameters())
+        for p, q in zip(path.parameters(), oracle.parameters()):
+            assert _byte_equal(p.data, q.data)
+
+    @pytest.mark.parametrize("se", [False, True], ids=["resnet", "se"])
+    def test_forward_caches_each_activation_once(self, se, rng):
+        """After a train-mode forward the caches hold the LGP map (the stem
+        conv's input), each batch norm's xhat, the inputs of blocks 2 and 4,
+        and with SE each gate's input (bn2's output); every other conv keeps
+        nothing."""
+        cfg = ClassifierConfig(gmm_order=16, channels=8, blocks=5, se_enabled=se,
+                               se_reduction=4, input_length=12)
+        path = PathNetwork(cfg, rng)
+        path.forward(rng.normal(size=(3, 16, 12)).astype(np.float32), training=True)
+        buffer = (cfg.channels, 3, cfg.input_length + 2)
+        assert path.conv._cache.shape == (16, 3, cfg.input_length + 2)
+        for bn in path.batchnorms():
+            xhat, _, _ = bn._cache
+            assert xhat.base.shape == buffer
+        for b, block in enumerate(path.blocks):
+            assert block.conv2._cache is None
+            if b in (2, 4):
+                assert block.conv1._cache.shape == buffer
+            else:
+                assert block.conv1._cache is None
+        owners = {}
+        for layer in path.layers():
+            for arr in layer._cache if isinstance(layer._cache, tuple) else (layer._cache,):
+                if isinstance(arr, np.ndarray):
+                    owner = arr if arr.base is None else arr.base
+                    owners[id(owner)] = owner
+        large = sorted(arr.shape for arr in owners.values() if arr.size >= np.prod(buffer))
+        assert large == sorted([(16, 3, 14)] + [buffer] * (1 + 2 * cfg.blocks + 2 + cfg.blocks * se))
 
 
 class TestForwardModel:
@@ -826,9 +907,10 @@ class TestMixedPrecisionStep:
         segments = rng.normal(size=(batch, cfg.input_length, 4))
         self.step(model, segments)                   # warm up numpy's own caches
         row = batch * (cfg.input_length + 2)         # two zero gutter frames a row
-        # per path: the LGP maps, the stem xhat, per block its input and two
-        # xhat, and with SE each block's SE input
-        tensors = (3 * cfg.blocks + 1 + cfg.blocks * cfg.se_enabled) * cfg.channels
+        # per path: the LGP maps, the stem xhat, per block two xhat, the
+        # inputs of blocks 2, 4, ..., and with SE each block's SE input
+        kept = len(range(2, cfg.blocks, 2))
+        tensors = (2 * cfg.blocks + 1 + kept + cfg.blocks * cfg.se_enabled) * cfg.channels
         bound = cfg.paths * (tensors + cfg.gmm_order) * row * 4
         slack = cfg.channels * row * 4               # per-channel vectors, pooling indices
         tracemalloc.start()

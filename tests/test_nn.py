@@ -312,6 +312,14 @@ class TestBatchNormReLU:
         assert np.array_equal(fused.gamma.grad, bn.gamma.grad)
         assert np.array_equal(fused.beta.grad, bn.beta.grad)
 
+    def test_input_gradient_is_read_in_place_by_the_conv(self, rng):
+        """Backward's gradient is the interior of a (C, B, W) zero-gutter
+        buffer as wide as the conv output it came from."""
+        conv, fused = nn.Conv1d(3, 4, 3, padding=1, rng=rng), self.fused_and_chain(rng)[0]
+        y = fused.forward(conv.forward(rng.normal(size=(2, 3, 7))), True)
+        dx = fused.backward(rng.normal(size=y.shape))
+        assert nn.to_gutter(dx, 9) is dx.base and dx.base.shape == (4, 2, 9)
+
     def test_keeps_xhat_alone_and_nothing_in_eval(self, rng):
         fused, bn, relu = self.fused_and_chain(rng)
         x = rng.normal(size=(2, 4, 6))
@@ -434,6 +442,20 @@ class TestMaxOverTime:
         with pytest.raises(ValueError):
             nn.MaxOverTime().forward(np.zeros((1, 3, 0)))
 
+    def test_gradient_shares_the_input_layout(self, rng):
+        """A gutter input gets its gradient as the interior of a zero buffer
+        as wide, which ``to_gutter`` reads in place; a plain one, a plain array."""
+        x = rng.normal(size=(2, 3, 9)).astype(np.float32)
+        g = rng.normal(size=(2, 3)).astype(np.float32)
+        pool = nn.MaxOverTime()
+        pool.forward(x)
+        want = pool.backward(g)
+        assert want.base is None and want.dtype == np.float32
+        pool.forward(nn.interior(nn.to_gutter(x, 13), 9))
+        got = pool.backward(g)
+        assert nn.to_gutter(got, 13) is got.base and got.base.shape == (3, 2, 13)
+        assert np.array_equal(got, want)
+
     def test_finite_difference_agreement(self, rng):
         pool = nn.MaxOverTime()
         x = rng.normal(size=(2, 3, 9))
@@ -547,6 +569,17 @@ class TestAdam:
             opt.step()
             observed.append(p.data[0])
         assert np.allclose(observed, expected, rtol=1e-12)
+
+    def test_gradient_lives_from_first_use_to_the_update(self):
+        p = nn.Parameter(np.array([1.0, -2.0]))
+        assert p._grad is None
+        p.grad += np.array([-0.0, 3.0])
+        assert np.array_equal(np.signbit(p.grad), [False, False])      # 0.0 + v, as before
+        nn.Adam([p], lr=0.1).step()
+        assert p._grad is None
+        assert np.array_equal(p.grad, [0.0, 0.0])
+        p.zero_grad()
+        assert p._grad is None
 
     def test_step_counter_increments(self):
         p = nn.Parameter(np.zeros(1))
