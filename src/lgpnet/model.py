@@ -15,31 +15,31 @@ detection score is the bona fide logit minus the spoof logit (class 0 is
 bona fide throughout).
 
 The model's input is raw feature segments (B, N, D).  ``SpoofModel.embed``
-maps them to the head input in a training step (and for the eval-mode
-oracle): each path derives its LGP maps (B, M, N) from the segments under
-its own GMM inside the call, so no LGP map is kept between batches.
+maps them to the head input in a training step: each path derives its LGP
+maps (B, M, N) from the segments under its own GMM inside the call, so no
+LGP map is kept between batches.
 
-A train-mode forward runs the paths in float32 (``SpoofModel.embed``) and
-keeps, per path, the LGP maps (B, M, N) and the stem's batch-norm ``xhat``,
-per residual block ``xhat1`` and ``xhat2`` (B, C, N) (plus the SE input
-with SE on), and the inputs of blocks 2, 4, ...: at 6 blocks
-15 * B*C*N + B*M*N values of 4 bytes, each with two zero gutter frames per
-row (the ``nn`` layout in which a conv reads its input in place).  Each
-ReLU output is recomputed from its ``xhat`` (``nn.BatchNormReLU``), the
-other block inputs from the stem or the block before (``PathNetwork``),
-backward frees every cache it uses, and an eval-mode forward keeps nothing.
+The layers run in train mode only, the paths in float32
+(``SpoofModel.embed``).  A forward keeps, per path, the LGP maps (B, M, N)
+and the stem's batch-norm ``xhat``, per residual block ``xhat1`` and
+``xhat2`` (B, C, N) (plus the SE input with SE on), and the inputs of
+blocks 2, 4, ...: at 6 blocks 15 * B*C*N + B*M*N values of 4 bytes, each
+with two zero gutter frames per row (the ``nn`` layout in which a conv
+reads its input in place).  Each ReLU output is recomputed from its
+``xhat`` (``nn.BatchNormReLU``), the other block inputs from the stem or
+the block before (``PathNetwork``), and backward frees every cache it uses.
 
 A checkpoint is checked against the schema its own ``cfg.*`` entries
 imply, which ``_tensor_shapes`` yields name by name: a stored size that the
 weights contradict fails at the first such tensor, before any layer exists.
 
-No frozen-model forward runs these layers: ``ScoringPlan`` folds a
-checkpoint (``lgpnet score``) or the live tensors (training's dev EER and
-step-2 embeddings) into float64 conv weights and shifts, maps each path's T
-frames once, and runs one period of their cyclic extension, the frames that
-overlapping segments share once, and, in slots of the same buffer, edge
-patches that grow one frame per conv, so each conv is one ``gutter_conv``
-call; the eval-mode layers, over ``segment_ufm``'s segments, are its oracle.
+No frozen-model forward runs these layers: ``ScoringPlan``, the one
+inference engine, folds a checkpoint (``lgpnet score``) or the live tensors
+(``SpoofModel.plan``) into float64 conv weights and shifts, maps each
+path's T frames once, and runs one period of their cyclic extension, the
+frames that overlapping segments share once, and, in slots of the same
+buffer, edge patches that grow one frame per conv, so each conv is one
+``gutter_conv`` call; ``tests/plain_net.py`` is its oracle.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ class ResBlock:
     """Residual unit: out = x + [SE](ReLU(BN(conv(ReLU(BN(conv(x))))))).
 
     conv2 keeps no input: backward takes it rebuilt from bn1's ``xhat``.
-    ``padded_output`` rebuilds the block's last train-mode output, so the
-    next block's conv1 need not keep it either (``PathNetwork``).
+    ``padded_output`` rebuilds the block's last output, so the next block's
+    conv1 need not keep it either (``PathNetwork``).
     """
 
     def __init__(self, channels, se_enabled, se_reduction, rng):
@@ -148,9 +148,9 @@ class ResBlock:
         self.se = SEBlock(channels, se_reduction, rng=rng) if se_enabled else None
         self.conv2.input_source = self.bn1
 
-    def forward(self, x, training):
-        h = self.bn1.forward(self.conv1.forward(x), training)
-        h = self.bn2.forward(self.conv2.forward(h), training)
+    def forward(self, x):
+        h = self.bn1.forward(self.conv1.forward(x))
+        h = self.bn2.forward(self.conv2.forward(h))
         if self.se is not None:
             h = self.se.forward(h)
         h += x
@@ -166,7 +166,7 @@ class ResBlock:
         return g
 
     def padded_output(self, padding):
-        """The last train-mode output, rebuilt bit for bit inside ``padding``
+        """The last output, rebuilt bit for bit inside ``padding``
         zero frames at each end of the time axis, as
         ``BatchNormReLU.padded_output`` gives it: bn2's rebuilt output, times
         SE's cached gate, plus the block input (conv1's kept or rebuilt one),
@@ -211,25 +211,19 @@ class PathNetwork:
     def batchnorms(self):
         return [layer for _, layer in self._named_layers() if isinstance(layer, BatchNorm1d)]
 
-    def layers(self):
-        """Every layer of the path, the pooling included."""
-        return [layer for _, layer in self._named_layers()] + [self.pool]
-
     def named_tensors(self) -> dict[str, np.ndarray]:
         """Every live array of the path under its checkpoint name, in a fixed order."""
         return {f"{name}.{key}": arr for name, layer in self._named_layers()
                 for key, arr in layer.named_tensors().items()}
 
     def forward(self, lgp, training):
-        """(B, order, N) -> (B, channels).  Eval mode leaves no layer a cache."""
-        h = self.bn.forward(self.conv.forward(lgp), training)
-        for block in self.blocks:
-            h = block.forward(h, training)
-        emb = self.pool.forward(h)
+        """(B, order, N) -> (B, channels), in train mode: ``training`` must be True."""
         if not training:
-            for layer in self.layers():
-                layer._cache = None
-        return emb
+            raise ValueError("a path runs in train mode only")
+        h = self.bn.forward(self.conv.forward(lgp))
+        for block in self.blocks:
+            h = block.forward(h)
+        return self.pool.forward(h)
 
     def backward(self, grad_emb):
         """Every parameter gradient; returns the gradient w.r.t. the LGP maps."""
@@ -279,30 +273,35 @@ class SpoofModel:
 
     # -- inference -----------------------------------------------------------
 
-    def embed(self, segments: np.ndarray, training: bool, path_ids) -> np.ndarray:
+    def embed(self, segments: np.ndarray, path_ids) -> np.ndarray:
         """Head input of raw feature segments: (B, N, D) -> (B, len(path_ids) * channels).
 
         Each path in ``path_ids`` computes the normalized LGP maps of the
         segments under its own GMM, embeds them and drops them, so no LGP map
         outlives the call.  A map that is not finite (overflow from finite
-        features) raises NonFiniteMapError with its batch row.
+        features, or beyond float32's range) raises NonFiniteMapError with
+        its batch row.
 
-        This is the one place that picks the precision: a train-mode call
-        hands the paths float32 maps, and every layer computes in its input's
-        dtype, so the paths' activations and GEMMs run in float32 under
-        float64 parameters, gradients and running statistics (mixed-precision
-        training, Micikevicius et al., ICLR 2018).  An eval-mode call, which
-        only the oracles make, runs in float64.  Float32 embeddings give
+        The paths get float32 maps, and every layer computes in its input's
+        dtype, so their activations and GEMMs run in float32 under float64
+        parameters, gradients and running statistics (mixed-precision
+        training, Micikevicius et al., ICLR 2018).  Float32 embeddings give
         float64 logits.
         """
-        dtype = np.float32 if training else np.float64
         return np.concatenate([
-            self.paths[k].forward(_lgp_maps(self.gmms[k], self.stats[k], segments, k, dtype),
-                                  training)
+            self.paths[k].forward(_lgp_maps(self.gmms[k], self.stats[k], segments, k), True)
             for k in path_ids], axis=1)
 
+    def plan(self, path_ids) -> ScoringPlan:
+        """A ``ScoringPlan`` of the live tensors that folds only the paths ``path_ids``."""
+        skip = tuple(f"path{k}." for k in range(self.cfg.paths) if k not in path_ids)
+        return ScoringPlan(self.cfg, self.gmms, self.stats,
+                           {name: arr for name, arr in self.to_tensors().items()
+                            if not name.startswith(skip)})
+
     def forward_model(self, feats: np.ndarray) -> tuple[np.ndarray, float]:
-        """Logits and detection score for one fixed-length feature matrix (N, D)."""
+        """Logits and detection score for one fixed-length feature matrix (N, D),
+        the plan's one segment."""
         feats = np.asarray(feats, dtype=np.float64)
         if feats.ndim != 2:
             raise ValueError("features must be a (T, D) matrix")
@@ -311,15 +310,15 @@ class SpoofModel:
                 f"expected {self.cfg.input_length} frames, got {feats.shape[0]}; "
                 "fix the length or score through score_utterance"
             )
-        logits = self.fc.forward(self.embed(feats[None], False, range(self.cfg.paths)))[0]
+        plan = self.plan(range(self.cfg.paths))
+        weight, bias = plan.head
+        logits = (plan.embed(feats, range(self.cfg.paths)) @ weight.T + bias)[0]
         return logits, float(logits[BONA_FIDE] - logits[SPOOF])
 
     def score_utterance(self, feats: np.ndarray) -> float:
-        """Mean detection score over all overlap segments of an utterance."""
-        segments = segment_ufm(feats, UfmConfig(self.cfg.input_length))  # (S, N, D)
-        logits = self.fc.forward(self.embed(segments, False, range(self.cfg.paths)))
-        scores = logits[:, BONA_FIDE] - logits[:, SPOOF]
-        return float(scores.mean())
+        """Mean detection score over all overlap segments of an utterance,
+        scored by a plan of the live tensors."""
+        return self.plan(range(self.cfg.paths)).score_utterance(feats)
 
     # -- persistence -----------------------------------------------------------
 
@@ -354,11 +353,12 @@ class SpoofModel:
 
 class ScoringPlan:
     """Frozen float64 inference of a checkpoint (``lgpnet score``) or of a
-    model's live tensors (training's dev EER and step-2 embeddings).
+    model's live tensors (``SpoofModel.plan``: the dev EER, step 2, and
+    ``SpoofModel.score_utterance``).
 
     Built straight from named tensors, so no layer and no random init
-    exists.  Each eval-mode batch norm is folded into the (bias-free) conv
-    before it, every tensor cast to float64 as it is folded:
+    exists.  Each batch norm, with its running statistics, is folded into the
+    (bias-free) conv before it, every tensor cast to float64 as it is folded:
 
         s = gamma / sqrt(running_var + eps),  W' = W s,  b' = beta - running_mean s
 
@@ -375,7 +375,7 @@ class ScoringPlan:
     Activations stay in that buffer's layout from the stem to the pooling,
     so no layer copies or pads its input.
     Scoring writes no attribute, so ``--workers`` threads share one plan.
-    The eval-mode layers of ``SpoofModel`` are its float64 oracle.
+    Its oracle, ``tests/plain_net.py``, shares no code with it.
     """
 
     def __init__(self, cfg: ClassifierConfig, gmms: list[Gmm], stats: list[LgpNormStats],
@@ -411,10 +411,13 @@ class ScoringPlan:
 
     def embed(self, feats: np.ndarray, path_ids) -> np.ndarray:
         """Head input (S, len(path_ids) * channels) of an utterance's S overlap
-        segments under the paths ``path_ids``, as ``SpoofModel.embed`` in eval mode."""
+        segments under the paths ``path_ids``, each of which the plan must fold."""
         feats = np.asarray(feats)
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError("features must be a non-empty (T, D) matrix")
+        for k in path_ids:
+            if self.paths[k] is None:
+                raise ValueError(f"the plan folds no tensors of path {k}")
         return np.concatenate([self._embed(k, feats) for k in path_ids], axis=1)
 
     def score_utterance(self, feats: np.ndarray) -> float:
@@ -532,9 +535,9 @@ class ScoringPlan:
 
 def _fold_bn(t: dict[str, np.ndarray], conv: str, bn: str) -> tuple[np.ndarray, np.ndarray]:
     """Float64 taps (k, out, in), as ``nn.gutter_conv`` takes them, and
-    per-channel shift of conv ``conv`` followed by eval-mode batch norm
-    ``bn``.  The weight is cast as it is scaled, so the taps are the only
-    float64 array as large as it."""
+    per-channel shift of conv ``conv`` followed by batch norm ``bn`` with
+    its running statistics.  The weight is cast as it is scaled, so the taps
+    are the only float64 array as large as it."""
     gamma, beta, mean, var = (t[f"{bn}.{key}"].astype(np.float64)
                               for key in ("gamma", "beta", "running_mean", "running_var"))
     s = gamma / np.sqrt(var + BatchNorm1d.EPSILON)
@@ -549,15 +552,14 @@ def _se_gate(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
     return sigmoid(inner @ w2.T + b2)
 
 
-def _lgp_maps(gmm: Gmm, stats: LgpNormStats, segments: np.ndarray, k: int,
-              dtype) -> np.ndarray:
+def _lgp_maps(gmm: Gmm, stats: LgpNormStats, segments: np.ndarray, k: int) -> np.ndarray:
     """Normalized LGP maps (B, M, N) of (B, N, D) segments, as the interior of
-    the zero-gutter buffer (M, B, N + 2) of ``dtype`` that the stem conv reads
-    in place.  ``extract_lgp`` works in float64; the check runs on the buffer,
+    the float32 zero-gutter buffer (M, B, N + 2) that the stem conv reads in
+    place.  ``extract_lgp`` works in float64; the check runs on the buffer,
     so a map that is not finite there (overflow from finite features, or a
     float64 value beyond float32's range) raises NonFiniteMapError."""
     n = segments.shape[1]
-    buf = np.zeros((gmm.order, len(segments), n + 2), dtype)
+    buf = np.zeros((gmm.order, len(segments), n + 2), np.float32)
     for i, seg in enumerate(segments):
         buf[:, i, 1:-1] = extract_lgp(gmm, stats, seg)
     lgp = interior(buf, n)

@@ -11,7 +11,8 @@ accumulating parameter gradients on the way.
 :class:`BatchNormReLU` is batch norm and ReLU in one unit that keeps only
 batch norm's ``xhat`` and recomputes the ReLU output from it, in backward
 and for a :class:`Conv1d` whose ``input_source`` it is; the standalone
-:class:`BatchNorm1d` and :class:`ReLU` stay as its bit-level oracle.
+:class:`BatchNorm1d` and :class:`ReLU` stay as its bit-level oracle.  Every
+layer runs in train mode: inference runs the model's ``ScoringPlan``.
 
 Stateful layers also list their current arrays by name in
 ``named_tensors``; checkpoints and training snapshots are built from it.
@@ -239,7 +240,7 @@ class Conv1d:
             self.weight.grad[:, :, j] += g[:, lo:hi] @ x[:, lo + s : hi + s].T
 
     def padded_input(self) -> np.ndarray:
-        """The last train-mode input as its padded zero-gutter buffer (C, B, W):
+        """The last input as its padded zero-gutter buffer (C, B, W):
         the one forward kept, or the one ``input_source`` rebuilds."""
         if self.input_source is None:
             return self._cache
@@ -260,10 +261,10 @@ class Conv1d:
 class BatchNorm1d:
     """Per-channel batch normalization over the batch and time axes.
 
-    Train mode normalizes with population statistics of the current batch
-    and folds them into the running estimates with momentum ``MOMENTUM``;
-    eval mode normalizes with the running estimates.  Forward keeps the
-    normalized input ``xhat`` and ``1/std``.
+    Forward (``training`` must be True) normalizes with population
+    statistics of the current batch and folds them into the running
+    estimates with momentum ``MOMENTUM``, which inference folds into the
+    conv.  Forward keeps the normalized input ``xhat`` and ``1/std``.
 
     The work runs on channel-major buffers, so every statistic is a row
     reduction.  When the input is the interior of a zero-gutter buffer (a
@@ -291,36 +292,33 @@ class BatchNorm1d:
                 "running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
+        if not training:
+            raise ValueError("batch norm runs in train mode only")
         c = self.gamma.shape[0]
         if x.shape[1] != c:
             raise ValueError("channel count mismatch")
         b, _, t = x.shape
+        n = b * t
+        if n < 2:
+            raise ValueError("train-mode batch norm needs >1 sample per channel")
         src = _gutter_of(x)
         if src is None:
             src = x.transpose(1, 0, 2)
         xhat = np.empty((c, b, src.shape[2]), src.dtype)
-        if training:
-            n = b * t
-            if n < 2:
-                raise ValueError("train-mode batch norm needs >1 sample per channel")
-            mean = src.sum(axis=(1, 2)) / n
-            zero_gutters(np.subtract(src, mean[:, None, None], out=xhat), t)
-            flat = xhat.reshape(c, -1)
-            var = np.einsum("ij,ij->i", flat, flat) / n        # no squared temporary
-            m = self.MOMENTUM
-            self.running_mean = (1 - m) * self.running_mean + m * mean
-            self.running_var = (1 - m) * self.running_var + m * var
-        else:
-            mean = self.running_mean.astype(src.dtype, copy=False)
-            zero_gutters(np.subtract(src, mean[:, None, None], out=xhat), t)
-            var = self.running_var.astype(src.dtype, copy=False)
+        mean = src.sum(axis=(1, 2)) / n
+        zero_gutters(np.subtract(src, mean[:, None, None], out=xhat), t)
+        flat = xhat.reshape(c, -1)
+        var = np.einsum("ij,ij->i", flat, flat) / n        # no squared temporary
+        m = self.MOMENTUM
+        self.running_mean = (1 - m) * self.running_mean + m * mean
+        self.running_var = (1 - m) * self.running_var + m * var
         inv_std = 1.0 / np.sqrt(var + self.EPSILON)
         xhat *= inv_std[:, None, None]
-        self._cache = (interior(xhat, t), inv_std, training)
+        self._cache = (interior(xhat, t), inv_std)
         return interior(zero_gutters(self._affine(xhat, np.empty_like(xhat)), t), t)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xhat, inv_std, training = self._cache
+        xhat, inv_std = self._cache
         self._cache = None
         t, xhat = xhat.shape[2], xhat.base
         c, b, width = xhat.shape
@@ -332,15 +330,14 @@ class BatchNorm1d:
         self.beta.grad += sum_dy
         scale = self.gamma.data.astype(xhat.dtype, copy=False) * inv_std
         dx = dy * scale[:, None, None]          # a (C, B, W) buffer the conv reads in place
-        if training:
-            # Through the batch statistics: with g = gamma * dy, sum(g) =
-            # gamma sum(dy) and sum(g xhat) = gamma sum(dy xhat), so
-            # dx = scale * (dy - (sum(dy) + xhat * sum(dy xhat)) / n).
-            # xhat is spent, so it holds the correction.
-            n = b * t
-            xhat *= (scale * sum_dyx / n)[:, None, None]
-            xhat += (scale * sum_dy / n)[:, None, None]
-            dx -= xhat
+        # Through the batch statistics: with g = gamma * dy, sum(g) =
+        # gamma sum(dy) and sum(g xhat) = gamma sum(dy xhat), so
+        # dx = scale * (dy - (sum(dy) + xhat * sum(dy xhat)) / n).
+        # xhat is spent, so it holds the correction.
+        n = b * t
+        xhat *= (scale * sum_dyx / n)[:, None, None]
+        xhat += (scale * sum_dy / n)[:, None, None]
+        dx -= xhat
         return interior(zero_gutters(dx, t), t)
 
     def _affine(self, xhat: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -375,13 +372,11 @@ class BatchNormReLU(BatchNorm1d):
     recomputation of Chen et al., 2016).  Outputs and gradients equal
     ``BatchNorm1d`` followed by ``ReLU`` bit for bit, except that the mask
     multiplies the gradient: a finite gradient it stops becomes a zero of
-    the same sign, a non-finite one NaN.  Eval mode keeps nothing.
+    the same sign, a non-finite one NaN.
     """
 
-    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        out = super().forward(x, training)
-        if not training:
-            self._cache = None
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        out = super().forward(x, True)
         _relu_in_place(out.base)        # the whole buffer: its gutters stay +0.0
         return out
 
@@ -393,7 +388,7 @@ class BatchNormReLU(BatchNorm1d):
         return super().backward(interior(z, t))
 
     def padded_output(self, padding: int) -> np.ndarray:
-        """The last train-mode output, rebuilt inside ``padding`` zero frames
+        """The last output, rebuilt inside ``padding`` zero frames
         at each end of the time axis: (B, C, T + 2*padding), a view of a
         zero-gutter buffer."""
         xhat = self._cache[0]

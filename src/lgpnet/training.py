@@ -116,22 +116,14 @@ def paths_state(paths) -> list[np.ndarray]:
 
 
 def _embed(model: SpoofModel, path_ids, data: LabeledDataset, idx, length: int) -> np.ndarray:
-    """Train-mode head input of the training utterances ``idx``, each fixed
-    to ``length`` frames; one whose LGP map is not finite is named."""
+    """Head input of the training utterances ``idx``, each fixed to
+    ``length`` frames; one whose LGP map is not finite is named."""
     x = np.stack([fix_length(data.items[i].features, length) for i in idx])
     try:
-        return model.embed(x, True, path_ids)
+        return model.embed(x, path_ids)
     except NonFiniteMapError as exc:
         raise TrainingDivergedError(
             f"non-finite feature map for utterance {data.items[idx[exc.row]].utt_id!r}") from None
-
-
-def _live_plan(model: SpoofModel, path_ids) -> ScoringPlan:
-    """A plan of the model's live tensors that folds only the paths ``path_ids``."""
-    skip = tuple(f"path{k}." for k in range(model.cfg.paths) if k not in path_ids)
-    return ScoringPlan(model.cfg, model.gmms, model.stats,
-                       {name: arr for name, arr in model.to_tensors().items()
-                        if not name.startswith(skip)})
 
 
 def _plan_embeds(plan: ScoringPlan, path_ids, data: LabeledDataset, length) -> list[np.ndarray]:
@@ -218,7 +210,7 @@ def _fit(model: SpoofModel, path_ids, head, train_embs, data: LabeledDataset, de
 
         if dev is not None:
             if path_ids:        # a plan of this epoch's tensors, dropped once it has run
-                dev_embs = _plan_embeds(_live_plan(model, path_ids), path_ids, dev, None)
+                dev_embs = _plan_embeds(model.plan(path_ids), path_ids, dev, None)
             eer = _dev_eer(head, dev_embs, dev)
             result.dev_eer_trace.append(eer)
             if best is None or eer < best[0]:
@@ -279,7 +271,7 @@ def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
 
     # Step 2: one plan of the frozen paths embeds each input once; fit only the head.
     every = range(model.cfg.paths)
-    plan = _live_plan(model, every)
+    plan = model.plan(every)
     train_embs = np.concatenate(_plan_embeds(plan, every, data, model.cfg.input_length))
     dev_embs = None if dev is None else _plan_embeds(plan, every, dev, None)
     del plan

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgpnet import tensorio
+import plain_net
+from lgpnet import nn, tensorio
 from lgpnet.errors import FormatError, NonFiniteMapError
 from lgpnet.gmm import Gmm
 from lgpnet.lgp import extract_lgp, fit_norm_stats
@@ -56,11 +57,22 @@ def two_path_model(rng):
     return SpoofModel(desk_config(paths=2), [g0, g1], stats, seed=3)
 
 
+def _layers(path):
+    """Every layer of a path, the pooling included."""
+    return [layer for _, layer in path._named_layers()] + [path.pool]
+
+
 class TestPathShapes:
     def test_desk_scale_embedding(self, rng):
         path = PathNetwork(desk_config(), rng)
         lgp = rng.normal(size=(1, 8, 32))
-        assert path.forward(lgp, training=False).shape == (1, 16)
+        assert path.forward(lgp, training=True).shape == (1, 16)
+
+    def test_eval_mode_refused(self, rng):
+        path = PathNetwork(desk_config(), rng)
+        with pytest.raises(ValueError, match="train mode only"):
+            path.forward(rng.normal(size=(2, 8, 32)), training=False)
+        assert all(layer._cache is None for layer in _layers(path))
 
     def test_batched_embedding(self, rng):
         path = PathNetwork(desk_config(se=True), rng)
@@ -73,12 +85,12 @@ class TestPathShapes:
                                se_enabled=False, input_length=400, paths=1)
         path = PathNetwork(cfg, rng)
         lgp = rng.normal(size=(1, 512, 400))
-        assert path.forward(lgp, training=False).shape == (1, 512)
+        assert path.forward(lgp, training=True).shape == (1, 512)
 
     def test_wrong_input_shape_rejected(self, rng):
         path = PathNetwork(desk_config(), rng)
         with pytest.raises(ValueError):
-            path.forward(rng.normal(size=(1, 9, 32)), training=False)
+            path.forward(rng.normal(size=(1, 9, 32)), training=True)
 
     def test_end_to_end_gradient_check(self, rng):
         for se in (False, True):
@@ -220,7 +232,7 @@ class TestLeanTrainingStep:
             tracemalloc.stop()
         assert after_forward <= bound + slack, f"{after_forward} bytes kept, bound {bound}"
         assert after_backward <= slack, f"{after_backward} bytes kept after backward"
-        assert all(layer._cache is None for layer in path.layers())
+        assert all(layer._cache is None for layer in _layers(path))
 
 
 def _byte_equal(a, b) -> bool:
@@ -266,7 +278,7 @@ class TestRebuiltBlockInputs:
                 assert _byte_equal(p.grad, q.grad), got[0]
             for key, arr in got[1].named_tensors().items():
                 assert _byte_equal(arr, want[1].named_tensors()[key]), f"{got[0]}.{key}"
-        assert all(layer._cache is None for net in (path, oracle) for layer in net.layers())
+        assert all(layer._cache is None for net in (path, oracle) for layer in _layers(net))
         for net in (path, oracle):
             Adam(net.parameters(), lr=1e-2).step()
             assert all(p._grad is None for p in net.parameters())
@@ -286,7 +298,7 @@ class TestRebuiltBlockInputs:
         buffer = (cfg.channels, 3, cfg.input_length + 2)
         assert path.conv._cache.shape == (16, 3, cfg.input_length + 2)
         for bn in path.batchnorms():
-            xhat, _, _ = bn._cache
+            xhat, _ = bn._cache
             assert xhat.base.shape == buffer
         for b, block in enumerate(path.blocks):
             assert block.conv2._cache is None
@@ -295,7 +307,7 @@ class TestRebuiltBlockInputs:
             else:
                 assert block.conv1._cache is None
         owners = {}
-        for layer in path.layers():
+        for layer in _layers(path):
             for arr in layer._cache if isinstance(layer._cache, tuple) else (layer._cache,):
                 if isinstance(arr, np.ndarray):
                     owner = arr if arr.base is None else arr.base
@@ -308,6 +320,15 @@ class TestForwardModel:
     def test_two_path_head_width(self, two_path_model):
         assert two_path_model.fc.weight.shape == (2, 32)
 
+    @pytest.mark.parametrize("kind", ["one-path", "two-path", "se"])
+    def test_logits_match_plain_net(self, kind, rng, tmp_path):
+        model = TestScoringPlan.model(kind, rng, tmp_path)
+        feats = rng.normal(size=(model.cfg.input_length, 4))
+        logits, score = model.forward_model(feats)
+        want = plain_net.logits(model, feats)[0]
+        assert np.abs(logits - want).max() <= 1e-9 * np.abs(want).max()
+        assert score == logits[0] - logits[1]
+
     def test_tied_paths_and_gmms_give_equal_embeddings(self, rng):
         gmm = make_gmm(8, 4, 5)
         stats = fit_norm_stats(gmm, rng.normal(size=(300, 4)), "fast")
@@ -315,8 +336,10 @@ class TestForwardModel:
         for p_dst, p_src in zip(model.paths[1].parameters(), model.paths[0].parameters()):
             p_dst.data[...] = p_src.data
         feats = rng.normal(size=(32, 4))
-        emb = model.embed(feats[None], False, range(2))[0]
+        emb = model.plan(range(2)).embed(feats, range(2))[0]
         assert np.array_equal(emb[:16], emb[16:])
+        want = plain_net.embed(model, feats, range(2))[0]
+        assert np.abs(emb - want).max() <= 1e-9 * np.abs(want).max()
 
     @pytest.mark.parametrize("length", [0, 1, 33])
     def test_odd_or_short_input_length_rejected(self, length):
@@ -398,22 +421,33 @@ class TestUfm:
 
 
 class TestScoreUtterance:
-    def test_single_segment_equals_forward_model(self, desk_model, rng):
+    """``SpoofModel.score_utterance`` runs a plan of the live tensors; the
+    model has a random head and non-trivial batch norms, so its scores are
+    not all zero, and ``plain_net`` is the oracle."""
+
+    @pytest.fixture
+    def model(self, desk_model, rng, tmp_path):
+        seeded_checkpoint(desk_model, rng, tmp_path / "model.lgpn")
+        return desk_model
+
+    def test_single_segment_equals_forward_model(self, model, rng):
         feats = rng.normal(size=(32, 4))
-        _, direct = desk_model.forward_model(feats)
-        assert desk_model.score_utterance(feats) == direct
+        _, direct = model.forward_model(feats)
+        assert model.score_utterance(feats) == direct
+        want = plain_net.score_utterance(model, feats)
+        assert abs(direct - want) <= 1e-9 * abs(want)
 
-    def test_constant_utterance_average_equals_single_score(self, desk_model):
+    def test_constant_utterance_average_equals_single_score(self, model):
         feats = np.tile(np.array([[0.4, -1.0, 0.2, 2.0]]), (70, 1))
-        _, single = desk_model.forward_model(feats[:32])
-        assert desk_model.score_utterance(feats) == pytest.approx(single, abs=1e-9)
+        single = plain_net.score_utterance(model, feats[:32])
+        assert model.score_utterance(feats) == pytest.approx(single, abs=1e-9)
 
-    def test_hand_averaged_three_segments(self, desk_model, rng):
+    def test_hand_averaged_three_segments(self, model, rng):
         feats = rng.normal(size=(33, 4))
         segments = segment_ufm(feats, UfmConfig(32))
         assert len(segments) == 3
-        scores = [desk_model.forward_model(seg)[1] for seg in segments]
-        assert desk_model.score_utterance(feats) == pytest.approx(np.mean(scores), abs=1e-12)
+        scores = [plain_net.score_utterance(model, seg) for seg in segments]
+        assert model.score_utterance(feats) == pytest.approx(np.mean(scores), abs=1e-12)
 
 
 class TestCheckpoint:
@@ -619,7 +653,8 @@ def utterance_lengths(n, reach, most):
 
 
 class TestScoringPlan:
-    """The plan against its float64 oracle, ``SpoofModel.score_utterance``."""
+    """The plan against its float64 oracle, ``plain_net``, which shares no
+    code with it."""
 
     @staticmethod
     def build(kind, rng, tmp_path):
@@ -628,6 +663,11 @@ class TestScoringPlan:
         stats = [fit_norm_stats(g, rng.normal(size=(300, 4)), "fast") for g in gmms]
         model = SpoofModel(cfg, gmms, stats, seed=3)
         return seeded_checkpoint(model, rng, tmp_path / "model.lgpn"), gmms, stats
+
+    @classmethod
+    def model(cls, kind, rng, tmp_path):
+        """The seeded model of ``kind``, loaded back from its checkpoint."""
+        return SpoofModel.load(*cls.build(kind, rng, tmp_path))
 
     @pytest.fixture(params=list(PLAN_KINDS))
     def checkpoint(self, request, rng, tmp_path):
@@ -644,7 +684,7 @@ class TestScoringPlan:
                                  (2 * n + 5, 5), (3 * n, 5), (4 * n - 7, 7), (5 * n, 9)):
             feats = rng.normal(size=(length, 4))
             assert len(segment_ufm(feats, UfmConfig(n))) == segments
-            want = oracle.score_utterance(feats)
+            want = plain_net.score_utterance(oracle, feats)
             worst = max(worst, (abs(plan.score_utterance(feats) - want) / abs(want), length))
         print(f"max relative |dscore| {worst[0]:.3g}, at T = {worst[1]}")
         assert worst[0] <= 1e-9, f"max relative |dscore| {worst[0]:.3g} at T = {worst[1]}"
@@ -684,14 +724,15 @@ class TestScoringPlan:
 
     @pytest.fixture(scope="class", params=list(PLAN_KINDS))
     def frozen(self, request, tmp_path_factory):
-        """The oracle, the plan of one seeded checkpoint of each kind and the
-        plan of the oracle's live tensors, as training builds it, built once
-        for every drawn length; and the worst relative differences yet."""
+        """The model of one seeded checkpoint of each kind, whose tensors
+        ``plain_net`` reads, the plan of the checkpoint and the plan of the
+        model's live tensors, as training builds it, built once for every
+        drawn length; and the worst relative differences yet."""
         kind = request.param
         rng = np.random.default_rng(list(PLAN_KINDS).index(kind))
         path, gmms, stats = self.build(kind, rng, tmp_path_factory.mktemp(kind))
         oracle = SpoofModel.load(path, gmms, stats)
-        live = ScoringPlan(oracle.cfg, oracle.gmms, oracle.stats, oracle.to_tensors())
+        live = oracle.plan(range(oracle.cfg.paths))
         return oracle, load_plan(path, gmms, stats), live, {"score": [0.0, 0], "embed": [0.0, 0]}
 
     @settings(max_examples=40, deadline=None)
@@ -702,7 +743,7 @@ class TestScoringPlan:
         t = data.draw(utterance_lengths(plan.cfg.input_length, 1 + 2 * plan.cfg.blocks, 6),
                       label="T")
         feats = np.random.default_rng(t).normal(size=(t, 4))
-        want = oracle.score_utterance(feats)
+        want = plain_net.score_utterance(oracle, feats)
         rel = abs(plan.score_utterance(feats) - want) / abs(want)
         if rel > worst["score"][0]:
             worst["score"][:] = rel, t
@@ -711,9 +752,9 @@ class TestScoringPlan:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_embed_matches_the_eval_layers(self, frozen, data):
+    def test_embed_matches_plain_net(self, frozen, data):
         """The live-tensor plan's head input of every path set, T from 1 to
-        5N, against the eval-mode layers over the ``segment_ufm`` segments."""
+        5N, against ``plain_net`` over the ``segment_ufm`` segments."""
         oracle, _, live, worst = frozen
         n = live.cfg.input_length
         t = data.draw(utterance_lengths(n, 1 + 2 * live.cfg.blocks, 5), label="T")
@@ -721,7 +762,7 @@ class TestScoringPlan:
                         label="paths")
         feats = np.random.default_rng(t).normal(size=(t, 4))
         segments = segment_ufm(feats, UfmConfig(n))
-        want = oracle.embed(segments, False, ids)
+        want = plain_net.embed(oracle, feats, ids)
         got = live.embed(feats, ids)
         assert got.shape == want.shape == (len(segments), len(ids) * live.cfg.channels)
         rel = np.abs(got - want).max() / np.abs(want).max()
@@ -749,6 +790,19 @@ class TestScoringPlan:
                      for arr in unit) + sum(arr.nbytes for arr in plan.head)
         print(f"folded {folded} bytes, traced peak {peak} ({peak / folded:.2f}x), held {held}")
         assert peak < 1.5 * folded
+
+    def test_a_path_it_did_not_fold_is_refused_by_name(self, two_path_model, rng):
+        feats = rng.normal(size=(40, 4))
+        tensors = {name: arr for name, arr in two_path_model.to_tensors().items()
+                   if not name.startswith("path1.")}
+        for plan in (ScoringPlan(two_path_model.cfg, two_path_model.gmms, two_path_model.stats,
+                                 tensors), two_path_model.plan([0])):
+            assert plan.paths[1] is None
+            with pytest.raises(ValueError, match="folds no tensors of path 1"):
+                plan.score_utterance(feats)
+            with pytest.raises(ValueError, match="folds no tensors of path 1"):
+                plan.embed(feats, [1, 0])
+            assert plan.embed(feats, [0]).shape == (3, 16)
 
     def test_builds_no_layer(self, checkpoint, monkeypatch):
         path, gmms, stats = checkpoint
@@ -809,6 +863,38 @@ class TestScoringPlan:
         assert kept < activation, f"{kept} bytes kept, one activation is {activation}"
 
 
+class TestOracleIndependence:
+    """``plain_net`` shares no code with the plan: a conv kernel whose taps
+    are reversed, which the plan and the training layers both run, moves the
+    plan's scores and embeddings away from it."""
+
+    @pytest.mark.parametrize("kind", ["one-path", "two-path", "se"])
+    def test_reversed_taps_move_the_plan_but_not_the_oracle(self, kind, rng, tmp_path,
+                                                            monkeypatch):
+        model = TestScoringPlan.model(kind, rng, tmp_path)
+        feats = rng.normal(size=(3 * model.cfg.input_length, 4))
+        paths = range(model.cfg.paths)
+        want_score = plain_net.score_utterance(model, feats)
+        want_emb = plain_net.embed(model, feats, paths)
+
+        def drift(plan):
+            score = abs(plan.score_utterance(feats) - want_score) / abs(want_score)
+            emb = np.abs(plan.embed(feats, paths) - want_emb).max() / np.abs(want_emb).max()
+            return score, emb
+
+        assert max(drift(model.plan(paths))) <= 1e-9
+        tap_sum = nn._tap_sum
+        monkeypatch.setattr(nn, "_tap_sum", lambda taps, src, out, first:
+                            tap_sum(taps[::-1], src, out, first))
+        score, emb = drift(model.plan(paths))
+        print(f"reversed taps: relative |dscore| {score:.3g}, |dembedding| {emb:.3g}")
+        assert score > 1e-3 and emb > 1e-3
+        # the same patch reaches the training layers' conv
+        conv = model.paths[0].conv
+        x = rng.normal(size=(2, model.cfg.gmm_order, 8))
+        assert not np.allclose(conv.forward(x), plain_net.conv(x, conv.weight.data))
+
+
 class TestReadCheckpoint:
     @pytest.mark.parametrize("kind", list(MODEL_KINDS))
     def test_schema_matches_the_layers(self, kind, rng):
@@ -839,9 +925,9 @@ class TestReadCheckpoint:
 
 
 class TestMixedPrecisionStep:
-    """A train-mode ``embed`` runs the paths in float32 (every layer computes
-    in its input's dtype); parameters, gradients, running statistics and the
-    head stay float64."""
+    """``embed`` runs the paths in float32 (every layer computes in its
+    input's dtype); parameters, gradients, running statistics and the head
+    stay float64."""
 
     @staticmethod
     def build(kind, rng, **overrides):
@@ -858,7 +944,7 @@ class TestMixedPrecisionStep:
         """One training step's forward and backward, as ``training._fit``
         runs it; returns the embeddings, the logits and the loss."""
         paths, c = range(model.cfg.paths), model.cfg.channels
-        emb = model.embed(segments, True, paths)
+        emb = model.embed(segments, paths)
         logits = model.fc.forward(emb)
         loss, grad_logits = softmax_cross_entropy(logits, np.arange(len(segments)) % 2)
         grad_emb = model.fc.backward(grad_logits)
@@ -916,7 +1002,7 @@ class TestMixedPrecisionStep:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            model.embed(segments, True, range(cfg.paths))
+            model.embed(segments, range(cfg.paths))
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -926,18 +1012,16 @@ class TestMixedPrecisionStep:
     @pytest.mark.parametrize("se", [False, True], ids=["resnet", "se"])
     def test_one_step_drifts_within_the_gamma_bound(self, se, rng):
         """The float32 step against the float64 one: on float64 maps every
-        layer runs today's float64 arithmetic, so ``_lgp_maps`` in float64 and
-        a train-mode path forward are the oracle.  Bounds from Higham's
+        layer runs the float64 arithmetic, so ``plain_net``'s float64 maps and
+        a path forward are the oracle.  Bounds from Higham's
         gamma_n = n u / (1 - n u), u = 2^-24 (see CHANGES.md)."""
-        from lgpnet.model import _lgp_maps
-
         model = self.build("se" if se else "one-path", rng)
         twin = copy.deepcopy(model)
         cfg, batch = model.cfg, 4
         segments = rng.normal(size=(batch, cfg.input_length, 4))
         emb32, _, loss32 = self.step(model, segments)
         path = twin.paths[0]
-        emb64 = path.forward(_lgp_maps(twin.gmms[0], twin.stats[0], segments, 0, np.float64), True)
+        emb64 = path.forward(plain_net.lgp_maps(twin.gmms[0], twin.stats[0], segments), True)
         loss64, grad_logits = softmax_cross_entropy(twin.fc.forward(emb64), np.arange(batch) % 2)
         path.backward_params(twin.fc.backward(grad_logits))
         assert emb64.dtype == np.float64 and emb32.dtype == np.float32

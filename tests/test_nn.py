@@ -9,6 +9,14 @@ from lgpnet import nn
 from fdcheck import assert_gradients_match, numerical_gradient, relative_error
 
 
+def forward(layer, x):
+    """A batch norm's forward: the fused unit takes no mode, ``BatchNorm1d``
+    the pinned ``training=True``."""
+    if isinstance(layer, nn.BatchNormReLU):
+        return layer.forward(x)
+    return layer.forward(x, training=True)
+
+
 class TestConv1d:
     def test_hand_convolution(self):
         conv = nn.Conv1d(1, 1, 3, padding=1)
@@ -178,21 +186,15 @@ class TestBatchNorm:
         assert np.all(np.isfinite(out))
         assert np.allclose(out, 0.0)
 
-    def test_eval_mode_uses_running_stats(self, rng):
-        bn = nn.BatchNorm1d(2)
-        for _ in range(200):
-            bn.forward(rng.normal(loc=1.0, scale=2.0, size=(4, 2, 8)), training=True)
-        x = rng.normal(loc=1.0, scale=2.0, size=(1, 2, 500))
-        out = bn.forward(x, training=False)
-        assert abs(out.mean()) < 0.2
-        assert abs(out.std() - 1.0) < 0.2
-
-    def test_running_stats_frozen_in_eval(self, rng):
+    def test_eval_mode_refused(self, rng):
+        # inference folds the running statistics into the conv (ScoringPlan)
         bn = nn.BatchNorm1d(2)
         before = (bn.running_mean.copy(), bn.running_var.copy())
-        bn.forward(rng.normal(size=(2, 2, 6)), training=False)
+        with pytest.raises(ValueError, match="train mode only"):
+            bn.forward(rng.normal(size=(2, 2, 6)), training=False)
         assert np.array_equal(bn.running_mean, before[0])
         assert np.array_equal(bn.running_var, before[1])
+        assert bn._cache is None
 
     def test_single_sample_train_mode_rejected(self):
         bn = nn.BatchNorm1d(3)
@@ -220,12 +222,9 @@ class TestBatchNorm:
             [grad_x, bn.gamma.grad, bn.beta.grad],
         )
 
-
-    @pytest.mark.parametrize("training", [True, False])
-    def test_matches_the_textbook_formula_within_ulps(self, rng, training):
+    def test_matches_the_textbook_formula_within_ulps(self, rng):
         # The layer sums over the channel-major layout and folds gamma into
-        # the gradient's scale, so it rounds in another order than the
-        # formula; the forward pass in eval mode keeps the formula's order.
+        # the gradient's scale, so it rounds in another order than the formula.
         bn = nn.BatchNorm1d(3)
         bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=3)
         bn.beta.data[:] = rng.normal(size=3)
@@ -234,28 +233,19 @@ class TestBatchNorm:
         x = rng.normal(size=(4, 3, 9)) * 2.0 + 1.0
         g = rng.normal(size=(4, 3, 9))
         gamma, beta = bn.gamma.data[None, :, None], bn.beta.data[None, :, None]
-        if training:
-            mean, var = x.mean(axis=(0, 2)), x.var(axis=(0, 2))
-            want_running = (0.9 * bn.running_mean + 0.1 * mean, 0.9 * bn.running_var + 0.1 * var)
-        else:
-            mean, var = bn.running_mean, bn.running_var
-            want_running = (bn.running_mean.copy(), bn.running_var.copy())
+        mean, var = x.mean(axis=(0, 2)), x.var(axis=(0, 2))
+        want_running = (0.9 * bn.running_mean + 0.1 * mean, 0.9 * bn.running_var + 0.1 * var)
         inv_std = 1.0 / np.sqrt(var + nn.BatchNorm1d.EPSILON)
         xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
         gxhat = g * gamma
-        if training:
-            n = x.shape[0] * x.shape[2]
-            want_grad = (inv_std[None, :, None] / n) * (
-                n * gxhat - gxhat.sum(axis=(0, 2), keepdims=True)
-                - xhat * (gxhat * xhat).sum(axis=(0, 2), keepdims=True))
-        else:
-            want_grad = gxhat * inv_std[None, :, None]
-        pairs = [(bn.forward(x, training), gamma * xhat + beta),
+        n = x.shape[0] * x.shape[2]
+        want_grad = (inv_std[None, :, None] / n) * (
+            n * gxhat - gxhat.sum(axis=(0, 2), keepdims=True)
+            - xhat * (gxhat * xhat).sum(axis=(0, 2), keepdims=True))
+        pairs = [(bn.forward(x, training=True), gamma * xhat + beta),
                  (bn.running_mean, want_running[0]), (bn.running_var, want_running[1]),
                  (bn.backward(g), want_grad),
                  (bn.gamma.grad, (g * xhat).sum(axis=(0, 2))), (bn.beta.grad, g.sum(axis=(0, 2)))]
-        if not training:
-            assert np.array_equal(*pairs[0])
         ulps = [np.abs(got - want).max() / (np.finfo(float).eps * np.abs(want).max())
                 for got, want in pairs]
         print(f"largest drift {max(ulps):.1f} ulps of the largest value")
@@ -272,7 +262,7 @@ class TestBatchNorm:
         for inp in (x, x + shift):
             bn = layer(3)
             bn.gamma.data[:], bn.beta.data[:] = gamma, beta
-            out = bn.forward(inp, True).copy()
+            out = forward(bn, inp).copy()
             runs.append((out, bn.running_var, bn.backward(g), bn.gamma.grad, bn.beta.grad))
         # gamma's gradient sums g * xhat with |xhat| of order 1, and may cancel
         # to near zero, so its rounding is measured against sum |g|
@@ -298,7 +288,7 @@ class TestBatchNormReLU:
         fused, bn, relu = self.fused_and_chain(rng)
         x = rng.normal(size=(3, 4, 10)) * 2.0 - 0.5
         g = rng.normal(size=(3, 4, 10))
-        y = fused.forward(x, True)
+        y = fused.forward(x)
         want = relu.forward(bn.forward(x, True))
         assert np.array_equal(y, want)
         assert np.array_equal(np.signbit(y), np.signbit(want))     # zeros are +0.0
@@ -316,21 +306,18 @@ class TestBatchNormReLU:
         """Backward's gradient is the interior of a (C, B, W) zero-gutter
         buffer as wide as the conv output it came from."""
         conv, fused = nn.Conv1d(3, 4, 3, padding=1, rng=rng), self.fused_and_chain(rng)[0]
-        y = fused.forward(conv.forward(rng.normal(size=(2, 3, 7))), True)
+        y = fused.forward(conv.forward(rng.normal(size=(2, 3, 7))))
         dx = fused.backward(rng.normal(size=y.shape))
         assert nn.to_gutter(dx, 9) is dx.base and dx.base.shape == (4, 2, 9)
 
-    def test_keeps_xhat_alone_and_nothing_in_eval(self, rng):
+    def test_keeps_xhat_alone_and_maps_nan_to_zero(self, rng):
         fused, bn, relu = self.fused_and_chain(rng)
         x = rng.normal(size=(2, 4, 6))
-        fused.forward(x, True)
-        bn.forward(x, True)
-        xhat, inv_std, training = fused._cache
-        assert xhat.shape == x.shape and inv_std.shape == (4,) and training
+        fused.forward(x)
+        xhat, inv_std = fused._cache
+        assert xhat.shape == x.shape and inv_std.shape == (4,)
         x[0, 1, 2] = np.nan              # ReLU maps NaN to 0; so must the fused unit
-        assert np.array_equal(fused.forward(x, False), relu.forward(bn.forward(x, False)))
-        assert fused._cache is None
-
+        assert np.array_equal(fused.forward(x), relu.forward(bn.forward(x, True)))
 
     def test_relu_matches_the_masked_select_on_special_values(self, rng):
         values = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.5, -1.5])
@@ -361,7 +348,7 @@ class TestCachesCleared:
         layer = make()
         x = rng.normal(size=x_shape)
         if isinstance(layer, nn.BatchNorm1d):
-            layer.forward(x, True)
+            forward(layer, x)
         else:
             layer.forward(x)
         assert layer._cache is not None

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lgpnet import training
+import plain_net
+from lgpnet import model as model_mod
 from lgpnet.errors import TrainingDivergedError
 from lgpnet.evaluation import eer_from_scores
 from lgpnet.gmm import Gmm
@@ -110,8 +111,8 @@ class TestOnePath:
     @pytest.mark.parametrize("se", [False, True], ids=["plain", "se"])
     def test_dev_eer_of_every_epoch_is_the_oracles(self, se):
         """The dev EER, which a plan of the live tensors scores, equals that of
-        the eval-mode layers (``SpoofModel.score_utterance``) after every
-        epoch, on a noisy dev set of 1 to 5N frames whose EER stays above 0."""
+        ``plain_net``'s scores of the live tensors after every epoch, on a
+        noisy dev set of 1 to 5N frames whose EER stays above 0."""
         rng = np.random.default_rng(4)
         gmm = make_gmm(1)
         stats = fit_norm_stats(gmm, rng.normal(scale=2.0, size=(400, 2)), "fast")
@@ -125,7 +126,8 @@ class TestOnePath:
         labels, eers = dev.labels(), []
 
         def oracle(epoch, result):
-            scores = np.array([model.score_utterance(utt.features) for utt in dev.items])
+            scores = np.array([plain_net.score_utterance(model, utt.features)
+                               for utt in dev.items])
             eers.append(eer_from_scores(scores[labels == BONA_FIDE], scores[labels == SPOOF])[0])
 
         train_cfg = TrainConfig(batch_size=4, epochs=4, lr=1e-2, seed=1, target_length=32)
@@ -274,7 +276,7 @@ class TestTwoStep:
 
     def test_fused_dev_eer_is_that_of_the_kept_head(self):
         """The fused dev EER is the best step-2 epoch's, whose head the model
-        keeps: scoring the dev set with the trained model gives it back."""
+        keeps: ``plain_net``'s scores of the trained model give it back."""
         rng = np.random.default_rng(1)
         model = build_two_path(rng, seed=3)
         data = separable_dataset(rng, n_per_class=4)
@@ -283,7 +285,7 @@ class TestTwoStep:
             utt.features = utt.features + rng.normal(scale=4.0, size=utt.features.shape)
         cfg = TrainConfig(batch_size=4, epochs=4, lr=3e-2, seed=3, target_length=8)
         result = train_two_step(model, data, cfg, dev)
-        scores = np.array([model.score_utterance(utt.features) for utt in dev.items])
+        scores = np.array([plain_net.score_utterance(model, utt.features) for utt in dev.items])
         labels = dev.labels()
         eer = eer_from_scores(scores[labels == BONA_FIDE], scores[labels == SPOOF])[0]
         assert result.dev_eer == eer < result.step2.dev_eer_trace[0]
@@ -453,12 +455,12 @@ class TestStepMemory:
     def test_step1_dev_plan_folds_only_its_path(self, rng, monkeypatch):
         folded = []
 
-        class Recorded(training.ScoringPlan):
+        class Recorded(model_mod.ScoringPlan):
             def __init__(self, *args):
                 super().__init__(*args)
                 folded.append([k for k, path in enumerate(self.paths) if path is not None])
 
-        monkeypatch.setattr(training, "ScoringPlan", Recorded)
+        monkeypatch.setattr(model_mod, "ScoringPlan", Recorded)
         model = build_two_path(rng, seed=3)
         data = separable_dataset(rng, n_per_class=4)
         dev = separable_dataset(rng, n_per_class=3, partition="dev")
