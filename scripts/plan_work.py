@@ -4,9 +4,11 @@
 Scores every utterance of a protocol with the checkpoint's plan, as
 ``lgpnet score`` does, and prints one line per utterance: its frames T, its
 overlap segments S, the conv columns and ``gutter_conv`` calls its paths
-ran, and the milliseconds it took; then the totals.  The calls are counted
-by wrapping ``lgpnet.model.gutter_conv`` in this process, so the plan runs
-unchanged:
+ran, the columns they would run with each segment its own row
+(paths x (1 + 2 blocks) convs x S(N + 2)), and the milliseconds it took;
+then the totals, and the share of those columns the shared-frame cut saves.
+The calls are counted by wrapping ``lgpnet.model.gutter_conv`` in this
+process, so the plan runs unchanged:
 
     python scripts/plan_work.py ckpt/model.lgpn data/feats data/eval.txt \\
         --gmm pooled.gmm --stats pooled.stats
@@ -40,6 +42,7 @@ def main(argv=None) -> int:
     stats = [LgpNormStats.load(f) for f in (args.stats, args.stats2) if f is not None]
     plan = model.ScoringPlan.from_tensors(tensorio.load_tensors(args.model), gmms, stats)
     n = plan.cfg.input_length
+    convs = plan.cfg.paths * (1 + 2 * plan.cfg.blocks)
     work = {"columns": 0, "calls": 0}
     conv = model.gutter_conv
 
@@ -49,8 +52,8 @@ def main(argv=None) -> int:
         return conv(xbuf, taps)
 
     model.gutter_conv = counted
-    line = "{:<24} {:>7} {:>4} {:>10} {:>6} {:>9}"
-    print(line.format("utterance", "T", "S", "columns", "calls", "ms"))
+    line = "{:<24} {:>7} {:>4} {:>10} {:>6} {:>12} {:>9}"
+    print(line.format("utterance", "T", "S", "columns", "calls", "row/segment", "ms"))
     rows = []
     for utt in read_protocol(args.protocol):
         feats = load_features(args.features / f"{utt}.lgpf")
@@ -59,10 +62,12 @@ def main(argv=None) -> int:
         plan.score_utterance(feats)
         ms = 1e3 * (time.perf_counter() - start)
         t = len(feats)
-        rows.append((t, 2 * -(-t // n) - 1, work["columns"], work["calls"], ms))
-        print(line.format(utt, *rows[-1][:4], f"{ms:.1f}"))
-    totals = [sum(row[i] for row in rows) for i in range(5)]
-    print(line.format("total", *totals[:4], f"{totals[4]:.1f}"))
+        s = 2 * -(-t // n) - 1
+        rows.append((t, s, work["columns"], work["calls"], convs * s * (n + 2), ms))
+        print(line.format(utt, *rows[-1][:5], f"{ms:.1f}"))
+    totals = [sum(row[i] for row in rows) for i in range(6)]
+    print(line.format("total", *totals[:5], f"{totals[5]:.1f}"))
+    print(f"the cut runs {1 - totals[2] / totals[4]:.1%} fewer conv columns than one row per segment")
     return 0
 
 

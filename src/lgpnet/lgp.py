@@ -24,7 +24,8 @@ from .gmm import Gmm, frame_chunks, pooled_mean_var
 
 STD_FLOOR = 1e-8
 
-_FORM_CODES = {"full": 0.0, "fast": 1.0}
+# The LGP forms; stats files and checkpoints store a form as its index here.
+FORMS = ("full", "fast")
 
 
 @dataclass
@@ -44,7 +45,7 @@ class LgpNormStats:
             raise ValueError("LGP stats mean and std must be finite")
         if np.any(self.std <= 0.0):
             raise ValueError("std must be strictly positive (floored)")
-        if self.form not in _FORM_CODES:
+        if self.form not in FORMS:
             raise ValueError(f"unknown LGP form {self.form!r}")
 
     @property
@@ -55,7 +56,7 @@ class LgpNormStats:
         return {
             "lgp_mean": self.mean,
             "lgp_std": self.std,
-            "form": np.array([_FORM_CODES[self.form]]),
+            "form": np.array([float(FORMS.index(self.form))]),
         }
 
     @classmethod
@@ -69,10 +70,9 @@ class LgpNormStats:
         if form.shape != (1,):
             raise ValueError(f"stats tensor 'form' has shape {form.shape}, expected (1,)")
         code = float(form[0])
-        for name, value in _FORM_CODES.items():
-            if code == value:
-                return cls(mean, std, name)
-        raise ValueError(f"unknown form code {code!r}")
+        if not (code.is_integer() and 0 <= code < len(FORMS)):
+            raise ValueError(f"unknown form code {code!r}")
+        return cls(mean, std, FORMS[int(code)])
 
     def save(self, path) -> None:
         tensorio.save_tensors(path, self.to_tensors())
@@ -96,7 +96,7 @@ def lgp_frames_fast(gmm: Gmm, frames: np.ndarray) -> np.ndarray:
     return -0.5 * (frames * frames) @ gmm.inv_var_t + frames @ gmm.scaled_means_t
 
 
-_RAW_FORMS = {"full": lgp_frames_full, "fast": lgp_frames_fast}
+_RAW_FORMS = dict(zip(FORMS, (lgp_frames_full, lgp_frames_fast)))
 
 
 def fit_norm_stats(gmm: Gmm, frames: np.ndarray, form: str) -> LgpNormStats:
@@ -108,7 +108,7 @@ def fit_norm_stats(gmm: Gmm, frames: np.ndarray, form: str) -> LgpNormStats:
     floored at ``STD_FLOOR`` so degenerate components cannot produce
     non-finite features.
     """
-    if form not in _RAW_FORMS:
+    if form not in FORMS:
         raise ValueError(f"unknown LGP form {form!r}")
     frames = np.asarray(frames)
     if frames.ndim != 2 or frames.shape[0] < 2:

@@ -11,8 +11,8 @@ Convs have no bias: each feeds a batch norm, which would cancel it.
 
 One-path models classify a single embedding; two-path models run one path
 per class-conditional GMM and classify the concatenated embeddings.  The
-detection score is the bona fide logit minus the spoof logit (class 0 is
-bona fide throughout).
+detection score is the bona fide logit minus the spoof logit
+(``detection_score``; class 0 is bona fide throughout).
 
 The model's input is raw feature segments (B, N, D).  ``SpoofModel.embed``
 maps them to the head input in a training step: each path derives its LGP
@@ -52,20 +52,25 @@ from . import tensorio
 from .errors import FormatError, NonFiniteMapError, naming
 from .frontend import fix_length
 from .gmm import Gmm
-from .lgp import LgpNormStats, extract_lgp
+from .lgp import FORMS, LgpNormStats, extract_lgp
 from .nn import (BatchNorm1d, BatchNormReLU, Conv1d, Linear, MaxOverTime, SEBlock, gutter_conv,
-                 interior, sigmoid)
+                 interior, se_excitation)
 
 BONA_FIDE, SPOOF = 0, 1
 LABEL_NAMES = {"bonafide": BONA_FIDE, "spoof": SPOOF}
 
 # Checkpoints store these config fields as an index into their choices.
-_CFG_CHOICES = {"se_enabled": (False, True), "lgp_form": ("full", "fast")}
+_CFG_CHOICES = {"se_enabled": (False, True), "lgp_form": FORMS}
 
 # The largest sizes a config may ask for.  The paper's segments are 400 and
 # 1,000 frames, and its two-path model holds about 2 x 10.2M conv weights.
 MAX_INPUT_LENGTH = 2 ** 16
 MAX_CONV_WEIGHTS = 2 ** 27
+
+
+def detection_score(logits: np.ndarray) -> np.ndarray:
+    """The bona fide logit minus the spoof logit, along the last axis."""
+    return logits[..., BONA_FIDE] - logits[..., SPOOF]
 
 
 @dataclass
@@ -313,7 +318,7 @@ class SpoofModel:
         plan = self.plan(range(self.cfg.paths))
         weight, bias = plan.head
         logits = (plan.embed(feats, range(self.cfg.paths)) @ weight.T + bias)[0]
-        return logits, float(logits[BONA_FIDE] - logits[SPOOF])
+        return logits, float(detection_score(logits))
 
     def score_utterance(self, feats: np.ndarray) -> float:
         """Mean detection score over all overlap segments of an utterance,
@@ -369,9 +374,11 @@ class ScoringPlan:
     Its rows, one per segment or one for the whole utterance with a slot
     per edge patch at the segment edges, share one zero-gutter buffer per
     path, over which run the conv kernel of ``Conv1d`` (``nn.gutter_conv``),
-    the shift ``b'`` and an in-place ReLU, the SE gate and the in-place
-    residual add; each segment's max over time goes to the head, and nothing
-    is kept.
+    the shift ``b'`` and an in-place ReLU (``nn.ReLU``'s
+    ``np.maximum(x, 0.0)``), the SE gate (``nn.se_excitation``, as in
+    ``SEBlock``) and the in-place residual add; each segment's max over time
+    goes to the head, whose ``detection_score`` the segments average, and
+    nothing is kept.
     Activations stay in that buffer's layout from the stem to the pooling,
     so no layer copies or pads its input.
     Scoring writes no attribute, so ``--workers`` threads share one plan.
@@ -424,7 +431,7 @@ class ScoringPlan:
         """Mean detection score over all overlap segments of an utterance."""
         weight, bias = self.head
         logits = self.embed(feats, range(self.cfg.paths)) @ weight.T + bias
-        return float((logits[:, BONA_FIDE] - logits[:, SPOOF]).mean())
+        return float(detection_score(logits).mean())
 
     def _embed(self, k: int, feats: np.ndarray) -> np.ndarray:
         """(T, D) frames of an utterance -> (S, channels) segment embeddings
@@ -528,7 +535,7 @@ class ScoringPlan:
             g = unit(unit(h, 2 * b + 1, *conv1), 2 * b + 2, *conv2)
             if se is not None:                          # the rows fill the buffer
                 by_row = g.reshape(g.shape[0], len(starts), t + 2)
-                by_row *= _se_gate(interior(by_row, t), *se).T[:, :, None]
+                by_row *= se_excitation(interior(by_row, t).mean(axis=2), *se)[2].T[:, :, None]
             h += g
         return h[:, 0, rows], h[:, 0, slots]
 
@@ -544,12 +551,6 @@ def _fold_bn(t: dict[str, np.ndarray], conv: str, bn: str) -> tuple[np.ndarray, 
     taps = np.multiply(t[f"{conv}.weight"].transpose(2, 0, 1), s[:, None],
                        dtype=np.float64, order="C")
     return taps, beta - mean * s
-
-
-def _se_gate(x: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
-    """Per-channel squeeze-excitation scale (B, C) of a (B, C, T) batch, as ``SEBlock.forward``."""
-    inner = np.maximum(x.mean(axis=2) @ w1.T + b1, 0.0)
-    return sigmoid(inner @ w2.T + b2)
 
 
 def _lgp_maps(gmm: Gmm, stats: LgpNormStats, segments: np.ndarray, k: int) -> np.ndarray:

@@ -12,7 +12,8 @@ accumulating parameter gradients on the way.
 batch norm's ``xhat`` and recomputes the ReLU output from it, in backward
 and for a :class:`Conv1d` whose ``input_source`` it is; the standalone
 :class:`BatchNorm1d` and :class:`ReLU` stay as its bit-level oracle.  Every
-layer runs in train mode: inference runs the model's ``ScoringPlan``.
+layer runs in train mode: inference runs the model's ``ScoringPlan``, which
+shares the one ReLU rule of :class:`ReLU` and :func:`se_excitation` with them.
 
 Stateful layers also list their current arrays by name in
 ``named_tensors``; checkpoints and training snapshots are built from it.
@@ -348,19 +349,6 @@ class BatchNorm1d:
         return out
 
 
-def _relu_in_place(z: np.ndarray) -> np.ndarray:
-    """``z`` overwritten with ``np.where(z > 0, z, 0.0)``, bit for bit.
-
-    ``np.fmax`` zeroes NaN, but may keep a -0.0 (NumPy 2.4 does for some
-    lengths and for strided views); adding +0.0 turns it into +0.0 and
-    leaves every other value as it is.  Two passes, against four for the
-    masked select.
-    """
-    np.fmax(z, 0.0, out=z)
-    z += 0.0
-    return z
-
-
 class BatchNormReLU(BatchNorm1d):
     """``relu(BatchNorm1d(x))`` that keeps only batch norm's ``xhat`` and ``1/std``.
 
@@ -372,12 +360,13 @@ class BatchNormReLU(BatchNorm1d):
     recomputation of Chen et al., 2016).  Outputs and gradients equal
     ``BatchNorm1d`` followed by ``ReLU`` bit for bit, except that the mask
     multiplies the gradient: a finite gradient it stops becomes a zero of
-    the same sign, a non-finite one NaN.
+    the same sign, a non-finite one NaN.  Its ReLU is ``ReLU``'s
+    ``np.maximum(z, 0.0)``, so -0.0 becomes +0.0 and a NaN passes through.
     """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = super().forward(x, True)
-        _relu_in_place(out.base)        # the whole buffer: its gutters stay +0.0
+        np.maximum(out.base, 0.0, out=out.base)     # the whole buffer: its gutters stay +0.0
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -395,22 +384,33 @@ class BatchNormReLU(BatchNorm1d):
         b, c, t = xhat.shape
         buf = zero_gutters(np.empty((c, b, t + 2 * padding), xhat.dtype), t)
         self._affine(xhat.transpose(1, 0, 2), _frames(buf, t))
-        return _relu_in_place(buf).transpose(1, 0, 2)
+        return np.maximum(buf, 0.0, out=buf).transpose(1, 0, 2)
 
 
 class ReLU:
-    """Elementwise max(0, x); gradient passes only where x > 0."""
+    """Elementwise ``np.maximum(x, 0.0)``, the one ReLU of the package: -0.0
+    becomes +0.0 and a NaN passes through.  The gradient passes only where
+    x > 0."""
 
     def __init__(self):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x > 0
-        return np.where(self._cache, x, 0.0)
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         mask, self._cache = self._cache, None
         return np.where(mask, grad_out, 0.0)
+
+
+def se_excitation(z: np.ndarray, w1, b1, w2, b2):
+    """Squeeze-excitation of pooled values ``z`` (B, C), for ``SEBlock`` and
+    ``ScoringPlan``: the first layer's pre-activation ``W1 . z + b1``
+    (B, C/r), its ReLU, and the gate ``sigmoid(W2 . relu + b2)`` (B, C)."""
+    pre1 = z @ w1.T + b1
+    h = np.maximum(pre1, 0.0)
+    return pre1, h, sigmoid(h @ w2.T + b2)
 
 
 class SEBlock:
@@ -418,6 +418,7 @@ class SEBlock:
 
     squeeze:  z_bc = mean_t x[b, c, t]
     excite:   s_b = sigmoid(W2 . relu(W1 . z_b + b1) + b2), s_b in (0, 1)^C
+              (:func:`se_excitation`)
     output:   x[b, c, t] * s_bc
     """
 
@@ -442,12 +443,9 @@ class SEBlock:
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.w1.shape[1]:
             raise ValueError("channel count mismatch")
-        w1, b1, w2, b2 = (p.data.astype(x.dtype, copy=False) for p in self.parameters())
         z = x.mean(axis=2)                                    # (B, C)
-        pre1 = z @ w1.T + b1                                  # (B, C/r)
-        h = np.maximum(pre1, 0.0)
-        pre2 = h @ w2.T + b2                                  # (B, C)
-        s = sigmoid(pre2)
+        pre1, h, s = se_excitation(z, *(p.data.astype(x.dtype, copy=False)
+                                        for p in self.parameters()))
         self._cache = (x, z, pre1, h, s)
         return x * s[:, :, None]
 

@@ -24,7 +24,7 @@ from . import tensorio
 from .errors import NonFiniteMapError, TrainingDivergedError, naming
 from .evaluation import eer_from_scores, read_protocol
 from .frontend import fix_length, load_features
-from .model import BONA_FIDE, LABEL_NAMES, ScoringPlan, SpoofModel
+from .model import BONA_FIDE, LABEL_NAMES, ScoringPlan, SpoofModel, detection_score
 from .nn import Adam, Linear, softmax_cross_entropy
 
 
@@ -144,10 +144,7 @@ def _plan_embeds(plan: ScoringPlan, path_ids, data: LabeledDataset, length) -> l
 def _dev_eer(head, dev_embs, dev: LabeledDataset) -> float:
     """Dev EER of ``head``: a dev utterance scores the mean over its segments,
     its rows of ``dev_embs``, of the bona fide minus the spoof logit."""
-    scores = np.empty(len(dev))
-    for i, emb in enumerate(dev_embs):
-        logits = head.forward(emb)
-        scores[i] = (logits[:, 0] - logits[:, 1]).mean()
+    scores = np.array([detection_score(head.forward(emb)).mean() for emb in dev_embs])
     labels = dev.labels()
     return eer_from_scores(scores[labels == BONA_FIDE], scores[labels != BONA_FIDE])[0]
 

@@ -437,8 +437,11 @@ class TestScoreUtterance:
         want = plain_net.score_utterance(model, feats)
         assert abs(direct - want) <= 1e-9 * abs(want)
 
-    def test_constant_utterance_average_equals_single_score(self, model):
-        feats = np.tile(np.array([[0.4, -1.0, 0.2, 2.0]]), (70, 1))
+    def test_repeating_utterance_average_equals_single_score(self, model, rng):
+        """Frames of period N/2 over T = 2N make three equal segments whose
+        frames vary, which the plan scores through the cut's edge patches."""
+        feats = np.tile(rng.normal(size=(16, 4)), (4, 1))
+        assert len(segment_ufm(feats, UfmConfig(32))) == 3
         single = plain_net.score_utterance(model, feats[:32])
         assert model.score_utterance(feats) == pytest.approx(single, abs=1e-9)
 

@@ -310,28 +310,56 @@ class TestBatchNormReLU:
         dx = fused.backward(rng.normal(size=y.shape))
         assert nn.to_gutter(dx, 9) is dx.base and dx.base.shape == (4, 2, 9)
 
-    def test_keeps_xhat_alone_and_maps_nan_to_zero(self, rng):
+    def test_keeps_xhat_alone_and_passes_nan_through(self, rng):
         fused, bn, relu = self.fused_and_chain(rng)
         x = rng.normal(size=(2, 4, 6))
         fused.forward(x)
         xhat, inv_std = fused._cache
         assert xhat.shape == x.shape and inv_std.shape == (4,)
-        x[0, 1, 2] = np.nan              # ReLU maps NaN to 0; so must the fused unit
-        assert np.array_equal(fused.forward(x), relu.forward(bn.forward(x, True)))
+        x[0, 1, 2] = np.nan              # ReLU passes a NaN through; so must the fused unit
+        y = fused.forward(x)
+        assert np.array_equal(y, relu.forward(bn.forward(x, True)), equal_nan=True)
+        assert np.isnan(y[:, 1]).all() and np.isfinite(np.delete(y, 1, axis=1)).all()
 
-    def test_relu_matches_the_masked_select_on_special_values(self, rng):
-        values = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.5, -1.5])
-        for n in (1, 3, 7, 64, 1001):       # vector bodies and scalar tails alike
-            for z in (rng.choice(values, size=n), np.full(n, -0.0)):
-                want = np.where(z > 0, z, 0.0)
-                padded = np.zeros((2, n + 2))
-                padded[1, 1:-1] = z
-                strided = np.zeros(2 * n)
-                strided[::2] = z
-                for got in (nn._relu_in_place(z.copy()), nn._relu_in_place(padded[1, 1:-1]),
-                            nn._relu_in_place(strided[::2])):
-                    assert np.array_equal(got, want)
-                    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # (gamma, beta) per channel: with gamma 0 a channel is beta, of the sign
+    # of xhat when beta is a zero; a subnormal gamma makes subnormals and zeros.
+    SPECIAL = ((0.0, -0.0), (0.0, 0.0), (0.0, np.nan), (0.0, np.inf), (0.0, -np.inf),
+               ("tiny", -0.0), ("tiny", 0.0), (1.5, -0.25))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["contiguous", "padded", "strided"])
+    def test_equals_batch_norm_then_relu_on_special_values(self, rng, dtype, layout):
+        """One ReLU rule, ``np.maximum(z, 0.0)``: the fused unit, over its whole
+        buffer, equals batch norm then ``ReLU`` in values and sign bits, NaN
+        where NaN, on -0.0, +0.0, NaN, +-inf and subnormals; no zero keeps a
+        sign, and the rebuilt output's gutters are +0.0."""
+        tiny = np.finfo(dtype).smallest_normal / 4
+        gamma, beta = np.array([(tiny if g == "tiny" else g, b) for g, b in self.SPECIAL]).T
+        c = len(gamma)
+        for t in (1, 3, 7, 64, 1001):       # vector bodies and scalar tails alike
+            x = rng.normal(size=(2, c, t)).astype(dtype)
+            if layout == "padded":
+                x = nn.interior(nn.to_gutter(x, t + 2), t)
+            elif layout == "strided":
+                x = np.repeat(x, 2, axis=2)[:, :, ::2]
+            fused, bn, relu = nn.BatchNormReLU(c), nn.BatchNorm1d(c), nn.ReLU()
+            for layer in (fused, bn):
+                layer.gamma.data[:], layer.beta.data[:] = gamma, beta
+            z = bn.forward(x, True)
+            assert (np.isnan(z).any() and np.isposinf(z).any() and np.isneginf(z).any()
+                    and ((z == 0) & np.signbit(z)).any()
+                    and ((0 < np.abs(z)) & (np.abs(z) < np.finfo(dtype).smallest_normal)).any())
+            want = relu.forward(z)
+            y = fused.forward(x)
+            padded = fused.padded_output(1)
+            for got in (y, padded[:, :, 1:-1]):
+                assert got.dtype == dtype
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.isnan(got), np.isnan(z))
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+                assert not np.signbit(got[~np.isnan(got)]).any()
+            gutters = padded[:, :, [0, -1]]
+            assert not gutters.any() and not np.signbit(gutters).any()
 
 
 class TestCachesCleared:
