@@ -12,8 +12,9 @@ Requires the corpus prepared locally (this repository ships no audio):
 Runs LFCC extraction, 512-mixture GMMs (30 EM iterations), fast-form LGP
 statistics, a two-path two-step classifier (512 channels, 6 residual
 blocks, N=400, batch 32, lr 1e-4, 100+100 epochs), scoring, and
-evaluation.  Use --pa for the physical-access segment length (N=1000).
-Expect a long run; everything here is plain NumPy on CPU.
+evaluation: EER and min t-DCF under ``configs/tdcf_asvspoof2019.cfg``.
+Use --pa for the physical-access segment length (N=1000).  Expect a long
+run; everything here is plain NumPy on CPU.
 """
 
 import argparse
@@ -24,6 +25,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lgpnet.cli import main as cli
 from lgpnet.evaluation import read_protocol
+
+TDCF_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "tdcf_asvspoof2019.cfg"
 
 
 def sh(*argv):
@@ -82,7 +85,7 @@ def run(args) -> None:
        "--stats", out / "bona.stats", "--stats2", out / "spoof.stats",
        "--workers", args.workers, "--out", out / "net.eval")
     sh("evaluate", "--scores", out / "net.eval", "--protocol", root / "eval.txt",
-       "--out", out / "metrics.txt")
+       "--tdcf-config", TDCF_CONFIG, "--out", out / "metrics.txt")
     print(f"metrics written to {out / 'metrics.txt'}")
 
 

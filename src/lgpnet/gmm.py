@@ -185,7 +185,7 @@ class Gmm:
             return cls.from_tensors(tensorio.load_tensors(path))
 
 
-def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """Overflow-safe log(sum(exp(a))) along ``axis``."""
     m = np.max(a, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)

@@ -54,7 +54,7 @@ from .frontend import fix_length
 from .gmm import Gmm
 from .lgp import FORMS, LgpNormStats, extract_lgp
 from .nn import (BatchNorm1d, BatchNormReLU, Conv1d, Linear, MaxOverTime, SEBlock, gutter_conv,
-                 interior, se_excitation)
+                 interior, se_excitation, zero_gutters)
 
 BONA_FIDE, SPOOF = 0, 1
 LABEL_NAMES = {"bonafide": BONA_FIDE, "spoof": SPOOF}
@@ -170,21 +170,18 @@ class ResBlock:
         g += grad_out
         return g
 
-    def padded_output(self, padding):
-        """The last output, rebuilt bit for bit inside ``padding``
-        zero frames at each end of the time axis, as
-        ``BatchNormReLU.padded_output`` gives it: bn2's rebuilt output, times
-        SE's cached gate, plus the block input (conv1's kept or rebuilt one),
-        in the forward's order.  It reads the caches that backward spends,
-        so it runs before this block's backward."""
-        out = self.bn2.padded_output(padding)
-        t = out.shape[2] - 2 * padding
-        h = out[:, :, padding : padding + t]
+    def padded_output(self):
+        """The last output, rebuilt bit for bit as the zero-gutter buffer
+        (C, B, T + 2) whose interior forward returned: bn2's rebuilt output
+        (``BatchNormReLU.padded_output``), times SE's cached gate, plus the
+        block input (conv1's kept or rebuilt buffer), in the forward's order.
+        It reads the caches that backward spends, so it runs before this
+        block's backward."""
+        out = self.bn2.padded_output()
         if self.se is not None:
-            gate = self.se._cache[-1]
-            h *= gate[:, :, None]
-        h += interior(self.conv1.padded_input(), t)
-        return out
+            out *= self.se._cache[-1].T[:, :, None]
+        out += self.conv1.padded_input()
+        return zero_gutters(out, out.shape[2] - 2)
 
 
 class PathNetwork:

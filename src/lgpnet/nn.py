@@ -28,11 +28,14 @@ gradient product is added into the float64 ``grad``), and float64 input
 runs the float64 arithmetic.  :class:`Linear`, the head, computes in
 float64 on either.
 
-Behind that shape, :class:`Conv1d` and batch norm keep sequences
-channel-major in zero-gutter buffers, where a convolution is one GEMM per
-kernel tap (:func:`gutter_conv`), and hand each other those buffers as
-``(batch, channels, time)`` views, activations forward and gradients
-backward (:class:`MaxOverTime` too); any other array is copied in.
+Behind that shape there is one activation layout: the zero-gutter buffer
+(C, B, T + 2), channel-major with one zero frame at each end of every row,
+where a kernel-3 convolution is one GEMM per tap (:func:`gutter_conv`).
+:class:`Conv1d`, the batch norms and :class:`SEBlock` read their input and
+gradient through :func:`to_gutter`, and they and :class:`MaxOverTime` hand
+on the (B, C, T) interior of such a buffer, activations forward and
+gradients backward, so the next layer reads it in place; an array from
+outside the layers is copied in once, where it enters.
 """
 
 from __future__ import annotations
@@ -91,9 +94,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # convolution is k GEMMs, one per tap, each reading the flat buffer shifted
 # by the tap (kn2row: Vasudevan, Anderson & Gregg, ASAP 2017).  A shifted
 # view is a row-strided BLAS operand, so nothing is copied, and the gutters
-# keep the taps of one row from reaching into the next.  Elementwise work
-# runs over whole buffers, contiguous and so faster than over the frames
-# alone, and then zeroes the gutters again.
+# keep the taps of one row from reaching into the next.  Between the layers
+# W = T + 2; only a Conv1d of another kernel or padding makes other widths.
+# Elementwise work runs over whole buffers, contiguous and so faster than
+# over the frames alone, and then zeroes the gutters again.
 
 
 def zero_gutters(buf: np.ndarray, t: int) -> np.ndarray:
@@ -103,42 +107,27 @@ def zero_gutters(buf: np.ndarray, t: int) -> np.ndarray:
     return buf
 
 
-def _frames(buf: np.ndarray, t: int) -> np.ndarray:
-    """The ``t`` frames of a zero-gutter buffer, channel-major (C, B, t)."""
-    q = (buf.shape[2] - t) // 2
-    return buf[:, :, q : q + t]
-
-
 def interior(buf: np.ndarray, t: int) -> np.ndarray:
     """The (B, C, t) batch that a zero-gutter buffer holds, as a view."""
-    return _frames(buf, t).transpose(1, 0, 2)
-
-
-def _gutter_of(x: np.ndarray) -> np.ndarray | None:
-    """The zero-gutter buffer whose interior ``x`` is, or None."""
-    buf = x.base
-    if not isinstance(buf, np.ndarray) or buf.ndim != 3 or not buf.flags.c_contiguous:
-        return None
-    c, b, width = buf.shape
-    t = x.shape[2]
-    if x.shape != (b, c, t) or t > width or x.dtype != buf.dtype:
-        return None
-    view = interior(buf, t)
-    if x.strides != view.strides or x.ctypes.data != view.ctypes.data:
-        return None
-    q = (width - t) // 2
-    if buf[:, :, :q].any() or buf[:, :, q + t :].any():
-        return None
-    return buf
+    q = (buf.shape[2] - t) // 2
+    return buf[:, :, q : q + t].transpose(1, 0, 2)
 
 
 def to_gutter(x: np.ndarray, width: int) -> np.ndarray:
     """A zero-gutter buffer (C, B, ``width``) holding the (B, C, T) batch
-    ``x``: the buffer ``x`` already is the interior of, or else a new copy."""
-    buf = _gutter_of(x)
-    if buf is None or buf.shape[2] != width:
-        buf = zero_gutters(np.empty((x.shape[1], x.shape[0], width), x.dtype), x.shape[2])
-        interior(buf, x.shape[2])[...] = x
+    ``x``: the buffer ``x`` already is the interior of, or else a new copy.
+    The layers read the sequences they are handed through this, so only an
+    array from outside the layers is copied, once, where it enters."""
+    b, c, t = x.shape
+    buf, q = x.base, (width - t) // 2
+    if (isinstance(buf, np.ndarray) and buf.shape == (c, b, width) and buf.dtype == x.dtype
+            and buf.flags.c_contiguous):
+        view = interior(buf, t)
+        if (x.strides == view.strides and x.ctypes.data == view.ctypes.data
+                and not buf[:, :, :q].any() and not buf[:, :, q + t :].any()):
+            return buf
+    buf = zero_gutters(np.empty((c, b, width), x.dtype), t)
+    interior(buf, t)[...] = x
     return buf
 
 
@@ -186,9 +175,9 @@ class Conv1d:
     padded input.
 
     Forward keeps the padded input buffer.  With ``input_source`` set (to a
-    layer with ``padded_output(padding)`` that rebuilds this conv's input),
-    forward keeps nothing and backward asks the source for it instead
-    (``padded_input``).
+    layer whose ``padded_output()`` rebuilds this conv's input as its
+    (C, B, T + 2) buffer, which fits padding 1), forward keeps nothing and
+    backward asks the source for it instead (``padded_input``).
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, padding: int = 0,
@@ -241,11 +230,11 @@ class Conv1d:
             self.weight.grad[:, :, j] += g[:, lo:hi] @ x[:, lo + s : hi + s].T
 
     def padded_input(self) -> np.ndarray:
-        """The last input as its padded zero-gutter buffer (C, B, W):
-        the one forward kept, or the one ``input_source`` rebuilds."""
+        """The last input as its padded zero-gutter buffer (C, B, W): the
+        one forward kept, or the (C, B, T + 2) one ``input_source`` rebuilds."""
         if self.input_source is None:
             return self._cache
-        return self.input_source.padded_output(self.padding).transpose(1, 0, 2)
+        return self.input_source.padded_output()
 
     def backward_input(self, grad_out: np.ndarray) -> np.ndarray:
         """Gradient with respect to the forward input: the forward pass of
@@ -268,10 +257,11 @@ class BatchNorm1d:
     conv.  Forward keeps the normalized input ``xhat`` and ``1/std``.
 
     The work runs on channel-major buffers, so every statistic is a row
-    reduction.  When the input is the interior of a zero-gutter buffer (a
-    conv output), ``xhat``, the output and the input gradient are buffers of
-    the same width, and the conv that reads the output forward, or the
-    gradient backward, needs no copy.
+    reduction.  The input is read as a (C, B, T + 2) zero-gutter buffer
+    (:func:`to_gutter`: a kernel-3 conv's output is one already), and
+    ``xhat``, the output and the input gradient are buffers as wide, so the
+    conv that reads the output forward, or the gradient backward, needs no
+    copy.
     """
 
     MOMENTUM = 0.1
@@ -302,10 +292,8 @@ class BatchNorm1d:
         n = b * t
         if n < 2:
             raise ValueError("train-mode batch norm needs >1 sample per channel")
-        src = _gutter_of(x)
-        if src is None:
-            src = x.transpose(1, 0, 2)
-        xhat = np.empty((c, b, src.shape[2]), src.dtype)
+        src = to_gutter(x, t + 2)
+        xhat = np.empty_like(src)
         mean = src.sum(axis=(1, 2)) / n
         zero_gutters(np.subtract(src, mean[:, None, None], out=xhat), t)
         flat = xhat.reshape(c, -1)
@@ -376,15 +364,13 @@ class BatchNormReLU(BatchNorm1d):
         np.multiply(to_gutter(grad_out, xhat.shape[2]), z > 0, out=z)
         return super().backward(interior(z, t))
 
-    def padded_output(self, padding: int) -> np.ndarray:
-        """The last output, rebuilt inside ``padding`` zero frames
-        at each end of the time axis: (B, C, T + 2*padding), a view of a
-        zero-gutter buffer."""
-        xhat = self._cache[0]
-        b, c, t = xhat.shape
-        buf = zero_gutters(np.empty((c, b, t + 2 * padding), xhat.dtype), t)
-        self._affine(xhat.transpose(1, 0, 2), _frames(buf, t))
-        return np.maximum(buf, 0.0, out=buf).transpose(1, 0, 2)
+    def padded_output(self) -> np.ndarray:
+        """The last output, rebuilt with the forward's operations, bit for
+        bit: the zero-gutter buffer (C, B, T + 2) whose interior forward
+        returned, which a conv with padding 1 reads as its input."""
+        xhat = self._cache[0].base
+        out = zero_gutters(self._affine(xhat, np.empty_like(xhat)), xhat.shape[2] - 2)
+        return np.maximum(out, 0.0, out=out)
 
 
 class ReLU:
@@ -420,6 +406,11 @@ class SEBlock:
     excite:   s_b = sigmoid(W2 . relu(W1 . z_b + b1) + b2), s_b in (0, 1)^C
               (:func:`se_excitation`)
     output:   x[b, c, t] * s_bc
+
+    Forward reads its input through :func:`to_gutter` and writes the gated
+    output, and backward the input gradient, into a new (C, B, T + 2)
+    zero-gutter buffer: one product over the whole buffer, whose gutters are
+    zeroed after it.  The next conv and batch norm read them in place.
     """
 
     def __init__(self, channels: int, reduction: int = 16,
@@ -443,18 +434,22 @@ class SEBlock:
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.w1.shape[1]:
             raise ValueError("channel count mismatch")
+        t = x.shape[2]
+        xbuf = to_gutter(x, t + 2)
+        x = interior(xbuf, t)
         z = x.mean(axis=2)                                    # (B, C)
         pre1, h, s = se_excitation(z, *(p.data.astype(x.dtype, copy=False)
                                         for p in self.parameters()))
         self._cache = (x, z, pre1, h, s)
-        return x * s[:, :, None]
+        return interior(zero_gutters(xbuf * s.T[:, :, None], t), t)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x, z, pre1, h, s = self._cache
         self._cache = None
         t = x.shape[2]
-        grad_s = (grad_out * x).sum(axis=2)                   # (B, C)
-        grad_x = grad_out * s[:, :, None]
+        gbuf = to_gutter(grad_out, t + 2)
+        grad_s = (interior(gbuf, t) * x).sum(axis=2)          # (B, C)
+        grad_x = gbuf * s.T[:, :, None]
         grad_pre2 = grad_s * s * (1.0 - s)
         self.w2.grad += grad_pre2.T @ h
         self.b2.grad += grad_pre2.sum(axis=0)
@@ -463,17 +458,17 @@ class SEBlock:
         self.w1.grad += grad_pre1.T @ z
         self.b1.grad += grad_pre1.sum(axis=0)
         grad_z = grad_pre1 @ self.w1.data.astype(x.dtype, copy=False)
-        grad_x += grad_z[:, :, None] / t
-        return grad_x
+        grad_x += (grad_z / t).T[:, :, None]
+        return interior(zero_gutters(grad_x, t), t)
 
 
 class MaxOverTime:
     """Per-channel maximum over the time axis: (B, C, T) -> (B, C).
 
     Backward routes the gradient to the first argmax position of each
-    channel, which keeps training deterministic under ties.  When the input
-    is the interior of a zero-gutter buffer, the gradient is the interior of
-    a zero buffer as wide, which the layer before reads in place.
+    channel, which keeps training deterministic under ties.  The gradient is
+    the interior of a zero (C, B, T + 2) buffer, which the layer before
+    reads in place.
     """
 
     def __init__(self):
@@ -483,17 +478,13 @@ class MaxOverTime:
         if x.shape[2] < 1:
             raise ValueError("time axis is empty")
         idx = x.argmax(axis=2)                                # first occurrence on ties
-        buf = _gutter_of(x)
-        self._cache = (x.shape, x.dtype, idx, None if buf is None else buf.shape[2])
+        self._cache = (x.shape, x.dtype, idx)
         return np.take_along_axis(x, idx[:, :, None], axis=2)[:, :, 0]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        (b, c, t), dtype, idx, width = self._cache
+        (b, c, t), dtype, idx = self._cache
         self._cache = None
-        if width is None:
-            grad_x = np.zeros((b, c, t), dtype)
-        else:
-            grad_x = interior(np.zeros((c, b, width), dtype), t)
+        grad_x = interior(np.zeros((c, b, t + 2), dtype), t)
         np.put_along_axis(grad_x, idx[:, :, None], grad_out[:, :, None], axis=2)
         return grad_x
 

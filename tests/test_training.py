@@ -6,6 +6,7 @@ import pytest
 
 import plain_net
 from lgpnet import model as model_mod
+from lgpnet import nn
 from lgpnet.errors import TrainingDivergedError
 from lgpnet.evaluation import eer_from_scores
 from lgpnet.gmm import Gmm
@@ -451,6 +452,30 @@ class TestStepMemory:
         print(f"traced peak {peak} bytes")
         assert peak <= 1.05 * 6_270_000
         assert all(p._grad is None for p in model.paths[0].parameters() + model.fc.parameters())
+
+    def test_se_step_copies_no_activation(self, rng, monkeypatch):
+        """Every layer of an SE step, the gate included, reads its input and
+        its gradient in place: ``to_gutter`` copies no (B, C, N) array.  An
+        SE gate that hands on plain arrays costs 11 such copies at 6 blocks,
+        one into each next block's conv1 and one into each bn2's backward."""
+        cfg = dataclasses.replace(tiny_config(), blocks=6, se_enabled=True, input_length=16)
+        gmm = make_gmm(1)
+        stats = fit_norm_stats(gmm, rng.normal(scale=2.0, size=(400, 2)), "fast")
+        model = SpoofModel(cfg, [gmm], [stats], seed=0)
+        data = separable_dataset(rng, n_per_class=2)
+        full, copies = len(data) * cfg.channels * cfg.input_length, []
+        to_gutter = nn.to_gutter
+
+        def counted(x, width):
+            buf = to_gutter(x, width)
+            if buf is not x.base and x.size >= full:
+                copies.append(x.shape)
+            return buf
+
+        monkeypatch.setattr(nn, "to_gutter", counted)
+        train_one_path(model, data, TrainConfig(batch_size=len(data), epochs=1, lr=1e-3,
+                                                target_length=cfg.input_length))
+        assert copies == []
 
     def test_step1_dev_plan_folds_only_its_path(self, rng, monkeypatch):
         folded = []
