@@ -4,9 +4,10 @@
 Drives the CLI through the whole pipeline: corpus generation, GMM baseline,
 LGP statistics, one-path training, scoring, evaluation, and fusion of the
 network with the baseline.  With ``--paths 2`` the network is the two-path
-model: LGP statistics under the bona fide and the spoof GMM, two-step
-training, and scoring with ``--gmm2/--stats2``.  Writes all artifacts plus
-a final metrics file under --out.
+model: LGP statistics under the bona fide and the spoof GMM, and two-step
+training and scoring with ``--gmm2/--stats2``, the second pair that makes
+the model two paths.  Writes all artifacts plus a final metrics file
+under --out.
 
     python scripts/run_synthetic_pipeline.py --out /tmp/lgpnet-demo
     python scripts/run_synthetic_pipeline.py --task marginal-shift --se
@@ -80,7 +81,6 @@ def run(args) -> None:
         f"epochs = {args.epochs}\n"
         "lr = 0.001\n"
         f"seed = {args.seed}\n"
-        + ("paths = 2\n" if args.paths == 2 else "")
     )
     sh("train", "--config", run_cfg, "--features", corpus / "feats",
        "--protocol", corpus / "train.txt", "--dev-protocol", corpus / "dev.txt",

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Memory of one training step, measured in this process.
 
-Builds the one-path model a run config describes (a two-path config's
-step-1 fits have its shape), takes the protocol's first batch of
-utterances and runs one Adam step through ``training._fit`` under
-``tracemalloc``.  It prints the traced peak and the layer call that was
-running when it was reached, ``ru_maxrss``, the bytes each layer's cache
-holds after the train-mode forward, and the ``nn.to_gutter`` calls that
-copied their input.  Layers are wrapped in this process, so the step runs
+Builds the one-path model that a run config describes with one GMM and
+stats pair (``RunConfig.build``; a two-path run's step-1 fits have its
+shape), takes the protocol's first batch of utterances and runs one Adam
+step through ``training.train_one_path`` under ``tracemalloc``.  It prints
+the traced peak and the layer call that was running when it was reached,
+``ru_maxrss``, the bytes each layer's cache holds after the train-mode
+forward, and the ``nn.to_gutter`` calls that copied their input.  Layers are wrapped in this process, so the step runs
 unchanged:
 
     python scripts/step_memory.py run.cfg data/feats data/train.txt \\
@@ -15,6 +15,7 @@ unchanged:
 """
 
 import argparse
+import dataclasses
 import resource
 import sys
 import tracemalloc
@@ -27,7 +28,6 @@ import numpy as np
 from lgpnet import nn, training
 from lgpnet.gmm import Gmm
 from lgpnet.lgp import LgpNormStats
-from lgpnet.model import ClassifierConfig, SpoofModel
 from lgpnet.runconfig import RunConfig, read_flat_config
 
 MIB = 2.0 ** 20
@@ -79,19 +79,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     run = read_flat_config(RunConfig, args.config)
     gmm, stats = Gmm.load(args.gmm), LgpNormStats.load(args.stats)
-    data = training.load_dataset(args.protocol, args.features, gmm.dim)
+    data = training.load_dataset(args.protocol, args.features, gmm.dim, "the training set")
     data = training.LabeledDataset(data.items[: run.batch_size])
-    cfg = ClassifierConfig(gmm_order=run.gmm_order, channels=run.channels, blocks=run.blocks,
-                           se_enabled=run.se_enabled, se_reduction=run.se_reduction,
-                           input_length=run.segment_length, lgp_form=stats.form)
-    train_cfg = training.TrainConfig(batch_size=run.batch_size, epochs=1, lr=run.lr,
-                                     seed=run.seed, target_length=run.segment_length)
-    batch, full = len(data), len(data) * cfg.channels * cfg.input_length
+    batch, full = len(data), len(data) * run.channels * run.segment_length
 
     probe, held, copies = Probe(), {}, []
     tracemalloc.start()
-    model = SpoofModel(cfg, [gmm], [stats], seed=run.seed)
-    path = model.paths[0]
+    model, train_cfg = run.build([gmm], [stats])
+    cfg, path = model.cfg, model.paths[0]
     layers = list(path._named_layers()) + [("pool", path.pool)]
     blocks = [(f"block{b}", block) for b, block in enumerate(path.blocks)]
     for name, layer in layers + blocks + [("head", model.fc)]:
@@ -125,7 +120,7 @@ def main(argv=None) -> int:
 
     nn.to_gutter = counted
     try:
-        training._fit(model, [0], model.fc, None, data, None, None, train_cfg, 0, None)
+        training.train_one_path(model, data, dataclasses.replace(train_cfg, epochs=1))
         probe._note()
     finally:
         tracemalloc.stop()

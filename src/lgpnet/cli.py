@@ -18,7 +18,6 @@ from . import __version__, tensorio
 from .errors import FormatError, TrainingDivergedError, naming
 from .evaluation import (
     TdcfCostModel,
-    both_classes,
     eer_from_scores,
     fuse_scores,
     min_tdcf_from_scores,
@@ -30,10 +29,10 @@ from .evaluation import (
 from .frontend import extract_lfcc, feature_rows, load_features, read_wav, store_features
 from .gmm import EmConfig, Gmm, llr_score, train_em
 from .lgp import LgpNormStats, extract_lgp, fit_norm_stats
-from .model import BONA_FIDE, ClassifierConfig, ScoringPlan, SpoofModel
+from .model import ScoringPlan
 from .runconfig import RunConfig, read_flat_config, write_flat_config
 from .synthcorpus import CorpusSpec, generate
-from .training import TrainConfig, load_dataset, train_one_path, train_two_step
+from .training import load_dataset, train_one_path, train_two_step
 
 DATA_EXIT, NUMERIC_EXIT = 3, 4
 
@@ -179,50 +178,34 @@ def _cmd_train(args) -> int:
     gmms, stats = _load_models(args)
     # the model and the schedule check the run's values, in the config's name
     with naming(args.config or "default run config"):
-        cfg = ClassifierConfig(
-            gmm_order=run.gmm_order, channels=run.channels, blocks=run.blocks,
-            se_enabled=run.se_enabled, se_reduction=run.se_reduction,
-            input_length=run.segment_length, paths=run.paths, lgp_form=stats[0].form,
-        )
-        model = SpoofModel(cfg, gmms, stats, seed=run.seed)
-        train_cfg = TrainConfig(
-            batch_size=run.batch_size, epochs=run.epochs, lr=run.lr, seed=run.seed,
-            target_length=run.segment_length,
-        )
-    data = load_dataset(args.protocol, args.features, gmms[0].dim)
-    with naming(args.protocol):         # training needs both classes
-        both_classes([u.label == BONA_FIDE for u in data.items], "the training set")
-    dev = None
-    if args.dev_protocol:
-        dev = load_dataset(args.dev_protocol, args.features, gmms[0].dim)
-        with naming(args.dev_protocol):     # a dev EER needs both classes
-            both_classes([u.label == BONA_FIDE for u in dev.items], "the dev set")
+        model, train_cfg = run.build(gmms, stats)
+    data = load_dataset(args.protocol, args.features, gmms[0].dim, "the training set")
+    dev = (load_dataset(args.dev_protocol, args.features, gmms[0].dim, "the dev set")
+           if args.dev_protocol else None)
 
     out = Path(args.out)
     write_flat_config(run, out / "resolved-config.cfg")
-    fits, labels = [], ["path 0 ", "path 1 ", "step 2 "] if run.paths == 2 else [""]
+    fits, labels = [], ["path 0 ", "path 1 ", "step 2 "] if len(gmms) == 2 else [""]
+
+    def line(label, res, epoch):    # " kept" marks the fit's best epoch once the fit ends
+        eer = res.dev_eer_trace[epoch] if res.dev_eer_trace else float("nan")
+        return (f"{label}epoch {epoch + 1} loss {res.loss_trace[epoch]:.6f} "
+                f"dev_eer {eer:.4f}" + (" kept" if epoch == res.best_epoch else ""))
 
     def write_log():
-        text = "".join(line + "\n" for lines in fits for line in lines)
+        text = "".join(line(label, res, e) + "\n" for label, res in zip(labels, fits)
+                       for e in range(len(res.loss_trace)))
         tensorio.write_file(out / "metrics.log", text.encode("utf-8"))
 
     def log_epoch(epoch, result):
-        if epoch == 0:                  # a new fit: one list of lines each
-            fits.append([])
-        eer = result.dev_eer_trace[-1] if result.dev_eer_trace else float("nan")
-        line = (f"{labels[len(fits) - 1]}epoch {epoch + 1} "
-                f"loss {result.loss_trace[-1]:.6f} dev_eer {eer:.4f}")
-        print(line)
-        fits[-1].append(line)
+        if not fits or fits[-1] is not result:      # a new fit hands over its own result
+            fits.append(result)
+        print(line(labels[len(fits) - 1], result, epoch))
         write_log()     # the whole log, rewritten after every epoch: live, and never torn
 
-    fit = train_one_path if run.paths == 1 else train_two_step
-    result = fit(model, data, train_cfg, dev, on_epoch=log_epoch)
-    results = [result] if run.paths == 1 else [*result.step1, result.step2]
-    for lines, res in zip(fits, results):
-        if res.best_epoch is not None:      # the epoch whose state model.lgpn holds
-            lines[res.best_epoch] += " kept"
-    write_log()
+    fit = train_one_path if len(gmms) == 1 else train_two_step
+    fit(model, data, train_cfg, dev, on_epoch=log_epoch)
+    write_log()         # with the last fit's kept epoch
     model.save(out / "model.lgpn")
     print(f"saved model to {out / 'model.lgpn'}")
     return 0
@@ -390,6 +373,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "fuse" and args.out and not args.eval:
             parser.error("fuse --out writes the fused eval scores, so it needs --eval")
+        if args.command in ("train", "score") and (args.gmm2 is None) != (args.stats2 is None):
+            parser.error(f"{args.command} takes --gmm2 and --stats2 together, or neither")
     except SystemExit as exc:          # argparse printed usage/help already
         return int(exc.code or 0)
     try:

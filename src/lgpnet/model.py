@@ -266,10 +266,8 @@ class SpoofModel:
         self.cfg = cfg
         self.gmms = list(gmms)
         self.stats = list(stats)
-        seq = np.random.SeedSequence(seed)
-        path_seeds = seq.spawn(cfg.paths)
-        self.paths = [PathNetwork(cfg, np.random.default_rng(path_seeds[k]))
-                      for k in range(cfg.paths)]
+        self.paths = [PathNetwork(cfg, np.random.default_rng(path_seed))
+                      for path_seed in np.random.SeedSequence(seed).spawn(cfg.paths)]
         # Zero-init head: uniform softmax (loss ln 2) before the first update.
         self.fc = Linear(cfg.paths * cfg.channels, 2, init="zero")
 

@@ -528,12 +528,6 @@ class Linear:
         return grad_out @ self.weight.data
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log softmax in max-subtracted (overflow-safe) form."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of integer class labels under softmax logits.
 
@@ -544,7 +538,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (logits.shape[0],):
         raise ValueError("label count does not match batch size")
-    logp = log_softmax(logits)
+    shifted = logits - logits.max(axis=-1, keepdims=True)     # log softmax, overflow-safe
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     n = logits.shape[0]
     loss = -logp[np.arange(n), labels].mean()
     grad = np.exp(logp)

@@ -2,7 +2,8 @@
 
 Files contain ``key = value`` lines; ``#`` starts a comment.  Unknown and
 duplicate keys are rejected so typos fail loudly.  Every training run
-writes the resolved configuration back next to its outputs.
+writes the resolved configuration back next to its outputs, and
+``RunConfig.build`` is the one mapping of its keys to a model and a schedule.
 """
 
 from __future__ import annotations
@@ -10,7 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import ProtocolError, naming
+from .gmm import Gmm
+from .lgp import LgpNormStats
+from .model import ClassifierConfig, SpoofModel
 from .tensorio import write_file
+from .training import TrainConfig
 
 
 def _parse_bool(text: str) -> bool:
@@ -73,7 +78,6 @@ class RunConfig:
     blocks: int = 6
     se_enabled: bool = False
     se_reduction: int = 16
-    paths: int = 1
     segment_length: int = 400
     batch_size: int = 32
     epochs: int = 100
@@ -85,3 +89,14 @@ class RunConfig:
         # ClassifierConfig and TrainConfig check the model and training keys
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+
+    def build(self, gmms: list[Gmm], stats: list[LgpNormStats]) -> tuple[SpoofModel, TrainConfig]:
+        """This run's model, one path per GMM and stats pair under the stats'
+        LGP form, and its schedule; ``segment_length`` sets both lengths."""
+        cfg = ClassifierConfig(gmm_order=self.gmm_order, channels=self.channels,
+                               blocks=self.blocks, se_enabled=self.se_enabled,
+                               se_reduction=self.se_reduction, input_length=self.segment_length,
+                               paths=len(gmms), lgp_form=stats[0].form)
+        model = SpoofModel(cfg, gmms, stats, seed=self.seed)
+        return model, TrainConfig(batch_size=self.batch_size, epochs=self.epochs, lr=self.lr,
+                                  seed=self.seed, target_length=self.segment_length)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensorio
 from .errors import NonFiniteMapError, TrainingDivergedError, naming
-from .evaluation import eer_from_scores, read_protocol
+from .evaluation import both_classes, eer_from_scores, read_protocol
 from .frontend import fix_length, load_features
 from .model import BONA_FIDE, LABEL_NAMES, ScoringPlan, SpoofModel, detection_score
 from .nn import Adam, Linear, softmax_cross_entropy
@@ -69,11 +69,12 @@ class LabeledDataset:
         return np.array([u.label for u in self.items], dtype=np.int64)
 
 
-def load_dataset(protocol_path, features_dir, dim: int) -> LabeledDataset:
+def load_dataset(protocol_path, features_dir, dim: int, what: str) -> LabeledDataset:
     """Materialize a dataset from a protocol file and a feature directory.
 
     Feature files are looked up as ``<features_dir>/<utt_id>.lgpf``, each
-    (T >= 1, ``dim``); any other is a ValueError naming it.
+    (T >= 1, ``dim``); any other is a ValueError naming it, as is a protocol
+    of one class, ``what`` in its message: training and a dev EER need both.
     """
     labels = read_protocol(protocol_path)
     features_dir = Path(features_dir)
@@ -85,6 +86,8 @@ def load_dataset(protocol_path, features_dir, dim: int) -> LabeledDataset:
             if feats.shape[0] == 0 or feats.shape[1] != dim:
                 raise ValueError(f"frames have shape {feats.shape}, expected (T >= 1, {dim})")
         items.append(LabeledUtterance(utt_id, feats, LABEL_NAMES[label]))
+    with naming(protocol_path):
+        both_classes([label == "bonafide" for label in labels.values()], what)
     return LabeledDataset(items=items)
 
 
@@ -143,8 +146,10 @@ def _plan_embeds(plan: ScoringPlan, path_ids, data: LabeledDataset, length) -> l
 
 def _dev_eer(head, dev_embs, dev: LabeledDataset) -> float:
     """Dev EER of ``head``: a dev utterance scores the mean over its segments,
-    its rows of ``dev_embs``, of the bona fide minus the spoof logit."""
-    scores = np.array([detection_score(head.forward(emb)).mean() for emb in dev_embs])
+    its rows of ``dev_embs``, of the bona fide minus the spoof logit, which
+    ``Linear.forward``'s expression gives without caching ``emb``."""
+    scores = np.array([detection_score(emb @ head.weight.data.T + head.bias.data).mean()
+                       for emb in dev_embs])
     labels = dev.labels()
     return eer_from_scores(scores[labels == BONA_FIDE], scores[labels != BONA_FIDE])[0]
 
@@ -153,7 +158,8 @@ def _dev_eer(head, dev_embs, dev: LabeledDataset) -> float:
 def _fit(model: SpoofModel, path_ids, head, train_embs, data: LabeledDataset, dev_embs, dev,
          cfg: TrainConfig, seed_tag: int, on_epoch) -> TrainResult:
     """Shared minibatch loop; the head and the paths ``path_ids`` of ``model``
-    are the trainable state.
+    are the trainable state.  ``on_epoch(epoch, result)`` gets this fit's own
+    ``TrainResult``, the one it returns, after each epoch.
 
     With paths, each minibatch is cut from ``data`` when it is used, and a
     plan of the live tensors embeds the dev set after each epoch.  With none

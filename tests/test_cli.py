@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from handbuilt import container_bytes
+from lgpnet import tensorio
 from lgpnet.cli import main
 from lgpnet.evaluation import read_scores, write_scores, write_protocol
 from lgpnet.runconfig import RunConfig, read_flat_config, write_flat_config
 from lgpnet.errors import ProtocolError
+from lgpnet.model import ClassifierConfig
+from lgpnet.training import TrainConfig
 
 
 def run(*argv):
@@ -591,6 +594,25 @@ class TestRunConfig:
         with pytest.raises(ProtocolError):
             read_flat_config(RunConfig, path)
 
+    @pytest.mark.parametrize("pairs", [1, 2])
+    def test_build_maps_the_run_keys(self, pairs):
+        """One path per GMM and stats pair, the stats' LGP form, and
+        ``segment_length`` as both the model input and the training length."""
+        from lgpnet.gmm import Gmm
+        from lgpnet.lgp import fit_norm_stats
+
+        rng = np.random.default_rng(2)
+        gmm = Gmm(np.full(4, 0.25), rng.normal(size=(4, 2)), np.ones((4, 2)))
+        stats = fit_norm_stats(gmm, rng.normal(size=(50, 2)), "full")
+        run = RunConfig(gmm_order=4, channels=8, blocks=1, se_enabled=True, se_reduction=4,
+                        segment_length=16, batch_size=3, epochs=2, lr=0.01, seed=5)
+        model, train_cfg = run.build([gmm] * pairs, [stats] * pairs)
+        assert model.cfg == ClassifierConfig(gmm_order=4, channels=8, blocks=1,
+                                             se_enabled=True, se_reduction=4, input_length=16,
+                                             paths=pairs, lgp_form="full")
+        assert train_cfg == TrainConfig(batch_size=3, epochs=2, lr=0.01, seed=5,
+                                        target_length=16)
+        assert len(model.paths) == pairs
 
     def test_removed_gmm_keys_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -612,6 +634,7 @@ class TestTrainConfigChecks:
         ("epochs", "expected 'key = value' (line 4)"),
         ("se_enabled = maybe", "bad value for 'se_enabled': not a boolean: 'maybe' (line 4)"),
         ("workers = 0", "workers must be >= 1"),
+        ("paths = 2", "unknown key 'paths' (line 4)"),
     ])
     def test_train_exits_3_without_model(self, score_fixture, capsys, line, message):
         code = train_with(score_fixture, f"{line}\n")
@@ -691,10 +714,13 @@ class TestMetricsLog:
         files = ["--gmm", root / "m.gmm", "--stats", root / "m.stats"]
         if paths == 2:
             files += ["--gmm2", root / "m.gmm", "--stats2", root / "m.stats"]
-        code = train_with(root, f"paths = {paths}\nsegment_length = 16\nbatch_size = 2\n"
-                          "epochs = 3\n", *files, "--dev-protocol", root / "dev.txt",
-                          protocol="train.txt")
+        code = train_with(root, "segment_length = 16\nbatch_size = 2\nepochs = 3\n", *files,
+                          "--dev-protocol", root / "dev.txt", protocol="train.txt")
         assert code == 0
+        # the pairs given set the path count; the resolved config has no such key
+        cfg = tensorio.load_tensors(root / "ckpt" / "model.lgpn")["cfg.paths"]
+        assert cfg.tolist() == [paths]
+        assert "paths" not in (root / "ckpt" / "resolved-config.cfg").read_text()
         lines = (root / "ckpt" / "metrics.log").read_text().splitlines()
         assert len(lines) == 3 * len(fits)
         printed = [line for line in capsys.readouterr().out.splitlines() if " loss " in line]
@@ -809,9 +835,6 @@ class TestModelFrontEnds:
         return score_fixture
 
     MISFITS = {
-        "second-pair-for-one-path": (
-            ("--gmm", "m.gmm", "--gmm2", "m.gmm", "--stats", "m.stats", "--stats2", "m.stats"),
-            "a 1-path model takes 1 GMM(s) and 1 stats, got 2 and 2"),
         "gmm-of-another-order": (("--gmm", "small.gmm", "--stats", "small.stats"),
                                  "GMM order 2 != configured 4"),
         "stats-under-another-gmm": (("--gmm", "m.gmm", "--stats", "small.stats"),
@@ -851,12 +874,36 @@ class TestModelFrontEnds:
                  second: "wide.gmm" if second == "--gmm2" else "full.stats"}
         flags = [item for flag, name in files.items() for item in (flag, root / name)]
         if command == "train":
-            code, output = train_with(root, "paths = 2\n", *flags), root / "ckpt"
+            code, output = train_with(root, "", *flags), root / "ckpt"
         else:
             code, output = score_with(root, root / "two.lgpn", *flags), root / "out"
         assert code == 3
         assert capsys.readouterr().err == f"error: {message.format(root=root)}\n"
         assert not output.exists()
+
+    @pytest.mark.parametrize("half", ["--gmm2", "--stats2"])
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_half_pair_is_a_usage_error(self, tmp_path, capsys, command, half):
+        """A second GMM without its stats, or the reverse, exits 2 before any
+        file is read: none of the files named here exists."""
+        flags = ["--features", tmp_path / "feats", "--protocol", tmp_path / "p.txt",
+                 "--gmm", tmp_path / "a.gmm", "--stats", tmp_path / "a.stats",
+                 half, tmp_path / "b", "--out", tmp_path / "out"]
+        flags += ["--model", tmp_path / "m.lgpn"] if command == "score" else []
+        assert run(command, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lgpnet ") and "Traceback" not in err
+        assert err.endswith(f"error: {command} takes --gmm2 and --stats2 together, "
+                            "or neither\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_one_path_checkpoint_with_second_pair_exits_3(self, root, capsys):
+        pair = ("--gmm", root / "m.gmm", "--gmm2", root / "m.gmm",
+                "--stats", root / "m.stats", "--stats2", root / "m.stats")
+        assert score_with(root, root / "model.lgpn", *pair) == 3
+        assert capsys.readouterr().err == (f"error: {root / 'model.lgpn'}: a 1-path model takes "
+                                           "1 GMM(s) and 1 stats, got 2 and 2\n")
+        assert not (root / "out").exists()
 
     def test_two_path_checkpoint_without_second_pair_exits_3(self, root, capsys):
         assert score_with(root, root / "two.lgpn") == 3
@@ -912,12 +959,29 @@ class TestTdcfConfig:
         assert captured.out == "" and not out.parent.exists()
 
 
-def tree_hashes(root: Path) -> dict[str, str]:
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def script(name: str):
+    """The module of ``scripts/<name>.py``."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_script(name: str, *argv) -> list[str]:
+    """The stdout lines of ``scripts/<name>.py`` run with ``argv``, which
+    must exit 0."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, str(SCRIPTS / f"{name}.py"), *map(str, argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 class TestDeterminism:
@@ -927,7 +991,9 @@ class TestDeterminism:
                 "gen-corpus", "--task", "order-only", "--out", tmp_path / sub,
                 "--seed", 3, "--train-utts", 8, "--dev-utts", 4, "--eval-utts", 4,
             ) == 0
-        assert tree_hashes(tmp_path / "a") == tree_hashes(tmp_path / "b")
+        tree_digest = script("tree_digest").tree_digest
+        digests = [tree_digest(tmp_path / sub) for sub in ("a", "b")]
+        assert digests[0] == digests[1] and len(digests[0]) == 20    # 16 features, 3 protocols, spec
 
     @pytest.mark.slow
     def test_train_checkpoints_bit_identical(self, tmp_path):
@@ -1269,7 +1335,7 @@ class TestPipeline:
 
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            "gmm_order = 4\nchannels = 8\nblocks = 1\npaths = 2\n"
+            "gmm_order = 4\nchannels = 8\nblocks = 1\n"
             "segment_length = 16\nbatch_size = 8\nepochs = 2\nlr = 0.001\nseed = 4\n"
         )
         two_path_args = [
@@ -1336,8 +1402,6 @@ class TestFullScaleScript:
     def test_smoke_run_reports_eer_and_min_tdcf(self, tmp_path):
         """``scripts/run_fullscale.py`` end to end on 24 noise WAVs of 0.3 s
         at a desk shape: it exits 0 and its metrics hold EER and min t-DCF."""
-        import subprocess
-        import sys
         import wave
 
         root = tmp_path / "corpus"
@@ -1355,11 +1419,57 @@ class TestFullScaleScript:
                     fh.setframerate(16000)
                     fh.writeframes(samples.astype("<i2").tobytes())
             write_protocol(root / f"{part}.txt", labels)
-        script = Path(__file__).resolve().parent.parent / "scripts" / "run_fullscale.py"
-        proc = subprocess.run(
-            [sys.executable, str(script), "--corpus-root", str(root), "--out", str(tmp_path / "out"),
-             "--mixtures", "4", "--channels", "8", "--blocks", "1", "--epochs", "1",
-             "--segment-length", "16"], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        lines = run_script("run_fullscale", "--corpus-root", root, "--out", tmp_path / "out",
+                           "--mixtures", 4, "--channels", 8, "--blocks", 1, "--epochs", 1,
+                           "--segment-length", 16)
         metrics = (tmp_path / "out" / "metrics.txt").read_text()
         assert "EER" in metrics and "min-tDCF" in metrics
+        assert "placeholder ASV operating point" in lines[-1]    # not the paper's t-DCF
+
+
+class TestMeasurementScripts:
+    """The measurement scripts that ROADMAP gates read, each run on the
+    desk pipeline (order 8, 16 channels, 2 blocks) as a user would."""
+
+    @pytest.fixture(scope="class")
+    def desk(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("desk")
+        run_script("run_synthetic_pipeline", "--out", out, "--epochs", 1)
+        return out
+
+    def test_plan_work_counts_the_cut(self, desk):
+        lines = run_script("plan_work", desk / "ckpt" / "model.lgpn", desk / "corpus" / "feats",
+                           desk / "corpus" / "eval.txt", "--gmm", desk / "pooled.gmm",
+                           "--stats", desk / "pooled.stats")
+        assert lines[0].split() == ["utterance", "T", "S", "columns", "calls", "row/segment", "ms"]
+        assert len(lines) == 1 + 200 + 2
+        total = lines[-2].split()
+        assert total[0] == "total" and int(total[4]) == 200 * (1 + 2 * 2)
+        assert lines[-1].startswith("the cut runs ")
+        assert lines[-1].endswith("% fewer conv columns than one row per segment")
+
+    def test_step_memory_reports_the_step(self, desk):
+        lines = run_script("step_memory", desk / "run.cfg", desk / "corpus" / "feats",
+                           desk / "corpus" / "train.txt", "--gmm", desk / "pooled.gmm",
+                           "--stats", desk / "pooled.stats")
+        assert lines[0] == "shape: order 8, 16 channels, 2 blocks, SE off, N 32, batch 32"
+        assert lines[1].startswith("traced peak ") and " MiB, during " in lines[1]
+        assert lines[2].startswith("ru_maxrss ") and lines[2].endswith(" MB")
+        assert lines[3] == "held by each layer after the train-mode forward:"
+        held = {line.split()[0] for line in lines[4:-1]}
+        assert {"stem.conv", "stem.bn", "block1.bn2", "pool", "total"} <= held
+        assert lines[-1] == "full-size to_gutter copies: 0"
+
+    def test_score_drift_of_a_file_with_itself_and_another(self, desk):
+        same = run_script("score_drift", desk / "net.eval", desk / "net.eval")
+        assert same == ["ids 200", "identical 200", "max_abs 0", "max_rel 0", "max_rel_id -"]
+        other = run_script("score_drift", desk / "net.eval", desk / "gmm.eval")
+        assert other[0] == "ids 200" and other[4].startswith("max_rel_id eval_")
+
+    def test_tree_digest_lists_every_file_but_the_lists(self, desk):
+        lines = run_script("tree_digest", desk)
+        files = sorted(p.relative_to(desk).as_posix() for p in desk.rglob("*")
+                       if p.is_file() and p.suffix != ".list")
+        assert [line.split("  ", 1)[1] for line in lines] == files
+        digest = hashlib.sha256((desk / "run.cfg").read_bytes()).hexdigest()
+        assert f"{digest}  run.cfg" in lines

@@ -391,17 +391,19 @@ class TestHeldInputIsPerBatch:
 
 
 class TestNoCacheAfterTraining:
-    """Dev EER and the step-2 embedding run a plan, not the layers, and
-    backward frees every cache: no path layer keeps one after training."""
+    """Dev EER and the step-2 embedding run a plan, not the layers, the dev
+    logits read the head's tensors, and backward frees every cache: no layer
+    of the paths or of the head keeps one after training."""
 
     @staticmethod
     def cached_layers(model):
-        """(path, attribute) of every layer holding a cache, found by walking
-        the attributes of each path and block."""
+        """(owner, attribute) of every layer holding a cache, found by walking
+        the attributes of each path and block, and the head itself."""
         owners = [(k, owner) for k, path in enumerate(model.paths)
                   for owner in (path, *path.blocks)]
-        return [(k, name) for k, owner in owners for name, layer in vars(owner).items()
-                if getattr(layer, "_cache", None) is not None]
+        cached = [(k, name) for k, owner in owners for name, layer in vars(owner).items()
+                  if getattr(layer, "_cache", None) is not None]
+        return cached + [("head", "fc")] * (model.fc._cache is not None)
 
     def test_one_path_with_dev(self, rng):
         model = build_one_path(rng)
