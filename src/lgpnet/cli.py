@@ -28,7 +28,7 @@ from .evaluation import (
 )
 from .frontend import extract_lfcc, feature_rows, load_features, read_wav, store_features
 from .gmm import EmConfig, Gmm, llr_score, train_em
-from .lgp import LgpNormStats, extract_lgp, fit_norm_stats
+from .lgp import LgpNormStats, fit_norm_stats
 from .model import ScoringPlan
 from .runconfig import RunConfig, read_flat_config, write_flat_config
 from .synthcorpus import CorpusSpec, generate
@@ -136,19 +136,6 @@ def _cmd_fit_lgp_stats(args) -> int:
     stats = fit_norm_stats(gmm, frames, "fast")
     stats.save(args.out)
     print(f"fitted {stats.form}-form stats over {frames.shape[0]} frames -> {args.out}")
-    return 0
-
-
-def _cmd_extract_lgp(args) -> int:
-    gmm = Gmm.load(args.gmm)
-    stats = LgpNormStats.load(args.stats)
-    files = _files(args.in_dir, ".lgpf")
-
-    def one(path: Path):
-        store_features(Path(args.out) / path.name, extract_lgp(gmm, stats, load_features(path)))
-
-    _each_file(args.workers, one, files)
-    print(f"extracted LGP maps for {len(files)} files to {args.out}")
     return 0
 
 
@@ -308,14 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_fit_lgp_stats)
-
-    p = sub.add_parser("extract-lgp", help="export normalized LGP feature maps")
-    p.add_argument("--gmm", required=True)
-    p.add_argument("--stats", required=True)
-    p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=_worker_count, default=1)
-    p.set_defaults(fn=_cmd_extract_lgp)
 
     p = sub.add_parser("train", help="train a one-path or two-path classifier")
     p.add_argument("--config", help="key=value run configuration file")

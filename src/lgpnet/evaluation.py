@@ -46,27 +46,23 @@ def eer_from_scores(bona: np.ndarray, spoof: np.ndarray) -> tuple[float, float]:
     """Equal error rate and the threshold where miss and false-acceptance cross.
 
     The tradeoff is a step function, so the crossing is located by linear
-    interpolation between the adjacent operating points.
+    interpolation between the adjacent operating points.  For finite scores
+    the threshold is finite: miss minus false acceptance is -1 at -inf and
+    at the lowest score and +1 at +inf, so an exact crossing lies at a score,
+    and an interpolation past the top score ends there.
     """
     thresholds, p_miss, p_fa = detection_tradeoff(bona, spoof)
     diff = p_miss - p_fa              # monotone from -1 to +1
     k = int(np.flatnonzero(diff >= 0.0)[0])
     if diff[k] == 0.0:
-        return float((p_miss[k] + p_fa[k]) / 2.0), _finite(thresholds, k, k)
+        return float((p_miss[k] + p_fa[k]) / 2.0), float(thresholds[k])
     alpha = diff[k - 1] / (diff[k - 1] - diff[k])
     eer = (1.0 - alpha) * p_miss[k - 1] + alpha * p_miss[k]
-    if np.isfinite(thresholds[k - 1]) and np.isfinite(thresholds[k]):
+    if np.isfinite(thresholds[k]):
         thr = (1.0 - alpha) * thresholds[k - 1] + alpha * thresholds[k]
     else:
-        thr = _finite(thresholds, k - 1, k)
+        thr = thresholds[k - 1]
     return float(eer), float(thr)
-
-
-def _finite(thresholds, i, j) -> float:
-    for idx in (i, j):
-        if np.isfinite(thresholds[idx]):
-            return float(thresholds[idx])
-    return 0.0
 
 
 @dataclass

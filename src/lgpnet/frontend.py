@@ -1,10 +1,9 @@
 """Acoustic front end: WAV ingestion, LFCC extraction, feature files.
 
 A feature file (``.lgpf``) is a tensor container (see ``tensorio``) that
-holds exactly one rank-2 tensor named ``features``: (T, D) frames for
-acoustic features, (M, T) for exported LGP maps.  Precomputed features
-from other extractors (e.g. constant-Q cepstra) enter the pipeline through
-it; only LFCC is computed here.
+holds exactly one rank-2 tensor named ``features``: (T, D) frames.
+Precomputed features from other extractors (e.g. constant-Q cepstra) enter
+the pipeline through it; only LFCC is computed here.
 """
 
 from __future__ import annotations

@@ -83,7 +83,7 @@ class Gmm:
         if np.any(weights < 0.0):
             raise ValueError("weights must be non-negative")
         if abs(weights.sum() - 1.0) > 1e-10:
-            raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
+            raise ValueError(f"weights sum to {float(weights.sum())!r}, expected 1")
         if np.any(variances <= 0.0):
             raise ValueError("variances must be strictly positive")
         self.weights = weights
@@ -173,7 +173,7 @@ class Gmm:
         # float32 storage perturbs the weight sum; renormalize within tolerance
         total = w.sum()
         if abs(total - 1.0) > 1e-3:
-            raise ValueError(f"stored weights sum to {total!r}")
+            raise ValueError(f"stored weights sum to {float(total)!r}")
         return cls(w / total, mu, var)
 
     def save(self, path) -> None:

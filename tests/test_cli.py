@@ -292,11 +292,6 @@ class TestBadGmmFiles:
         assert not (root / "out").exists()
 
 
-def extract_lgp_with(root):
-    return run("extract-lgp", "--gmm", root / "m.gmm", "--stats", root / "m.stats",
-               "--in", root / "feats", "--out", root / "lgp")
-
-
 class TestPerFileErrorsNameTheFile:
     """An error in one file's step of a per-file command names that file."""
 
@@ -307,16 +302,14 @@ class TestPerFileErrorsNameTheFile:
         store_features(score_fixture / "feats" / "u1.lgpf", np.ones((20, 3)))
         return score_fixture / "feats" / "u1.lgpf"
 
-    @pytest.mark.parametrize("command, output, message", [
-        (lambda root: score_with(root, root / "model.lgpn"), "out",
-         "frames have shape (20, 3), expected (T, 2)"),
-        (score_gmm_with, "out", "frames have shape (20, 3), expected (T, 2)"),
-        (extract_lgp_with, "lgp", "frames have shape (20, 3), expected (T, 2)"),
-    ], ids=["score", "score-gmm", "extract-lgp"])
-    def test_feature_width_mismatch(self, score_fixture, wide, capsys, command, output, message):
+    @pytest.mark.parametrize("command", [
+        lambda root: score_with(root, root / "model.lgpn"), score_gmm_with,
+    ], ids=["score", "score-gmm"])
+    def test_feature_width_mismatch(self, score_fixture, wide, capsys, command):
         assert command(score_fixture) == 3
-        assert capsys.readouterr().err == f"error: {wide}: {message}\n"
-        assert not (score_fixture / output).exists()
+        assert capsys.readouterr().err == (f"error: {wide}: "
+                                           "frames have shape (20, 3), expected (T, 2)\n")
+        assert not (score_fixture / "out").exists()
 
     def test_extract_lfcc_of_a_file_that_is_not_wav(self, tmp_path, capsys):
         (tmp_path / "wavs").mkdir()
@@ -343,19 +336,17 @@ class TestBadModelFiles:
         array.flat[1] = np.nan
         return array
 
-    @pytest.mark.parametrize("file, tensor, command, output", [
-        ("m.gmm", "means", score_gmm_with, "out"),
-        ("m.gmm", "means", extract_lgp_with, "lgp"),
-        ("m.stats", "lgp_mean", extract_lgp_with, "lgp"),
-    ], ids=["score-gmm-gmm", "extract-lgp-gmm", "extract-lgp-stats"])
-    def test_nan_entry_exits_3_without_output(self, score_fixture, capsys,
-                                              file, tensor, command, output):
+    @pytest.mark.parametrize("file, tensor, command", [
+        ("m.gmm", "means", score_gmm_with),
+        ("m.stats", "lgp_mean", lambda root: score_with(root, root / "model.lgpn")),
+    ], ids=["score-gmm-gmm", "score-stats"])
+    def test_nan_entry_exits_3_without_output(self, score_fixture, capsys, file, tensor, command):
         self.rewrite(score_fixture / file, tensor, self.nan_at_1)
         assert command(score_fixture) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "must be finite" in err
+        assert err.startswith(f"error: {score_fixture / file}: ") and "must be finite" in err
         assert "Traceback" not in err
-        assert not (score_fixture / output).exists()
+        assert not (score_fixture / "out").exists()
 
     @pytest.mark.parametrize("tensor, corrupt, message", [
         ("path0.block0.conv1.weight", nan_at_1, "non-finite value"),
@@ -373,31 +364,30 @@ class TestBadModelFiles:
 
     def test_empty_stats_form_exits_3(self, score_fixture, capsys):
         self.rewrite(score_fixture / "m.stats", "form", lambda form: form[:0])
-        assert extract_lgp_with(score_fixture) == 3
+        assert score_with(score_fixture, score_fixture / "model.lgpn") == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {score_fixture / 'm.stats'}: ")
         assert "'form' has shape (0,)" in err
         assert "Traceback" not in err
-        assert not (score_fixture / "lgp").exists()
+        assert not (score_fixture / "out").exists()
 
 
 class TestPooledFrames:
     """``train-gmm`` and ``fit-lgp-stats`` pool frames of one width only."""
 
-    def test_lgp_maps_of_unequal_length_exit_3_naming_the_file(self, score_fixture, capsys):
+    def test_directory_with_a_wider_file_exits_3_naming_it(self, tmp_path, capsys):
         from lgpnet.frontend import store_features
 
-        root = score_fixture
-        store_features(root / "feats" / "u2.lgpf", np.ones((31, 2)))
-        assert extract_lgp_with(root) == 0          # (4, 20) and (4, 31) maps
-        code = run("train-gmm", "--features", root / "lgp", "--components", 2,
-                   "--out", root / "new" / "lgp.gmm")
+        store_features(tmp_path / "feats" / "u1.lgpf", np.ones((4, 20)))
+        store_features(tmp_path / "feats" / "u2.lgpf", np.ones((4, 31)))
+        code = run("train-gmm", "--features", tmp_path / "feats", "--components", 2,
+                   "--out", tmp_path / "new" / "m.gmm")
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith(f"error: {root / 'lgp' / 'u2.lgpf'}: 31 values per frame, "
-                              f"but {root / 'lgp' / 'u1.lgpf'} has 20")
+        assert err.startswith(f"error: {tmp_path / 'feats' / 'u2.lgpf'}: 31 values per frame, "
+                              f"but {tmp_path / 'feats' / 'u1.lgpf'} has 20")
         assert "Traceback" not in err
-        assert not (root / "new").exists()
+        assert not (tmp_path / "new").exists()
 
     def test_list_with_a_wider_file_exits_3_naming_it(self, score_fixture, capsys):
         from lgpnet.frontend import store_features
@@ -414,13 +404,13 @@ class TestPooledFrames:
                               f"but {root / 'feats' / 'u1.lgpf'} has 2")
         assert not (root / "new").exists()
 
-    def test_lgp_maps_of_equal_length_refused_by_fit_lgp_stats(self, score_fixture, capsys):
+    def test_frames_wider_than_the_gmm_refused_by_fit_lgp_stats(self, score_fixture, capsys):
         from lgpnet.frontend import store_features
 
         root = score_fixture
-        store_features(root / "feats" / "u2.lgpf", np.ones((20, 2)))
-        assert extract_lgp_with(root) == 0          # two (4, 20) maps: 20-wide "frames"
-        code = run("fit-lgp-stats", "--gmm", root / "m.gmm", "--features", root / "lgp",
+        for name in ("a", "b"):
+            store_features(root / "wide" / f"{name}.lgpf", np.ones((4, 20)))
+        code = run("fit-lgp-stats", "--gmm", root / "m.gmm", "--features", root / "wide",
                    "--out", root / "new" / "m.stats")
         err = capsys.readouterr().err
         assert code == 3 and "frames have shape (8, 20), expected (N, 2)" in err
@@ -537,36 +527,20 @@ class TestWritersRefuseNonFinite:
     """A value that overflows float32 is refused before its file is opened,
     since the file's reader would refuse it."""
 
-    @pytest.fixture
-    def overflow_fixture(self, tmp_path):
+    def test_fit_lgp_stats_writes_no_overflowed_stats(self, tmp_path, capsys):
         from lgpnet.frontend import store_features
         from lgpnet.gmm import Gmm
-        from lgpnet.lgp import LgpNormStats
 
         # raw LGP of x = 1e10 under variance 1e-30 is -5e49, beyond float32
         Gmm(np.full(2, 0.5), np.zeros((2, 1)), np.array([[1.0], [1e-30]])).save(tmp_path / "m.gmm")
-        LgpNormStats(np.zeros(2), np.ones(2), "fast").save(tmp_path / "m.stats")
-        (tmp_path / "feats").mkdir()
         store_features(tmp_path / "feats" / "u1.lgpf", np.array([[1e10], [0.5], [-0.5]]))
-        return tmp_path
-
-    def refused(self, capsys, code, name, output):
+        code = run("fit-lgp-stats", "--gmm", tmp_path / "m.gmm", "--features", tmp_path / "feats",
+                   "--out", tmp_path / "new" / "m.stats")
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith("error:") and name in err and "not finite as float32" in err
+        assert err.startswith("error:") and "'lgp_mean'" in err and "not finite as float32" in err
         assert "Traceback" not in err
-        assert not output.exists()
-
-    def test_extract_lgp_writes_no_overflowed_map(self, overflow_fixture, capsys):
-        root = overflow_fixture
-        code = extract_lgp_with(root)
-        self.refused(capsys, code, "u1.lgpf", root / "lgp")
-
-    def test_fit_lgp_stats_writes_no_overflowed_stats(self, overflow_fixture, capsys):
-        root = overflow_fixture
-        code = run("fit-lgp-stats", "--gmm", root / "m.gmm", "--features", root / "feats",
-                   "--out", root / "new" / "m.stats")
-        self.refused(capsys, code, "'lgp_mean'", root / "new")
+        assert not (tmp_path / "new").exists()
 
 
 class TestRunConfig:
@@ -1187,7 +1161,6 @@ class TestWorkers:
 
     @pytest.mark.parametrize("command", [
         ["extract-lfcc", "--wav-dir", "w", "--out-dir", "o"],
-        ["extract-lgp", "--gmm", "g", "--stats", "s", "--in", "i", "--out", "o"],
         ["score", "--model", "m", "--features", "f", "--protocol", "p", "--gmm", "g",
          "--stats", "s", "--out", "o"],
         ["score-gmm", "--gmm", "g", "--gmm2", "h", "--features", "f", "--protocol", "p",
@@ -1365,7 +1338,7 @@ class TestPipeline:
             *swapped, "--out", tmp_path / "swapped.eval",
         ) == 3
 
-    def test_extract_lfcc_and_lgp_roundabout(self, tmp_path):
+    def test_extract_lfcc_then_train_gmm_and_fit_lgp_stats(self, tmp_path):
         import wave
 
         wav_dir = tmp_path / "wavs"
@@ -1387,15 +1360,11 @@ class TestPipeline:
         feats = load_features(feats_files[0])
         assert feats.shape[1] == 60
 
-        # train a small GMM on the LFCCs and export LGP maps
+        # train a small GMM on the LFCCs and fit its LGP statistics
         assert run("train-gmm", "--features", tmp_path / "feats", "--components", 2,
                    "--iters", 3, "--out", tmp_path / "m.gmm") == 0
         assert run("fit-lgp-stats", "--gmm", tmp_path / "m.gmm",
                    "--features", tmp_path / "feats", "--out", tmp_path / "m.stats") == 0
-        assert run("extract-lgp", "--gmm", tmp_path / "m.gmm", "--stats", tmp_path / "m.stats",
-                   "--in", tmp_path / "feats", "--out", tmp_path / "lgp") == 0
-        lgp_map = load_features(tmp_path / "lgp" / feats_files[0].name)
-        assert lgp_map.shape[0] == 2   # order x time orientation
 
 
 class TestFullScaleScript:

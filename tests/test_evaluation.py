@@ -93,9 +93,10 @@ class TestEer:
     def test_invariant_to_increasing_affine_maps(self, bona, spoof, scale, shift):
         bona = np.asarray(bona, dtype=np.float64) / 10.0
         spoof = np.asarray(spoof, dtype=np.float64) / 10.0
-        base, _ = eer_from_scores(bona, spoof)
+        base, threshold = eer_from_scores(bona, spoof)
         mapped, _ = eer_from_scores(scale * bona + shift, scale * spoof + shift)
         assert mapped == pytest.approx(base, abs=1e-12)
+        assert np.isfinite(threshold)
 
     def test_invariant_to_nonlinear_increasing_map(self, rng):
         bona = rng.normal(0.4, 1.0, size=25)

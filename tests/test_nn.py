@@ -589,9 +589,11 @@ class TestAdam:
         opt.step()
         assert np.array_equal(p.data, [1.5, -0.5])
 
-    def test_two_step_trace_matches_hand_recurrence(self):
+    @pytest.mark.parametrize("g1, g2", [(0.8, -1.7), (1e-8, -2e-8)], ids=["unit", "tiny"])
+    def test_two_step_trace_matches_hand_recurrence(self, g1, g2):
+        """Adam as written out by Kingma & Ba (ICLR 2015), in float64.  With
+        |g| near eps, eps is about half the denominator, so "tiny" pins it."""
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8     # the fixed Adam constants
-        g1, g2 = 0.8, -1.7
         # hand-applied recurrences
         theta, m, v = 2.0, 0.0, 0.0
         expected = []
