@@ -46,6 +46,13 @@ class TestDispatch:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run("frobnicate") == 2
 
+    def test_help_lists_the_nine_subcommands(self, capsys):
+        assert run("--help") == 0
+        assert ("{gen-corpus,extract-lfcc,train-gmm,fit-lgp-stats,train,score,score-gmm,"
+                "evaluate,fuse}") in capsys.readouterr().out
+        assert run("extract-lgp") == 2
+        assert "invalid choice: 'extract-lgp'" in capsys.readouterr().err
+
     def test_version(self, capsys):
         assert run("--version") == 0
         out = capsys.readouterr().out
@@ -338,8 +345,9 @@ class TestBadModelFiles:
 
     @pytest.mark.parametrize("file, tensor, command", [
         ("m.gmm", "means", score_gmm_with),
+        ("m.gmm", "means", lambda root: score_with(root, root / "model.lgpn")),
         ("m.stats", "lgp_mean", lambda root: score_with(root, root / "model.lgpn")),
-    ], ids=["score-gmm-gmm", "score-stats"])
+    ], ids=["score-gmm-gmm", "score-gmm", "score-stats"])
     def test_nan_entry_exits_3_without_output(self, score_fixture, capsys, file, tensor, command):
         self.rewrite(score_fixture / file, tensor, self.nan_at_1)
         assert command(score_fixture) == 3
@@ -539,6 +547,20 @@ class TestWritersRefuseNonFinite:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error:") and "'lgp_mean'" in err and "not finite as float32" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "new").exists()
+
+    def test_train_gmm_writes_no_overflowed_gmm(self, tmp_path, capsys):
+        from lgpnet.frontend import store_features
+
+        # a component over frames at +-1e20 has a variance near 1e40, beyond float32
+        store_features(tmp_path / "feats" / "u1.lgpf",
+                       np.array([[1e20], [-1e20], [1e20], [-1e20], [0.0]]))
+        code = run("train-gmm", "--features", tmp_path / "feats", "--components", 2,
+                   "--out", tmp_path / "new" / "m.gmm")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and "'vars'" in err and "not finite as float32" in err
         assert "Traceback" not in err
         assert not (tmp_path / "new").exists()
 
