@@ -5,11 +5,12 @@ utterance log-likelihoods, and the two-model log-likelihood-ratio score
 used as the classical spoofing-detection baseline.
 
 Every per-frame pass (scoring, the EM E-step, EM's final trace entry) runs
-one kernel over cache-sized row blocks: two matrix products and in-place
-arithmetic for the log densities, then a log-sum-exp whose exp never takes
-NumPy's slow path for results that underflow to zero.  It gives the bits of
-the plain formulas (kept in ``tests/unchunked.py``) wherever BLAS rounds a
-row of a matrix product the same way whatever block holds it.
+one kernel over cache-sized row blocks: two matrix products against the
+cached terms (-1/2 folded in) and in-place sums for the log densities, then
+a log-sum-exp whose exp is floored at ``EXP_FLOOR`` so NumPy never takes its
+slow path for subnormal or underflowing results.  It gives the bits of the
+plain formulas (kept in ``tests/unchunked.py``) wherever BLAS rounds a row
+of a matrix product the same way whatever block holds it.
 
 An utterance is scored on its own frames, so its score does not
 depend on the utterances scored around it.
@@ -41,11 +42,11 @@ CHUNK_VALUES = 1 << 20
 # 128 frames at M = 512.
 ROW_BLOCK_VALUES = 1 << 16
 
-# Float64 exp is exactly +0 below -745.1332, but NumPy computes such results
-# on a slow path, -inf included (subnormal ones, which are kept, are slower
-# still).  Arguments below this bound go into the exp as 0 instead, and their
-# results are set to +0 after it.
-EXP_ZERO = -745.2
+# NumPy computes float64 exp on a slow path where the result is subnormal or
+# underflows to 0 (arguments below about -708.4, -inf included).  The kernel
+# raises its exp arguments to this floor first; exp(-700) ~ 9.9e-305 is a
+# normal double (see _exp_in_place for why the bits stay those of plain exp).
+EXP_FLOOR = -700.0
 
 
 @dataclass
@@ -65,9 +66,10 @@ class Gmm:
 
     Scoring constants (log weights, the per-component log normalizer
     ``-D/2 log 2pi - 1/2 sum_d log var`` and the terms of the expanded
-    Mahalanobis distance: ``inv_var_t`` = (1/var)^T, ``scaled_means_t`` =
-    (mu/var)^T and ``mean_quad`` = sum_d mu^2/var) are cached at
-    construction and kept consistent with the parameters.
+    Mahalanobis distance with its -1/2 folded in: ``half_inv_var_t`` =
+    (-1/2 / var)^T, ``scaled_means_t`` = (mu/var)^T and ``half_mean_quad``
+    = -1/2 sum_d mu^2/var) are cached at construction and kept consistent
+    with the parameters.
     """
 
     def __init__(self, weights: np.ndarray, means: np.ndarray, variances: np.ndarray):
@@ -94,9 +96,9 @@ class Gmm:
         self.log_norm = -0.5 * (self.dim * LOG_2PI + np.log(self.variances).sum(axis=1))
         inv_var = 1.0 / self.variances
         # transposed views, laid out as the uncached products were
-        self.inv_var_t = inv_var.T
+        self.half_inv_var_t = (-0.5 * inv_var).T
         self.scaled_means_t = (self.means * inv_var).T
-        self.mean_quad = (self.means * self.means * inv_var).sum(axis=1)
+        self.half_mean_quad = -0.5 * (self.means * self.means * inv_var).sum(axis=1)
 
     @property
     def order(self) -> int:
@@ -114,15 +116,15 @@ class Gmm:
 
         Expanding the Mahalanobis term keeps this two matrix products:
         sum_d (x-mu)^2 / var = sum x^2/var - 2 sum x mu/var + sum mu^2/var.
-        The rest is done in place on the first product.  That gives the bits
-        of ``log_norm - 0.5 * quad``: ``*= -0.5`` negates ``0.5 * quad``
-        exactly, and adding the negation is subtracting.
+        The -1/2 is folded into the cached terms and the rest is done in
+        place on the first product.  Scaling by -1/2 or 2 is exact (barring
+        subnormals), so every product and sum is -1/2 times the unscaled
+        one, and this is ``log_norm - 0.5 * quad`` bit for bit.
         """
         frames = self._checked(frames)
-        out = (frames * frames) @ self.inv_var_t
-        out -= 2.0 * frames @ self.scaled_means_t
-        out += self.mean_quad
-        out *= -0.5
+        out = (frames * frames) @ self.half_inv_var_t
+        out += frames @ self.scaled_means_t
+        out += self.half_mean_quad
         out += self.log_norm
         return out
 
@@ -186,23 +188,33 @@ class Gmm:
 
 
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """Overflow-safe log(sum(exp(a))) along ``axis``."""
+    """Overflow-safe log(sum(exp(a))) along ``axis``.
+
+    The exp is :func:`_exp_in_place`'s floored one.  Every line with a
+    finite maximum holds exp(0) = 1, so its sum is at least 1 and absorbs
+    the floor's excess: the bits are those of the plain exp.  A line that
+    is all -inf would sum floors alone, so its result is set to -inf.
+    """
     m = np.max(a, axis=axis, keepdims=True)
+    all_neg_inf = np.squeeze(m == -np.inf, axis=axis)
     m = np.where(np.isfinite(m), m, 0.0)
     shifted = a - m
     _exp_in_place(shifted)
-    with np.errstate(divide="ignore"):
-        return np.log(shifted.sum(axis=axis)) + np.squeeze(m, axis=axis)
+    out = np.log(shifted.sum(axis=axis)) + np.squeeze(m, axis=axis)
+    return np.where(all_neg_inf, -np.inf, out)
 
 
 def _exp_in_place(a: np.ndarray) -> None:
-    """``a = exp(a)``.  Arguments below ``EXP_ZERO`` give +0; they are set to
-    0 for the exp, which NumPy takes on its fast path, and their results to
-    +0 after it."""
-    under = a < EXP_ZERO
-    np.putmask(a, under, 0.0)
+    """``a = exp(max(a, EXP_FLOOR))``.
+
+    The floor keeps every result a normal double, so NumPy's exp stays on
+    its fast path.  Each floored value is at most 9.9e-305 above the plain
+    exp, which a sum of 1 or more (a log-sum-exp line) or of 1e-10 or more
+    (a live component's responsibilities) absorbs; a dead component is
+    reseeded either way.
+    """
+    np.maximum(a, EXP_FLOOR, out=a)
     np.exp(a, out=a)
-    np.putmask(a, under, 0.0)
 
 
 def _row_blocks(n: int, model: Gmm) -> list[slice]:
@@ -274,21 +286,30 @@ def _kmeanspp_means(frames: np.ndarray, m: int, rng: np.random.Generator) -> np.
     """k-means++-style seeding: spread initial means over the data.
 
     The squared distance to a new mean c is ||x||^2 - 2 x.c + ||c||^2,
-    clamped at 0, taken block by block.  Each of the M + 1 passes copies
-    the blocks into one float64 buffer, rather than casting each anew.
+    clamped at 0, taken block by block.  If the frames hold at most
+    ``CHUNK_VALUES`` values, the float64 cast of each :func:`frame_chunks`
+    block is held for all M + 1 passes; otherwise each pass copies the
+    blocks into one float64 buffer, so working memory stays O(CHUNK_VALUES).
+    Either way the blocks and their shapes are the same, and so are the bits.
     """
     n = frames.shape[0]
-    chunks = _chunk_slices(frames, m)
-    buffer = np.empty((chunks[0].stop, frames.shape[1]))
+    if frames.size <= CHUNK_VALUES:
+        held = list(frame_chunks(frames, m))
 
-    def block(rows):
-        x = buffer[: rows.stop - rows.start]
-        x[...] = frames[rows]
-        return x
+        def blocks():
+            return held
+    else:
+        chunks = _chunk_slices(frames, m)
+        buffer = np.empty((chunks[0].stop, frames.shape[1]))
+
+        def blocks():
+            for rows in chunks:
+                x = buffer[: rows.stop - rows.start]
+                x[...] = frames[rows]
+                yield rows, x
 
     sq_norms = np.empty(n)
-    for rows in chunks:
-        x = block(rows)
+    for rows, x in blocks():
         sq_norms[rows] = np.einsum("ij,ij->i", x, x)
     chosen = np.empty((m, frames.shape[1]))
     d2 = np.full(n, np.inf)
@@ -300,8 +321,8 @@ def _kmeanspp_means(frames: np.ndarray, m: int, rng: np.random.Generator) -> np.
         chosen[j] = frames[pick]
         c = chosen[j]
         c_norm = c @ c
-        for rows in chunks:
-            dist = sq_norms[rows] - 2.0 * (block(rows) @ c) + c_norm
+        for rows, x in blocks():
+            dist = sq_norms[rows] - 2.0 * (x @ c) + c_norm
             np.minimum(d2[rows], np.maximum(dist, 0.0), out=d2[rows])
     return chosen
 

@@ -93,7 +93,7 @@ def lgp_frames_fast(gmm: Gmm, frames: np.ndarray) -> np.ndarray:
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != gmm.dim:
         raise ValueError(f"frames have shape {frames.shape}, expected (T, {gmm.dim})")
-    return -0.5 * (frames * frames) @ gmm.inv_var_t + frames @ gmm.scaled_means_t
+    return (frames * frames) @ gmm.half_inv_var_t + frames @ gmm.scaled_means_t
 
 
 _RAW_FORMS = dict(zip(FORMS, (lgp_frames_full, lgp_frames_fast)))

@@ -249,12 +249,25 @@ class TestChunkedEm:
     @pytest.mark.parametrize("n, d, m, dtype", [
         (500, 3, 4, np.float64), (3000, 20, 32, np.float32), (2048, 60, 512, np.float32),
     ])
-    def test_one_chunk_is_bit_identical(self, rng, n, d, m, dtype):
+    def test_one_chunk_is_bit_identical(self, rng, monkeypatch, n, d, m, dtype):
         frames = clustered_frames(rng, n, d, dtype)
         assert n <= gmm_module.CHUNK_VALUES // max(m, d)
         cfg = EmConfig(iterations=3, seed=5)
+        below, total = 0, 0
+        exp_in_place = gmm_module._exp_in_place
+
+        def counted(a):
+            nonlocal below, total
+            below += np.count_nonzero(a < gmm_module.EXP_FLOOR)
+            total += a.size
+            exp_in_place(a)
+
+        monkeypatch.setattr(gmm_module, "_exp_in_place", counted)
         model, trace = train_em(frames, m, cfg)
         want, want_trace = unchunked.train_em(frames, m, cfg)
+        print(f"exp arguments below EXP_FLOOR: {below / total:.1%}")
+        if m == 512:                    # the floor is met, not only defined
+            assert below / total > 0.4
         for got, ref in ((model.means, want.means), (model.variances, want.variances),
                          (model.weights, want.weights), (trace, want_trace)):
             assert same_bits(got, ref)
@@ -301,11 +314,14 @@ class TestChunkedEm:
 
 
 class TestKmeansSeeding:
-    """The ||x||^2 - 2 x.c + ||c||^2 seeding picks what ||x - c||^2 picks."""
+    """The ||x||^2 - 2 x.c + ||c||^2 seeding picks what ||x - c||^2 picks,
+    from held blocks (at most CHUNK_VALUES values: one block, or two of 1200
+    rows) and from refilled ones (blocks of 100 and 333 rows)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("n, d, m, rows", [
         (300, 2, 8, None), (1000, 20, 64, 100), (2500, 60, 128, None), (2500, 60, 128, 333),
+        (2400, 60, 128, 1200),
     ])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_same_frames_as_direct_distance(self, monkeypatch, seed, n, d, m, rows, dtype):
@@ -421,19 +437,15 @@ class TestFrameKernel:
         a = np.array(rows)
         assert same_bits(logsumexp(a, axis=1), unchunked.logsumexp(a, axis=1))
 
-    def test_exp_in_place_bit_identical_across_the_bands(self):
+    def test_exp_in_place_is_the_floored_exp_across_the_bands(self):
         a = np.concatenate([np.linspace(-2600.0, 1.0, 200_001),
-                            np.nextafter(gmm_module.EXP_ZERO, [np.inf, -np.inf]),
+                            np.nextafter(gmm_module.EXP_FLOOR, [np.inf, -np.inf]),
                             [-745.1332, -745.1333, -np.inf, np.nan, -0.0]])
-        want = np.exp(a)
+        want = np.exp(np.maximum(a, gmm_module.EXP_FLOOR))
         gmm_module._exp_in_place(a)
         assert same_bits(a, want)
 
-    def test_exp_is_exactly_zero_below_the_bound(self):
-        # a dense grid of consecutive doubles below EXP_ZERO, then a coarse one
-        x = np.full(20_000, gmm_module.EXP_ZERO)
-        for i in range(1, len(x)):
-            x[i] = np.nextafter(x[i - 1], -np.inf)
-        x = np.concatenate([x, np.linspace(gmm_module.EXP_ZERO, -3000.0, 100_000)])
-        got = np.exp(x)
-        assert np.all(got == 0.0) and not np.signbit(got).any()
+    def test_floor_is_normal_and_below_half_an_ulp_of_one(self):
+        floor = np.exp(gmm_module.EXP_FLOOR)
+        assert floor >= np.finfo(float).tiny        # off exp's slow path
+        assert 2.0**20 * floor < 2.0**-53           # a sum holding 1 absorbs 2^20 floors
