@@ -10,7 +10,8 @@ cached terms (-1/2 folded in) and in-place sums for the log densities, then
 a log-sum-exp whose exp is floored at ``EXP_FLOOR`` so NumPy never takes its
 slow path for subnormal or underflowing results.  It gives the bits of the
 plain formulas (kept in ``tests/unchunked.py``) wherever BLAS rounds a row
-of a matrix product the same way whatever block holds it.
+of a matrix product the same way whatever block holds it, and no E-step
+sum of r x cancels to near 0 (see ``_exp_in_place``).
 
 An utterance is scored on its own frames, so its score does not
 depend on the utterances scored around it.
@@ -190,10 +191,8 @@ class Gmm:
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """Overflow-safe log(sum(exp(a))) along ``axis``.
 
-    The exp is :func:`_exp_in_place`'s floored one.  Every line with a
-    finite maximum holds exp(0) = 1, so its sum is at least 1 and absorbs
-    the floor's excess: the bits are those of the plain exp.  A line that
-    is all -inf would sum floors alone, so its result is set to -inf.
+    The exp is :func:`_exp_in_place`'s floored one.  A line that is all
+    -inf would sum floors alone, so its result is set to -inf.
     """
     m = np.max(a, axis=axis, keepdims=True)
     all_neg_inf = np.squeeze(m == -np.inf, axis=axis)
@@ -209,9 +208,13 @@ def _exp_in_place(a: np.ndarray) -> None:
 
     The floor keeps every result a normal double, so NumPy's exp stays on
     its fast path.  Each floored value is at most 9.9e-305 above the plain
-    exp, which a sum of 1 or more (a log-sum-exp line) or of 1e-10 or more
-    (a live component's responsibilities) absorbs; a dead component is
-    reseeded either way.
+    exp.  A sum of 1 or more absorbs that: every log-sum-exp line holds
+    exp(0) = 1, so its bits are those of the plain exp.  So does a live
+    component's count, 1e-10 or more; a dead component is reseeded either
+    way.  The E-step's sums of r x and r x^2 over N frames keep their bits
+    unless they come to within about N max|x| 1e-288 of 0: where a
+    component's live frames all hold x_d = 0, say, the plain exp gives a
+    mean of exactly 0 and the floored one a tiny nonzero mean.
     """
     np.maximum(a, EXP_FLOOR, out=a)
     np.exp(a, out=a)

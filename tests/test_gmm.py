@@ -396,6 +396,20 @@ class TestBoundedMemory:
               f"4 blocks {four / 2**20:.1f} MiB")
         assert four <= 1.10 * one
 
+    def test_kmeanspp_peak_flat_above_the_held_size(self):
+        # Frames of 2 and 8 times CHUNK_VALUES values take the refilled
+        # buffer; holding every block's float64 cast would grow the peak 4x.
+        m, d = 4, 512
+        out = []
+        for times in (2, 8):
+            rng = np.random.default_rng(times)
+            frames = rng.standard_normal((times * gmm_module.CHUNK_VALUES // d, d),
+                                         dtype=np.float32)
+            out.append(traced_peak(lambda: gmm_module._kmeanspp_means(frames, m, rng)))
+        two, eight = out
+        print(f"k-means++ traced peak: 2x {two / 2**20:.1f} MiB, 8x {eight / 2**20:.1f} MiB")
+        assert eight <= 1.10 * two
+
 
 def paper_shape_model(rng, frames, m):
     """An ``m``-component model on ``frames``: means at frames, narrow
