@@ -5,10 +5,14 @@ Builds the one-path model that a run config describes with one GMM and
 stats pair (``RunConfig.build``; a two-path run's step-1 fits have its
 shape), takes the protocol's first batch of utterances and runs one Adam
 step through ``training.train_one_path`` under ``tracemalloc``.  It prints
-the traced peak and the layer call that was running when it was reached,
-``ru_maxrss``, the bytes each layer's cache holds after the train-mode
-forward, and the ``nn.to_gutter`` calls that copied their input.  Layers are wrapped in this process, so the step runs
-unchanged:
+the traced peak of the forward pass (from the model's construction to the
+path's embeddings) and of the backward pass (from there to the end of
+Adam's update), each with the layer call that was running when it was
+reached, then ``ru_maxrss``, the bytes each layer's cache holds after the
+train-mode forward, and the ``nn.to_gutter`` calls that copied their
+input.  A cut on one side of a step whose two peaks are close moves its
+peak to the other side, so both are printed.  Layers are wrapped in this
+process, so the step runs unchanged:
 
     python scripts/step_memory.py run.cfg data/feats data/train.txt \\
         --gmm pooled.gmm --stats pooled.stats
@@ -44,15 +48,23 @@ def _owners(obj, seen: dict) -> None:
 
 
 class Probe:
-    """Wraps layer calls to find the one running at the traced peak."""
+    """Wraps layer calls to find the one running at the traced peak of each
+    phase of the step."""
 
     def __init__(self):
-        self.stack, self.peak, self.where = ["step"], 0, "step"
+        self.stack, self.phase, self.peaks = ["step"], "forward", {"forward": (0, "step")}
 
     def _note(self) -> None:
         peak = tracemalloc.get_traced_memory()[1]
-        if peak > self.peak:
-            self.peak, self.where = peak, self.stack[-1]
+        if peak > self.peaks[self.phase][0]:
+            self.peaks[self.phase] = (peak, self.stack[-1])
+
+    def start(self, phase: str) -> None:
+        """End the current phase and trace the next from what is held now."""
+        self._note()
+        tracemalloc.reset_peak()
+        self.phase = phase
+        self.peaks[phase] = (0, self.stack[-1])
 
     def wrap(self, name: str, obj, method: str) -> None:
         inner = getattr(obj, method)
@@ -100,6 +112,7 @@ def main(argv=None) -> int:
 
     def forward_and_count(lgp, is_training):
         emb = forward(lgp, is_training)
+        probe.start("backward")
         seen = set()
         for name, layer in layers:
             owners = {}
@@ -129,7 +142,8 @@ def main(argv=None) -> int:
 
     print(f"shape: order {cfg.gmm_order}, {cfg.channels} channels, {cfg.blocks} blocks, "
           f"SE {'on' if cfg.se_enabled else 'off'}, N {cfg.input_length}, batch {batch}")
-    print(f"traced peak {probe.peak / MIB:.1f} MiB, during {probe.where}")
+    for phase, (peak, where) in probe.peaks.items():
+        print(f"{phase} pass: traced peak {peak / MIB:.1f} MiB, during {where}")
     print(f"ru_maxrss {maxrss:.1f} MB")
     print("held by each layer after the train-mode forward:")
     for name, (nbytes, shapes) in held.items():

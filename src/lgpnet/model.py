@@ -15,19 +15,20 @@ detection score is the bona fide logit minus the spoof logit
 (``detection_score``; class 0 is bona fide throughout).
 
 The model's input is raw feature segments (B, N, D).  ``SpoofModel.embed``
-maps them to the head input in a training step: each path derives its LGP
-maps (B, M, N) from the segments under its own GMM inside the call, so no
-LGP map is kept between batches.
+maps them to the head input in a training step: each path builds its LGP
+maps (B, M, N) from the segments under its own GMM (``LgpMaps``), and its
+stem conv drops them after its forward and builds them again for its
+weight gradient, so a step keeps the segments, not the maps.
 
 The layers run in train mode only, the paths in float32
-(``SpoofModel.embed``).  A forward keeps, per path, the LGP maps (B, M, N)
-and the stem's batch-norm ``xhat``, per residual block ``xhat1`` and
-``xhat2`` (B, C, N) (plus the SE input with SE on), and the inputs of
-blocks 2, 4, ...: at 6 blocks 15 * B*C*N + B*M*N values of 4 bytes, each
-with two zero gutter frames per row (the ``nn`` layout in which a conv
-reads its input in place).  Each ReLU output is recomputed from its
-``xhat`` (``nn.BatchNormReLU``), the other block inputs from the stem or
-the block before (``PathNetwork``), and backward frees every cache it uses.
+(``SpoofModel.embed``).  A forward keeps, per path, the stem's batch-norm
+``xhat``, per residual block ``xhat1`` and ``xhat2`` (B, C, N), and the
+inputs of blocks 2, 4, ...: at 6 blocks 15 * B*C*N values of 4 bytes, with
+SE or without, each with two zero gutter frames per row (the ``nn`` layout
+in which a conv reads its input in place).  Each ReLU output is recomputed
+from its ``xhat`` (``nn.BatchNormReLU``), each SE input from bn2's, the
+other block inputs from the stem or the block before (``PathNetwork``), and
+backward frees every cache it uses.
 
 A checkpoint is checked against the schema its own ``cfg.*`` entries
 imply, which ``_tensor_shapes`` yields name by name: a stored size that the
@@ -140,9 +141,12 @@ class UfmConfig:
 class ResBlock:
     """Residual unit: out = x + [SE](ReLU(BN(conv(ReLU(BN(conv(x))))))).
 
-    conv2 keeps no input: backward takes it rebuilt from bn1's ``xhat``.
-    ``padded_output`` rebuilds the block's last output, so the next block's
-    conv1 need not keep it either (``PathNetwork``).
+    conv2 keeps no input: backward takes it rebuilt from bn1's ``xhat``,
+    and SE's from bn2's.  ``padded_output`` rebuilds the block's last
+    output, so the next block's conv1 need not keep it either
+    (``PathNetwork``).  Each activation and gradient is dropped at its last
+    use: the batch norms spend the conv outputs they are handed, SE gates
+    bn2's output in place, and bn1's output dies with conv2's forward.
     """
 
     def __init__(self, channels, se_enabled, se_reduction, rng):
@@ -152,21 +156,23 @@ class ResBlock:
         self.bn2 = BatchNormReLU(channels)
         self.se = SEBlock(channels, se_reduction, rng=rng) if se_enabled else None
         self.conv2.input_source = self.bn1
+        if self.se is not None:
+            self.se.input_source = self.bn2
 
     def forward(self, x):
-        h = self.bn1.forward(self.conv1.forward(x))
-        h = self.bn2.forward(self.conv2.forward(h))
+        h = self.conv2.forward(self.bn1.forward(self.conv1.forward(x)))
+        h = self.bn2.forward(h)
         if self.se is not None:
             h = self.se.forward(h)
         h += x
         return h
 
     def backward(self, grad_out):
-        g = grad_out
-        if self.se is not None:
-            g = self.se.backward(g)
-        g = self.conv2.backward(self.bn2.backward(g))
-        g = self.conv1.backward(self.bn1.backward(g))
+        g = grad_out if self.se is None else self.se.backward(grad_out)
+        g = self.bn2.backward(g)
+        g = self.conv2.backward(g)
+        g = self.bn1.backward(g)
+        g = self.conv1.backward(g)
         g += grad_out
         return g
 
@@ -191,7 +197,8 @@ class PathNetwork:
     odd block's conv1 from the block before it (``ResBlock.padded_output``),
     which needs that block's own input: kept by its conv1 (blocks 2, 4, ...)
     or rebuilt from the stem (block 0).  So only blocks 2, 4, ... keep their
-    inputs, and no rebuild reaches back further than one block.
+    inputs, and no rebuild reaches back further than one block.  Handed an
+    ``LgpMaps``, the stem conv rebuilds its input, the maps, too.
     """
 
     def __init__(self, cfg: ClassifierConfig, rng: np.random.Generator):
@@ -219,10 +226,16 @@ class PathNetwork:
                 for key, arr in layer.named_tensors().items()}
 
     def forward(self, lgp, training):
-        """(B, order, N) -> (B, channels), in train mode: ``training`` must be True."""
+        """(B, order, N) -> (B, channels), in train mode: ``training`` must be True.
+
+        ``lgp`` is the maps, which the stem conv keeps, or an ``LgpMaps``
+        that builds them: the stem conv then keeps none, and rebuilds them
+        from it for its weight gradient."""
         if not training:
             raise ValueError("a path runs in train mode only")
-        h = self.bn.forward(self.conv.forward(lgp))
+        source = lgp if isinstance(lgp, LgpMaps) else None
+        self.conv.input_source = source
+        h = self.bn.forward(self.conv.forward(lgp if source is None else source.maps()))
         for block in self.blocks:
             h = block.forward(h)
         return self.pool.forward(h)
@@ -239,6 +252,7 @@ class PathNetwork:
             g = block.backward(g)
         g = self.bn.backward(g)
         self.conv.backward_params(g)
+        self.conv.input_source = None
         return g
 
     def _named_layers(self):
@@ -277,10 +291,11 @@ class SpoofModel:
         """Head input of raw feature segments: (B, N, D) -> (B, len(path_ids) * channels).
 
         Each path in ``path_ids`` computes the normalized LGP maps of the
-        segments under its own GMM, embeds them and drops them, so no LGP map
-        outlives the call.  A map that is not finite (overflow from finite
-        features, or beyond float32's range) raises NonFiniteMapError with
-        its batch row.
+        segments under its own GMM and drops them once its stem conv has
+        read them; the stem keeps the ``LgpMaps`` of the segments, to build
+        them again in backward, so no LGP map outlives the call.  A map that
+        is not finite (overflow from finite features, or beyond float32's
+        range) raises NonFiniteMapError with its batch row.
 
         The paths get float32 maps, and every layer computes in its input's
         dtype, so their activations and GEMMs run in float32 under float64
@@ -289,7 +304,7 @@ class SpoofModel:
         float64 logits.
         """
         return np.concatenate([
-            self.paths[k].forward(_lgp_maps(self.gmms[k], self.stats[k], segments, k), True)
+            self.paths[k].forward(LgpMaps(self.gmms[k], self.stats[k], segments, k), True)
             for k in path_ids], axis=1)
 
     def plan(self, path_ids) -> ScoringPlan:
@@ -548,21 +563,38 @@ def _fold_bn(t: dict[str, np.ndarray], conv: str, bn: str) -> tuple[np.ndarray, 
     return taps, beta - mean * s
 
 
-def _lgp_maps(gmm: Gmm, stats: LgpNormStats, segments: np.ndarray, k: int) -> np.ndarray:
-    """Normalized LGP maps (B, M, N) of (B, N, D) segments, as the interior of
-    the float32 zero-gutter buffer (M, B, N + 2) that the stem conv reads in
-    place.  ``extract_lgp`` works in float64; the check runs on the buffer,
-    so a map that is not finite there (overflow from finite features, or a
-    float64 value beyond float32's range) raises NonFiniteMapError."""
-    n = segments.shape[1]
-    buf = np.zeros((gmm.order, len(segments), n + 2), np.float32)
-    for i, seg in enumerate(segments):
-        buf[:, i, 1:-1] = extract_lgp(gmm, stats, seg)
-    lgp = interior(buf, n)
-    finite = np.isfinite(lgp).all(axis=(1, 2))
-    if not finite.all():
-        raise NonFiniteMapError(f"non-finite LGP map under path {k}", int(np.argmin(finite)))
-    return lgp
+class LgpMaps:
+    """The normalized LGP maps (B, M, N) of raw feature segments (B, N, D)
+    under path ``k``'s GMM and stats, built anew by each call, so a training
+    step keeps the segments rather than the maps: ``PathNetwork.forward``
+    makes it the stem conv's ``input_source``.  ``extract_lgp`` is
+    deterministic, so every build is the same bit for bit."""
+
+    DTYPE = np.float32              # the paths train in float32 (``SpoofModel.embed``)
+
+    def __init__(self, gmm: Gmm, stats: LgpNormStats, segments: np.ndarray, k: int):
+        self.gmm, self.stats, self.segments, self.k = gmm, stats, segments, k
+
+    def maps(self) -> np.ndarray:
+        """The maps, as the interior of the zero-gutter buffer (M, B, N + 2),
+        in ``DTYPE``, that the stem conv reads in place.  ``extract_lgp``
+        works in float64; the check runs on the buffer, so a map that is not
+        finite there (overflow from finite features, or a float64 value
+        beyond float32's range) raises NonFiniteMapError."""
+        n = self.segments.shape[1]
+        buf = np.zeros((self.gmm.order, len(self.segments), n + 2), self.DTYPE)
+        for i, seg in enumerate(self.segments):
+            buf[:, i, 1:-1] = extract_lgp(self.gmm, self.stats, seg)
+        lgp = interior(buf, n)
+        finite = np.isfinite(lgp).all(axis=(1, 2))
+        if not finite.all():
+            raise NonFiniteMapError(f"non-finite LGP map under path {self.k}",
+                                    int(np.argmin(finite)))
+        return lgp
+
+    def padded_output(self) -> np.ndarray:
+        """The maps' zero-gutter buffer (M, B, N + 2), for the stem conv."""
+        return self.maps().base
 
 
 def read_checkpoint(tensors, gmms: list[Gmm], stats: list[LgpNormStats]

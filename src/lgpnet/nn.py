@@ -10,10 +10,17 @@ accumulating parameter gradients on the way.
 
 :class:`BatchNormReLU` is batch norm and ReLU in one unit that keeps only
 batch norm's ``xhat`` and recomputes the ReLU output from it, in backward
-and for a :class:`Conv1d` whose ``input_source`` it is; the standalone
-:class:`BatchNorm1d` and :class:`ReLU` stay as its bit-level oracle.  Every
-layer runs in train mode: inference runs the model's ``ScoringPlan``, which
-shares the one ReLU rule of :class:`ReLU` and :func:`se_excitation` with them.
+and for a :class:`Conv1d` or :class:`SEBlock` whose ``input_source`` it is;
+the standalone :class:`BatchNorm1d` and :class:`ReLU` stay as its bit-level
+oracle.  Every layer runs in train mode: inference runs the model's
+``ScoringPlan``, which shares the one ReLU rule of :class:`ReLU` and
+:func:`se_excitation` with them.
+
+Two units spend the buffer they are handed, so it dies where it is used:
+:class:`BatchNormReLU` normalizes into it and writes its input gradient
+into its own rebuilt output, and an :class:`SEBlock` with an
+``input_source`` gates it in place.  :class:`BatchNorm1d` and
+:class:`Conv1d`, the oracles, never write into an array they are handed.
 
 Stateful layers also list their current arrays by name in
 ``named_tensors``; checkpoints and training snapshots are built from it.
@@ -131,20 +138,36 @@ def to_gutter(x: np.ndarray, width: int) -> np.ndarray:
     return buf
 
 
+# Values per column block of ``_tap_sum``'s scratch: about 2**21, so at
+# 512 channels a block is 4,096 to 8,191 columns, not the whole output
+# (12,864 columns at paper shape: a 9 MiB scratch in place of 25 MiB).
+# Narrower blocks cost BLAS time: 1,024 columns made a paper-shape tap sum
+# about 10% slower, 4,096 none.
+SCRATCH_VALUES = 2 ** 21
+
+
 def _tap_sum(taps: np.ndarray, src: np.ndarray, out: np.ndarray, first: int) -> None:
     """``out[:, m] = sum_j taps[j] @ src[:, m + j - first]`` over the columns
-    each tap reaches; tap ``first`` reaches all of them and writes ``out``."""
-    n = src.shape[1]
+    each tap reaches; tap ``first`` reaches all of them and writes ``out``.
+
+    Each other tap's product is made in column blocks of ``SCRATCH_VALUES /
+    out rows`` columns, rounded down to a multiple of 64, the last block
+    taking the remainder, so no block is a small or one-column product:
+    each block's columns are those of the whole product, bit for bit."""
+    rows, n = out.shape[0], src.shape[1]
     np.matmul(taps[first], src, out=out)
+    width = max(64, SCRATCH_VALUES // rows // 64 * 64)
     scratch = None
     for j in range(taps.shape[0]):
         s = j - first
         if s:
             lo, hi = max(0, -s), n - max(0, s)
-            if scratch is None:
-                scratch = np.empty_like(out)
-            part = scratch[:, : hi - lo]
-            out[:, lo:hi] += np.matmul(taps[j], src[:, lo + s : hi + s], out=part)
+            cuts = [lo + i * width for i in range(max(1, (hi - lo) // width))] + [hi]
+            if scratch is None or scratch.shape[1] < hi - cuts[-2]:     # the last block is the widest
+                scratch = np.empty((rows, hi - cuts[-2]), out.dtype)
+            for a, b in zip(cuts, cuts[1:]):
+                part = scratch[:, : b - a]
+                out[:, a:b] += np.matmul(taps[j], src[:, a + s : b + s], out=part)
 
 
 def gutter_conv(xbuf: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -261,7 +284,7 @@ class BatchNorm1d:
     (:func:`to_gutter`: a kernel-3 conv's output is one already), and
     ``xhat``, the output and the input gradient are buffers as wide, so the
     conv that reads the output forward, or the gradient backward, needs no
-    copy.
+    copy.  Neither pass writes into the array it is handed.
     """
 
     MOMENTUM = 0.1
@@ -285,6 +308,12 @@ class BatchNorm1d:
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if not training:
             raise ValueError("batch norm runs in train mode only")
+        return self._normalize(x, False)
+
+    def _normalize(self, x: np.ndarray, spend: bool) -> np.ndarray:
+        """Normalize ``x`` into a new ``xhat`` buffer, or with ``spend`` into
+        the zero-gutter buffer that :func:`to_gutter` reads it from, keep
+        ``xhat``, and return the affine output in a new buffer."""
         c = self.gamma.shape[0]
         if x.shape[1] != c:
             raise ValueError("channel count mismatch")
@@ -293,7 +322,7 @@ class BatchNorm1d:
         if n < 2:
             raise ValueError("train-mode batch norm needs >1 sample per channel")
         src = to_gutter(x, t + 2)
-        xhat = np.empty_like(src)
+        xhat = src if spend else np.empty_like(src)
         mean = src.sum(axis=(1, 2)) / n
         zero_gutters(np.subtract(src, mean[:, None, None], out=xhat), t)
         flat = xhat.reshape(c, -1)
@@ -307,18 +336,23 @@ class BatchNorm1d:
         return interior(zero_gutters(self._affine(xhat, np.empty_like(xhat)), t), t)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        dy = to_gutter(grad_out, self._cache[0].base.shape[2])
+        return self._backward(dy, np.empty_like(dy))
+
+    def _backward(self, dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        """The input gradient of the zero-gutter gradient ``dy``, written
+        into ``dx``, which may be ``dy`` itself."""
         xhat, inv_std = self._cache
         self._cache = None
         t, xhat = xhat.shape[2], xhat.base
-        c, b, width = xhat.shape
-        dy = to_gutter(grad_out, width)
+        c, b, _ = xhat.shape
         flat = dy.reshape(c, -1)
         sum_dy = flat.sum(axis=1)
         sum_dyx = np.einsum("ij,ij->i", flat, xhat.reshape(c, -1))
         self.gamma.grad += sum_dyx
         self.beta.grad += sum_dy
         scale = self.gamma.data.astype(xhat.dtype, copy=False) * inv_std
-        dx = dy * scale[:, None, None]          # a (C, B, W) buffer the conv reads in place
+        np.multiply(dy, scale[:, None, None], out=dx)   # a (C, B, W) buffer the conv reads in place
         # Through the batch statistics: with g = gamma * dy, sum(g) =
         # gamma sum(dy) and sum(g xhat) = gamma sum(dy xhat), so
         # dx = scale * (dy - (sum(dy) + xhat * sum(dy xhat)) / n).
@@ -350,19 +384,24 @@ class BatchNormReLU(BatchNorm1d):
     multiplies the gradient: a finite gradient it stops becomes a zero of
     the same sign, a non-finite one NaN.  Its ReLU is ``ReLU``'s
     ``np.maximum(z, 0.0)``, so -0.0 becomes +0.0 and a NaN passes through.
+
+    The unit spends its input: forward normalizes into the zero-gutter
+    buffer it is handed (a conv's output, which nothing else reads), which
+    so becomes ``xhat``, and backward writes the input gradient into its
+    own rebuilt ``gamma * xhat + beta``.  A plain array is copied first.
     """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out = super().forward(x, True)
+        out = self._normalize(x, True)
         np.maximum(out.base, 0.0, out=out.base)     # the whole buffer: its gutters stay +0.0
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xhat = self._cache[0]
-        t, xhat = xhat.shape[2], xhat.base
+        xhat = self._cache[0].base
         z = self._affine(xhat, np.empty_like(xhat))
-        np.multiply(to_gutter(grad_out, xhat.shape[2]), z > 0, out=z)
-        return super().backward(interior(z, t))
+        np.greater(z, 0.0, out=z)                   # the mask as 1.0 and 0.0, in place
+        np.multiply(to_gutter(grad_out, xhat.shape[2]), z, out=z)
+        return self._backward(z, z)
 
     def padded_output(self) -> np.ndarray:
         """The last output, rebuilt with the forward's operations, bit for
@@ -407,10 +446,16 @@ class SEBlock:
               (:func:`se_excitation`)
     output:   x[b, c, t] * s_bc
 
-    Forward reads its input through :func:`to_gutter` and writes the gated
-    output, and backward the input gradient, into a new (C, B, T + 2)
-    zero-gutter buffer: one product over the whole buffer, whose gutters are
-    zeroed after it.  The next conv and batch norm read them in place.
+    Forward reads its input through :func:`to_gutter`, and the gated output
+    and the input gradient are (C, B, T + 2) zero-gutter buffers: one
+    product over the whole buffer, whose gutters are zeroed after it.  The
+    next conv and batch norm read them in place.
+
+    Forward keeps the input and writes the output into a new buffer.  With
+    ``input_source`` set (to a layer whose ``padded_output()`` rebuilds this
+    gate's input as its (C, B, T + 2) buffer), forward keeps only the pooled
+    values and the gate and spends its input, gating the buffer it is
+    handed in place, and backward asks the source for the input instead.
     """
 
     def __init__(self, channels: int, reduction: int = 16,
@@ -423,6 +468,7 @@ class SEBlock:
         self.b1 = Parameter(np.zeros(inner))
         self.w2 = Parameter(rng.normal(0.0, np.sqrt(2.0 / inner), size=(channels, inner)))
         self.b2 = Parameter(np.zeros(channels))
+        self.input_source = None
         self._cache = None
 
     def parameters(self):
@@ -436,28 +482,33 @@ class SEBlock:
             raise ValueError("channel count mismatch")
         t = x.shape[2]
         xbuf = to_gutter(x, t + 2)
-        x = interior(xbuf, t)
-        z = x.mean(axis=2)                                    # (B, C)
+        z = interior(xbuf, t).mean(axis=2)                    # (B, C)
         pre1, h, s = se_excitation(z, *(p.data.astype(x.dtype, copy=False)
                                         for p in self.parameters()))
-        self._cache = (x, z, pre1, h, s)
-        return interior(zero_gutters(xbuf * s.T[:, :, None], t), t)
+        kept = xbuf if self.input_source is None else None
+        self._cache = (kept, z, pre1, h, s)
+        out = np.multiply(xbuf, s.T[:, :, None], out=None if kept is not None else xbuf)
+        return interior(zero_gutters(out, t), t)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, z, pre1, h, s = self._cache
+        kept, z, pre1, h, s = self._cache
         self._cache = None
-        t = x.shape[2]
+        t = grad_out.shape[2]
         gbuf = to_gutter(grad_out, t + 2)
-        grad_s = (interior(gbuf, t) * x).sum(axis=2)          # (B, C)
+        xbuf = self.input_source.padded_output() if kept is None else kept
+        prod = np.multiply(xbuf, gbuf, out=None if kept is not None else xbuf)  # a rebuilt input is spent
+        del xbuf
+        grad_s = interior(prod, t).sum(axis=2)                # (B, C)
+        del prod
         grad_x = gbuf * s.T[:, :, None]
         grad_pre2 = grad_s * s * (1.0 - s)
         self.w2.grad += grad_pre2.T @ h
         self.b2.grad += grad_pre2.sum(axis=0)
-        grad_h = grad_pre2 @ self.w2.data.astype(x.dtype, copy=False)
+        grad_h = grad_pre2 @ self.w2.data.astype(s.dtype, copy=False)
         grad_pre1 = np.where(pre1 > 0, grad_h, 0.0)
         self.w1.grad += grad_pre1.T @ z
         self.b1.grad += grad_pre1.sum(axis=0)
-        grad_z = grad_pre1 @ self.w1.data.astype(x.dtype, copy=False)
+        grad_z = grad_pre1 @ self.w1.data.astype(s.dtype, copy=False)
         grad_x += (grad_z / t).T[:, :, None]
         return interior(zero_gutters(grad_x, t), t)
 

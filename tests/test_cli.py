@@ -1444,11 +1444,15 @@ class TestMeasurementScripts:
                            desk / "corpus" / "train.txt", "--gmm", desk / "pooled.gmm",
                            "--stats", desk / "pooled.stats")
         assert lines[0] == "shape: order 8, 16 channels, 2 blocks, SE off, N 32, batch 32"
-        assert lines[1].startswith("traced peak ") and " MiB, during " in lines[1]
-        assert lines[2].startswith("ru_maxrss ") and lines[2].endswith(" MB")
-        assert lines[3] == "held by each layer after the train-mode forward:"
-        held = {line.split()[0] for line in lines[4:-1]}
-        assert {"stem.conv", "stem.bn", "block1.bn2", "pool", "total"} <= held
+        for line, phase in zip(lines[1:3], ("forward", "backward")):
+            assert line.startswith(f"{phase} pass: traced peak ") and " MiB, during " in line
+        forward_call, backward_call = (line.split(", during ")[1] for line in lines[1:3])
+        assert forward_call.endswith(".forward") and ".backward" in backward_call
+        assert lines[3].startswith("ru_maxrss ") and lines[3].endswith(" MB")
+        assert lines[4] == "held by each layer after the train-mode forward:"
+        held = {line.split()[0] for line in lines[5:-1]}
+        assert {"stem.bn", "block1.bn2", "pool", "total"} <= held
+        assert "stem.conv" not in held              # the LGP maps are rebuilt, not kept
         assert lines[-1] == "full-size to_gutter copies: 0"
 
     def test_score_drift_of_a_file_with_itself_and_another(self, desk):

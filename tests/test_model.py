@@ -13,6 +13,7 @@ from lgpnet.gmm import Gmm
 from lgpnet.lgp import extract_lgp, fit_norm_stats
 from lgpnet.model import (
     ClassifierConfig,
+    LgpMaps,
     PathNetwork,
     ScoringPlan,
     SpoofModel,
@@ -126,7 +127,8 @@ class TestPathShapes:
 
 def _standalone_copy(path):
     """The path as an explicit chain of standalone Conv1d -> BatchNorm1d -> ReLU
-    units holding copies of its tensors (SE and pooling copied whole)."""
+    units holding copies of its tensors, with a standalone SE gate that keeps
+    its input (pooling copied whole)."""
     def copied(src, dst):
         for key, arr in src.named_tensors().items():
             dst.named_tensors()[key][...] = arr
@@ -137,9 +139,14 @@ def _standalone_copy(path):
         return (copied(conv, Conv1d(in_ch, out_ch, k, padding=1)),
                 copied(bn, BatchNorm1d(out_ch)), ReLU())
 
+    def gate(se):
+        if se is None:
+            return None
+        channels, inner = se.w2.shape
+        return copied(se, SEBlock(channels, channels // inner))
+
     stem = unit(path.conv, path.bn)
-    blocks = [(unit(b.conv1, b.bn1), unit(b.conv2, b.bn2), copy.deepcopy(b.se))
-              for b in path.blocks]
+    blocks = [(unit(b.conv1, b.bn1), unit(b.conv2, b.bn2), gate(b.se)) for b in path.blocks]
     return stem, blocks, copy.deepcopy(path.pool)
 
 
@@ -241,21 +248,35 @@ def _byte_equal(a, b) -> bool:
 
 
 class TestRebuiltBlockInputs:
-    """Block 0's and each odd block's conv1 rebuild their input (from the
-    stem's batch norm, from the block before); the same path with every
-    conv keeping its input is the oracle."""
+    """The stem conv rebuilds the LGP maps from the batch's segments
+    (``LgpMaps``), block 0's and each odd block's conv1 rebuild their input
+    (from the stem's batch norm, from the block before), and each SE gate
+    its input (from bn2); the same path with every conv and gate keeping
+    its input, and the maps handed in whole, is the oracle."""
 
     @staticmethod
     def twins(cfg, seed):
-        """The same seeded path twice; the second keeps every conv input."""
+        """The same seeded path twice; the second keeps every conv and gate input."""
         pair = []
         for _ in range(2):
             rng = np.random.default_rng(seed)
             pair.append(TestLeanTrainingStep.seeded_path(cfg, rng))
         for _, layer in pair[1]._named_layers():
-            if isinstance(layer, Conv1d):
+            if isinstance(layer, (Conv1d, SEBlock)):
                 layer.input_source = None
         return pair
+
+    @staticmethod
+    def lgp_inputs(cfg, seed, dtype):
+        """An ``LgpMaps`` of three seeded segments in ``dtype``, and the maps
+        it builds, made here one segment at a time."""
+        rng = np.random.default_rng(seed)
+        gmm = Gmm(np.full(cfg.gmm_order, 1.0 / cfg.gmm_order), rng.normal(size=(cfg.gmm_order, 3)),
+                  rng.uniform(0.5, 2.0, size=(cfg.gmm_order, 3)))
+        stats = fit_norm_stats(gmm, rng.normal(size=(200, 3)), "fast")
+        segments = rng.normal(size=(3, cfg.input_length, 3))
+        maps = type("Maps", (LgpMaps,), {"DTYPE": dtype})(gmm, stats, segments, 0)
+        return maps, np.stack([extract_lgp(gmm, stats, seg) for seg in segments]).astype(dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5, 6])
@@ -266,11 +287,17 @@ class TestRebuiltBlockInputs:
         path, oracle = self.twins(cfg, 10 * blocks + se)
         assert [b.conv1.input_source is not None for b in path.blocks] == [
             b == 0 or b % 2 == 1 for b in range(blocks)]
+        assert all((b.se.input_source is b.bn2) if se else b.se is None for b in path.blocks)
+        maps, x = self.lgp_inputs(cfg, blocks, dtype)
         rng = np.random.default_rng(blocks)
-        x = rng.normal(size=(3, 6, 10)).astype(dtype)
         grad_emb = rng.normal(size=(3, 8)).astype(dtype)
-        runs = [(net.forward(x.copy(), training=True), net.backward(grad_emb.copy()))
-                for net in (path, oracle)]
+        runs = []
+        for net, lgp in ((path, maps), (oracle, x.copy())):
+            emb = net.forward(lgp, training=True)
+            assert (net.conv.input_source is maps) == (net is path)
+            assert (net.conv._cache is None) == (net is path)      # the maps are not kept
+            runs.append((emb, net.backward(grad_emb.copy())))
+            assert net.conv.input_source is None
         assert _byte_equal(runs[0][0], runs[1][0])          # embeddings
         assert _byte_equal(runs[0][1], runs[1][1])          # LGP-map gradients
         for got, want in zip(path._named_layers(), oracle._named_layers()):
@@ -287,10 +314,10 @@ class TestRebuiltBlockInputs:
 
     @pytest.mark.parametrize("se", [False, True], ids=["resnet", "se"])
     def test_forward_caches_each_activation_once(self, se, rng):
-        """After a train-mode forward the caches hold the LGP map (the stem
-        conv's input), each batch norm's xhat, the inputs of blocks 2 and 4,
-        and with SE each gate's input (bn2's output); every other conv keeps
-        nothing."""
+        """After a train-mode forward of plain maps the caches hold the LGP
+        map (the stem conv's input), each batch norm's xhat and the inputs of
+        blocks 2 and 4; every other conv, and with SE every gate, keeps no
+        input."""
         cfg = ClassifierConfig(gmm_order=16, channels=8, blocks=5, se_enabled=se,
                                se_reduction=4, input_length=12)
         path = PathNetwork(cfg, rng)
@@ -306,6 +333,8 @@ class TestRebuiltBlockInputs:
                 assert block.conv1._cache.shape == buffer
             else:
                 assert block.conv1._cache is None
+            if se:
+                assert block.se._cache[0] is None
         owners = {}
         for layer in _layers(path):
             for arr in layer._cache if isinstance(layer._cache, tuple) else (layer._cache,):
@@ -313,7 +342,7 @@ class TestRebuiltBlockInputs:
                     owner = arr if arr.base is None else arr.base
                     owners[id(owner)] = owner
         large = sorted(arr.shape for arr in owners.values() if arr.size >= np.prod(buffer))
-        assert large == sorted([(16, 3, 14)] + [buffer] * (1 + 2 * cfg.blocks + 2 + cfg.blocks * se))
+        assert large == sorted([(16, 3, 14)] + [buffer] * (1 + 2 * cfg.blocks + 2))
 
 
 class TestForwardModel:

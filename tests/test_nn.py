@@ -313,6 +313,39 @@ class TestBatchNorm:
         assert max(ulps) <= 8, ulps
 
 
+class TestStandaloneLayersLeaveTheirArguments:
+    """``BatchNorm1d`` and ``Conv1d``, the oracles of the fused units and of
+    the rebuilt paths, never write into an array they are handed: forward's
+    input and backward's gradient are byte-unchanged, gutters included,
+    whether plain arrays or zero-gutter interiors that they read in place.
+    (``BatchNormReLU`` and a sourced ``SEBlock`` spend theirs.)"""
+
+    LAYERS = {
+        "batch-norm": (lambda: nn.BatchNorm1d(4), 4),
+        "conv": (lambda: nn.Conv1d(3, 4, 3, padding=1, rng=np.random.default_rng(2)), 3),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["contiguous", "padded"])
+    @pytest.mark.parametrize("name", sorted(LAYERS))
+    def test_forward_input_and_backward_gradient_are_byte_unchanged(self, rng, name,
+                                                                     layout, dtype):
+        make, channels = self.LAYERS[name]
+        layer = make()
+        x = laid_out(rng.normal(size=(2, channels, 9)).astype(dtype), layout)
+        memory = x if x.base is None else x.base
+        before = memory.tobytes()
+        y = layer.forward(x) if name == "conv" else layer.forward(x, training=True)
+        assert memory.tobytes() == before
+        g = laid_out(rng.normal(size=y.shape).astype(dtype), layout)
+        g_memory = g if g.base is None else g.base
+        assert layout == "contiguous" or nn.to_gutter(g, 11) is g_memory   # read in place
+        g_before = g_memory.tobytes()
+        layer.backward(g)
+        assert g_memory.tobytes() == g_before
+        assert memory.tobytes() == before
+
+
 class TestBatchNormReLU:
     def fused_and_chain(self, rng, channels=4):
         gamma = rng.uniform(-1.0, 1.5, size=channels)
