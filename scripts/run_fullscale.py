@@ -45,8 +45,7 @@ def run(args) -> None:
     feats = out / "lfcc"
     n = args.segment_length or (1000 if args.pa else 400)
 
-    sh("extract-lfcc", "--wav-dir", root / "wav", "--out-dir", feats,
-       "--workers", args.workers)
+    sh("extract-lfcc", "--wav-dir", root / "wav", "--out-dir", feats)
 
     # lfcc/ holds every partition; GMMs and LGP stats see the train partition only.
     labels = read_protocol(root / "train.txt")
@@ -86,7 +85,7 @@ def run(args) -> None:
        "--protocol", root / "eval.txt",
        "--gmm", out / "bona.gmm", "--gmm2", out / "spoof.gmm",
        "--stats", out / "bona.stats", "--stats2", out / "spoof.stats",
-       "--workers", args.workers, "--out", out / "net.eval")
+       "--out", out / "net.eval")
     sh("evaluate", "--scores", out / "net.eval", "--protocol", root / "eval.txt",
        "--tdcf-config", TDCF_CONFIG, "--out", out / "metrics.txt")
     print(f"metrics written to {out / 'metrics.txt'}; its min-tDCF uses the placeholder ASV "
@@ -102,7 +101,6 @@ if __name__ == "__main__":
                         help="physical-access segment length (N=1000)")
     parser.add_argument("--se", action="store_true",
                         help="squeeze-excitation residual blocks")
-    parser.add_argument("--workers", type=int, default=1)
     # published configuration by default; override to smoke-test the wiring
     parser.add_argument("--mixtures", type=int, default=512)
     parser.add_argument("--channels", type=int, default=512)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -64,32 +63,12 @@ def _pooled_frames(spec: str) -> np.ndarray:
     return pooled
 
 
-def _worker_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _files(directory, suffix: str) -> list[Path]:
     """The ``*suffix`` files of ``directory``, sorted; finding none is an error."""
     files = sorted(Path(directory).glob(f"*{suffix}"))
     if not files:
         raise FileNotFoundError(f"{directory}: no {suffix} files found")
     return files
-
-
-def _each_file(workers: int, step, paths):
-    """``step(path)`` of every path, in order whatever ``workers`` is; a
-    ValueError of a step names its file."""
-    def named(path):
-        with naming(path):
-            return step(path)
-
-    if workers <= 1:
-        return [named(path) for path in paths]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(named, paths))   # order preserved -> deterministic
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -109,11 +88,9 @@ def _cmd_gen_corpus(args) -> int:
 
 def _cmd_extract_lfcc(args) -> int:
     wavs = _files(args.wav_dir, ".wav")
-
-    def one(path: Path):
-        store_features(Path(args.out_dir) / f"{path.stem}.lgpf", extract_lfcc(read_wav(path)))
-
-    _each_file(args.workers, one, wavs)
+    for path in wavs:
+        with naming(path):
+            store_features(Path(args.out_dir) / f"{path.stem}.lgpf", extract_lfcc(read_wav(path)))
     print(f"extracted {len(wavs)} files to {args.out_dir}")
     return 0
 
@@ -213,12 +190,15 @@ def _cmd_score_gmm(args) -> int:
 
 def _score_protocol(args, score, what: str) -> int:
     """Write ``score`` of the features of every utterance of ``--protocol``,
-    in protocol order whatever ``--workers`` is, to ``--out``.  Each
-    utterance is read and scored on its own, one per worker."""
+    in protocol order, to ``--out``.  Each utterance is read and scored on
+    its own, one after another."""
     ids = list(read_protocol(args.protocol))
-    paths = [Path(args.features) / f"{utt_id}.lgpf" for utt_id in ids]
-    values = _each_file(args.workers, lambda path: score(load_features(path)), paths)
-    write_scores(args.out, dict(zip(ids, values)))
+    scores = {}
+    for utt_id in ids:
+        path = Path(args.features) / f"{utt_id}.lgpf"
+        with naming(path):
+            scores[utt_id] = score(load_features(path))
+    write_scores(args.out, scores)
     print(f"scored {len(ids)} utterances{what} -> {args.out}")
     return 0
 
@@ -279,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract-lfcc", help="LFCC features from 16-bit mono WAV files")
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=_worker_count, default=1)
+    p.add_argument("--workers", type=int, choices=(1,), default=1,
+                   help="only 1: the files run one after another")
     p.set_defaults(fn=_cmd_extract_lfcc)
 
     p = sub.add_parser("train-gmm", help="EM-train a diagonal GMM on pooled frames")
@@ -317,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", required=True)
     p.add_argument("--stats2")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=_worker_count, default=1)
+    p.add_argument("--workers", type=int, choices=(1,), default=1,
+                   help="only 1: the files run one after another")
     p.set_defaults(fn=_cmd_score)
 
     p = sub.add_parser("score-gmm", help="log-likelihood-ratio baseline scores")
@@ -326,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--protocol", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=_worker_count, default=1)
+    p.add_argument("--workers", type=int, choices=(1,), default=1,
+                   help="only 1: the files run one after another")
     p.set_defaults(fn=_cmd_score_gmm)
 
     p = sub.add_parser("evaluate", help="EER and optional min t-DCF of a score file")

@@ -391,7 +391,6 @@ class ScoringPlan:
     nothing is kept.
     Activations stay in that buffer's layout from the stem to the pooling,
     so no layer copies or pads its input.
-    Scoring writes no attribute, so ``--workers`` threads share one plan.
     Its oracle, ``tests/plain_net.py``, shares no code with it.
     """
 

@@ -1021,26 +1021,6 @@ class TestDeterminism:
 
 
 class TestWorkers:
-    def test_parallel_scoring_matches_serial(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        assert run(
-            "gen-corpus", "--task", "marginal-shift", "--out", corpus, "--seed", 6,
-            "--train-utts", 20, "--dev-utts", 4, "--eval-utts", 12,
-            "--min-len", 20, "--max-len", 30,
-        ) == 0
-        assert run("train-gmm", "--features", corpus / "feats", "--components", 2,
-                   "--iters", 3, "--out", tmp_path / "a.gmm") == 0
-        assert run("train-gmm", "--features", corpus / "feats", "--components", 3,
-                   "--iters", 3, "--seed", 9, "--out", tmp_path / "b.gmm") == 0
-        for workers in (1, 2):
-            assert run(
-                "score-gmm", "--gmm", tmp_path / "a.gmm", "--gmm2", tmp_path / "b.gmm",
-                "--features", corpus / "feats", "--protocol", corpus / "eval.txt",
-                "--workers", workers, "--out", tmp_path / f"w{workers}.eval",
-            ) == 0
-        assert (tmp_path / "w1.eval").read_bytes() == (tmp_path / "w2.eval").read_bytes()
-
-
     @pytest.fixture
     def short_utterances(self, tmp_path):
         """A bona fide and a spoof GMM, and 24 utterances of 1 to 90 frames."""
@@ -1062,22 +1042,20 @@ class TestWorkers:
 
     @staticmethod
     def assert_scores_are_llr_score(root):
-        """``score-gmm`` with ``--workers 1`` and ``2`` writes the bytes of
-        ``llr_score`` of each utterance, read and scored alone."""
+        """``score-gmm`` writes the bytes of ``llr_score`` of each utterance,
+        read and scored alone."""
         from lgpnet.frontend import load_features
         from lgpnet.gmm import Gmm, llr_score
 
-        for workers in (1, 2):
-            assert run("score-gmm", "--gmm", root / "a.gmm", "--gmm2", root / "b.gmm",
-                       "--features", root / "feats", "--protocol", root / "eval.txt",
-                       "--workers", workers, "--out", root / f"w{workers}.eval") == 0
-        assert (root / "w1.eval").read_bytes() == (root / "w2.eval").read_bytes()
+        assert run("score-gmm", "--gmm", root / "a.gmm", "--gmm2", root / "b.gmm",
+                   "--features", root / "feats", "--protocol", root / "eval.txt",
+                   "--out", root / "scored.eval") == 0
         genuine, spoof = Gmm.load(root / "a.gmm"), Gmm.load(root / "b.gmm")
         alone = {u: llr_score(genuine, spoof, load_features(root / "feats" / f"{u}.lgpf"))
-                 for u in read_scores(root / "w1.eval")}
+                 for u in read_scores(root / "scored.eval")}
         expected = root / "alone.eval"
         write_scores(expected, alone)
-        assert (root / "w1.eval").read_bytes() == expected.read_bytes()
+        assert (root / "scored.eval").read_bytes() == expected.read_bytes()
 
     def test_short_utterances_score_as_llr_score(self, short_utterances):
         self.assert_scores_are_llr_score(short_utterances)
@@ -1136,12 +1114,15 @@ class TestWorkers:
         assert peaks[1] <= 1.05 * peaks[0]
 
     @staticmethod
-    def assert_network_scores_match_serial(root, rng, lengths, **cfg):
-        """``score`` of a random checkpoint of ``cfg`` writes the same bytes
-        with ``--workers 1`` and ``2``, and a distinct score per utterance."""
-        from lgpnet.frontend import store_features
+    def assert_network_scores_match_oracle(root, rng, lengths, **cfg):
+        """``score`` of a random checkpoint of ``cfg`` writes, for each
+        utterance, the ``plain_net`` score of that utterance read alone (to
+        ``TestScoringPlan``'s 1e-9 relative bound), and a distinct score per
+        utterance."""
+        import plain_net
+        from lgpnet.frontend import load_features, store_features
         from lgpnet.gmm import Gmm
-        from lgpnet.lgp import fit_norm_stats
+        from lgpnet.lgp import LgpNormStats, fit_norm_stats
         from lgpnet.model import ClassifierConfig, SpoofModel
 
         gmm = Gmm(np.full(4, 0.25), rng.normal(size=(4, 2)), rng.uniform(0.5, 1.5, size=(4, 2)))
@@ -1158,26 +1139,29 @@ class TestWorkers:
             store_features(root / "feats" / f"u{i}.lgpf", rng.normal(size=(length, 2)))
             labels[f"u{i}"] = "bonafide" if i % 2 else "spoof"
         write_protocol(root / "eval.txt", labels)
-        for workers in (1, 2):
-            assert run("score", "--model", root / "model.lgpn", "--features", root / "feats",
-                       "--protocol", root / "eval.txt", "--gmm", root / "m.gmm",
-                       "--stats", root / "m.stats", "--workers", workers,
-                       "--out", root / f"w{workers}.eval") == 0
-        serial = read_scores(root / "w1.eval")
-        assert len(set(serial.values())) == len(labels)
-        assert (root / "w1.eval").read_bytes() == (root / "w2.eval").read_bytes()
+        assert run("score", "--model", root / "model.lgpn", "--features", root / "feats",
+                   "--protocol", root / "eval.txt", "--gmm", root / "m.gmm",
+                   "--stats", root / "m.stats", "--out", root / "scored.eval") == 0
+        scored = read_scores(root / "scored.eval")
+        assert list(scored) == list(labels)
+        assert len(set(scored.values())) == len(labels)
+        oracle = SpoofModel.load(root / "model.lgpn", [Gmm.load(root / "m.gmm")],
+                                 [LgpNormStats.load(root / "m.stats")])
+        for utt_id, value in scored.items():
+            want = plain_net.score_utterance(oracle, load_features(root / "feats" / f"{utt_id}.lgpf"))
+            assert abs(value - want) <= 1e-9 * abs(want), (utt_id, value, want)
 
-    def test_parallel_network_scoring_matches_serial(self, tmp_path):
+    def test_network_scores_match_oracle(self, tmp_path):
         rng = np.random.default_rng(11)
-        self.assert_network_scores_match_serial(
+        self.assert_network_scores_match_oracle(
             tmp_path, rng, rng.integers(5, 60, size=16),
             se_enabled=True, se_reduction=2, input_length=16)
 
-    def test_parallel_shared_frame_scoring_matches_serial(self, tmp_path):
+    def test_shared_frame_scores_match_oracle(self, tmp_path):
         """Without SE, at N = 64 and 2 blocks, utterances of 5 to 200 frames
         run the one-period row, its edge patches and the q map."""
         rng = np.random.default_rng(14)
-        self.assert_network_scores_match_serial(
+        self.assert_network_scores_match_oracle(
             tmp_path, rng, [5, 48, 64, 65, 130, 200, *rng.integers(5, 201, size=10)],
             input_length=64)
 
@@ -1188,9 +1172,16 @@ class TestWorkers:
         ["score-gmm", "--gmm", "g", "--gmm2", "h", "--features", "f", "--protocol", "p",
          "--out", "o"],
     ], ids=lambda argv: argv[0])
-    def test_fewer_than_one_worker_is_a_usage_error(self, command, capsys):
-        assert run(*command, "--workers", "0") == 2
-        assert "--workers: must be >= 1, got 0" in capsys.readouterr().err
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_workers_other_than_one_is_a_usage_error(self, command, workers, tmp_path,
+                                                     monkeypatch, capsys):
+        """Only ``--workers 1`` runs; any other count exits 2 before a file
+        is read or written."""
+        monkeypatch.chdir(tmp_path)
+        assert run(*command, "--workers", workers) == 2
+        err = capsys.readouterr().err
+        assert "argument --workers: invalid choice" in err and "Traceback" not in err
+        assert not Path("o").exists()
 
 
 class TestFuse:
