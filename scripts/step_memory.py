@@ -7,11 +7,13 @@ shape), takes the protocol's first batch of utterances and runs one Adam
 step through ``training.train_one_path`` under ``tracemalloc``.  It prints
 the traced peak of the forward pass (from the model's construction to the
 path's embeddings) and of the backward pass (from there to the end of
-Adam's update), each with the layer call that was running when it was
-reached, then ``ru_maxrss``, the bytes each layer's cache holds after the
-train-mode forward, and the ``nn.to_gutter`` calls that copied their
+Adam's update), each with the layer kernel that was running when it was
+reached (``block5.conv2.input_grad.backward``: block 5's second conv making
+its input gradient, in the backward pass), then ``ru_maxrss``, the bytes
+each entry of the path's step schedule holds after the train-mode forward
+(``PathNetwork.held``), and the ``to_gutter`` calls that copied their
 input.  A cut on one side of a step whose two peaks are close moves its
-peak to the other side, so both are printed.  Layers are wrapped in this
+peak to the other side, so both are printed.  Kernels are wrapped in this
 process, so the step runs unchanged:
 
     python scripts/step_memory.py run.cfg data/feats data/train.txt \\
@@ -27,8 +29,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
 
+from lgpnet import model as model_mod
 from lgpnet import nn, training
 from lgpnet.gmm import Gmm
 from lgpnet.lgp import LgpNormStats
@@ -37,18 +39,8 @@ from lgpnet.runconfig import RunConfig, read_flat_config
 MIB = 2.0 ** 20
 
 
-def _owners(obj, seen: dict) -> None:
-    """Every array ``obj`` holds (through tuples), by the array that owns its memory."""
-    if isinstance(obj, tuple):
-        for item in obj:
-            _owners(item, seen)
-    elif isinstance(obj, np.ndarray):
-        owner = obj if obj.base is None else obj.base
-        seen.setdefault(id(owner), owner)
-
-
 class Probe:
-    """Wraps layer calls to find the one running at the traced peak of each
+    """Wraps kernel calls to find the one running at the traced peak of each
     phase of the step."""
 
     def __init__(self):
@@ -71,7 +63,7 @@ class Probe:
 
         def call(*args, **kwargs):
             self._note()
-            self.stack.append(f"{name}.{method}")
+            self.stack.append(f"{name}.{method}.{self.phase}")
             try:
                 return inner(*args, **kwargs)
             finally:
@@ -99,13 +91,13 @@ def main(argv=None) -> int:
     tracemalloc.start()
     model, train_cfg = run.build([gmm], [stats])
     cfg, path = model.cfg, model.paths[0]
-    layers = list(path._named_layers()) + [("pool", path.pool)]
-    blocks = [(f"block{b}", block) for b, block in enumerate(path.blocks)]
-    for name, layer in layers + blocks + [("head", model.fc)]:
-        for method in ("forward", "backward", "backward_params", "backward_input",
-                       "padded_output"):
-            if hasattr(layer, method):
-                probe.wrap(name, layer, method)
+    kernels = {nn.Conv1d: ("output", "weight_grad", "input_grad"),
+               nn.BatchNorm1d: ("normalize", "affine", "input_grad"),
+               nn.SEBlock: ("gate", "input_grad"), nn.Linear: ("forward", "backward")}
+    for name, layer in list(path._named_layers()) + [("head", model.fc)]:
+        for method in kernels[type(layer)]:
+            probe.wrap(name, layer, method)
+    probe.wrap("stem", model_mod.LgpMaps, "__call__")
     probe.wrap("adam", nn.Adam, "step")
 
     forward = path.forward
@@ -114,9 +106,9 @@ def main(argv=None) -> int:
         emb = forward(lgp, is_training)
         probe.start("backward")
         seen = set()
-        for name, layer in layers:
-            owners = {}
-            _owners(layer._cache, owners)
+        for name, arrays in path.held().items():
+            owners = {id(a if a.base is None else a.base): a if a.base is None else a.base
+                      for a in arrays}
             fresh = [arr for key, arr in owners.items() if key not in seen]
             seen.update(owners)
             held[name] = (sum(arr.nbytes for arr in fresh), [arr.shape for arr in fresh])
@@ -131,13 +123,13 @@ def main(argv=None) -> int:
             copies.append((probe.stack[-1], x.shape, x.size >= full))
         return buf
 
-    nn.to_gutter = counted
+    nn.to_gutter = model_mod.to_gutter = counted
     try:
         training.train_one_path(model, data, dataclasses.replace(train_cfg, epochs=1))
         probe._note()
     finally:
         tracemalloc.stop()
-        nn.to_gutter = to_gutter
+        nn.to_gutter = model_mod.to_gutter = to_gutter
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     print(f"shape: order {cfg.gmm_order}, {cfg.channels} channels, {cfg.blocks} blocks, "
@@ -145,7 +137,7 @@ def main(argv=None) -> int:
     for phase, (peak, where) in probe.peaks.items():
         print(f"{phase} pass: traced peak {peak / MIB:.1f} MiB, during {where}")
     print(f"ru_maxrss {maxrss:.1f} MB")
-    print("held by each layer after the train-mode forward:")
+    print("held by the step schedule after the train-mode forward:")
     for name, (nbytes, shapes) in held.items():
         if nbytes:
             print(f"  {name:<14} {nbytes / MIB:9.1f} MiB  {', '.join(map(str, shapes))}")

@@ -14,21 +14,10 @@ per class-conditional GMM and classify the concatenated embeddings.  The
 detection score is the bona fide logit minus the spoof logit
 (``detection_score``; class 0 is bona fide throughout).
 
-The model's input is raw feature segments (B, N, D).  ``SpoofModel.embed``
-maps them to the head input in a training step: each path builds its LGP
-maps (B, M, N) from the segments under its own GMM (``LgpMaps``), and its
-stem conv drops them after its forward and builds them again for its
-weight gradient, so a step keeps the segments, not the maps.
-
-The layers run in train mode only, the paths in float32
-(``SpoofModel.embed``).  A forward keeps, per path, the stem's batch-norm
-``xhat``, per residual block ``xhat1`` and ``xhat2`` (B, C, N), and the
-inputs of blocks 2, 4, ...: at 6 blocks 15 * B*C*N values of 4 bytes, with
-SE or without, each with two zero gutter frames per row (the ``nn`` layout
-in which a conv reads its input in place).  Each ReLU output is recomputed
-from its ``xhat`` (``nn.BatchNormReLU``), each SE input from bn2's, the
-other block inputs from the stem or the block before (``PathNetwork``), and
-backward frees every cache it uses.
+The model's input is raw feature segments (B, N, D).  In a training step
+``SpoofModel.embed`` hands each path an ``LgpMaps`` that builds the float32
+LGP maps (B, M, N) of the segments under the path's own GMM, and the path
+runs its step's one buffer schedule (``PathNetwork``).
 
 A checkpoint is checked against the schema its own ``cfg.*`` entries
 imply, which ``_tensor_shapes`` yields name by name: a stored size that the
@@ -45,6 +34,7 @@ buffer, edge patches that grow one frame per conv, so each conv is one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -54,8 +44,8 @@ from .errors import FormatError, NonFiniteMapError, naming
 from .frontend import fix_length
 from .gmm import Gmm
 from .lgp import FORMS, LgpNormStats, extract_lgp
-from .nn import (BatchNorm1d, BatchNormReLU, Conv1d, Linear, MaxOverTime, SEBlock, gutter_conv,
-                 interior, se_excitation, zero_gutters)
+from .nn import (BatchNorm1d, Conv1d, Linear, SEBlock, gutter_conv, interior, se_excitation,
+                 to_gutter, zero_gutters)
 
 BONA_FIDE, SPOOF = 0, 1
 LABEL_NAMES = {"bonafide": BONA_FIDE, "spoof": SPOOF}
@@ -139,80 +129,54 @@ class UfmConfig:
 
 
 class ResBlock:
-    """Residual unit: out = x + [SE](ReLU(BN(conv(ReLU(BN(conv(x))))))).
-
-    conv2 keeps no input: backward takes it rebuilt from bn1's ``xhat``,
-    and SE's from bn2's.  ``padded_output`` rebuilds the block's last
-    output, so the next block's conv1 need not keep it either
-    (``PathNetwork``).  Each activation and gradient is dropped at its last
-    use: the batch norms spend the conv outputs they are handed, SE gates
-    bn2's output in place, and bn1's output dies with conv2's forward.
-    """
+    """The layers of one residual unit, out = x + [SE](ReLU(BN(conv(ReLU(BN(conv(x)))))));
+    ``PathNetwork``'s step schedule runs them."""
 
     def __init__(self, channels, se_enabled, se_reduction, rng):
         self.conv1 = Conv1d(channels, channels, 3, padding=1, rng=rng)
-        self.bn1 = BatchNormReLU(channels)
+        self.bn1 = BatchNorm1d(channels)
         self.conv2 = Conv1d(channels, channels, 3, padding=1, rng=rng)
-        self.bn2 = BatchNormReLU(channels)
+        self.bn2 = BatchNorm1d(channels)
         self.se = SEBlock(channels, se_reduction, rng=rng) if se_enabled else None
-        self.conv2.input_source = self.bn1
-        if self.se is not None:
-            self.se.input_source = self.bn2
-
-    def forward(self, x):
-        h = self.conv2.forward(self.bn1.forward(self.conv1.forward(x)))
-        h = self.bn2.forward(h)
-        if self.se is not None:
-            h = self.se.forward(h)
-        h += x
-        return h
-
-    def backward(self, grad_out):
-        g = grad_out if self.se is None else self.se.backward(grad_out)
-        g = self.bn2.backward(g)
-        g = self.conv2.backward(g)
-        g = self.bn1.backward(g)
-        g = self.conv1.backward(g)
-        g += grad_out
-        return g
-
-    def padded_output(self):
-        """The last output, rebuilt bit for bit as the zero-gutter buffer
-        (C, B, T + 2) whose interior forward returned: bn2's rebuilt output
-        (``BatchNormReLU.padded_output``), times SE's cached gate, plus the
-        block input (conv1's kept or rebuilt buffer), in the forward's order.
-        It reads the caches that backward spends, so it runs before this
-        block's backward."""
-        out = self.bn2.padded_output()
-        if self.se is not None:
-            out *= self.se._cache[-1].T[:, :, None]
-        out += self.conv1.padded_input()
-        return zero_gutters(out, out.shape[2] - 2)
 
 
 class PathNetwork:
-    """One classifier path: LGP maps (B, order, N) -> embeddings (B, channels).
+    """One classifier path: LGP maps (B, order, N) -> embeddings (B, channels),
+    and the one buffer schedule of its training step, which runs the ``nn``
+    layers' arithmetic on (C, B, N + 2) zero-gutter buffers.
 
-    Block 0's conv1 rebuilds its input from the stem's batch norm, and each
-    odd block's conv1 from the block before it (``ResBlock.padded_output``),
-    which needs that block's own input: kept by its conv1 (blocks 2, 4, ...)
-    or rebuilt from the stem (block 0).  So only blocks 2, 4, ... keep their
-    inputs, and no rebuild reaches back further than one block.  Handed an
-    ``LgpMaps``, the stem conv rebuilds its input, the maps, too.
+    Keeps (``held``): the maps, or the ``LgpMaps`` that builds them; each
+    batch norm's ``xhat`` and ``1/std``; the inputs of blocks s, 2s, ...
+    with s = ceil(sqrt(blocks)), at 6 blocks block 3's alone (Chen et al.,
+    2016); each SE gate's pooled values, first layer and gate; the pooling
+    argmax.  At 6 blocks that is 14 activations, with SE or without.
+
+    Rebuilds: each ReLU output from its ``xhat`` (in-place activated BN,
+    Rota Bulò et al., CVPR 2018) for a conv's weight gradient or an SE
+    gate's backward; every other block input forward, block by block, from
+    the nearest kept one or the stem's output, as bn2's output times the
+    gate plus the block input, so no conv runs again; the maps, for the
+    stem's weight gradient.
+
+    Writes into: each batch norm's ``xhat`` into the conv output it is
+    handed, and the SE gate into bn2's output; each batch norm's input
+    gradient into the buffer of its rebuilt ReLU mask, but an SE block's
+    bn2 into the gate's input gradient, with its mask from the gate's
+    rebuilt input.  Outputs, gradients and running statistics equal the
+    standalone layers' byte for byte, except that a gradient a ReLU stops
+    is a zero of that gradient's sign.
     """
 
     def __init__(self, cfg: ClassifierConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.conv = Conv1d(cfg.gmm_order, cfg.channels, 3, padding=1, rng=rng)
-        self.bn = BatchNormReLU(cfg.channels)
+        self.bn = BatchNorm1d(cfg.channels)
         self.blocks = [
             ResBlock(cfg.channels, cfg.se_enabled, cfg.se_reduction, rng)
             for _ in range(cfg.blocks)
         ]
-        self.pool = MaxOverTime()
-        self.blocks[0].conv1.input_source = self.bn
-        for b in range(1, cfg.blocks, 2):
-            self.blocks[b].conv1.input_source = self.blocks[b - 1]
+        self.kept_every = math.isqrt(cfg.blocks - 1) + 1      # ceil(sqrt(blocks))
+        self._kept = None
 
     def parameters(self):
         return [p for _, layer in self._named_layers() for p in layer.parameters()]
@@ -225,35 +189,109 @@ class PathNetwork:
         return {f"{name}.{key}": arr for name, layer in self._named_layers()
                 for key, arr in layer.named_tensors().items()}
 
+    def held(self) -> dict[str, list[np.ndarray]]:
+        """The arrays the step keeps from ``forward`` to ``backward_params``,
+        by schedule entry (the segments for ``LgpMaps``)."""
+        out = {}
+        for name, item in (self._kept or {}).items():
+            if isinstance(item, LgpMaps):
+                name, item = "segments", item.segments
+            out[name] = list(item) if isinstance(item, tuple) else [item]
+        return out
+
     def forward(self, lgp, training):
         """(B, order, N) -> (B, channels), in train mode: ``training`` must be True.
 
-        ``lgp`` is the maps, which the stem conv keeps, or an ``LgpMaps``
-        that builds them: the stem conv then keeps none, and rebuilds them
-        from it for its weight gradient."""
+        ``lgp`` is the maps, which the step keeps, or an ``LgpMaps``, which it
+        keeps instead, to build the maps again for the stem's weight gradient."""
         if not training:
             raise ValueError("a path runs in train mode only")
-        source = lgp if isinstance(lgp, LgpMaps) else None
-        self.conv.input_source = source
-        h = self.bn.forward(self.conv.forward(lgp if source is None else source.maps()))
-        for block in self.blocks:
-            h = block.forward(h)
-        return self.pool.forward(h)
+        if isinstance(lgp, LgpMaps):
+            h = lgp().base
+        elif lgp.ndim != 3 or lgp.shape[1] != self.cfg.gmm_order:
+            raise ValueError(f"expected (batch, {self.cfg.gmm_order}, time) maps, "
+                             f"got shape {lgp.shape}")
+        else:
+            h = to_gutter(lgp, lgp.shape[2] + 2)
+        kept = {"stem.conv": lgp if isinstance(lgp, LgpMaps) else h}
+        t = h.shape[2] - 2
+        h = self.conv.output(h)
+        h, kept["stem.bn"] = _bn_relu(self.bn, h, t)
+        for b, block in enumerate(self.blocks):
+            if b and b % self.kept_every == 0:
+                kept[f"block{b}.input"] = h
+            x = h
+            h, kept[f"block{b}.bn1"] = _bn_relu(block.bn1, block.conv1.output(x), t)
+            h = block.conv2.output(h)                           # bn1's output dies here
+            h, kept[f"block{b}.bn2"] = _bn_relu(block.bn2, h, t)
+            if block.se is not None:
+                gate = kept[f"block{b}.se"] = block.se.gate(h, t)
+                zero_gutters(np.multiply(h, gate[-1].T[:, :, None], out=h), t)
+            h += x
+        x = interior(h, t)
+        kept["pool"] = idx = x.argmax(axis=2)                   # first occurrence on ties
+        self._kept = kept
+        return np.take_along_axis(x, idx[:, :, None], axis=2)[:, :, 0]
 
     def backward(self, grad_emb):
         """Every parameter gradient; returns the gradient w.r.t. the LGP maps."""
-        return self.conv.backward_input(self.backward_params(grad_emb))
+        g = self.backward_params(grad_emb)                 # the interior of a buffer
+        return interior(self.conv.input_grad(g.base), g.shape[2])
 
     def backward_params(self, grad_emb):
         """Every parameter gradient, without the LGP maps' own gradient (which
         training never uses); returns the gradient at the stem conv's output."""
-        g = self.pool.backward(grad_emb)
-        for block in reversed(self.blocks):
-            g = block.backward(g)
-        g = self.bn.backward(g)
-        self.conv.backward_params(g)
-        self.conv.input_source = None
+        kept, self._kept = self._kept, None
+        g = np.zeros_like(kept["stem.bn"][0])
+        t = g.shape[2] - 2
+        np.put_along_axis(interior(g, t), kept.pop("pool")[:, :, None], grad_emb[:, :, None],
+                          axis=2)
+        for b in reversed(range(len(self.blocks))):
+            g = self._block_backward(b, g, kept, t)
+        g = _bn_relu_grad(self.bn, g, kept.pop("stem.bn"), t)
+        maps = kept.pop("stem.conv")
+        self.conv.weight_grad(maps().base if isinstance(maps, LgpMaps) else maps, g)
+        return interior(g, t)
+
+    def _block_backward(self, b, grad, kept, t):
+        """Block ``b``'s parameter gradients and input gradient, for the
+        gradient ``grad`` at its output; uses up the block's kept entries."""
+        block, name = self.blocks[b], f"block{b}"
+        if block.se is None:
+            g = _bn_relu_grad(block.bn2, grad, kept.pop(f"{name}.bn2"), t)
+        else:
+            g = _relu_rebuilt(block.bn2, kept[f"{name}.bn2"], t)    # the gate's input
+            mask = g > 0.0                                          # bn2's ReLU mask
+            np.multiply(g, grad, out=g)
+            g = block.se.input_grad(g, grad, kept.pop(f"{name}.se"), g, t)
+            np.multiply(g, mask, out=g)
+            del mask
+            g = block.bn2.input_grad(g, g, *kept.pop(f"{name}.bn2"), t)
+        x = _relu_rebuilt(block.bn1, kept[f"{name}.bn1"], t)
+        block.conv2.weight_grad(x, g)
+        del x
+        g = block.conv2.input_grad(g)                           # bn2's gradient dies here
+        g = _bn_relu_grad(block.bn1, g, kept.pop(f"{name}.bn1"), t)
+        block.conv1.weight_grad(self._block_input(b, kept, t), g)
+        g = block.conv1.input_grad(g)
+        g += grad
         return g
+
+    def _block_input(self, b, kept, t):
+        """Block ``b``'s input as its forward read it: kept, or rebuilt
+        forward from the nearest kept input or the stem's output.  Reads only
+        entries of blocks before ``b``, which backward has not used up yet."""
+        first = b - b % self.kept_every
+        if first == b and b:
+            return kept.pop(f"block{b}.input")
+        x = kept[f"block{first}.input"] if first else _relu_rebuilt(self.bn, kept["stem.bn"], t)
+        for j in range(first, b):
+            out = _relu_rebuilt(self.blocks[j].bn2, kept[f"block{j}.bn2"], t)
+            if self.blocks[j].se is not None:
+                out *= kept[f"block{j}.se"][-1].T[:, :, None]
+            out += x
+            x = zero_gutters(out, t)
+        return x
 
     def _named_layers(self):
         yield "stem.conv", self.conv
@@ -265,6 +303,30 @@ class PathNetwork:
             yield f"block{b}.bn2", block.bn2
             if block.se is not None:
                 yield f"block{b}.se", block.se
+
+
+def _bn_relu(bn: BatchNorm1d, ybuf: np.ndarray, t: int):
+    """Batch norm and ReLU of the conv output ``ybuf``, which becomes
+    ``xhat``: the ReLU output in a new zero-gutter buffer, and the
+    ``(xhat, 1/std)`` the step keeps."""
+    kept = (ybuf, bn.normalize(ybuf, ybuf, t))
+    return _relu_rebuilt(bn, kept, t), kept
+
+
+def _relu_rebuilt(bn: BatchNorm1d, kept, t: int) -> np.ndarray:
+    """The ReLU output of ``_bn_relu`` from its ``kept``, its gutters +0.0."""
+    out = bn.affine(kept[0], np.empty_like(kept[0]), t)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _bn_relu_grad(bn: BatchNorm1d, grad: np.ndarray, kept, t: int) -> np.ndarray:
+    """The input gradient of ``_bn_relu`` for the zero-gutter gradient
+    ``grad``, in a new buffer that first holds the ReLU mask; uses up ``kept``."""
+    xhat, inv_std = kept
+    z = bn.affine(xhat, np.empty_like(xhat), t)
+    np.greater(z, 0.0, out=z)                   # the mask as 1.0 and 0.0, in place
+    np.multiply(grad, z, out=z)
+    return bn.input_grad(z, z, xhat, inv_std, t)
 
 
 class SpoofModel:
@@ -290,21 +352,19 @@ class SpoofModel:
     def embed(self, segments: np.ndarray, path_ids) -> np.ndarray:
         """Head input of raw feature segments: (B, N, D) -> (B, len(path_ids) * channels).
 
-        Each path in ``path_ids`` computes the normalized LGP maps of the
-        segments under its own GMM and drops them once its stem conv has
-        read them; the stem keeps the ``LgpMaps`` of the segments, to build
-        them again in backward, so no LGP map outlives the call.  A map that
-        is not finite (overflow from finite features, or beyond float32's
-        range) raises NonFiniteMapError with its batch row.
+        Each path in ``path_ids`` keeps an ``LgpMaps`` of the segments under
+        its own GMM, so no LGP map outlives its stem conv.  A map that is not
+        finite (overflow from finite features, or beyond float32's range)
+        raises NonFiniteMapError with its batch row.
 
-        The paths get float32 maps, and every layer computes in its input's
-        dtype, so their activations and GEMMs run in float32 under float64
+        The maps are float32, and the layers compute in their input's dtype,
+        so the paths' activations and GEMMs run in float32 under float64
         parameters, gradients and running statistics (mixed-precision
         training, Micikevicius et al., ICLR 2018).  Float32 embeddings give
         float64 logits.
         """
-        return np.concatenate([
-            self.paths[k].forward(LgpMaps(self.gmms[k], self.stats[k], segments, k), True)
+        return np.concatenate([self.paths[k].forward(
+            LgpMaps(self.gmms[k], self.stats[k], segments, k, np.float32), True)
             for k in path_ids], axis=1)
 
     def plan(self, path_ids) -> ScoringPlan:
@@ -564,24 +624,18 @@ def _fold_bn(t: dict[str, np.ndarray], conv: str, bn: str) -> tuple[np.ndarray, 
 
 class LgpMaps:
     """The normalized LGP maps (B, M, N) of raw feature segments (B, N, D)
-    under path ``k``'s GMM and stats, built anew by each call, so a training
-    step keeps the segments rather than the maps: ``PathNetwork.forward``
-    makes it the stem conv's ``input_source``.  ``extract_lgp`` is
-    deterministic, so every build is the same bit for bit."""
+    under path ``k``'s GMM and stats, in ``dtype``, built anew by each call
+    (``extract_lgp`` is deterministic, so each build is bit for bit the same)."""
 
-    DTYPE = np.float32              # the paths train in float32 (``SpoofModel.embed``)
+    def __init__(self, gmm: Gmm, stats: LgpNormStats, segments: np.ndarray, k: int, dtype):
+        self.gmm, self.stats, self.segments, self.k, self.dtype = gmm, stats, segments, k, dtype
 
-    def __init__(self, gmm: Gmm, stats: LgpNormStats, segments: np.ndarray, k: int):
-        self.gmm, self.stats, self.segments, self.k = gmm, stats, segments, k
-
-    def maps(self) -> np.ndarray:
-        """The maps, as the interior of the zero-gutter buffer (M, B, N + 2),
-        in ``DTYPE``, that the stem conv reads in place.  ``extract_lgp``
-        works in float64; the check runs on the buffer, so a map that is not
-        finite there (overflow from finite features, or a float64 value
-        beyond float32's range) raises NonFiniteMapError."""
+    def __call__(self) -> np.ndarray:
+        """The maps, as the interior of a zero-gutter buffer (M, B, N + 2).
+        A map that is not finite there (overflow from finite features, or a
+        float64 value beyond the dtype's range) raises NonFiniteMapError."""
         n = self.segments.shape[1]
-        buf = np.zeros((self.gmm.order, len(self.segments), n + 2), self.DTYPE)
+        buf = np.zeros((self.gmm.order, len(self.segments), n + 2), self.dtype)
         for i, seg in enumerate(self.segments):
             buf[:, i, 1:-1] = extract_lgp(self.gmm, self.stats, seg)
         lgp = interior(buf, n)
@@ -590,10 +644,6 @@ class LgpMaps:
             raise NonFiniteMapError(f"non-finite LGP map under path {self.k}",
                                     int(np.argmin(finite)))
         return lgp
-
-    def padded_output(self) -> np.ndarray:
-        """The maps' zero-gutter buffer (M, B, N + 2), for the stem conv."""
-        return self.maps().base
 
 
 def read_checkpoint(tensors, gmms: list[Gmm], stats: list[LgpNormStats]

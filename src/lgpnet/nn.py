@@ -1,26 +1,20 @@
 """Dense 1-D network layers with hand-written forward and backward passes.
 
-Every layer keeps in ``_cache`` only what its backward pass cannot rebuild,
-and ``backward`` clears it once used, so no activation outlives its step.
+Every layer keeps in ``_cache`` what its backward pass needs, and
+``backward`` clears it once used, so no activation outlives its step.
 Trainable tensors are :class:`Parameter` objects, whose gradients exist
 only from backward to :class:`Adam`'s update.  There is no autodiff graph:
 ``backward`` consumes the gradient of the loss with respect to the layer
 output and returns the gradient with respect to the layer input,
-accumulating parameter gradients on the way.
+accumulating parameter gradients on the way.  No layer's ``forward`` or
+``backward`` writes into an array it is handed.  Every layer runs in
+train mode: inference runs the model's ``ScoringPlan``, which shares the
+one ReLU rule of :class:`ReLU` and :func:`se_excitation` with them.
 
-:class:`BatchNormReLU` is batch norm and ReLU in one unit that keeps only
-batch norm's ``xhat`` and recomputes the ReLU output from it, in backward
-and for a :class:`Conv1d` or :class:`SEBlock` whose ``input_source`` it is;
-the standalone :class:`BatchNorm1d` and :class:`ReLU` stay as its bit-level
-oracle.  Every layer runs in train mode: inference runs the model's
-``ScoringPlan``, which shares the one ReLU rule of :class:`ReLU` and
-:func:`se_excitation` with them.
-
-Two units spend the buffer they are handed, so it dies where it is used:
-:class:`BatchNormReLU` normalizes into it and writes its input gradient
-into its own rebuilt output, and an :class:`SEBlock` with an
-``input_source`` gates it in place.  :class:`BatchNorm1d` and
-:class:`Conv1d`, the oracles, never write into an array they are handed.
+A path's training step does not chain these calls: the buffer schedule of
+``model.PathNetwork`` calls the arithmetic they are made of (``output``,
+``normalize``, ``affine``, ``gate``, ``weight_grad`` and ``input_grad``)
+on buffers it owns, so the standalone layers are its bit-level oracle.
 
 Stateful layers also list their current arrays by name in
 ``named_tensors``; checkpoints and training snapshots are built from it.
@@ -189,18 +183,14 @@ class Conv1d:
     Every conv here feeds a batch norm, which subtracts the batch mean and so
     cancels a bias (Ioffe & Szegedy, ICML 2015, §3.2); its ``beta`` is the shift.
 
-    The forward pass, the weight gradient and the input gradient are each
-    ``kernel`` GEMMs over zero-gutter buffers (see :func:`gutter_conv`).  An
-    input that is the interior of a zero-gutter buffer with ``padding``
-    frames each side is read in place, as is a gradient laid out like this
-    conv's output; anything else is copied into one.  The output and the
-    input gradient are interiors of new zero-gutter buffers as wide as the
-    padded input.
-
-    Forward keeps the padded input buffer.  With ``input_source`` set (to a
-    layer whose ``padded_output()`` rebuilds this conv's input as its
-    (C, B, T + 2) buffer, which fits padding 1), forward keeps nothing and
-    backward asks the source for it instead (``padded_input``).
+    The forward pass (``output``), the weight gradient (``weight_grad``) and
+    the input gradient (``input_grad``) are each ``kernel`` GEMMs over
+    zero-gutter buffers (see :func:`gutter_conv`).  An input that is the
+    interior of a zero-gutter buffer with ``padding`` frames each side is
+    read in place, as is a gradient laid out like this conv's output;
+    anything else is copied into one.  The output and the input gradient are
+    interiors of new zero-gutter buffers as wide as the padded input.
+    Forward keeps the padded input buffer for backward.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, padding: int = 0,
@@ -213,7 +203,6 @@ class Conv1d:
         scale = np.sqrt(2.0 / (in_ch * kernel))
         self.weight = Parameter(rng.normal(0.0, scale, size=(out_ch, in_ch, kernel)))
         self.padding = padding
-        self.input_source = None
         self._cache = None
 
     def parameters(self):
@@ -230,21 +219,26 @@ class Conv1d:
         width = t_in + 2 * self.padding
         if width < k:
             raise ValueError(f"time extent {t_in} too short for kernel {k} with padding {self.padding}")
-        xbuf = to_gutter(x, width)
-        self._cache = xbuf if self.input_source is None else None
-        ybuf = gutter_conv(xbuf, self.weight.data.transpose(2, 0, 1).astype(xbuf.dtype, order="C"))
-        return interior(ybuf, width - k + 1)
+        self._cache = xbuf = to_gutter(x, width)
+        return interior(self.output(xbuf), width - k + 1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        self.backward_params(grad_out)
-        return self.backward_input(grad_out)
+        xbuf, self._cache = self._cache, None
+        gbuf = to_gutter(grad_out, xbuf.shape[2])
+        self.weight_grad(xbuf, gbuf)
+        del xbuf                                    # before the input gradient is made
+        dbuf = self.input_grad(gbuf)
+        return interior(dbuf, dbuf.shape[2] - 2 * self.padding)
 
-    def backward_params(self, grad_out: np.ndarray) -> None:
-        """Accumulate the weight gradient, and drop the input."""
-        xbuf = self.padded_input()
-        self._cache = None
+    def output(self, xbuf: np.ndarray) -> np.ndarray:
+        """The output of the padded input ``xbuf`` (C, B, W), a new
+        zero-gutter buffer (O, B, W), in the dtype of ``xbuf``."""
+        return gutter_conv(xbuf, self.weight.data.transpose(2, 0, 1).astype(xbuf.dtype, order="C"))
+
+    def weight_grad(self, xbuf: np.ndarray, gbuf: np.ndarray) -> None:
+        """Accumulate the weight gradient of the padded input ``xbuf`` and
+        the output gradient ``gbuf``, laid out like the output."""
         k = self.weight.shape[2]
-        gbuf = to_gutter(grad_out, grad_out.shape[2] + k - 1)
         x, g = xbuf.reshape(xbuf.shape[0], -1), gbuf.reshape(gbuf.shape[0], -1)
         n, first = g.shape[1], (k - 1) // 2
         for j in range(k):
@@ -252,23 +246,15 @@ class Conv1d:
             lo, hi = max(0, -s), n - max(0, s)
             self.weight.grad[:, :, j] += g[:, lo:hi] @ x[:, lo + s : hi + s].T
 
-    def padded_input(self) -> np.ndarray:
-        """The last input as its padded zero-gutter buffer (C, B, W): the
-        one forward kept, or the (C, B, T + 2) one ``input_source`` rebuilds."""
-        if self.input_source is None:
-            return self._cache
-        return self.input_source.padded_output()
-
-    def backward_input(self, grad_out: np.ndarray) -> np.ndarray:
-        """Gradient with respect to the forward input: the forward pass of
-        the flipped, transposed kernel.  It needs only the weights."""
+    def input_grad(self, gbuf: np.ndarray) -> np.ndarray:
+        """The input gradient for the output gradient ``gbuf``: the forward
+        pass of the flipped, transposed kernel, a new zero-gutter buffer as
+        wide as ``gbuf``.  It needs only the weights."""
         out_ch, in_ch, k = self.weight.shape
-        gbuf = to_gutter(grad_out, grad_out.shape[2] + k - 1)
         dbuf = np.empty((in_ch,) + gbuf.shape[1:], gbuf.dtype)
         taps = self.weight.data[:, :, ::-1].transpose(2, 1, 0).astype(gbuf.dtype, order="C")
         _tap_sum(taps, gbuf.reshape(out_ch, -1), dbuf.reshape(in_ch, -1), k - 1 - (k - 1) // 2)
-        t_in = dbuf.shape[2] - 2 * self.padding
-        return interior(zero_gutters(dbuf, t_in), t_in)
+        return zero_gutters(dbuf, dbuf.shape[2] - 2 * self.padding)
 
 
 class BatchNorm1d:
@@ -284,7 +270,7 @@ class BatchNorm1d:
     (:func:`to_gutter`: a kernel-3 conv's output is one already), and
     ``xhat``, the output and the input gradient are buffers as wide, so the
     conv that reads the output forward, or the gradient backward, needs no
-    copy.  Neither pass writes into the array it is handed.
+    copy.
     """
 
     MOMENTUM = 0.1
@@ -308,21 +294,28 @@ class BatchNorm1d:
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if not training:
             raise ValueError("batch norm runs in train mode only")
-        return self._normalize(x, False)
-
-    def _normalize(self, x: np.ndarray, spend: bool) -> np.ndarray:
-        """Normalize ``x`` into a new ``xhat`` buffer, or with ``spend`` into
-        the zero-gutter buffer that :func:`to_gutter` reads it from, keep
-        ``xhat``, and return the affine output in a new buffer."""
-        c = self.gamma.shape[0]
-        if x.shape[1] != c:
+        if x.shape[1] != self.gamma.shape[0]:
             raise ValueError("channel count mismatch")
-        b, _, t = x.shape
+        t = x.shape[2]
+        src = to_gutter(x, t + 2)
+        xhat = np.empty_like(src)
+        self._cache = (xhat, self.normalize(src, xhat, t))
+        return interior(self.affine(xhat, np.empty_like(xhat), t), t)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        (xhat, inv_std), self._cache = self._cache, None
+        t = grad_out.shape[2]
+        dy = to_gutter(grad_out, t + 2)
+        return interior(self.input_grad(dy, np.empty_like(dy), xhat, inv_std, t), t)
+
+    def normalize(self, src: np.ndarray, xhat: np.ndarray, t: int) -> np.ndarray:
+        """Fold the batch statistics of the zero-gutter buffer ``src`` (C,
+        B, t + 2) into the running estimates, write the normalized input
+        into ``xhat``, which may be ``src``, and return ``1/std``."""
+        c, b, _ = src.shape
         n = b * t
         if n < 2:
             raise ValueError("train-mode batch norm needs >1 sample per channel")
-        src = to_gutter(x, t + 2)
-        xhat = src if spend else np.empty_like(src)
         mean = src.sum(axis=(1, 2)) / n
         zero_gutters(np.subtract(src, mean[:, None, None], out=xhat), t)
         flat = xhat.reshape(c, -1)
@@ -332,19 +325,22 @@ class BatchNorm1d:
         self.running_var = (1 - m) * self.running_var + m * var
         inv_std = 1.0 / np.sqrt(var + self.EPSILON)
         xhat *= inv_std[:, None, None]
-        self._cache = (interior(xhat, t), inv_std)
-        return interior(zero_gutters(self._affine(xhat, np.empty_like(xhat)), t), t)
+        return inv_std
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        dy = to_gutter(grad_out, self._cache[0].base.shape[2])
-        return self._backward(dy, np.empty_like(dy))
+    def affine(self, xhat: np.ndarray, out: np.ndarray, t: int) -> np.ndarray:
+        """``gamma * xhat + beta`` of the zero-gutter ``xhat``, written into
+        ``out`` with its gutters zeroed."""
+        gamma, beta = (p.data.astype(xhat.dtype, copy=False) for p in (self.gamma, self.beta))
+        np.multiply(gamma[:, None, None], xhat, out=out)
+        out += beta[:, None, None]
+        return zero_gutters(out, t)
 
-    def _backward(self, dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        """The input gradient of the zero-gutter gradient ``dy``, written
-        into ``dx``, which may be ``dy`` itself."""
-        xhat, inv_std = self._cache
-        self._cache = None
-        t, xhat = xhat.shape[2], xhat.base
+    def input_grad(self, dy: np.ndarray, dx: np.ndarray, xhat: np.ndarray,
+                   inv_std: np.ndarray, t: int) -> np.ndarray:
+        """Accumulate the gradients of ``gamma`` and ``beta`` for the
+        zero-gutter output gradient ``dy``, and write the input gradient
+        into ``dx``, which may be ``dy``.  ``xhat`` is used up: it holds the
+        correction afterwards."""
         c, b, _ = xhat.shape
         flat = dy.reshape(c, -1)
         sum_dy = flat.sum(axis=1)
@@ -356,60 +352,11 @@ class BatchNorm1d:
         # Through the batch statistics: with g = gamma * dy, sum(g) =
         # gamma sum(dy) and sum(g xhat) = gamma sum(dy xhat), so
         # dx = scale * (dy - (sum(dy) + xhat * sum(dy xhat)) / n).
-        # xhat is spent, so it holds the correction.
         n = b * t
         xhat *= (scale * sum_dyx / n)[:, None, None]
         xhat += (scale * sum_dy / n)[:, None, None]
         dx -= xhat
-        return interior(zero_gutters(dx, t), t)
-
-    def _affine(self, xhat: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """``gamma * xhat + beta`` of channel-major ``xhat``, into ``out`` when given."""
-        gamma, beta = (p.data.astype(xhat.dtype, copy=False) for p in (self.gamma, self.beta))
-        out = np.multiply(gamma[:, None, None], xhat, out=out)
-        out += beta[:, None, None]
-        return out
-
-
-class BatchNormReLU(BatchNorm1d):
-    """``relu(BatchNorm1d(x))`` that keeps only batch norm's ``xhat`` and ``1/std``.
-
-    ReLU cannot be inverted, so the unit keeps ``xhat`` rather than its
-    output, and recomputes ``gamma * xhat + beta`` with the forward's
-    operations whenever it needs the mask or the output again: in backward,
-    and in ``padded_output`` for the conv that reads this unit's output
-    (in-place activated BN, Rota Bulò et al., CVPR 2018, with the cheap
-    recomputation of Chen et al., 2016).  Outputs and gradients equal
-    ``BatchNorm1d`` followed by ``ReLU`` bit for bit, except that the mask
-    multiplies the gradient: a finite gradient it stops becomes a zero of
-    the same sign, a non-finite one NaN.  Its ReLU is ``ReLU``'s
-    ``np.maximum(z, 0.0)``, so -0.0 becomes +0.0 and a NaN passes through.
-
-    The unit spends its input: forward normalizes into the zero-gutter
-    buffer it is handed (a conv's output, which nothing else reads), which
-    so becomes ``xhat``, and backward writes the input gradient into its
-    own rebuilt ``gamma * xhat + beta``.  A plain array is copied first.
-    """
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = self._normalize(x, True)
-        np.maximum(out.base, 0.0, out=out.base)     # the whole buffer: its gutters stay +0.0
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xhat = self._cache[0].base
-        z = self._affine(xhat, np.empty_like(xhat))
-        np.greater(z, 0.0, out=z)                   # the mask as 1.0 and 0.0, in place
-        np.multiply(to_gutter(grad_out, xhat.shape[2]), z, out=z)
-        return self._backward(z, z)
-
-    def padded_output(self) -> np.ndarray:
-        """The last output, rebuilt with the forward's operations, bit for
-        bit: the zero-gutter buffer (C, B, T + 2) whose interior forward
-        returned, which a conv with padding 1 reads as its input."""
-        xhat = self._cache[0].base
-        out = zero_gutters(self._affine(xhat, np.empty_like(xhat)), xhat.shape[2] - 2)
-        return np.maximum(out, 0.0, out=out)
+        return zero_gutters(dx, t)
 
 
 class ReLU:
@@ -446,16 +393,11 @@ class SEBlock:
               (:func:`se_excitation`)
     output:   x[b, c, t] * s_bc
 
-    Forward reads its input through :func:`to_gutter`, and the gated output
-    and the input gradient are (C, B, T + 2) zero-gutter buffers: one
-    product over the whole buffer, whose gutters are zeroed after it.  The
-    next conv and batch norm read them in place.
-
-    Forward keeps the input and writes the output into a new buffer.  With
-    ``input_source`` set (to a layer whose ``padded_output()`` rebuilds this
-    gate's input as its (C, B, T + 2) buffer), forward keeps only the pooled
-    values and the gate and spends its input, gating the buffer it is
-    handed in place, and backward asks the source for the input instead.
+    Forward reads its input through :func:`to_gutter` and keeps it with the
+    ``gate``: the pooled values, the first layer and ``s``.  The gated
+    output and the input gradient (``input_grad``) are (C, B, T + 2)
+    zero-gutter buffers: one product over the whole buffer, whose gutters
+    are zeroed after it.  The next conv and batch norm read them in place.
     """
 
     def __init__(self, channels: int, reduction: int = 16,
@@ -468,7 +410,6 @@ class SEBlock:
         self.b1 = Parameter(np.zeros(inner))
         self.w2 = Parameter(rng.normal(0.0, np.sqrt(2.0 / inner), size=(channels, inner)))
         self.b2 = Parameter(np.zeros(channels))
-        self.input_source = None
         self._cache = None
 
     def parameters(self):
@@ -482,25 +423,32 @@ class SEBlock:
             raise ValueError("channel count mismatch")
         t = x.shape[2]
         xbuf = to_gutter(x, t + 2)
-        z = interior(xbuf, t).mean(axis=2)                    # (B, C)
-        pre1, h, s = se_excitation(z, *(p.data.astype(x.dtype, copy=False)
-                                        for p in self.parameters()))
-        kept = xbuf if self.input_source is None else None
-        self._cache = (kept, z, pre1, h, s)
-        out = np.multiply(xbuf, s.T[:, :, None], out=None if kept is not None else xbuf)
-        return interior(zero_gutters(out, t), t)
+        gate = self.gate(xbuf, t)
+        self._cache = (xbuf, gate)
+        return interior(zero_gutters(xbuf * gate[-1].T[:, :, None], t), t)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        kept, z, pre1, h, s = self._cache
-        self._cache = None
+        (xbuf, gate), self._cache = self._cache, None
         t = grad_out.shape[2]
         gbuf = to_gutter(grad_out, t + 2)
-        xbuf = self.input_source.padded_output() if kept is None else kept
-        prod = np.multiply(xbuf, gbuf, out=None if kept is not None else xbuf)  # a rebuilt input is spent
-        del xbuf
+        prod = xbuf * gbuf
+        return interior(self.input_grad(prod, gbuf, gate, prod, t), t)
+
+    def gate(self, xbuf: np.ndarray, t: int):
+        """The pooled values ``z`` (B, C) of the zero-gutter buffer ``xbuf``
+        and their excitation: ``(z, pre1, relu, s)``."""
+        z = interior(xbuf, t).mean(axis=2)
+        return (z, *se_excitation(z, *(p.data.astype(xbuf.dtype, copy=False)
+                                       for p in self.parameters())))
+
+    def input_grad(self, prod: np.ndarray, gbuf: np.ndarray, gate, out: np.ndarray,
+                   t: int) -> np.ndarray:
+        """Accumulate the parameter gradients for the zero-gutter output
+        gradient ``gbuf``, given ``prod``, the input times ``gbuf``, and
+        write the input gradient into ``out``, which may be ``prod``."""
+        z, pre1, h, s = gate
         grad_s = interior(prod, t).sum(axis=2)                # (B, C)
-        del prod
-        grad_x = gbuf * s.T[:, :, None]
+        np.multiply(gbuf, s.T[:, :, None], out=out)
         grad_pre2 = grad_s * s * (1.0 - s)
         self.w2.grad += grad_pre2.T @ h
         self.b2.grad += grad_pre2.sum(axis=0)
@@ -509,8 +457,8 @@ class SEBlock:
         self.w1.grad += grad_pre1.T @ z
         self.b1.grad += grad_pre1.sum(axis=0)
         grad_z = grad_pre1 @ self.w1.data.astype(s.dtype, copy=False)
-        grad_x += (grad_z / t).T[:, :, None]
-        return interior(zero_gutters(grad_x, t), t)
+        out += (grad_z / t).T[:, :, None]
+        return zero_gutters(out, t)
 
 
 class MaxOverTime:

@@ -1440,7 +1440,7 @@ class TestMeasurementScripts:
         forward_call, backward_call = (line.split(", during ")[1] for line in lines[1:3])
         assert forward_call.endswith(".forward") and ".backward" in backward_call
         assert lines[3].startswith("ru_maxrss ") and lines[3].endswith(" MB")
-        assert lines[4] == "held by each layer after the train-mode forward:"
+        assert lines[4] == "held by the step schedule after the train-mode forward:"
         held = {line.split()[0] for line in lines[5:-1]}
         assert {"stem.bn", "block1.bn2", "pool", "total"} <= held
         assert "stem.conv" not in held              # the LGP maps are rebuilt, not kept
@@ -1459,3 +1459,42 @@ class TestMeasurementScripts:
         assert [line.split("  ", 1)[1] for line in lines] == files
         digest = hashlib.sha256((desk / "run.cfg").read_bytes()).hexdigest()
         assert f"{digest}  run.cfg" in lines
+
+
+class TestBenchTracer:
+    """``bench/tracing.py`` wraps lgpnet's functions and methods by name, and
+    ``Recorder.install`` raises on a name that a refactor deleted (the
+    layers' ``forward``/``backward``, ``Adam.step``, ``PathNetwork``'s
+    ``__init__``, ``forward`` and ``backward``, each path's stem conv), so
+    tier-1 catches a stale tracer before a benchmark run does.  The tracer
+    is imported read-only, from its file."""
+
+    def test_a_desk_train_runs_under_the_installed_wrappers(self, score_fixture, monkeypatch):
+        import importlib.util
+        import sys
+
+        from lgpnet.frontend import store_features
+        from lgpnet.model import PathNetwork
+
+        spec = importlib.util.spec_from_file_location(
+            "bench_tracing", SCRIPTS.parent / "bench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)     # its dataclasses look it up
+        spec.loader.exec_module(tracing)
+        root, rng = score_fixture, np.random.default_rng(5)
+        store_features(root / "feats" / "u2.lgpf", rng.normal(size=(20, 2)))
+        write_protocol(root / "train.txt", {"u1": "bonafide", "u2": "spoof"})
+        original = PathNetwork.__dict__["forward"]
+        recorder = tracing.Recorder()
+        recorder.install()
+        try:
+            assert PathNetwork.__dict__["forward"] is not original
+            code = train_with(root, "segment_length = 16\nbatch_size = 2\nepochs = 1\n",
+                              protocol="train.txt")
+        finally:
+            recorder.restore()
+        assert code == 0
+        assert PathNetwork.__dict__["forward"] is original
+        names = [span.name for span in recorder.spans]
+        assert names.count("model.PathNetwork.forward") >= 1
+        assert names.count("nn.Adam.step") == 1

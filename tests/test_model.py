@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plain_net
+from lgpnet import model as model_mod
 from lgpnet import nn, tensorio
 from lgpnet.errors import FormatError, NonFiniteMapError
 from lgpnet.gmm import Gmm
@@ -23,8 +24,8 @@ from lgpnet.model import (
     segment_ufm,
 )
 from fdcheck import assert_gradients_match
-from lgpnet.nn import (Adam, BatchNorm1d, Conv1d, Linear, ReLU, SEBlock, gutter_conv,
-                       softmax_cross_entropy)
+from lgpnet.nn import (Adam, BatchNorm1d, Conv1d, Linear, MaxOverTime, ReLU, SEBlock,
+                       gutter_conv, softmax_cross_entropy)
 
 
 def desk_config(paths=1, se=False, blocks=2, input_length=32):
@@ -59,8 +60,8 @@ def two_path_model(rng):
 
 
 def _layers(path):
-    """Every layer of a path, the pooling included."""
-    return [layer for _, layer in path._named_layers()] + [path.pool]
+    """Every layer of a path."""
+    return [layer for _, layer in path._named_layers()]
 
 
 class TestPathShapes:
@@ -73,7 +74,7 @@ class TestPathShapes:
         path = PathNetwork(desk_config(), rng)
         with pytest.raises(ValueError, match="train mode only"):
             path.forward(rng.normal(size=(2, 8, 32)), training=False)
-        assert all(layer._cache is None for layer in _layers(path))
+        assert path.held() == {}
 
     def test_batched_embedding(self, rng):
         path = PathNetwork(desk_config(se=True), rng)
@@ -147,7 +148,7 @@ def _standalone_copy(path):
 
     stem = unit(path.conv, path.bn)
     blocks = [(unit(b.conv1, b.bn1), unit(b.conv2, b.bn2), gate(b.se)) for b in path.blocks]
-    return stem, blocks, copy.deepcopy(path.pool)
+    return stem, blocks, MaxOverTime()
 
 
 def _run_standalone(chain, x, grad_emb):
@@ -184,7 +185,7 @@ def _standalone_layers(stem, blocks):
 
 
 class TestLeanTrainingStep:
-    """The fused BN+ReLU path against standalone layers, and what a step keeps."""
+    """The step schedule against standalone layers, and what a step keeps."""
 
     @staticmethod
     def seeded_path(cfg, rng):
@@ -207,10 +208,9 @@ class TestLeanTrainingStep:
         want_emb, want_grad_x = _run_standalone(chain, x, grad_emb)
         assert np.array_equal(emb, want_emb)
         assert np.array_equal(grad_x, want_grad_x)
-        layers = [layer for _, layer in path._named_layers()]
+        layers = _layers(path)
         standalone = _standalone_layers(chain[0], chain[1])
-        assert [type(a).__name__ for a in standalone] == [
-            "BatchNorm1d" if isinstance(b, BatchNorm1d) else type(b).__name__ for b in layers]
+        assert [type(a) for a in standalone] == [type(b) for b in layers]
         for got, want in zip(layers, standalone):
             for key, arr in got.named_tensors().items():
                 assert np.array_equal(arr, want.named_tensors()[key]), key
@@ -239,7 +239,7 @@ class TestLeanTrainingStep:
             tracemalloc.stop()
         assert after_forward <= bound + slack, f"{after_forward} bytes kept, bound {bound}"
         assert after_backward <= slack, f"{after_backward} bytes kept after backward"
-        assert all(layer._cache is None for layer in _layers(path))
+        assert path.held() == {}
 
 
 def _byte_equal(a, b) -> bool:
@@ -248,23 +248,11 @@ def _byte_equal(a, b) -> bool:
 
 
 class TestRebuiltBlockInputs:
-    """The stem conv rebuilds the LGP maps from the batch's segments
-    (``LgpMaps``), block 0's and each odd block's conv1 rebuild their input
-    (from the stem's batch norm, from the block before), and each SE gate
-    its input (from bn2); the same path with every conv and gate keeping
-    its input, and the maps handed in whole, is the oracle."""
-
-    @staticmethod
-    def twins(cfg, seed):
-        """The same seeded path twice; the second keeps every conv and gate input."""
-        pair = []
-        for _ in range(2):
-            rng = np.random.default_rng(seed)
-            pair.append(TestLeanTrainingStep.seeded_path(cfg, rng))
-        for _, layer in pair[1]._named_layers():
-            if isinstance(layer, (Conv1d, SEBlock)):
-                layer.input_source = None
-        return pair
+    """The step schedule rebuilds the LGP maps from the batch's segments
+    (``LgpMaps``), every block input it does not keep (forward from the
+    nearest kept one, or from the stem), every ReLU output from its
+    ``xhat``, and each SE gate's input; the standalone-layer chain, which
+    keeps every input and is handed the maps whole, is the oracle."""
 
     @staticmethod
     def lgp_inputs(cfg, seed, dtype):
@@ -275,7 +263,7 @@ class TestRebuiltBlockInputs:
                   rng.uniform(0.5, 2.0, size=(cfg.gmm_order, 3)))
         stats = fit_norm_stats(gmm, rng.normal(size=(200, 3)), "fast")
         segments = rng.normal(size=(3, cfg.input_length, 3))
-        maps = type("Maps", (LgpMaps,), {"DTYPE": dtype})(gmm, stats, segments, 0)
+        maps = LgpMaps(gmm, stats, segments, 0, dtype)
         return maps, np.stack([extract_lgp(gmm, stats, seg) for seg in segments]).astype(dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -284,65 +272,191 @@ class TestRebuiltBlockInputs:
     def test_step_equals_the_all_cached_oracle_byte_for_byte(self, se, blocks, dtype):
         cfg = ClassifierConfig(gmm_order=6, channels=8, blocks=blocks, se_enabled=se,
                                se_reduction=4, input_length=10)
-        path, oracle = self.twins(cfg, 10 * blocks + se)
-        assert [b.conv1.input_source is not None for b in path.blocks] == [
-            b == 0 or b % 2 == 1 for b in range(blocks)]
-        assert all((b.se.input_source is b.bn2) if se else b.se is None for b in path.blocks)
+        path = TestLeanTrainingStep.seeded_path(cfg, np.random.default_rng(10 * blocks + se))
+        chain = _standalone_copy(path)
         maps, x = self.lgp_inputs(cfg, blocks, dtype)
         rng = np.random.default_rng(blocks)
         grad_emb = rng.normal(size=(3, 8)).astype(dtype)
-        runs = []
-        for net, lgp in ((path, maps), (oracle, x.copy())):
-            emb = net.forward(lgp, training=True)
-            assert (net.conv.input_source is maps) == (net is path)
-            assert (net.conv._cache is None) == (net is path)      # the maps are not kept
-            runs.append((emb, net.backward(grad_emb.copy())))
-            assert net.conv.input_source is None
-        assert _byte_equal(runs[0][0], runs[1][0])          # embeddings
-        assert _byte_equal(runs[0][1], runs[1][1])          # LGP-map gradients
-        for got, want in zip(path._named_layers(), oracle._named_layers()):
-            for p, q in zip(got[1].parameters(), want[1].parameters()):
-                assert _byte_equal(p.grad, q.grad), got[0]
-            for key, arr in got[1].named_tensors().items():
-                assert _byte_equal(arr, want[1].named_tensors()[key]), f"{got[0]}.{key}"
-        assert all(layer._cache is None for net in (path, oracle) for layer in _layers(net))
-        for net in (path, oracle):
-            Adam(net.parameters(), lr=1e-2).step()
-            assert all(p._grad is None for p in net.parameters())
-        for p, q in zip(path.parameters(), oracle.parameters()):
+        emb = path.forward(maps, training=True)
+        held = path.held()
+        every = int(np.ceil(np.sqrt(blocks)))
+        assert [name for name in held if name.endswith(".input")] == [
+            f"block{b}.input" for b in range(every, blocks, every)]
+        assert held["segments"] == [maps.segments] and "stem.conv" not in held   # no maps kept
+        grad_x = path.backward(grad_emb.copy())
+        assert path.held() == {}
+        want_emb, want_grad_x = _run_standalone(chain, x, grad_emb.copy())
+        assert _byte_equal(emb, want_emb)                   # embeddings
+        assert _byte_equal(grad_x, want_grad_x)             # LGP-map gradients
+        standalone = _standalone_layers(*chain[:2])
+        for (name, got), want in zip(path._named_layers(), standalone):
+            for p, q in zip(got.parameters(), want.parameters()):
+                assert _byte_equal(p.grad, q.grad), name
+            for key, arr in got.named_tensors().items():
+                assert _byte_equal(arr, want.named_tensors()[key]), f"{name}.{key}"
+        assert all(layer._cache is None for layer in standalone + _layers(path))
+        for layers in (_layers(path), standalone):
+            params = [p for layer in layers for p in layer.parameters()]
+            Adam(params, lr=1e-2).step()
+            assert all(p._grad is None for p in params)
+        for p, q in zip(path.parameters(), [p for layer in standalone for p in layer.parameters()]):
             assert _byte_equal(p.data, q.data)
 
     @pytest.mark.parametrize("se", [False, True], ids=["resnet", "se"])
     def test_forward_caches_each_activation_once(self, se, rng):
-        """After a train-mode forward of plain maps the caches hold the LGP
-        map (the stem conv's input), each batch norm's xhat and the inputs of
-        blocks 2 and 4; every other conv, and with SE every gate, keeps no
-        input."""
+        """After a train-mode forward of plain maps the step holds the LGP
+        map (the stem conv's input), each batch norm's xhat and, at 5
+        blocks (s = 3), the input of block 3; with SE each gate holds only
+        its pooled values, first layer and gate."""
         cfg = ClassifierConfig(gmm_order=16, channels=8, blocks=5, se_enabled=se,
                                se_reduction=4, input_length=12)
         path = PathNetwork(cfg, rng)
         path.forward(rng.normal(size=(3, 16, 12)).astype(np.float32), training=True)
+        held = path.held()
         buffer = (cfg.channels, 3, cfg.input_length + 2)
-        assert path.conv._cache.shape == (16, 3, cfg.input_length + 2)
-        for bn in path.batchnorms():
-            xhat, _ = bn._cache
-            assert xhat.base.shape == buffer
-        for b, block in enumerate(path.blocks):
-            assert block.conv2._cache is None
-            if b in (2, 4):
-                assert block.conv1._cache.shape == buffer
-            else:
-                assert block.conv1._cache is None
-            if se:
-                assert block.se._cache[0] is None
+        assert [arr.shape for arr in held["stem.conv"]] == [(16, 3, cfg.input_length + 2)]
+        for name in ["stem.bn"] + [f"block{b}.bn{i}" for b in range(cfg.blocks) for i in (1, 2)]:
+            assert [arr.shape for arr in held[name]] == [buffer, (cfg.channels,)], name
+        assert [name for name in held if name.endswith(".input")] == ["block3.input"]
+        gates = [name for name in held if name.endswith(".se")]
+        assert gates == ([f"block{b}.se" for b in range(cfg.blocks)] if se else [])
+        assert all(arr.size <= 3 * cfg.channels for name in gates for arr in held[name])
         owners = {}
-        for layer in _layers(path):
-            for arr in layer._cache if isinstance(layer._cache, tuple) else (layer._cache,):
-                if isinstance(arr, np.ndarray):
-                    owner = arr if arr.base is None else arr.base
-                    owners[id(owner)] = owner
+        for arrays in held.values():
+            for arr in arrays:
+                owner = arr if arr.base is None else arr.base
+                owners[id(owner)] = owner
         large = sorted(arr.shape for arr in owners.values() if arr.size >= np.prod(buffer))
-        assert large == sorted([(16, 3, 14)] + [buffer] * (1 + 2 * cfg.blocks + 2))
+        assert large == sorted([(16, 3, 14)] + [buffer] * (1 + 2 * cfg.blocks + 1))
+
+
+class TestBatchNormReluUnit:
+    """The step's batch norm and ReLU (``model._bn_relu``, ``_relu_rebuilt``
+    and ``_bn_relu_grad``), which keep only ``xhat`` and ``1/std``, against
+    ``BatchNorm1d`` followed by ``ReLU``."""
+
+    @staticmethod
+    def fused_and_chain(rng, channels=4):
+        gamma = rng.uniform(-1.0, 1.5, size=channels)
+        beta = rng.normal(scale=0.5, size=channels)
+        fused, bn = BatchNorm1d(channels), BatchNorm1d(channels)
+        for layer in (fused, bn):
+            layer.gamma.data[:] = gamma
+            layer.beta.data[:] = beta
+        return fused, bn, ReLU()
+
+    @staticmethod
+    def unit_forward(bn, x):
+        """The unit's output (B, C, T), its rebuilt output (C, B, T + 2) and
+        what it keeps, for a (B, C, T) input, handed a copy to normalize into."""
+        t = x.shape[2]
+        out, kept = model_mod._bn_relu(bn, nn.to_gutter(x, t + 2).copy(), t)
+        return nn.interior(out, t), model_mod._relu_rebuilt(bn, kept, t), kept
+
+    @staticmethod
+    def unit_backward(bn, g, kept):
+        t = g.shape[2]
+        return nn.interior(model_mod._bn_relu_grad(bn, nn.to_gutter(g, t + 2), kept, t), t)
+
+    def test_equals_batch_norm_then_relu_bit_for_bit(self, rng):
+        fused, bn, relu = self.fused_and_chain(rng)
+        x = rng.normal(size=(3, 4, 10)) * 2.0 - 0.5
+        g = rng.normal(size=(3, 4, 10))
+        y, rebuilt, kept = self.unit_forward(fused, x)
+        want = relu.forward(bn.forward(x, True))
+        assert np.array_equal(y, want)
+        assert np.array_equal(np.signbit(y), np.signbit(want))     # zeros are +0.0
+        assert 0 < np.count_nonzero(y) < y.size
+        assert np.array_equal(fused.running_mean, bn.running_mean)
+        assert np.array_equal(fused.running_var, bn.running_var)
+        padded = rebuilt.transpose(1, 0, 2)
+        assert np.array_equal(padded, np.pad(want, ((0, 0), (0, 0), (1, 1))))
+        assert np.array_equal(np.signbit(padded), np.zeros(padded.shape, bool))
+        assert np.array_equal(self.unit_backward(fused, g, kept), bn.backward(relu.backward(g)))
+        assert np.array_equal(fused.gamma.grad, bn.gamma.grad)
+        assert np.array_equal(fused.beta.grad, bn.beta.grad)
+
+    def test_input_gradient_is_read_in_place_by_the_conv(self, rng):
+        """Backward's gradient is a (C, B, W) zero-gutter buffer as wide as
+        the conv output it came from, which the conv reads in place."""
+        conv, fused = Conv1d(3, 4, 3, padding=1, rng=rng), self.fused_and_chain(rng)[0]
+        ybuf = conv.output(nn.to_gutter(rng.normal(size=(2, 3, 7)), 9))
+        _, kept = model_mod._bn_relu(fused, ybuf, 7)
+        assert kept[0] is ybuf                          # the conv output becomes xhat
+        dx = model_mod._bn_relu_grad(fused, nn.to_gutter(rng.normal(size=(2, 4, 7)), 9), kept, 7)
+        assert nn.to_gutter(nn.interior(dx, 7), 9) is dx and dx.shape == (4, 2, 9)
+
+    def test_keeps_xhat_alone_and_passes_nan_through(self, rng):
+        fused, bn, relu = self.fused_and_chain(rng)
+        x = rng.normal(size=(2, 4, 6))
+        _, _, (xhat, inv_std) = self.unit_forward(fused, x)
+        assert xhat.shape == (4, 2, 8) and inv_std.shape == (4,)
+        x[0, 1, 2] = np.nan              # ReLU passes a NaN through; so must the fused unit
+        y = self.unit_forward(fused, x)[0]
+        assert np.array_equal(y, relu.forward(bn.forward(x, True)), equal_nan=True)
+        assert np.isnan(y[:, 1]).all() and np.isfinite(np.delete(y, 1, axis=1)).all()
+
+    # (gamma, beta) per channel: with gamma 0 a channel is beta, of the sign
+    # of xhat when beta is a zero; a subnormal gamma makes subnormals and zeros.
+    SPECIAL = ((0.0, -0.0), (0.0, 0.0), (0.0, np.nan), (0.0, np.inf), (0.0, -np.inf),
+               ("tiny", -0.0), ("tiny", 0.0), (1.5, -0.25))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["contiguous", "padded", "strided"])
+    def test_equals_batch_norm_then_relu_on_special_values(self, rng, dtype, layout):
+        """One ReLU rule, ``np.maximum(z, 0.0)``: the fused unit, over its whole
+        buffer, equals batch norm then ``ReLU`` in values and sign bits, NaN
+        where NaN, on -0.0, +0.0, NaN, +-inf and subnormals; no zero keeps a
+        sign, and the rebuilt output's gutters are +0.0."""
+        tiny = np.finfo(dtype).smallest_normal / 4
+        gamma, beta = np.array([(tiny if g == "tiny" else g, b) for g, b in self.SPECIAL]).T
+        c = len(gamma)
+        for t in (1, 3, 7, 64, 1001):       # vector bodies and scalar tails alike
+            x = rng.normal(size=(2, c, t)).astype(dtype)
+            if layout == "padded":
+                x = nn.interior(nn.to_gutter(x, t + 2), t)
+            elif layout == "strided":
+                x = np.repeat(x, 2, axis=2)[:, :, ::2]
+            fused, bn, relu = BatchNorm1d(c), BatchNorm1d(c), ReLU()
+            for layer in (fused, bn):
+                layer.gamma.data[:], layer.beta.data[:] = gamma, beta
+            z = bn.forward(x, True)
+            assert (np.isnan(z).any() and np.isposinf(z).any() and np.isneginf(z).any()
+                    and ((z == 0) & np.signbit(z)).any()
+                    and ((0 < np.abs(z)) & (np.abs(z) < np.finfo(dtype).smallest_normal)).any())
+            want = relu.forward(z)
+            y, rebuilt, _ = self.unit_forward(fused, x)
+            padded = rebuilt.transpose(1, 0, 2)
+            for got in (y, padded[:, :, 1:-1]):
+                assert got.dtype == dtype
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.isnan(got), np.isnan(z))
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+                assert not np.signbit(got[~np.isnan(got)]).any()
+            gutters = padded[:, :, [0, -1]]
+            assert not gutters.any() and not np.signbit(gutters).any()
+
+    def test_train_mode_cancels_a_per_channel_constant(self, rng):
+        # Why a conv feeding batch norm needs no bias: the batch mean takes it out.
+        x = rng.normal(size=(4, 3, 9)) * 2.0 + 1.0
+        shift = rng.normal(scale=3.0, size=(1, 3, 1))
+        gamma, beta = rng.uniform(0.5, 1.5, size=3), rng.normal(size=3)
+        g = rng.normal(size=(4, 3, 9))
+        runs = []
+        for inp in (x, x + shift):
+            bn = BatchNorm1d(3)
+            bn.gamma.data[:], bn.beta.data[:] = gamma, beta
+            out, _, kept = self.unit_forward(bn, inp)
+            runs.append((out.copy(), bn.running_var, self.unit_backward(bn, g, kept),
+                         bn.gamma.grad, bn.beta.grad))
+        # gamma's gradient sums g * xhat with |xhat| of order 1, and may cancel
+        # to near zero, so its rounding is measured against sum |g|
+        scales = [np.abs(want).max() for want in runs[0]]
+        scales[3] = np.abs(g).sum(axis=(0, 2)).max()
+        ulps = [np.abs(got - want).max() / (np.finfo(float).eps * scale)
+                for got, want, scale in zip(*runs, scales)]
+        print(f"largest drift {max(ulps):.1f} ulps")
+        assert max(ulps) <= 8, ulps
 
 
 class TestForwardModel:
@@ -1002,12 +1116,16 @@ class TestMixedPrecisionStep:
         units = [layer for path in model.paths for _, layer in path._named_layers()
                  if isinstance(layer, (Conv1d, BatchNorm1d))]
         for layer in units:
-            for name in ("forward", "backward", "backward_params"):
-                if hasattr(layer, name):
-                    record(layer, name)
+            kernels = (("output", "weight_grad", "input_grad") if isinstance(layer, Conv1d)
+                       else ("normalize", "affine", "input_grad"))
+            for name in kernels:
+                record(layer, name)
         emb, logits, _ = self.step(model, rng.normal(size=(4, model.cfg.input_length, 4)))
-        # forward and backward of every unit, and the stem convs' weight gradients
-        assert len(seen) >= 2 * len(units)
+        # the forward and the weight gradient of every conv, the forward and
+        # backward of every batch norm, and the rebuilt ReLU outputs
+        assert len(seen) >= 3 * len(units)
+        assert {name for _, name, *_ in seen} == {"output", "weight_grad", "input_grad",
+                                                  "normalize", "affine"}
         promoted = [call for call in seen if set(call[2:]) - {None, np.dtype(np.float32)}]
         assert not promoted, promoted
         assert emb.dtype == np.float32
@@ -1025,10 +1143,10 @@ class TestMixedPrecisionStep:
         segments = rng.normal(size=(batch, cfg.input_length, 4))
         self.step(model, segments)                   # warm up numpy's own caches
         row = batch * (cfg.input_length + 2)         # two zero gutter frames a row
-        # per path: the LGP maps, the stem xhat, per block two xhat, the
-        # inputs of blocks 2, 4, ..., and with SE each block's SE input
-        kept = len(range(2, cfg.blocks, 2))
-        tensors = (2 * cfg.blocks + 1 + kept + cfg.blocks * cfg.se_enabled) * cfg.channels
+        # per path: the LGP maps, the stem xhat, per block two xhat, and the
+        # inputs of blocks s, 2s, ... with s = ceil(sqrt(blocks))
+        every = int(np.ceil(np.sqrt(cfg.blocks)))
+        tensors = (2 * cfg.blocks + 1 + len(range(every, cfg.blocks, every))) * cfg.channels
         bound = cfg.paths * (tensors + cfg.gmm_order) * row * 4
         slack = cfg.channels * row * 4               # per-channel vectors, pooling indices
         tracemalloc.start()

@@ -10,11 +10,10 @@ from fdcheck import assert_gradients_match, numerical_gradient, relative_error
 
 
 def forward(layer, x):
-    """A batch norm's forward: the fused unit takes no mode, ``BatchNorm1d``
-    the pinned ``training=True``."""
-    if isinstance(layer, nn.BatchNormReLU):
-        return layer.forward(x)
-    return layer.forward(x, training=True)
+    """A layer's forward; ``BatchNorm1d`` takes the pinned ``training=True``."""
+    if isinstance(layer, nn.BatchNorm1d):
+        return layer.forward(x, training=True)
+    return layer.forward(x)
 
 
 class TestConv1d:
@@ -107,9 +106,12 @@ def conv_oracle(x, weight, padding, grad_out):
 
 def laid_out(a, layout):
     """``a`` (B, C, T) as a batch-major array, a channel-major view, the
-    interior of a zero-gutter buffer, or of one whose gutters are not zero."""
+    interior of a zero-gutter buffer, or of one whose gutters are not zero;
+    a (B, F) ``a`` "padded" is the interior of a zero-padded array."""
     if layout == "contiguous":
         return a.copy()
+    if a.ndim == 2:
+        return np.pad(a, ((0, 0), (1, 1)))[:, 1:-1]
     if layout == "transposed":
         return np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
     buf = nn.to_gutter(a, a.shape[2] + 2)
@@ -120,7 +122,6 @@ def laid_out(a, layout):
 
 SEQUENCE_LAYERS = {
     "batch-norm": lambda: nn.BatchNorm1d(4),
-    "batch-norm-relu": lambda: nn.BatchNormReLU(4),
     "se": lambda: nn.SEBlock(4, reduction=2, rng=np.random.default_rng(1)),
     "max-over-time": nn.MaxOverTime,
 }
@@ -144,7 +145,7 @@ class TestOneLayout:
                 layer.gamma.data[:] = np.linspace(-1.0, 1.5, c)
                 layer.beta.data[:] = np.linspace(0.5, -0.5, c)
             x_in = laid_out(x, layout)
-            out = forward(layer, x_in) if isinstance(layer, nn.BatchNorm1d) else layer.forward(x_in)
+            out = forward(layer, x_in)
             g = np.random.default_rng(4).normal(size=out.shape).astype(dtype)
             grad = layer.backward(laid_out(g, layout) if g.ndim == 3 else g)
             for arr in (out, grad) if out.ndim == 3 else (grad,):
@@ -290,7 +291,7 @@ class TestBatchNorm:
         print(f"largest drift {max(ulps):.1f} ulps of the largest value")
         assert max(ulps) <= 4, ulps
 
-    @pytest.mark.parametrize("layer", [nn.BatchNorm1d, nn.BatchNormReLU])
+    @pytest.mark.parametrize("layer", [nn.BatchNorm1d])
     def test_train_mode_cancels_a_per_channel_constant(self, rng, layer):
         # Why a conv feeding batch norm needs no bias: the batch mean takes it out.
         x = rng.normal(size=(4, 3, 9)) * 2.0 + 1.0
@@ -314,131 +315,52 @@ class TestBatchNorm:
 
 
 class TestStandaloneLayersLeaveTheirArguments:
-    """``BatchNorm1d`` and ``Conv1d``, the oracles of the fused units and of
-    the rebuilt paths, never write into an array they are handed: forward's
-    input and backward's gradient are byte-unchanged, gutters included,
-    whether plain arrays or zero-gutter interiors that they read in place.
-    (``BatchNormReLU`` and a sourced ``SEBlock`` spend theirs.)"""
+    """No layer, the oracles of the step schedule, writes into an array it
+    is handed: forward's input and backward's gradient are byte-unchanged,
+    gutters included, whether plain arrays or zero-gutter interiors that
+    they read in place."""
 
+    # each layer class with a forward and a backward, and its input shape
     LAYERS = {
-        "batch-norm": (lambda: nn.BatchNorm1d(4), 4),
-        "conv": (lambda: nn.Conv1d(3, 4, 3, padding=1, rng=np.random.default_rng(2)), 3),
+        "batch-norm": (lambda: nn.BatchNorm1d(4), (2, 4, 9)),
+        "conv": (lambda: nn.Conv1d(3, 4, 3, padding=1, rng=np.random.default_rng(2)), (2, 3, 9)),
+        "relu": (nn.ReLU, (2, 4, 9)),
+        "se": (lambda: nn.SEBlock(4, reduction=2, rng=np.random.default_rng(2)), (2, 4, 9)),
+        "max-over-time": (nn.MaxOverTime, (2, 4, 9)),
+        "linear": (lambda: nn.Linear(5, 3, rng=np.random.default_rng(2)), (2, 5)),
     }
+
+    def test_every_layer_class_is_covered(self):
+        layers = {name for name, obj in vars(nn).items()
+                  if isinstance(obj, type) and hasattr(obj, "forward") and hasattr(obj, "backward")}
+        assert layers == {type(make()).__name__ for make, _ in self.LAYERS.values()}
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", ["contiguous", "padded"])
     @pytest.mark.parametrize("name", sorted(LAYERS))
     def test_forward_input_and_backward_gradient_are_byte_unchanged(self, rng, name,
                                                                      layout, dtype):
-        make, channels = self.LAYERS[name]
+        make, shape = self.LAYERS[name]
         layer = make()
-        x = laid_out(rng.normal(size=(2, channels, 9)).astype(dtype), layout)
+        x = laid_out(rng.normal(size=shape).astype(dtype), layout)
         memory = x if x.base is None else x.base
         before = memory.tobytes()
-        y = layer.forward(x) if name == "conv" else layer.forward(x, training=True)
+        y = forward(layer, x)
         assert memory.tobytes() == before
         g = laid_out(rng.normal(size=y.shape).astype(dtype), layout)
         g_memory = g if g.base is None else g.base
-        assert layout == "contiguous" or nn.to_gutter(g, 11) is g_memory   # read in place
+        if layout == "padded" and g.ndim == 3:
+            assert nn.to_gutter(g, g.shape[2] + 2) is g_memory     # read in place
         g_before = g_memory.tobytes()
         layer.backward(g)
         assert g_memory.tobytes() == g_before
         assert memory.tobytes() == before
 
 
-class TestBatchNormReLU:
-    def fused_and_chain(self, rng, channels=4):
-        gamma = rng.uniform(-1.0, 1.5, size=channels)
-        beta = rng.normal(scale=0.5, size=channels)
-        fused, bn = nn.BatchNormReLU(channels), nn.BatchNorm1d(channels)
-        for layer in (fused, bn):
-            layer.gamma.data[:] = gamma
-            layer.beta.data[:] = beta
-        return fused, bn, nn.ReLU()
-
-    def test_equals_batch_norm_then_relu_bit_for_bit(self, rng):
-        fused, bn, relu = self.fused_and_chain(rng)
-        x = rng.normal(size=(3, 4, 10)) * 2.0 - 0.5
-        g = rng.normal(size=(3, 4, 10))
-        y = fused.forward(x)
-        want = relu.forward(bn.forward(x, True))
-        assert np.array_equal(y, want)
-        assert np.array_equal(np.signbit(y), np.signbit(want))     # zeros are +0.0
-        assert 0 < np.count_nonzero(y) < y.size
-        assert np.array_equal(fused.running_mean, bn.running_mean)
-        assert np.array_equal(fused.running_var, bn.running_var)
-        padded = fused.padded_output().transpose(1, 0, 2)
-        assert np.array_equal(padded, np.pad(want, ((0, 0), (0, 0), (1, 1))))
-        assert np.array_equal(np.signbit(padded), np.zeros(padded.shape, bool))
-        assert np.array_equal(fused.backward(g), bn.backward(relu.backward(g)))
-        assert np.array_equal(fused.gamma.grad, bn.gamma.grad)
-        assert np.array_equal(fused.beta.grad, bn.beta.grad)
-
-    def test_input_gradient_is_read_in_place_by_the_conv(self, rng):
-        """Backward's gradient is the interior of a (C, B, W) zero-gutter
-        buffer as wide as the conv output it came from."""
-        conv, fused = nn.Conv1d(3, 4, 3, padding=1, rng=rng), self.fused_and_chain(rng)[0]
-        y = fused.forward(conv.forward(rng.normal(size=(2, 3, 7))))
-        dx = fused.backward(rng.normal(size=y.shape))
-        assert nn.to_gutter(dx, 9) is dx.base and dx.base.shape == (4, 2, 9)
-
-    def test_keeps_xhat_alone_and_passes_nan_through(self, rng):
-        fused, bn, relu = self.fused_and_chain(rng)
-        x = rng.normal(size=(2, 4, 6))
-        fused.forward(x)
-        xhat, inv_std = fused._cache
-        assert xhat.shape == x.shape and inv_std.shape == (4,)
-        x[0, 1, 2] = np.nan              # ReLU passes a NaN through; so must the fused unit
-        y = fused.forward(x)
-        assert np.array_equal(y, relu.forward(bn.forward(x, True)), equal_nan=True)
-        assert np.isnan(y[:, 1]).all() and np.isfinite(np.delete(y, 1, axis=1)).all()
-
-    # (gamma, beta) per channel: with gamma 0 a channel is beta, of the sign
-    # of xhat when beta is a zero; a subnormal gamma makes subnormals and zeros.
-    SPECIAL = ((0.0, -0.0), (0.0, 0.0), (0.0, np.nan), (0.0, np.inf), (0.0, -np.inf),
-               ("tiny", -0.0), ("tiny", 0.0), (1.5, -0.25))
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("layout", ["contiguous", "padded", "strided"])
-    def test_equals_batch_norm_then_relu_on_special_values(self, rng, dtype, layout):
-        """One ReLU rule, ``np.maximum(z, 0.0)``: the fused unit, over its whole
-        buffer, equals batch norm then ``ReLU`` in values and sign bits, NaN
-        where NaN, on -0.0, +0.0, NaN, +-inf and subnormals; no zero keeps a
-        sign, and the rebuilt output's gutters are +0.0."""
-        tiny = np.finfo(dtype).smallest_normal / 4
-        gamma, beta = np.array([(tiny if g == "tiny" else g, b) for g, b in self.SPECIAL]).T
-        c = len(gamma)
-        for t in (1, 3, 7, 64, 1001):       # vector bodies and scalar tails alike
-            x = rng.normal(size=(2, c, t)).astype(dtype)
-            if layout == "padded":
-                x = nn.interior(nn.to_gutter(x, t + 2), t)
-            elif layout == "strided":
-                x = np.repeat(x, 2, axis=2)[:, :, ::2]
-            fused, bn, relu = nn.BatchNormReLU(c), nn.BatchNorm1d(c), nn.ReLU()
-            for layer in (fused, bn):
-                layer.gamma.data[:], layer.beta.data[:] = gamma, beta
-            z = bn.forward(x, True)
-            assert (np.isnan(z).any() and np.isposinf(z).any() and np.isneginf(z).any()
-                    and ((z == 0) & np.signbit(z)).any()
-                    and ((0 < np.abs(z)) & (np.abs(z) < np.finfo(dtype).smallest_normal)).any())
-            want = relu.forward(z)
-            y = fused.forward(x)
-            padded = fused.padded_output().transpose(1, 0, 2)
-            for got in (y, padded[:, :, 1:-1]):
-                assert got.dtype == dtype
-                assert np.array_equal(got, want, equal_nan=True)
-                assert np.array_equal(np.isnan(got), np.isnan(z))
-                assert np.array_equal(np.signbit(got), np.signbit(want))
-                assert not np.signbit(got[~np.isnan(got)]).any()
-            gutters = padded[:, :, [0, -1]]
-            assert not gutters.any() and not np.signbit(gutters).any()
-
-
 class TestCachesCleared:
     @pytest.mark.parametrize("make, x_shape, grad_shape", [
         (lambda: nn.Conv1d(2, 3, 3, padding=1), (2, 2, 5), (2, 3, 5)),
         (lambda: nn.BatchNorm1d(2), (2, 2, 5), (2, 2, 5)),
-        (lambda: nn.BatchNormReLU(2), (2, 2, 5), (2, 2, 5)),
         (nn.ReLU, (2, 2, 5), (2, 2, 5)),
         (lambda: nn.SEBlock(4, reduction=2), (2, 4, 5), (2, 4, 5)),
         (nn.MaxOverTime, (2, 3, 5), (2, 3)),
@@ -446,11 +368,7 @@ class TestCachesCleared:
     ])
     def test_backward_drops_the_cache(self, rng, make, x_shape, grad_shape):
         layer = make()
-        x = rng.normal(size=x_shape)
-        if isinstance(layer, nn.BatchNorm1d):
-            forward(layer, x)
-        else:
-            layer.forward(x)
+        forward(layer, rng.normal(size=x_shape))
         assert layer._cache is not None
         layer.backward(rng.normal(size=grad_shape))
         assert layer._cache is None
