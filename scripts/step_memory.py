@@ -11,8 +11,8 @@ Adam's update), each with the layer kernel that was running when it was
 reached (``block5.conv2.input_grad.backward``: block 5's second conv making
 its input gradient, in the backward pass), then ``ru_maxrss``, the bytes
 each entry of the path's step schedule holds after the train-mode forward
-(``PathNetwork.held``), and the ``to_gutter`` calls that copied their
-input.  A cut on one side of a step whose two peaks are close moves its
+(``PathNetwork.held``), and the ``to_gutter`` calls, each of which copies
+its input.  A cut on one side of a step whose two peaks are close moves its
 peak to the other side, so both are printed.  Kernels are wrapped in this
 process, so the step runs unchanged:
 
@@ -118,10 +118,8 @@ def main(argv=None) -> int:
     to_gutter = nn.to_gutter
 
     def counted(x, width):
-        buf = to_gutter(x, width)
-        if buf is not x.base:
-            copies.append((probe.stack[-1], x.shape, x.size >= full))
-        return buf
+        copies.append((probe.stack[-1], x.shape, x.size >= full))
+        return to_gutter(x, width)
 
     nn.to_gutter = model_mod.to_gutter = counted
     try:

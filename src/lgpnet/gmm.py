@@ -122,11 +122,17 @@ class Gmm:
         subnormals), so every product and sum is -1/2 times the unscaled
         one, and this is ``log_norm - 0.5 * quad`` bit for bit.
         """
+        out = self.frame_terms(frames)
+        out += self.half_mean_quad
+        out += self.log_norm
+        return out
+
+    def frame_terms(self, frames: np.ndarray) -> np.ndarray:
+        """The frame-dependent terms of ``component_log_densities``, the two
+        products -1/2 sum_d x^2/var + sum_d x mu/var; shape (T, M)."""
         frames = self._checked(frames)
         out = (frames * frames) @ self.half_inv_var_t
         out += frames @ self.scaled_means_t
-        out += self.half_mean_quad
-        out += self.log_norm
         return out
 
     def frame_log_likelihoods(self, frames: np.ndarray) -> np.ndarray:
@@ -139,7 +145,7 @@ class Gmm:
         for rows in _row_blocks(frames.shape[0], self):
             weighted = self.component_log_densities(frames[rows])
             weighted += self.log_weights
-            out[rows] = logsumexp(weighted, axis=1)
+            out[rows] = logsumexp(weighted)
         return out
 
     def utterance_log_likelihood(self, frames: np.ndarray) -> float:
@@ -188,18 +194,18 @@ class Gmm:
             return cls.from_tensors(tensorio.load_tensors(path))
 
 
-def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """Overflow-safe log(sum(exp(a))) along ``axis``.
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """Overflow-safe log(sum(exp(a))) of each row of the (T, M) ``a``.
 
-    The exp is :func:`_exp_in_place`'s floored one.  A line that is all
+    The exp is :func:`_exp_in_place`'s floored one.  A row that is all
     -inf would sum floors alone, so its result is set to -inf.
     """
-    m = np.max(a, axis=axis, keepdims=True)
-    all_neg_inf = np.squeeze(m == -np.inf, axis=axis)
+    m = np.max(a, axis=1)
+    all_neg_inf = m == -np.inf
     m = np.where(np.isfinite(m), m, 0.0)
-    shifted = a - m
+    shifted = a - m[:, None]
     _exp_in_place(shifted)
-    out = np.log(shifted.sum(axis=axis)) + np.squeeze(m, axis=axis)
+    out = np.log(shifted.sum(axis=1)) + m
     return np.where(all_neg_inf, -np.inf, out)
 
 
@@ -396,7 +402,7 @@ def _em_step(model: Gmm, frames: np.ndarray, global_var: np.ndarray,
         for sub in _row_blocks(x.shape[0], model):
             weighted = model.component_log_densities(x[sub])
             weighted += model.log_weights
-            ll[sub] = logsumexp(weighted, axis=1)
+            ll[sub] = logsumexp(weighted)
             np.subtract(weighted, ll[sub, None], out=resp[sub])
             _exp_in_place(resp[sub])
         counts += resp.sum(axis=0)

@@ -90,10 +90,7 @@ def lgp_frames_full(gmm: Gmm, frames: np.ndarray) -> np.ndarray:
 
 def lgp_frames_fast(gmm: Gmm, frames: np.ndarray) -> np.ndarray:
     """Raw fast-form LGP rows; differs from the full form by a constant per component."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != gmm.dim:
-        raise ValueError(f"frames have shape {frames.shape}, expected (T, {gmm.dim})")
-    return (frames * frames) @ gmm.half_inv_var_t + frames @ gmm.scaled_means_t
+    return gmm.frame_terms(frames)
 
 
 _RAW_FORMS = dict(zip(FORMS, (lgp_frames_full, lgp_frames_fast)))

@@ -202,8 +202,9 @@ class PathNetwork:
     def forward(self, lgp, training):
         """(B, order, N) -> (B, channels), in train mode: ``training`` must be True.
 
-        ``lgp`` is the maps, which the step keeps, or an ``LgpMaps``, which it
-        keeps instead, to build the maps again for the stem's weight gradient."""
+        ``lgp`` is the maps, which the step copies and keeps, or an
+        ``LgpMaps``, which it keeps instead, to build the maps again for the
+        stem's weight gradient."""
         if not training:
             raise ValueError("a path runs in train mode only")
         if isinstance(lgp, LgpMaps):

@@ -7,9 +7,11 @@ only from backward to :class:`Adam`'s update.  There is no autodiff graph:
 ``backward`` consumes the gradient of the loss with respect to the layer
 output and returns the gradient with respect to the layer input,
 accumulating parameter gradients on the way.  No layer's ``forward`` or
-``backward`` writes into an array it is handed.  Every layer runs in
-train mode: inference runs the model's ``ScoringPlan``, which shares the
-one ReLU rule of :class:`ReLU` and :func:`se_excitation` with them.
+``backward`` writes into an array it is handed or keeps one: a layer keeps
+only arrays it made, so a caller's later write into an argument changes
+nothing the layer computes.  Every layer runs in train mode: inference runs
+the model's ``ScoringPlan``, which shares the one ReLU rule of
+:class:`ReLU` and :func:`se_excitation` with them.
 
 A path's training step does not chain these calls: the buffer schedule of
 ``model.PathNetwork`` calls the arithmetic they are made of (``output``,
@@ -32,11 +34,10 @@ float64 on either.
 Behind that shape there is one activation layout: the zero-gutter buffer
 (C, B, T + 2), channel-major with one zero frame at each end of every row,
 where a kernel-3 convolution is one GEMM per tap (:func:`gutter_conv`).
-:class:`Conv1d`, the batch norms and :class:`SEBlock` read their input and
-gradient through :func:`to_gutter`, and they and :class:`MaxOverTime` hand
-on the (B, C, T) interior of such a buffer, activations forward and
-gradients backward, so the next layer reads it in place; an array from
-outside the layers is copied in once, where it enters.
+The kernels read and make such buffers, and the step schedule hands them on
+from kernel to kernel in place.  :class:`Conv1d`, :class:`BatchNorm1d` and
+:class:`SEBlock` copy their input and their gradient into one
+(:func:`to_gutter`) and return (B, C, T) views of the buffers they make.
 """
 
 from __future__ import annotations
@@ -115,18 +116,9 @@ def interior(buf: np.ndarray, t: int) -> np.ndarray:
 
 
 def to_gutter(x: np.ndarray, width: int) -> np.ndarray:
-    """A zero-gutter buffer (C, B, ``width``) holding the (B, C, T) batch
-    ``x``: the buffer ``x`` already is the interior of, or else a new copy.
-    The layers read the sequences they are handed through this, so only an
-    array from outside the layers is copied, once, where it enters."""
+    """A new zero-gutter buffer (C, B, ``width``) holding a copy of the
+    (B, C, T) batch ``x``."""
     b, c, t = x.shape
-    buf, q = x.base, (width - t) // 2
-    if (isinstance(buf, np.ndarray) and buf.shape == (c, b, width) and buf.dtype == x.dtype
-            and buf.flags.c_contiguous):
-        view = interior(buf, t)
-        if (x.strides == view.strides and x.ctypes.data == view.ctypes.data
-                and not buf[:, :, :q].any() and not buf[:, :, q + t :].any()):
-            return buf
     buf = zero_gutters(np.empty((c, b, width), x.dtype), t)
     interior(buf, t)[...] = x
     return buf
@@ -185,12 +177,11 @@ class Conv1d:
 
     The forward pass (``output``), the weight gradient (``weight_grad``) and
     the input gradient (``input_grad``) are each ``kernel`` GEMMs over
-    zero-gutter buffers (see :func:`gutter_conv`).  An input that is the
-    interior of a zero-gutter buffer with ``padding`` frames each side is
-    read in place, as is a gradient laid out like this conv's output;
-    anything else is copied into one.  The output and the input gradient are
-    interiors of new zero-gutter buffers as wide as the padded input.
-    Forward keeps the padded input buffer for backward.
+    zero-gutter buffers (see :func:`gutter_conv`).  Forward copies its
+    input into one with ``padding`` frames each side and keeps it for
+    backward, which copies its gradient into one laid out like the output.
+    The output and the input gradient are views of new zero-gutter buffers
+    as wide as the padded input.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, padding: int = 0,
@@ -266,11 +257,9 @@ class BatchNorm1d:
     conv.  Forward keeps the normalized input ``xhat`` and ``1/std``.
 
     The work runs on channel-major buffers, so every statistic is a row
-    reduction.  The input is read as a (C, B, T + 2) zero-gutter buffer
-    (:func:`to_gutter`: a kernel-3 conv's output is one already), and
-    ``xhat``, the output and the input gradient are buffers as wide, so the
-    conv that reads the output forward, or the gradient backward, needs no
-    copy.
+    reduction.  Forward copies its input, and backward its gradient, into a
+    (C, B, T + 2) zero-gutter buffer (:func:`to_gutter`), which becomes
+    ``xhat`` and the input gradient; the output is a buffer as wide.
     """
 
     MOMENTUM = 0.1
@@ -297,16 +286,15 @@ class BatchNorm1d:
         if x.shape[1] != self.gamma.shape[0]:
             raise ValueError("channel count mismatch")
         t = x.shape[2]
-        src = to_gutter(x, t + 2)
-        xhat = np.empty_like(src)
-        self._cache = (xhat, self.normalize(src, xhat, t))
+        xhat = to_gutter(x, t + 2)
+        self._cache = (xhat, self.normalize(xhat, xhat, t))
         return interior(self.affine(xhat, np.empty_like(xhat), t), t)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         (xhat, inv_std), self._cache = self._cache, None
         t = grad_out.shape[2]
         dy = to_gutter(grad_out, t + 2)
-        return interior(self.input_grad(dy, np.empty_like(dy), xhat, inv_std, t), t)
+        return interior(self.input_grad(dy, dy, xhat, inv_std, t), t)
 
     def normalize(self, src: np.ndarray, xhat: np.ndarray, t: int) -> np.ndarray:
         """Fold the batch statistics of the zero-gutter buffer ``src`` (C,
@@ -393,11 +381,11 @@ class SEBlock:
               (:func:`se_excitation`)
     output:   x[b, c, t] * s_bc
 
-    Forward reads its input through :func:`to_gutter` and keeps it with the
-    ``gate``: the pooled values, the first layer and ``s``.  The gated
-    output and the input gradient (``input_grad``) are (C, B, T + 2)
-    zero-gutter buffers: one product over the whole buffer, whose gutters
-    are zeroed after it.  The next conv and batch norm read them in place.
+    Forward copies its input into a (C, B, T + 2) zero-gutter buffer
+    (:func:`to_gutter`) and keeps it with the ``gate``: the pooled values,
+    the first layer and ``s``.  The gated output and the input gradient
+    (``input_grad``) are each one product over a whole buffer, whose
+    gutters are zeroed after it.
     """
 
     def __init__(self, channels: int, reduction: int = 16,
@@ -465,9 +453,7 @@ class MaxOverTime:
     """Per-channel maximum over the time axis: (B, C, T) -> (B, C).
 
     Backward routes the gradient to the first argmax position of each
-    channel, which keeps training deterministic under ties.  The gradient is
-    the interior of a zero (C, B, T + 2) buffer, which the layer before
-    reads in place.
+    channel, which keeps training deterministic under ties.
     """
 
     def __init__(self):
@@ -483,7 +469,7 @@ class MaxOverTime:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         (b, c, t), dtype, idx = self._cache
         self._cache = None
-        grad_x = interior(np.zeros((c, b, t + 2), dtype), t)
+        grad_x = np.zeros((b, c, t), dtype)
         np.put_along_axis(grad_x, idx[:, :, None], grad_out[:, :, None], axis=2)
         return grad_x
 
@@ -517,7 +503,7 @@ class Linear:
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.weight.shape[1]:
             raise ValueError("feature width mismatch")
-        self._cache = x
+        self._cache = x.copy()
         return x @ self.weight.data.T + self.bias.data
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -1452,6 +1452,44 @@ class TestMeasurementScripts:
         other = run_script("score_drift", desk / "net.eval", desk / "gmm.eval")
         assert other[0] == "ids 200" and other[4].startswith("max_rel_id eval_")
 
+    def test_reach_traces_a_script(self, tmp_path):
+        """``scripts/reach.py --run`` on ``score_drift.py`` and two score
+        files: the script runs, ``read_scores`` runs from its first line to
+        its return, and no line of ``train_em``'s body runs."""
+        import ast
+        import re
+        import subprocess
+        import sys
+
+        a, b = tmp_path / "a.eval", tmp_path / "b.eval"
+        a.write_text("u1 1.5\nu2 -2.0\n")
+        b.write_text("u1 1.5\nu2 -2.25\n")
+        proc = subprocess.run([sys.executable, str(SCRIPTS / "reach.py"), "--run",
+                               str(SCRIPTS / "score_drift.py"), a, b],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr            # most of the package never ran
+        lines = proc.stdout.splitlines()
+        assert lines[:2] == ["ids 2", "identical 1"]
+        assert lines[-1].startswith("unreached: ")
+        unreached = set()
+        for line in lines:
+            run = re.match(r"(\S+\.py):(\d+)(?:-(\d+))?  ", line)
+            if run:
+                first = int(run[2])
+                unreached.update((run[1], n) for n in range(first, int(run[3] or first) + 1))
+        reach = script("reach")
+
+        def body(key, name):
+            path = reach.PACKAGE / key
+            node = next(n for n in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(n, ast.FunctionDef) and n.name == name)
+            return [(key, n) for n in sorted(reach.executable_lines(path))
+                    if node.body[0].lineno <= n <= node.end_lineno]
+
+        read = body("evaluation.py", "read_scores")
+        assert read[0] not in unreached and read[-1] not in unreached
+        assert set(body("gmm.py", "train_em")) <= unreached
+
     def test_tree_digest_lists_every_file_but_the_lists(self, desk):
         lines = run_script("tree_digest", desk)
         files = sorted(p.relative_to(desk).as_posix() for p in desk.rglob("*")

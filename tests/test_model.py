@@ -350,7 +350,7 @@ class TestBatchNormReluUnit:
         """The unit's output (B, C, T), its rebuilt output (C, B, T + 2) and
         what it keeps, for a (B, C, T) input, handed a copy to normalize into."""
         t = x.shape[2]
-        out, kept = model_mod._bn_relu(bn, nn.to_gutter(x, t + 2).copy(), t)
+        out, kept = model_mod._bn_relu(bn, nn.to_gutter(x, t + 2), t)
         return nn.interior(out, t), model_mod._relu_rebuilt(bn, kept, t), kept
 
     @staticmethod
@@ -384,7 +384,7 @@ class TestBatchNormReluUnit:
         _, kept = model_mod._bn_relu(fused, ybuf, 7)
         assert kept[0] is ybuf                          # the conv output becomes xhat
         dx = model_mod._bn_relu_grad(fused, nn.to_gutter(rng.normal(size=(2, 4, 7)), 9), kept, 7)
-        assert nn.to_gutter(nn.interior(dx, 7), 9) is dx and dx.shape == (4, 2, 9)
+        assert dx.shape == (4, 2, 9) and not dx[:, :, 0].any() and not dx[:, :, -1].any()
 
     def test_keeps_xhat_alone_and_passes_nan_through(self, rng):
         fused, bn, relu = self.fused_and_chain(rng)

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgpnet import nn
+from lgpnet.model import ClassifierConfig, PathNetwork
 from fdcheck import assert_gradients_match, numerical_gradient, relative_error
 
 
 def forward(layer, x):
-    """A layer's forward; ``BatchNorm1d`` takes the pinned ``training=True``."""
-    if isinstance(layer, nn.BatchNorm1d):
+    """A layer's forward; ``BatchNorm1d`` and ``PathNetwork`` take the pinned
+    ``training=True``."""
+    if isinstance(layer, (nn.BatchNorm1d, PathNetwork)):
         return layer.forward(x, training=True)
     return layer.forward(x)
 
@@ -128,9 +130,9 @@ SEQUENCE_LAYERS = {
 
 
 class TestOneLayout:
-    """Every sequence layer reads its input and its gradient through
-    ``to_gutter`` and hands on the interior of a (C, B, T + 2) zero-gutter
-    buffer, which the next layer reads in place."""
+    """Every sequence layer copies its input and its gradient into a
+    zero-gutter buffer, so its outputs and gradients are the same bytes
+    whatever the layout it is handed."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", SEQUENCE_LAYERS)
@@ -150,7 +152,6 @@ class TestOneLayout:
             grad = layer.backward(laid_out(g, layout) if g.ndim == 3 else g)
             for arr in (out, grad) if out.ndim == 3 else (grad,):
                 assert arr.dtype == dtype
-                assert nn.to_gutter(arr, t + 2) is arr.base and arr.base.shape == (c, b, t + 2)
             params = layer.parameters() if hasattr(layer, "parameters") else []
             runs.append([out, grad] + [p.grad for p in params])
         for run in runs[1:]:
@@ -181,19 +182,27 @@ class TestConvAgainstLoops:
         assert worst <= 1e-12
 
     def test_forward_and_backward_copy_no_windows(self, rng):
-        # Forward holds the padded input copy, the output and one GEMM
-        # scratch at once; backward the output (read in place as the
-        # gradient), the input gradient and one scratch.  A (B*T, k*C)
-        # window matrix alone would be three of these.
+        # The kernels as the step schedule runs them on zero-gutter buffers:
+        # ``output`` holds the padded input, the output and one GEMM scratch
+        # at once; ``input_grad``, with the input dropped, the output (read
+        # in place as the gradient), the input gradient and one scratch.  A
+        # (B*T, k*C) window matrix alone would be three of these.
         batch, ch, t = 8, 32, 256
         conv = nn.Conv1d(ch, ch, 3, padding=1, rng=rng)
         x = rng.normal(size=(batch, ch, t))
-        conv.backward(conv.forward(x))        # warm up numpy's own caches
+
+        def kernels():
+            xbuf = nn.to_gutter(x, t + 2)
+            ybuf = conv.output(xbuf)
+            conv.weight_grad(xbuf, ybuf)
+            del xbuf                          # before the input gradient is made
+            return conv.input_grad(ybuf)
+
+        kernels()           # warm up numpy's own caches and make the weight gradient
         buffer = batch * ch * (t + 2) * 8
         tracemalloc.start()
         try:
-            out = conv.forward(x)
-            conv.backward(out)
+            kernels()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -316,9 +325,10 @@ class TestBatchNorm:
 
 class TestStandaloneLayersLeaveTheirArguments:
     """No layer, the oracles of the step schedule, writes into an array it
-    is handed: forward's input and backward's gradient are byte-unchanged,
-    gutters included, whether plain arrays or zero-gutter interiors that
-    they read in place."""
+    is handed or keeps one: forward's input and backward's gradient are
+    byte-unchanged, gutters included, whether plain arrays or zero-gutter
+    interiors, and a write into forward's input before backward changes
+    no gradient."""
 
     # each layer class with a forward and a backward, and its input shape
     LAYERS = {
@@ -349,12 +359,41 @@ class TestStandaloneLayersLeaveTheirArguments:
         assert memory.tobytes() == before
         g = laid_out(rng.normal(size=y.shape).astype(dtype), layout)
         g_memory = g if g.base is None else g.base
-        if layout == "padded" and g.ndim == 3:
-            assert nn.to_gutter(g, g.shape[2] + 2) is g_memory     # read in place
         g_before = g_memory.tobytes()
         layer.backward(g)
         assert g_memory.tobytes() == g_before
         assert memory.tobytes() == before
+
+    def make(self, name):
+        """A fresh layer of ``LAYERS``, or a path (``"path"``), and its input shape."""
+        if name == "path":
+            cfg = ClassifierConfig(gmm_order=3, channels=4, blocks=2, se_enabled=True,
+                                   se_reduction=2, input_length=10)
+            return PathNetwork(cfg, np.random.default_rng(2)), (2, 3, 10)
+        make, shape = self.LAYERS[name]
+        return make(), shape
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(LAYERS) + ["path"])
+    def test_later_writes_into_the_input_change_no_gradient(self, name, dtype):
+        """After forward, the caller fills its input and that input's base
+        buffer with a constant; backward's input gradient and every
+        parameter gradient are those of an undisturbed run, byte for byte.
+        ``path`` is ``PathNetwork.forward`` on raw maps."""
+        runs = []
+        for disturb in (False, True):
+            layer, shape = self.make(name)
+            rng = np.random.default_rng(5)
+            x = laid_out(rng.normal(size=shape).astype(dtype), "padded")
+            y = forward(layer, x)
+            if disturb:
+                x[...] = 3.0
+                x.base[...] = 3.0
+            grad = layer.backward(rng.normal(size=y.shape).astype(dtype))
+            params = layer.parameters() if hasattr(layer, "parameters") else []
+            runs.append([grad] + [p.grad for p in params])
+        for got, want in zip(*runs, strict=True):
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestCachesCleared:
