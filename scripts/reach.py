@@ -33,7 +33,7 @@ PACKAGE = ROOT / "src" / "lgpnet"
 # Lines that no in-process test can run, by file: the console-script
 # entry point and the ``python -m`` guard, and a file that shrinks between
 # its size being taken and its bytes being read.
-ALLOWED = {"cli.py": {353, 357}, "tensorio.py": {91, 118, 119}}
+ALLOWED = {"cli.py": {342, 346}, "tensorio.py": {91, 118, 119}}
 
 
 def executable_lines(path: Path) -> set[int]:

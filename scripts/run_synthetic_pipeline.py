@@ -3,15 +3,17 @@
 
 Drives the CLI through the whole pipeline: corpus generation, GMM baseline,
 LGP statistics, one-path training, scoring, evaluation, and fusion of the
-network with the baseline.  With ``--paths 2`` the network is the two-path
-model: LGP statistics under the bona fide and the spoof GMM, and two-step
-training and scoring with ``--gmm2/--stats2``, the second pair that makes
-the model two paths.  Writes all artifacts plus a final metrics file
-under --out.
+network with the baseline.  The corpus comes from a ``corpus.cfg`` spec
+that this script writes under --out (the given task and seed, the default
+sizes), read by ``gen-corpus --config``.  With ``--paths 2`` the network is
+the two-path model: LGP statistics under the bona fide and the spoof GMM,
+and two-step training and scoring with ``--gmm2/--stats2``, the second pair
+that makes the model two paths.  Writes all artifacts plus a final metrics
+file under --out.
 
     python scripts/run_synthetic_pipeline.py --out /tmp/lgpnet-demo
-    python scripts/run_synthetic_pipeline.py --task marginal-shift --se
-    python scripts/run_synthetic_pipeline.py --paths 2
+    python scripts/run_synthetic_pipeline.py --out /tmp/lgpnet-se --task marginal-shift --se
+    python scripts/run_synthetic_pipeline.py --out /tmp/lgpnet-two --paths 2
 """
 
 import argparse
@@ -22,6 +24,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lgpnet.cli import main as cli
 from lgpnet.evaluation import read_protocol
+from lgpnet.runconfig import write_flat_config
+from lgpnet.synthcorpus import CorpusSpec
 
 
 def sh(*argv):
@@ -46,8 +50,9 @@ def run(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     corpus = out / "corpus"
 
-    sh("gen-corpus", "--task", args.task, "--out", corpus, "--seed", args.seed,
-       "--train-utts", 400, "--dev-utts", 200, "--eval-utts", 200)
+    corpus_cfg = out / "corpus.cfg"
+    write_flat_config(CorpusSpec(task=args.task, seed=args.seed), corpus_cfg)
+    sh("gen-corpus", "--config", corpus_cfg, "--out", corpus)
 
     # GMMs and normalization stats see the train partition only, never dev or eval.
     all_list = train_list(corpus, out)

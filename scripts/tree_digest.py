@@ -17,9 +17,10 @@ from pathlib import Path
 
 
 def tree_digest(root: Path) -> list[str]:
-    files = sorted(p for p in root.rglob("*") if p.is_file() and p.suffix != ".list")
-    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(root).as_posix()}"
-            for p in files]
+    # sorted by the printed relative path, so "corpus.cfg" precedes "corpus/..."
+    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*")
+                   if p.is_file() and p.suffix != ".list")
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {rel}" for rel, p in files]
 
 
 def main(argv=None) -> int:

@@ -75,11 +75,7 @@ def _files(directory, suffix: str) -> list[Path]:
 
 
 def _cmd_gen_corpus(args) -> int:
-    spec = CorpusSpec(
-        task=args.task, dim=args.dim, train_utts=args.train_utts,
-        dev_utts=args.dev_utts, eval_utts=args.eval_utts,
-        min_len=args.min_len, max_len=args.max_len, seed=args.seed,
-    )
+    spec = read_flat_config(CorpusSpec, args.config) if args.config else CorpusSpec()
     generate(spec, args.out)
     write_flat_config(spec, Path(args.out) / "corpus-spec.cfg")
     print(f"wrote corpus to {args.out}")
@@ -245,15 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-corpus", help="generate a synthetic two-class corpus")
-    p.add_argument("--task", choices=("order-only", "marginal-shift"), default="order-only")
+    p.add_argument("--config", help="key=value corpus spec file, such as a corpus-spec.cfg")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--train-utts", type=int, default=400)
-    p.add_argument("--dev-utts", type=int, default=200)
-    p.add_argument("--eval-utts", type=int, default=200)
-    p.add_argument("--min-len", type=int, default=40)
-    p.add_argument("--max-len", type=int, default=96)
     p.set_defaults(fn=_cmd_gen_corpus)
 
     p = sub.add_parser("extract-lfcc", help="LFCC features from 16-bit mono WAV files")

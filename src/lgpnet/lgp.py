@@ -83,17 +83,10 @@ class LgpNormStats:
             return cls.from_tensors(tensorio.load_tensors(path))
 
 
-def lgp_frames_full(gmm: Gmm, frames: np.ndarray) -> np.ndarray:
-    """Raw full-form LGP rows for each frame; shape (T, M)."""
-    return gmm.component_log_densities(frames)
-
-
-def lgp_frames_fast(gmm: Gmm, frames: np.ndarray) -> np.ndarray:
-    """Raw fast-form LGP rows; differs from the full form by a constant per component."""
-    return gmm.frame_terms(frames)
-
-
-_RAW_FORMS = dict(zip(FORMS, (lgp_frames_full, lgp_frames_fast)))
+# The Gmm method making each form's raw (T, M) rows: full is log p_i(x),
+# fast drops a constant per component.  Looked up by name on the GMM, so a
+# wrapper set on the class sees the call.
+_RAW_FORMS = dict(zip(FORMS, ("component_log_densities", "frame_terms")))
 
 
 def fit_norm_stats(gmm: Gmm, frames: np.ndarray, form: str) -> LgpNormStats:
@@ -112,8 +105,8 @@ def fit_norm_stats(gmm: Gmm, frames: np.ndarray, form: str) -> LgpNormStats:
         raise ValueError("need at least two training frames")
     if frames.shape[1] != gmm.dim:
         raise ValueError(f"frames have shape {frames.shape}, expected (N, {gmm.dim})")
-    raw_form = _RAW_FORMS[form]
-    mean, var = pooled_mean_var(raw_form(gmm, x) for _, x in frame_chunks(frames, gmm.order))
+    raw_form = getattr(gmm, _RAW_FORMS[form])
+    mean, var = pooled_mean_var(raw_form(x) for _, x in frame_chunks(frames, gmm.order))
     std = np.maximum(np.sqrt(var), STD_FLOOR)   # population convention (divide by N)
     return LgpNormStats(mean=mean, std=std, form=form)
 
@@ -128,5 +121,5 @@ def extract_lgp(gmm: Gmm, stats: LgpNormStats, frames: np.ndarray) -> np.ndarray
         raise ValueError(
             f"stats cover {stats.order} components but the GMM has {gmm.order}"
         )
-    raw = _RAW_FORMS[stats.form](gmm, frames)      # (T, M)
+    raw = getattr(gmm, _RAW_FORMS[stats.form])(frames)      # (T, M)
     return ((raw - stats.mean[None, :]) / stats.std[None, :]).T

@@ -27,7 +27,7 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_CASTS = {"int": int, "float": float, "bool": _parse_bool}
+_CASTS = {"int": int, "float": float, "bool": _parse_bool, "str": str}
 
 
 def read_flat_config(cls, path):

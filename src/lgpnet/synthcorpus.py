@@ -42,8 +42,11 @@ class CorpusSpec:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        if min(self.train_utts, self.dev_utts, self.eval_utts) < 2:
+        counts = (self.train_utts, self.dev_utts, self.eval_utts)
+        if min(counts) < 2:
             raise ValueError("each partition needs at least one utterance per class")
+        if any(count % 2 for count in counts):
+            raise ValueError("each partition count must be even: utterances come in pairs")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if not 1 <= self.min_len <= self.max_len:

@@ -102,11 +102,19 @@ class TrainResult:
 class TwoStepResult:
     step1: list[TrainResult]           # one per path
     step2: TrainResult
-    path_dev_eers: list[float]         # best dev EER of each pretrained path
-    dev_eer: float                     # dev EER of the fused model
     frozen_state: list[np.ndarray] = field(default_factory=list)
     # copies of every path parameter and batch statistic at the end of
     # step 1; step 2 must leave the live values bit-identical to these
+
+    @property
+    def path_dev_eers(self) -> list[float]:
+        """Best dev EER of each pretrained path; empty without a dev set."""
+        return [min(res.dev_eer_trace) for res in self.step1 if res.dev_eer_trace]
+
+    @property
+    def dev_eer(self) -> float:
+        """Dev EER of the fused model at step 2's kept epoch; NaN without a dev set."""
+        return min(self.step2.dev_eer_trace) if self.step2.dev_eer_trace else float("nan")
 
 
 def paths_state(paths) -> list[np.ndarray]:
@@ -262,13 +270,10 @@ def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
         raise ValueError("train_two_step expects a two-path model")
 
     step1_results: list[TrainResult] = []
-    path_dev_eers: list[float] = []
     for k in range(model.cfg.paths):
         temp_head = Linear(model.cfg.channels, 2, init="zero")
-        res = _fit(model, [k], temp_head, None, data, None, dev, cfg, 1 + k, on_epoch)
-        step1_results.append(res)
-        if res.dev_eer_trace:
-            path_dev_eers.append(min(res.dev_eer_trace))
+        step1_results.append(_fit(model, [k], temp_head, None, data, None, dev, cfg, 1 + k,
+                                  on_epoch))
 
     frozen_state = paths_state(model.paths)
 
@@ -280,7 +285,4 @@ def train_two_step(model: SpoofModel, data: LabeledDataset, cfg: TrainConfig,
     del plan
     step2 = _fit(model, [], model.fc, train_embs, data, dev_embs, dev, cfg, 100, on_epoch)
 
-    dev_eer = min(step2.dev_eer_trace) if dev is not None else float("nan")
-    return TwoStepResult(step1=step1_results, step2=step2,
-                         path_dev_eers=path_dev_eers, dev_eer=dev_eer,
-                         frozen_state=frozen_state)
+    return TwoStepResult(step1=step1_results, step2=step2, frozen_state=frozen_state)

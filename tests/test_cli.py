@@ -13,11 +13,24 @@ from lgpnet.evaluation import read_scores, write_scores, write_protocol
 from lgpnet.runconfig import RunConfig, read_flat_config, write_flat_config
 from lgpnet.errors import ProtocolError
 from lgpnet.model import ClassifierConfig
+from lgpnet.synthcorpus import CorpusSpec
 from lgpnet.training import TrainConfig
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def corpus_spec(path, **values) -> Path:
+    """``path``, holding ``CorpusSpec(**values)`` as ``gen-corpus --config`` reads it."""
+    write_flat_config(CorpusSpec(**values), path)
+    return path
+
+
+def spec_text(path, text: str) -> Path:
+    """``path``, holding ``text``: a corpus spec that ``CorpusSpec`` may refuse."""
+    path.write_text(text)
+    return path
 
 
 @pytest.fixture
@@ -75,8 +88,8 @@ class TestDispatch:
         # A regular file where a directory is needed fails even as root.
         blocked = tmp_path / "blocked"
         blocked.write_text("occupied")
-        code = run("gen-corpus", "--task", "order-only", "--out", blocked / "corpus",
-                   "--train-utts", 2, "--dev-utts", 2, "--eval-utts", 2)
+        spec = corpus_spec(tmp_path / "corpus.cfg", train_utts=2, dev_utts=2, eval_utts=2)
+        code = run("gen-corpus", "--config", spec, "--out", blocked / "corpus")
         assert code == 3
         assert "error" in capsys.readouterr().err
 
@@ -486,8 +499,23 @@ class TestRefusedInputs:
 
     CASES = {
         "gen-corpus-dim-0": (
-            lambda root: ("gen-corpus", "--dim", 0, "--out", root / "new"),
-            "dim must be >= 1"),
+            lambda root: ("gen-corpus", "--config", spec_text(root / "spec.cfg", "dim = 0\n"),
+                          "--out", root / "new"),
+            "{root}/spec.cfg: dim must be >= 1"),
+        "gen-corpus-unknown-task": (
+            lambda root: ("gen-corpus", "--config",
+                          spec_text(root / "spec.cfg", "task = both\nseed = 3\n"),
+                          "--out", root / "new"),
+            "{root}/spec.cfg: unknown task 'both'"),
+        "gen-corpus-odd-count": (
+            lambda root: ("gen-corpus", "--config",
+                          spec_text(root / "spec.cfg", "train_utts = 5\n"), "--out", root / "new"),
+            "{root}/spec.cfg: each partition count must be even: utterances come in pairs"),
+        "gen-corpus-unknown-key": (
+            lambda root: ("gen-corpus", "--config",
+                          spec_text(root / "spec.cfg", "seed = 3\ntrain_utt = 8\n"),
+                          "--out", root / "new"),
+            "{root}/spec.cfg: unknown key 'train_utt' (line 2)"),
         "train-gmm-components-0": (
             lambda root: ("train-gmm", "--features", root / "feats", "--components", 0,
                           "--out", root / "new" / "m.gmm"),
@@ -616,6 +644,27 @@ class TestRunConfig:
             path.write_text(removed)
             with pytest.raises(ProtocolError, match="unknown key"):
                 read_flat_config(RunConfig, path)
+
+
+class TestCorpusSpecFile:
+    """``gen-corpus`` reads its one schema, ``CorpusSpec``, from ``--config``."""
+
+    def test_task_and_seed_parse(self, tmp_path):
+        path = spec_text(tmp_path / "corpus.cfg", "task = marginal-shift  # frame marginals\n"
+                                                  "seed = 9\n")
+        assert read_flat_config(CorpusSpec, path) == CorpusSpec(task="marginal-shift", seed=9)
+
+    def test_help_lists_only_config_and_out(self, capsys):
+        import re
+
+        assert run("gen-corpus", "--help") == 0
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
+            "--help", "--config", "--out"}
+
+    def test_without_config_writes_the_default_spec(self, tmp_path):
+        assert run("gen-corpus", "--out", tmp_path / "c") == 0
+        assert read_flat_config(CorpusSpec, tmp_path / "c" / "corpus-spec.cfg") == CorpusSpec()
+        assert len(list((tmp_path / "c" / "feats").iterdir())) == 800
 
 
 class TestTrainConfigChecks:
@@ -982,23 +1031,30 @@ def run_script(name: str, *argv) -> list[str]:
 
 class TestDeterminism:
     def test_gen_corpus_artifacts_reproducible(self, tmp_path):
+        spec = corpus_spec(tmp_path / "corpus.cfg", seed=3, train_utts=8, dev_utts=4, eval_utts=4)
         for sub in ("a", "b"):
-            assert run(
-                "gen-corpus", "--task", "order-only", "--out", tmp_path / sub,
-                "--seed", 3, "--train-utts", 8, "--dev-utts", 4, "--eval-utts", 4,
-            ) == 0
+            assert run("gen-corpus", "--config", spec, "--out", tmp_path / sub) == 0
         tree_digest = script("tree_digest").tree_digest
         digests = [tree_digest(tmp_path / sub) for sub in ("a", "b")]
         assert digests[0] == digests[1] and len(digests[0]) == 20    # 16 features, 3 protocols, spec
 
+    def test_gen_corpus_replays_its_written_spec(self, tmp_path):
+        """The ``corpus-spec.cfg`` a corpus holds rebuilds that corpus byte for byte."""
+        spec = corpus_spec(tmp_path / "corpus.cfg", task="marginal-shift", dim=3, train_utts=8,
+                           dev_utts=4, eval_utts=6, min_len=5, max_len=9, seed=4)
+        assert run("gen-corpus", "--config", spec, "--out", tmp_path / "a") == 0
+        assert run("gen-corpus", "--config", tmp_path / "a" / "corpus-spec.cfg",
+                   "--out", tmp_path / "b") == 0
+        tree_digest = script("tree_digest").tree_digest
+        digest = tree_digest(tmp_path / "a")
+        assert digest == tree_digest(tmp_path / "b") and len(digest) == 22
+
     @pytest.mark.slow
     def test_train_checkpoints_bit_identical(self, tmp_path):
         corpus = tmp_path / "corpus"
-        assert run(
-            "gen-corpus", "--task", "order-only", "--out", corpus, "--seed", 8,
-            "--train-utts", 24, "--dev-utts", 8, "--eval-utts", 8,
-            "--min-len", 20, "--max-len", 30,
-        ) == 0
+        spec = corpus_spec(tmp_path / "corpus.cfg", seed=8, train_utts=24, dev_utts=8,
+                           eval_utts=8, min_len=20, max_len=30)
+        assert run("gen-corpus", "--config", spec, "--out", corpus) == 0
         assert run("train-gmm", "--features", corpus / "feats", "--components", 4,
                    "--iters", 3, "--out", tmp_path / "m.gmm") == 0
         assert run("fit-lgp-stats", "--gmm", tmp_path / "m.gmm",
@@ -1208,11 +1264,9 @@ class TestPipeline:
     def test_end_to_end_synthetic_pipeline(self, tmp_path, capsys):
         """gen-corpus -> train-gmm -> stats -> train -> score -> evaluate -> fuse."""
         corpus = tmp_path / "corpus"
-        assert run(
-            "gen-corpus", "--task", "order-only", "--out", corpus, "--seed", 5,
-            "--train-utts", 60, "--dev-utts", 24, "--eval-utts", 24,
-            "--min-len", 20, "--max-len", 40,
-        ) == 0
+        spec = corpus_spec(tmp_path / "corpus.cfg", seed=5, train_utts=60, dev_utts=24,
+                           eval_utts=24, min_len=20, max_len=40)
+        assert run("gen-corpus", "--config", spec, "--out", corpus) == 0
 
         # per-class feature list files from the train protocol
         from lgpnet.evaluation import read_protocol
@@ -1299,11 +1353,9 @@ class TestPipeline:
     @pytest.mark.slow
     def test_two_path_train_and_score(self, tmp_path):
         corpus = tmp_path / "corpus"
-        assert run(
-            "gen-corpus", "--task", "order-only", "--out", corpus, "--seed", 2,
-            "--train-utts", 40, "--dev-utts", 16, "--eval-utts", 16,
-            "--min-len", 20, "--max-len", 40,
-        ) == 0
+        spec = corpus_spec(tmp_path / "corpus.cfg", seed=2, train_utts=40, dev_utts=16,
+                           eval_utts=16, min_len=20, max_len=40)
+        assert run("gen-corpus", "--config", spec, "--out", corpus) == 0
         from lgpnet.evaluation import read_protocol
 
         labels = read_protocol(corpus / "train.txt")

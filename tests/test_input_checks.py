@@ -124,6 +124,9 @@ CHECKS = {
     "synthcorpus-one-utterance": (
         lambda tmp: CorpusSpec(dev_utts=1),
         ValueError, "each partition needs at least one utterance per class"),
+    "synthcorpus-odd-count": (
+        lambda tmp: CorpusSpec(train_utts=5),
+        ValueError, "each partition count must be even: utterances come in pairs"),
     "synthcorpus-length-range": (
         lambda tmp: CorpusSpec(min_len=50, max_len=40),
         ValueError, "bad length range"),

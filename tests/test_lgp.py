@@ -4,13 +4,7 @@ import pytest
 import unchunked
 from lgpnet import gmm as gmm_module
 from lgpnet.gmm import Gmm
-from lgpnet.lgp import (
-    LgpNormStats,
-    extract_lgp,
-    fit_norm_stats,
-    lgp_frames_fast,
-    lgp_frames_full,
-)
+from lgpnet.lgp import LgpNormStats, extract_lgp, fit_norm_stats
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -41,37 +35,38 @@ def direct_fast_form(gmm, x):
 class TestRawForms:
     def test_full_at_mean_identity_covariance(self):
         gmm = Gmm(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
-        assert lgp_frames_full(gmm, np.zeros((1, 2)))[0, 0] == pytest.approx(-LOG_2PI, abs=1e-12)
+        full = gmm.component_log_densities(np.zeros((1, 2)))
+        assert full[0, 0] == pytest.approx(-LOG_2PI, abs=1e-12)
 
     def test_full_matches_direct_formula(self, toy_gmm, rng):
         frames = rng.normal(size=(10, 3)) * 2.0
-        full = lgp_frames_full(toy_gmm, frames)
+        full = toy_gmm.component_log_densities(frames)
         for row, x in zip(full, frames):
             assert np.allclose(row, direct_full_form(toy_gmm, x), atol=1e-12)
 
     def test_fast_hand_value(self):
         gmm = Gmm(np.array([1.0]), np.ones((1, 2)), np.ones((1, 2)))
-        assert lgp_frames_fast(gmm, np.array([[1.0, 1.0]]))[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert gmm.frame_terms(np.array([[1.0, 1.0]]))[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_fast_vanishes_at_origin(self, toy_gmm):
-        assert np.array_equal(lgp_frames_fast(toy_gmm, np.zeros((4, 3))), np.zeros((4, 2)))
+        assert np.array_equal(toy_gmm.frame_terms(np.zeros((4, 3))), np.zeros((4, 2)))
 
     def test_fast_matches_direct_formula(self, toy_gmm, rng):
         frames = rng.normal(size=(10, 3)) * 2.0
-        fast = lgp_frames_fast(toy_gmm, frames)
+        fast = toy_gmm.frame_terms(frames)
         for row, x in zip(fast, frames):
             assert np.allclose(row, direct_fast_form(toy_gmm, x), atol=1e-12)
 
     def test_forms_differ_by_frame_independent_constant(self, toy_gmm, rng):
         frames = rng.normal(size=(6, 3))
-        gap = lgp_frames_full(toy_gmm, frames) - lgp_frames_fast(toy_gmm, frames)
+        gap = toy_gmm.component_log_densities(frames) - toy_gmm.frame_terms(frames)
         assert np.allclose(gap, gap[0][None, :], atol=1e-10)
 
     def test_dimension_mismatch_rejected(self, toy_gmm):
         with pytest.raises(ValueError):
-            lgp_frames_full(toy_gmm, np.zeros((1, 4)))
+            toy_gmm.component_log_densities(np.zeros((1, 4)))
         with pytest.raises(ValueError):
-            lgp_frames_fast(toy_gmm, np.zeros((1, 2)))
+            toy_gmm.frame_terms(np.zeros((1, 2)))
 
 
 class TestNormStats:
@@ -210,3 +205,20 @@ class TestExtract:
         stats = LgpNormStats(mean=np.zeros(5), std=np.ones(5), form="fast")
         with pytest.raises(ValueError):
             extract_lgp(toy_gmm, stats, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("form, method", [("full", "component_log_densities"),
+                                              ("fast", "frame_terms")])
+    def test_forms_call_the_gmm_method_by_name(self, toy_gmm, rng, monkeypatch, form, method):
+        """A wrapper set on ``Gmm`` (as the bench's tracer sets) sees each
+        form's raw rows being made, in fitting and in extraction."""
+        calls = []
+        original = getattr(Gmm, method)
+
+        def counted(self, frames):
+            calls.append(frames.shape[0])
+            return original(self, frames)
+
+        monkeypatch.setattr(Gmm, method, counted)
+        frames = rng.normal(size=(30, 3))
+        extract_lgp(toy_gmm, fit_norm_stats(toy_gmm, frames, form), frames[:7])
+        assert calls == [30, 7]

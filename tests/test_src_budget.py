@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MAX_SETTABLE_VALUES = 140
+MAX_SETTABLE_VALUES = 131
 
 
 def _budget_script():

@@ -291,6 +291,14 @@ class TestTwoStep:
         eer = eer_from_scores(scores[labels == BONA_FIDE], scores[labels == SPOOF])[0]
         assert result.dev_eer == eer < result.step2.dev_eer_trace[0]
 
+    def test_without_dev_set_no_dev_eers(self, rng):
+        model = build_two_path(rng, seed=3)
+        data = separable_dataset(rng, n_per_class=4)
+        cfg = TrainConfig(batch_size=4, epochs=2, lr=3e-2, seed=3, target_length=8)
+        result = train_two_step(model, data, cfg)
+        assert result.path_dev_eers == [] and np.isnan(result.dev_eer)
+        assert all(res.dev_eer_trace == [] for res in [*result.step1, result.step2])
+
     def test_one_path_model_rejected(self, rng):
         model = build_one_path(rng)
         data = separable_dataset(rng, n_per_class=2)

@@ -11,7 +11,7 @@ them bit for bit below one block, and within recorded bounds above it.
 import numpy as np
 
 from lgpnet.gmm import VARIANCE_FLOOR_FACTOR, EmConfig, Gmm
-from lgpnet.lgp import STD_FLOOR, LgpNormStats, lgp_frames_fast, lgp_frames_full
+from lgpnet.lgp import STD_FLOOR, LgpNormStats
 
 
 def component_log_densities(gmm, frames):
@@ -110,6 +110,6 @@ def train_em(frames, m, cfg=None):
 def fit_norm_stats(gmm, frames, form):
     """Mean and std of the whole (N, M) raw LGP matrix."""
     frames = np.asarray(frames, dtype=np.float64)
-    raw = {"full": lgp_frames_full, "fast": lgp_frames_fast}[form](gmm, frames)
+    raw = {"full": Gmm.component_log_densities, "fast": Gmm.frame_terms}[form](gmm, frames)
     return LgpNormStats(mean=raw.mean(axis=0),
                         std=np.maximum(raw.std(axis=0), STD_FLOOR), form=form)
